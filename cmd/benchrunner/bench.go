@@ -67,66 +67,6 @@ func (w *benchWorkload) runOpts() match.Options {
 	}}
 }
 
-// benchBuildOMCS measures Prepare only: DAG construction, candidate-space
-// refinement and adjacency materialization — the phase the CSR rewrite
-// targets.
-func (w *benchWorkload) benchBuildOMCS(legacy bool) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, p := range w.patterns {
-				pr, err := match.Prepare(p, w.g, match.Options{UseLegacyCS: legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if pr.Stats().CSCandidates == 0 {
-					b.Fatal("empty candidate space")
-				}
-			}
-		}
-	}
-}
-
-// benchAdjacency measures Run only (Prepare hoisted out): enumeration
-// over the candidate adjacency, the phase candidates() intersections hit.
-func (w *benchWorkload) benchAdjacency(legacy bool) func(*testing.B) {
-	prepared := make([]*match.Prepared, 0, len(w.patterns))
-	for _, p := range w.patterns {
-		pr, err := match.Prepare(p, w.g, match.Options{UseLegacyCS: legacy})
-		if err != nil {
-			return func(b *testing.B) { b.Fatal(err) }
-		}
-		prepared = append(prepared, pr)
-	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, pr := range prepared {
-				if _, _, err := pr.Run(w.runOpts()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// benchEval measures the full Fig. 4(c)/(d)-style evaluation:
-// Prepare + Run per pattern.
-func (w *benchWorkload) benchEval(legacy bool) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, p := range w.patterns {
-				opts := w.runOpts()
-				opts.UseLegacyCS = legacy
-				if _, _, err := match.Match(p, w.g, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
 // benchDAFEval measures the DAF front-end of the shared engine on the
 // perfectref+daf baseline workload: PrepareUCQ + Run over each query's
 // optimized UCQ rewriting, so the report shows both front-ends compiling
@@ -164,8 +104,11 @@ type namedBench struct {
 }
 
 // runBenchJSON runs the benchmark suite via testing.Benchmark and writes
-// the results to outPath. Each CSR-path benchmark has a /map twin on the
-// legacy candidate-space build, so one file shows the delta; the
+// the results to outPath: the rows a check*Rows gate consumes plus
+// DAFEval (csr and its /map twin on the legacy candidate-space build),
+// which bench/ has no layer metric for. The rows bench/README.md maps
+// onto layer metrics (BuildOMCS, Adjacency, Fig4cd_Eval, Delta*,
+// WALAppend, RecoverReplay) are measured there, not here. The
 // persistence rows end with the cold-start vs snapshot-load comparison,
 // which must come out in the snapshot's favor or the run fails, and the
 // incremental rows likewise fail the run unless maintaining a standing
@@ -181,20 +124,8 @@ func runBenchJSON(outPath string, seed int64) error {
 	}
 	defer os.RemoveAll(dir)
 	suite := []namedBench{
-		{"BenchmarkBuildOMCS/csr", w.benchBuildOMCS(false)},
-		{"BenchmarkBuildOMCS/map", w.benchBuildOMCS(true)},
-		{"BenchmarkAdjacency/csr", w.benchAdjacency(false)},
-		{"BenchmarkAdjacency/map", w.benchAdjacency(true)},
-		{"BenchmarkFig4cd_Eval/csr", w.benchEval(false)},
-		{"BenchmarkFig4cd_Eval/map", w.benchEval(true)},
 		{"BenchmarkDAFEval/csr", w.benchDAFEval(false)},
 		{"BenchmarkDAFEval/map", w.benchDAFEval(true)},
-		{"BenchmarkDeltaInsert/batch64", w.benchDeltaInsert()},
-		{"BenchmarkDeltaEpochSwap", w.benchDeltaEpochSwap()},
-		{"BenchmarkDeltaReadUnderWrite", w.benchDeltaReadUnderWrite()},
-		{"BenchmarkDeltaCompact/ov1024", w.benchDeltaCompact(1024)},
-		{"BenchmarkDeltaCompact/ov4096", w.benchDeltaCompact(4096)},
-		{"BenchmarkDeltaCompact/ov16384", w.benchDeltaCompact(16384)},
 	}
 	suite = append(suite, persistSuite(w, dir)...)
 	f, err := buildBatchFixture(w)

@@ -13,6 +13,18 @@ import (
 	"ogpa/internal/perfectref"
 )
 
+// deltaBatch renders n bare-word N-Triples insertions with fresh
+// individuals starting at id; each individual gets one label and one
+// edge into the base graph's ID space via a shared hub vertex.
+func deltaBatch(id, n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "dx%d a GraduateStudent .\n", id+i)
+		fmt.Fprintf(&sb, "dx%d memberOf dhub .\n", id+i)
+	}
+	return sb.String()
+}
+
 // incFixture is the incremental-maintenance suite's workload: a live
 // store over the LUBM graph plus the datalog program of one workload
 // query, so both contenders answer the same standing query after the

@@ -7,31 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"ogpa/internal/delta"
 	"ogpa/internal/dllite"
-	"ogpa/internal/rdf"
 	"ogpa/internal/snap"
 )
 
-// The persistence suite measures the durable-KB machinery end to end:
-// snapshot save/load at the LUBM benchmark scale, per-batch WAL append
-// (the fsync every committed mutation pays), WAL-replay recovery, and
-// the headline comparison — cold start (parse + intern + CSR build)
-// against loading the same graph from a binary snapshot.
-
-// walRecord renders one 64-triple insert batch as the WAL sees it: half
-// label assertions, half edges, mirroring bench_delta's deltaBatch.
-func walRecord(epoch uint64, id int) snap.Record {
-	rec := snap.Record{Epoch: epoch}
-	for i := 0; i < 32; i++ {
-		name := fmt.Sprintf("dx%d", id+i)
-		rec.Triples = append(rec.Triples,
-			rdf.Triple{Subject: name, Predicate: "a", Object: "GraduateStudent", Kind: rdf.ObjectIRI},
-			rdf.Triple{Subject: name, Predicate: "memberOf", Object: "dhub", Kind: rdf.ObjectIRI},
-		)
-	}
-	return rec
-}
+// The persistence suite measures snapshot save/load at the LUBM
+// benchmark scale and the headline comparison — cold start (parse +
+// intern + CSR build) against loading the same graph from a binary
+// snapshot. WAL append and replay are priced by bench/ (snap.*).
 
 // benchSnapshotSave: one op = encode + checksum + atomic write of the
 // full workload graph.
@@ -63,70 +46,6 @@ func (w *benchWorkload) benchSnapshotLoad(dir string) func(*testing.B) {
 			}
 			if g.NumEdges() != w.g.NumEdges() {
 				b.Fatal("snapshot lost edges")
-			}
-		}
-	}
-}
-
-// benchWALAppend: one op = encode + write + fsync one 64-triple batch —
-// the latency floor under every durable mutation.
-func (w *benchWorkload) benchWALAppend(dir string) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		wal, _, err := snap.OpenWAL(filepath.Join(dir, "append.wal"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer wal.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := wal.Append(walRecord(uint64(i)+2, i*32)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// benchRecoverReplay: one op = reopen a 256-record WAL (verify every
-// checksum), rebuild the store's op log, and materialize the recovered
-// graph — the whole crash-recovery path minus the snapshot read, which
-// benchSnapshotLoad prices separately.
-func (w *benchWorkload) benchRecoverReplay(dir string) func(*testing.B) {
-	path := filepath.Join(dir, "recover.wal")
-	wal, _, err := snap.OpenWAL(path)
-	if err != nil {
-		return func(b *testing.B) { b.Fatal(err) }
-	}
-	for i := 0; i < 256; i++ {
-		if err := wal.Append(walRecord(uint64(i)+2, i*32)); err != nil {
-			return func(b *testing.B) { b.Fatal(err) }
-		}
-	}
-	if err := wal.Close(); err != nil {
-		return func(b *testing.B) { b.Fatal(err) }
-	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rw, records, err := snap.OpenWAL(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(records) != 256 {
-				b.Fatalf("replayed %d records, want 256", len(records))
-			}
-			s, err := delta.NewStoreRecovered(w.g, 1, records, delta.Config{CompactThreshold: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.Snapshot().Graph().NumVertices() <= w.g.NumVertices() {
-				b.Fatal("recovery did not grow the graph")
-			}
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if err := rw.Close(); err != nil {
-				b.Fatal(err)
 			}
 		}
 	}
@@ -168,8 +87,6 @@ func persistSuite(w *benchWorkload, dir string) []namedBench {
 	return []namedBench{
 		{"BenchmarkSnapshotSave", w.benchSnapshotSave(dir)},
 		{"BenchmarkSnapshotLoad", w.benchSnapshotLoad(dir)},
-		{"BenchmarkWALAppend/batch64", w.benchWALAppend(dir)},
-		{"BenchmarkRecoverReplay/rec256", w.benchRecoverReplay(dir)},
 		{"BenchmarkStartup/cold", w.benchStartupCold(aboxText(w.abox))},
 		{"BenchmarkStartup/snapshot", w.benchSnapshotLoad(dir)},
 	}

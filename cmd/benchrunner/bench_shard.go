@@ -10,10 +10,9 @@ import (
 	"ogpa/internal/shard"
 )
 
-// The shard suite prices scatter-gather execution on the Fig. 4
-// evaluation workload: the same prepared plans run monolithically
-// (Workers: 1, the canonical sequential path) and through the sharded
-// path at N ∈ {2, 4, 8}. Prepare and Partition are hoisted — both are
+// The shard suite prices shard placement on the Fig. 4 evaluation
+// workload: the same prepared plans run monolithically (Workers: 1, the
+// inline recursion) and with Options.Sharder at N ∈ {2, 4, 8}. Prepare and Partition are hoisted — both are
 // per-epoch artifacts a server amortizes across queries — so the rows
 // isolate the enumeration cost of bucketing, per-shard goroutines and
 // the ordered gather against plain sequential backtracking.
@@ -53,14 +52,12 @@ func (f *shardFixture) benchShardedEval(shards int) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, pr := range f.prepared {
 				opts := f.w.runOpts()
-				var err error
 				if shards == 0 {
 					opts.Workers = 1
-					_, _, err = pr.Run(opts)
 				} else {
-					_, _, err = pr.RunSharded(opts, f.sets[shards])
+					opts.Sharder = f.sets[shards]
 				}
-				if err != nil {
+				if _, _, err := pr.Run(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

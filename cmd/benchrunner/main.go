@@ -35,8 +35,8 @@ func main() {
 	flag.Parse()
 
 	// -exp bench short-circuits the table experiments: it runs the
-	// machine-readable benchmark suite (csr vs legacy map candidate
-	// spaces) and writes JSON for CI and plotting scripts.
+	// machine-readable benchmark suite (the within-run gates plus the
+	// DAF csr-vs-map rows) and writes JSON for CI and plotting scripts.
 	if *exp == "bench" {
 		if err := runBenchJSON(*benchOut, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)

@@ -144,44 +144,28 @@ func main() {
 	start := time.Now()
 	var ans *ogpa.Answers
 	var st ogpa.MatchStats
-	haveStats := false
-	switch {
-	case *baseline != "" && *matchStats:
-		// The UCQ baselines compile into the shared engine, so they report
-		// the same counters as the primary pipeline; datalog/saturate have
-		// no prepared form and fall back to plain answering.
-		var pq *ogpa.PreparedQuery
-		pq, err = kb.PrepareBaseline(ogpa.Baseline(*baseline), query)
-		if err == nil {
-			ans, st, err = pq.AnswerWithStats(opt)
-			haveStats = true
-		} else {
-			ans, err = kb.AnswerBaseline(ogpa.Baseline(*baseline), query, opt)
-		}
-	case *baseline != "":
-		ans, err = kb.AnswerBaseline(ogpa.Baseline(*baseline), query, opt)
-	case *matchStats:
-		var pq *ogpa.PreparedQuery
-		if *isSPARQL {
-			pq, err = kb.PrepareSPARQL(query)
-		} else {
-			pq, err = kb.Prepare(query)
-		}
-		if err != nil {
-			fail(err)
-		}
-		ans, st, err = pq.AnswerWithStats(opt)
-		haveStats = true
+	// Every pipeline with a prepared form answers through it, so the
+	// matcher counters are there whenever -match-stats asks; datalog and
+	// saturate (and unknown baselines, which error inside) have none.
+	var pq *ogpa.PreparedQuery
+	switch b := ogpa.Baseline(*baseline); {
+	case b == ogpa.BaselineUCQ || b == ogpa.BaselineUCQOpt:
+		pq, err = kb.PrepareBaseline(b, query, *timeout)
+	case b != "":
+		ans, err = kb.AnswerBaseline(b, query, opt)
 	case *isSPARQL:
-		ans, err = kb.AnswerSPARQL(query, opt)
+		pq, err = kb.PrepareSPARQL(query)
 	default:
-		ans, err = kb.AnswerWithOptions(query, opt)
+		pq, err = kb.Prepare(query)
+	}
+	if err == nil && pq != nil {
+		ans, st, err = pq.AnswerWithStats(opt)
 	}
 	if err != nil {
 		fail(err)
 	}
 	elapsed := time.Since(start)
-	if haveStats {
+	if *matchStats && pq != nil {
 		fmt.Fprintf(os.Stderr,
 			"match stats: cs-candidates=%d adj-pairs=%d bdd-nodes=%d steps=%d atom-evals=%d build=%v enum=%v truncated=%v\n",
 			st.CSCandidates, st.AdjPairs, st.BDDNodes, st.Steps, st.AtomEvals,

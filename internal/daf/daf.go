@@ -262,7 +262,8 @@ func (pu *PreparedUCQ) Run(lim Limits) (*core.AnswerSet, Stats, error) {
 // PreparedUCQ.Run: eval(i, inner) evaluates the i-th disjunct (inner has
 // Workers forced to 1 so each disjunct runs sequentially and its result
 // — including Truncated — is deterministic), and the per-disjunct answer
-// sets are merged in disjunct order with global deduplication.
+// sets are merged in disjunct order with global deduplication. Workers: 1
+// is the same pool with one goroutine claiming disjuncts in order.
 func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, Stats, error)) (*core.AnswerSet, Stats, error) {
 	inner := lim
 	inner.Workers = 1
@@ -273,33 +274,6 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		out := core.NewAnswerSet()
-		var total Stats
-		for i := 0; i < n; i++ {
-			res, st, err := eval(i, inner)
-			total.Steps += st.Steps
-			total.CSCandidates += st.CSCandidates
-			total.AdjPairs += st.AdjPairs
-			total.ShardRuns = engine.MergeShardRuns(total.ShardRuns, st.ShardRuns)
-			if st.Truncated {
-				total.Truncated = true // e.g. Ctx canceled mid-disjunct
-			}
-			if err != nil {
-				total.Truncated = true
-				return out, total, err
-			}
-			for _, a := range res.Answers() {
-				out.Add(a)
-				if lim.MaxResults > 0 && out.Len() >= lim.MaxResults {
-					total.Truncated = true
-					return out, total, nil
-				}
-			}
-		}
-		return out, total, nil
-	}
-
 	type result struct {
 		res *core.AnswerSet
 		st  Stats

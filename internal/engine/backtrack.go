@@ -22,7 +22,7 @@ type runtime struct {
 	remaining []int
 	out       *core.AnswerSet
 	bud       *budget
-	gate      *resultGate // nil unless parallel with MaxResults
+	gate      *resultGate // nil unless fanned out with MaxResults
 	cache     *sbdd.EvalCache
 	atomEvals int64
 	// evalFn / partialFn are the BDD atom-evaluation callbacks, built once
@@ -50,8 +50,8 @@ type runtime struct {
 	steps int64
 	base  int64
 	// flushed accumulates every flushSteps publication: the runtime's own
-	// lifetime step total, read by the scatter-gather path for per-shard
-	// Stats (the shared budget only holds the cross-runtime sum).
+	// lifetime step total, read by the sharded fan-out for per-shard Stats
+	// (the shared budget only holds the cross-runtime sum).
 	flushed int64
 }
 
@@ -359,8 +359,9 @@ func (rt *runtime) allRemainingExistential() bool {
 }
 
 // try assigns u := v, prunes, recurses and rolls back — one branch of the
-// search. runItem reuses it for first-level work items, so the parallel
-// subtrees are explored exactly as the sequential loop would.
+// search. fanOut calls it at depth 0 for first-level work items, so the
+// parallel subtrees are explored exactly as the sequential loop would; the
+// mapping is empty again on return, so a worker reuses one runtime.
 func (rt *runtime) try(u int, v graph.VID, depth int) error {
 	ok := rt.assign(u, v)
 	if ok && v != core.Omitted && !rt.m.opts.DisableEarlyReject {

@@ -11,8 +11,8 @@
 //     bitsets, per-DAG-edge adjacency materialized in CSR form (the
 //     map-based build of legacy.go is kept as the test oracle);
 //   - OMBacktrack: a zero-allocation backtracking runtime with adaptive
-//     or static-BFS ordering, a first-decision-level worker pool,
-//     budget/step accounting and truncation.
+//     or static-BFS ordering, one first-decision-level fan-out (worker
+//     pool or shard placement), budget/step accounting and truncation.
 //
 // OGP-only features are *capabilities* a front-end installs at Prepare
 // time (Caps): ⊥ dummy candidates for omittable vertices (Omission),
@@ -96,23 +96,22 @@ type Options struct {
 	Order  Order
 	Limits Limits
 
-	// Workers bounds the worker pool of the parallel backtracker: the
-	// first decision level's candidate pool (including the ⊥ candidate)
-	// is partitioned across this many goroutines, each owning its own
-	// runtime state and BDD evaluation cache. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the sequential path. Answers are
-	// merged in candidate order, so results are identical to sequential.
+	// Workers bounds the first-level fan-out: the first decision level's
+	// candidate pool (including the ⊥ candidate) is claimed item by item
+	// by this many goroutines, each owning its own runtime state and BDD
+	// evaluation cache. 0 means runtime.GOMAXPROCS(0); 1 runs the
+	// recursion inline. Answers are merged in candidate order, so results
+	// are identical to sequential.
 	Workers int
 
-	// Sharder, when non-nil, switches Run to the scatter-gather path:
-	// the first decision level's candidate pool is bucketed by shard
-	// ownership (the ⊥ candidate rides with the last shard), one
-	// goroutine per non-empty shard enumerates its bucket sequentially,
-	// and the per-item answer sets are merged in global candidate order
-	// through the same dedup gate as the worker pool — byte-identical to
-	// the monolithic run. Takes precedence over Workers (the shards are
-	// the workers). A one-shard Sharder still exercises the scatter path,
-	// degenerating to a single bucket.
+	// Sharder, when non-nil, changes the fan-out's placement: instead of
+	// claiming items off a shared counter, one goroutine per non-empty
+	// shard enumerates the first-level candidates that shard owns (the ⊥
+	// candidate rides with the last shard). Merge, limits and errors are
+	// the fan-out's own, so answers stay byte-identical to the monolithic
+	// run; Stats gains one ShardRuns row per shard. Takes precedence over
+	// Workers (the shards are the workers). A one-shard Sharder still fans
+	// out, degenerating to a single bucket.
 	Sharder Sharder
 
 	// Caps select the plan capabilities; consulted by Prepare only.
@@ -154,8 +153,8 @@ type Stats struct {
 	// search space (MaxResults reached, MaxSteps exceeded, or the
 	// deadline passed).
 	Truncated bool
-	// ShardRuns holds one entry per shard when the run took the
-	// scatter-gather path (Options.Sharder); nil otherwise.
+	// ShardRuns holds one entry per shard when the run fanned out under
+	// Options.Sharder; nil otherwise.
 	ShardRuns []ShardRunStats
 }
 
@@ -361,17 +360,6 @@ func (pl *Plan) Run(opts Options) (*core.AnswerSet, Stats, error) {
 	err := mc.backtrack(out)
 	mc.stats.EnumNanos = time.Since(start).Nanoseconds()
 	return out, mc.stats, err
-}
-
-// RunSharded is Run with a Sharder installed: the compiled plan is
-// broadcast unchanged (it was prepared against the global symbol table
-// and graph), each shard enumerates the first-level candidates it owns,
-// and the gather merges per-item answer sets in global candidate order
-// so the result is byte-identical to Run without a Sharder. Stats gains
-// one ShardRuns entry per shard.
-func (pl *Plan) RunSharded(opts Options, sh Sharder) (*core.AnswerSet, Stats, error) {
-	opts.Sharder = sh
-	return pl.Run(opts)
 }
 
 // CandidatePool returns the refined candidate pool for pattern vertex u,

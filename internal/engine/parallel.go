@@ -59,19 +59,13 @@ func (rg *resultGate) record(k string) {
 	rg.mu.Unlock()
 }
 
-// runItem explores the subtree of one first-level assignment u := v. The
-// runtime's mapping is empty on entry and restored on exit, so a worker
-// reuses one runtime (and its BDD evaluation cache) across items.
-func (rt *runtime) runItem(u int, v graph.VID) error {
-	return rt.try(u, v, 0)
-}
-
 // backtrack implements OMBacktrack (paper Section V-B): adaptive or static
 // ordering over the OMDAG, ⊥ assignments for omittable vertices, and
 // condition evaluation through the shared BDD as soon as variables are
-// mapped. With Workers > 1 the first decision level's candidate pool is
-// partitioned across a worker pool; per-item answer sets are merged in
-// candidate order, so the result is identical to the sequential path.
+// mapped. With Workers > 1 or a Sharder the first decision level is
+// fanned out (fanOut); otherwise the recursion runs inline. Both return
+// through the same limit/error mapping, so a run reports Truncated and
+// maps its sentinels identically in every mode.
 func (m *matcher) backtrack(out *core.AnswerSet) error {
 	bud := &budget{
 		maxSteps: m.opts.Limits.MaxSteps,
@@ -87,15 +81,18 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 	if workers <= 0 {
 		workers = stdruntime.GOMAXPROCS(0)
 	}
-	sharded := m.opts.Sharder != nil && m.opts.Sharder.Shards() >= 1
+	sh := m.opts.Sharder
+	if sh != nil && sh.Shards() < 1 {
+		sh = nil
+	}
 
 	// The probe runtime decides the first vertex exactly as the sequential
 	// recursion would (over the same frozen candidate sets), then doubles
-	// as the sequential runtime when the pool degenerates.
+	// as the sequential runtime when the fan-out degenerates.
 	rt := m.newRuntime(out, bud, nil)
 	var items []graph.VID
 	u0 := -1
-	if (workers > 1 || sharded) && len(m.p.Vertices) > 0 {
+	if (workers > 1 || sh != nil) && len(m.p.Vertices) > 0 {
 		u0 = rt.pickNext()
 		if u0 >= 0 {
 			cands := rt.candidates(u0)
@@ -107,83 +104,138 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 		}
 	}
 
-	if sharded && u0 >= 0 && len(items) > 0 {
-		// Scatter-gather takes precedence over the worker pool: the shards
-		// are the workers, each owning its contiguous slice of the first
-		// decision level.
-		return m.backtrackSharded(out, bud, u0, items, m.opts.Sharder)
-	}
-	if workers <= 1 || u0 < 0 || len(items) < 2 {
-		err := rt.rec(0)
+	// A Sharder scatters any non-empty first level (one item, one shard
+	// included); the pool needs at least two items to be worth a goroutine.
+	var err error
+	if (sh != nil && len(items) > 0) || (workers > 1 && len(items) >= 2) {
+		err = m.fanOut(out, bud, u0, items, workers, sh)
+	} else {
+		err = rt.rec(0)
 		rt.flushSteps()
-		m.stats.Steps = bud.steps.Load()
 		m.stats.AtomEvals += rt.atomEvals
-		if errors.Is(err, errCanceled) {
-			// Limits.Ctx fired: clean truncation, answers so far stand.
-			m.stats.Truncated = true
-			return nil
-		}
-		if errors.Is(err, ErrLimit) {
-			m.stats.Truncated = true
-			if m.opts.Limits.MaxResults > 0 && out.Len() >= m.opts.Limits.MaxResults {
-				return nil // truncation at MaxResults is a successful run
-			}
-		}
-		return err
 	}
-	return m.backtrackPar(out, bud, u0, items, workers)
+
+	m.stats.Steps = bud.steps.Load()
+	if err != nil || bud.stop.Load() {
+		m.stats.Truncated = true
+	}
+	if errors.Is(err, errCanceled) {
+		return nil // Limits.Ctx fired: clean truncation, answers so far stand
+	}
+	if limit := m.opts.Limits.MaxResults; errors.Is(err, ErrLimit) && limit > 0 && out.Len() >= limit {
+		return nil // truncation at MaxResults is a successful run
+	}
+	return err
 }
 
-// backtrackPar fans the first-level work items out over a bounded worker
-// pool. Workers claim items off a shared atomic index, emit into per-item
-// answer sets, and cancel early (via the budget's stop flag) once
-// MaxResults globally-distinct answers exist.
-func (m *matcher) backtrackPar(out *core.AnswerSet, bud *budget, u0 int, items []graph.VID, workers int) error {
+// fanOut explores the first-level items u0 := items[i] concurrently and
+// merges their answers into out in item order. The only thing that varies
+// is placement — how a goroutine gets its next item index:
+//
+//   - pool (sh == nil): workers goroutines claim indexes off one shared
+//     atomic counter, so a skewed first-level subtree does not idle the
+//     others;
+//   - sharded: one goroutine per non-empty shard walks a private cursor
+//     over the indexes that shard owns. Every item has a fixed owner — the
+//     deterministic placement is what a multi-process tier would ship over
+//     the wire — and the ⊥ item (always last, never a data vertex) rides
+//     with the last shard. Traversal below the first level reads the whole
+//     shared graph, so matches crossing shard boundaries need no handling.
+//     Stats gains one ShardRuns row per shard.
+//
+// Each goroutine reuses one runtime (and its BDD evaluation cache) across
+// its items — try leaves the mapping empty on exit — and emits into a
+// per-item answer set. Budget (MaxSteps/deadline/ctx) and the MaxResults
+// gate are shared. It returns the first error in item order that is not
+// errStopped.
+func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph.VID, workers int, sh Sharder) error {
+	limit := m.opts.Limits.MaxResults
 	var gate *resultGate
-	if m.opts.Limits.MaxResults > 0 {
+	if limit > 0 {
 		//lint:ignore internsafety keys are canonical Answer.Key() strings (mirrors core.AnswerSet); touched once per distinct answer, not per node
-		gate = &resultGate{seen: make(map[string]bool), max: m.opts.Limits.MaxResults, bud: bud}
+		gate = &resultGate{seen: make(map[string]bool), max: limit, bud: bud}
 	}
-	if workers > len(items) {
-		workers = len(items)
+
+	var next atomic.Int64 // pool placement: the shared claim counter
+	var owned [][]int     // sharded placement: owned[w] = item indexes of shard w, in item order
+	var shardRuns []ShardRunStats
+	if sh == nil {
+		if workers > len(items) {
+			workers = len(items)
+		}
+	} else {
+		workers = sh.Shards()
+		owned = make([][]int, workers)
+		for i, v := range items {
+			w := workers - 1
+			if v != core.Omitted {
+				if w = sh.Owner(v); w < 0 || w >= workers {
+					w = workers - 1 // defensive: a misbehaving Sharder must not drop items
+				}
+			}
+			owned[w] = append(owned[w], i)
+		}
+		shardRuns = make([]ShardRunStats, workers)
 	}
 
 	results := make([]*core.AnswerSet, len(items))
 	errs := make([]error, len(items))
-	var next atomic.Int64
 	var atomEvals atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		if sh != nil {
+			shardRuns[w] = ShardRunStats{Shard: w, Items: len(owned[w])}
+			if len(owned[w]) == 0 {
+				continue // empty shard: nothing to seed, no goroutine
+			}
+		}
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			start := time.Now()
 			wrt := m.newRuntime(nil, bud, gate)
-			for !bud.stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					break
+			answers := 0
+			for k := 0; !bud.stop.Load(); k++ {
+				var i int
+				if sh == nil {
+					if i = int(next.Add(1)) - 1; i >= len(items) {
+						break
+					}
+				} else {
+					if k >= len(owned[w]) {
+						break
+					}
+					i = owned[w][k]
 				}
 				sub := core.NewAnswerSet()
 				results[i] = sub
 				wrt.out = sub
-				if errs[i] = wrt.runItem(u0, items[i]); errs[i] != nil {
-					// Real limit errors cancel the whole pool; errStopped
-					// means someone else already did.
+				if errs[i] = wrt.try(u0, items[i], 0); errs[i] != nil {
+					// Real limit errors cancel every goroutine; errStopped
+					// means another one's gate already did.
 					bud.stop.Store(true)
 					break
 				}
+				answers += sub.Len()
 			}
 			wrt.flushSteps()
 			atomEvals.Add(wrt.atomEvals)
-		}()
+			if sh != nil {
+				shardRuns[w].Answers = answers
+				shardRuns[w].Steps = wrt.flushed
+				shardRuns[w].EnumNanos = time.Since(start).Nanoseconds()
+			}
+		}(w)
 	}
 	wg.Wait()
+	m.stats.AtomEvals += atomEvals.Load()
+	m.stats.ShardRuns = shardRuns
 
-	// Merge in candidate order with global deduplication: identical to the
-	// sequential insertion order. Under MaxResults the merge truncates to
-	// exactly the limit (workers may have banked a few extra answers
-	// between the gate tripping and the unwind).
-	limit := m.opts.Limits.MaxResults
+	// Merge in item order with global deduplication: identical to the
+	// sequential insertion order whatever the placement was (results is
+	// indexed by item, not by goroutine). Under MaxResults the merge
+	// truncates to exactly the limit (goroutines may have banked a few
+	// extra answers between the gate tripping and the unwind).
 	for _, sub := range results {
 		if sub == nil {
 			continue
@@ -195,24 +247,10 @@ func (m *matcher) backtrackPar(out *core.AnswerSet, bud *budget, u0 int, items [
 			out.Add(a)
 		}
 	}
-
-	var firstErr error
 	for _, err := range errs {
 		if err != nil && !errors.Is(err, errStopped) {
-			firstErr = err
-			break
+			return err
 		}
 	}
-	m.stats.Steps = bud.steps.Load()
-	m.stats.AtomEvals += atomEvals.Load()
-	if firstErr != nil || bud.stop.Load() {
-		m.stats.Truncated = true
-	}
-	if errors.Is(firstErr, errCanceled) {
-		return nil // Limits.Ctx fired: clean truncation, answers so far stand
-	}
-	if errors.Is(firstErr, ErrLimit) && limit > 0 && out.Len() >= limit {
-		return nil // truncation at MaxResults is a successful run
-	}
-	return firstErr
+	return nil
 }

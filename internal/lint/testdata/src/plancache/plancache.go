@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// cache mirrors server.planCache: mu guards every other field.
+// cache mirrors the server LRU (internal/server/lru.go): mu guards every other field.
 type cache struct {
 	mu     sync.Mutex
 	cap    int

@@ -85,43 +85,35 @@ type batchReply struct {
 	err       error
 }
 
-// batchCache adapts the server's plan cache (shape-group plans under
-// kind "mqo") and the answer memo to the ogpa.BatchCache interface. The
-// keys arrive fully scoped — fingerprint, epoch and canonical pattern
-// are mixed in by ogpa.AnswerBatchCached — so this is pure storage.
+// batchCache adapts two instances of the server's LRU — the plan cache
+// (shape-group plans under kind "mqo") and the answer memo — to the
+// ogpa.BatchCache interface. The keys arrive fully scoped — fingerprint,
+// epoch and canonical pattern are mixed in by ogpa.AnswerBatchCached —
+// so this is pure storage. Either LRU may be nil (inert).
 type batchCache struct {
-	plans *planCache
-	memo  *answerMemo
+	plans *lru
+	memo  *lru
 }
 
-func (c *batchCache) GetPlan(key string) any {
-	if c.plans == nil {
-		return nil
-	}
-	return c.plans.get("mqo", key)
-}
-
-func (c *batchCache) PutPlan(key string, plan any) {
-	c.plans.put("mqo", key, plan)
-}
+func (c *batchCache) GetPlan(key string) any       { return c.plans.get("mqo", key) }
+func (c *batchCache) PutPlan(key string, plan any) { c.plans.put("mqo", key, plan) }
 
 func (c *batchCache) GetAnswers(key string) ([][]string, bool) {
-	return c.memo.get(key)
+	rows, ok := c.memo.get("ans", key).([][]string)
+	return rows, ok
 }
 
-func (c *batchCache) PutAnswers(key string, rows [][]string) {
-	c.memo.put(key, rows)
-}
+func (c *batchCache) PutAnswers(key string, rows [][]string) { c.memo.put("ans", key, rows) }
 
 // newBatcher starts the gather loop. plans may be nil (plan caching
 // disabled); the answer memo is always created.
-func newBatcher(kb *ogpa.KB, cfg Config, plans *planCache) *batcher {
+func newBatcher(kb *ogpa.KB, cfg Config, plans *lru) *batcher {
 	b := &batcher{
 		kb:     kb,
 		cfg:    cfg,
 		window: cfg.BatchWindow,
 		max:    cfg.batchMax(),
-		cache:  &batchCache{plans: plans, memo: newAnswerMemo(defaultAnswerMemoSize)},
+		cache:  &batchCache{plans: plans, memo: newLRU(defaultAnswerMemoSize)},
 		in:     make(chan *batchRequest, cfg.batchMax()),
 		done:   make(chan struct{}),
 	}

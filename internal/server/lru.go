@@ -1,0 +1,146 @@
+package server
+
+import (
+	"container/list"
+	"sync"
+)
+
+// lru is the serving tier's one mutex-guarded LRU, instantiated twice:
+//
+//   - the plan cache (Config.PlanCacheSize): compiled plans keyed by
+//     ogpa.CacheKey(fingerprint, epoch, kind, query text) — or, for the
+//     batching tier's shape-group plans (kind "mqo"), by the canonical
+//     pattern. A hit skips the rewriter (GenOGP or PerfectRef) and the
+//     candidate-space build; only enumeration runs per request. Plans are
+//     safe to share: both ogpa.PreparedQuery.Answer and the engine's
+//     Plan.Run are concurrent-safe, so one cached plan may serve
+//     overlapping requests.
+//   - the batcher's answer memo (kind "ans"): fully rendered answer rows
+//     keyed by canonical member pattern. A hit answers a member query
+//     without touching the engine at all. Rows are stored and served by
+//     reference and must never be mutated (the batcher caps per-member
+//     MaxResults by re-slicing, not truncating in place).
+//
+// The epoch is in every key: a delta commit bumps it, so entries for a
+// superseded version simply stop being referenced and age out. Values
+// are opaque (any): each kind stores exactly one concrete type, and the
+// kind is part of every key, so a get can never observe a foreign type.
+// Hits and misses are counted per kind so /stats can show how the plan
+// cache splits between the primary pipeline, baselines and batch groups.
+//
+// Every sibling field is accessed under mu (the locksafety analyzer
+// enforces the discipline).
+type lru struct {
+	mu     sync.Mutex
+	cap    int
+	ll     *list.List // front = most recently used
+	items  map[string]*list.Element
+	hits   uint64
+	misses uint64
+	byKind map[string]*kindCounters
+}
+
+// kindCounters are the per-kind hit/miss tallies behind the cache's mu.
+type kindCounters struct {
+	hits   uint64
+	misses uint64
+}
+
+type lruEntry struct {
+	key   string
+	kind  string
+	value any
+}
+
+// newLRU builds a cache holding up to capacity entries; capacity <= 0
+// returns nil (caching disabled — a nil *lru is inert).
+func newLRU(capacity int) *lru {
+	if capacity <= 0 {
+		return nil
+	}
+	return &lru{
+		cap:    capacity,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element, capacity),
+		byKind: make(map[string]*kindCounters),
+	}
+}
+
+// get returns the cached value for key, promoting it to most recently
+// used, or nil on a miss. Hit/miss counters (total and per kind) move
+// here.
+func (c *lru) get(kind, key string) any {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kc := c.byKind[kind]
+	if kc == nil {
+		kc = &kindCounters{}
+		c.byKind[kind] = kc
+	}
+	el, ok := c.items[key]
+	if !ok {
+		c.misses++
+		kc.misses++
+		return nil
+	}
+	c.hits++
+	kc.hits++
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry).value
+}
+
+// put inserts a value, evicting the least recently used entry when full.
+// A concurrent duplicate insert (two requests missing on the same key)
+// just refreshes the existing entry.
+func (c *lru) put(kind, key string, value any) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruEntry).value = value
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&lruEntry{key: key, kind: kind, value: value})
+	for c.ll.Len() > c.cap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry).key)
+	}
+}
+
+// snapshot reports the counters and current size.
+func (c *lru) snapshot() (hits, misses uint64, size int) {
+	if c == nil {
+		return 0, 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.ll.Len()
+}
+
+// snapshotByKind reports per-kind hits, misses and resident entry counts.
+// Size is recomputed by walking the (bounded, <= cap) entry list.
+func (c *lru) snapshotByKind() map[string]PlanCacheKindStats {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]PlanCacheKindStats, len(c.byKind))
+	for kind, kc := range c.byKind {
+		out[kind] = PlanCacheKindStats{Hits: kc.hits, Misses: kc.misses}
+	}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		kind := el.Value.(*lruEntry).kind
+		ks := out[kind]
+		ks.Size++
+		out[kind] = ks
+	}
+	return out
+}

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
+
+	"ogpa"
 )
 
 // TestPlanCacheAlternatingQueries is the correctness + reuse contract of
@@ -179,5 +182,34 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if stats.PlanCacheMisses != 4 || stats.PlanCacheHits != 0 || stats.PlanCacheSize != 2 {
 		t.Fatalf("hits=%d misses=%d size=%d, want 0/4/2",
 			stats.PlanCacheHits, stats.PlanCacheMisses, stats.PlanCacheSize)
+	}
+}
+
+// TestPlanCacheBaselineRewriteTimeout: timeoutMs bounds the PerfectRef
+// rewriting of a UCQ-baseline request on the cached path exactly as it
+// does with the cache disabled — the same request fails with the
+// rewriter's limit error under both configurations — and the failed
+// rewriting leaves nothing in the cache.
+func TestPlanCacheBaselineRewriteTimeout(t *testing.T) {
+	// A 12-deep class chain under a three-atom query: the UCQ has 13^3
+	// disjuncts, far more than PerfectRef can produce in a millisecond.
+	var onto strings.Builder
+	for i := 1; i <= 12; i++ {
+		fmt.Fprintf(&onto, "A%d SubClassOf A%d\n", i, i-1)
+	}
+	body := `{"query":"q(x) :- A0(x), r(x, y), A0(y), r(y, z), A0(z)","baseline":"perfectref+daf","timeoutMs":1}`
+	for name, cfg := range map[string]Config{"cached": {}, "uncached": {PlanCacheSize: -1}} {
+		kb, err := ogpa.NewKB(strings.NewReader(onto.String()), strings.NewReader("A12(a)\nr(a, a)\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := HandlerWithConfig(kb, cfg)
+		rec := do(t, h, "POST", "/query", body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "perfectref: rewriting limit exceeded") {
+			t.Fatalf("%s: status %d body %s, want 400 with the perfectref limit error", name, rec.Code, rec.Body)
+		}
+		if st := statsOf(t, h); st.PlanCacheSize != 0 {
+			t.Fatalf("%s: failed rewriting left %d plans in the cache", name, st.PlanCacheSize)
+		}
 	}
 }

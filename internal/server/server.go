@@ -376,34 +376,26 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 		}
 	}
 	m := &metrics{}
-	cache := newPlanCache(cfg.planCacheSize())
-	fingerprint := kb.Fingerprint() // constant per handler; part of every cache key
+	cache := newLRU(cfg.planCacheSize()) // nil (inert) when caching is disabled
+	fingerprint := kb.Fingerprint()      // constant per handler; part of every cache key
+	// answerCached is the one request path for every kind with a prepared
+	// form: look the plan up, Prepare on a miss, Run.
 	answerCached := func(kind, query string, opt ogpa.Options) (*ogpa.Answers, ogpa.MatchStats, error) {
-		if cache == nil {
-			var ans *ogpa.Answers
-			var err error
-			switch {
-			case kind == "sparql":
-				ans, err = kb.AnswerSPARQL(query, opt)
-			case strings.HasPrefix(kind, "ucq:"):
-				ans, err = kb.AnswerBaseline(ogpa.Baseline(strings.TrimPrefix(kind, "ucq:")), query, opt)
-			default:
-				return kb.AnswerWithStats(query, opt)
-			}
-			return ans, ogpa.MatchStats{}, err
-		}
 		// The epoch is in the key: a mutation bumps it, so every plan built
 		// against the superseded snapshot misses from then on and ages out
 		// of the LRU. On a read-only KB the epoch is constantly 0.
-		key := fmt.Sprintf("%s|%d|%s|%s", fingerprint, kb.Epoch(), kind, query)
+		key := ogpa.CacheKey(fingerprint, kb.Epoch(), kind, query)
 		pq, _ := cache.get(kind, key).(*ogpa.PreparedQuery)
 		if pq == nil {
 			var err error
-			switch {
+			switch baseline, isUCQ := strings.CutPrefix(kind, "ucq:"); {
 			case kind == "sparql":
 				pq, err = kb.PrepareSPARQL(query)
-			case strings.HasPrefix(kind, "ucq:"):
-				pq, err = kb.PrepareBaseline(ogpa.Baseline(strings.TrimPrefix(kind, "ucq:")), query)
+			case isUCQ:
+				// The request timeout bounds PerfectRef; a rewriting that
+				// fails caches nothing, one that completes is the same plan
+				// whatever the timeout was.
+				pq, err = kb.PrepareBaseline(ogpa.Baseline(baseline), query, opt.Timeout)
 			default:
 				pq, err = kb.Prepare(query)
 			}

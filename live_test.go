@@ -144,7 +144,7 @@ func TestContextCancellationTruncatesCleanly(t *testing.T) {
 	}
 
 	// Same contract through the prepared UCQ baseline.
-	pq, err := kb.PrepareBaseline(BaselineUCQ, `q(x) :- Student(x)`)
+	pq, err := kb.PrepareBaseline(BaselineUCQ, `q(x) :- Student(x)`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

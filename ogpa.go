@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -459,6 +460,17 @@ func (kb *KB) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// CacheKey builds the one key shape every cross-request cache uses:
+// fingerprint|epoch|kind|key. The fingerprint ties an entry to the TBox
+// that produced it and the epoch to the data version, so a delta commit
+// invalidates every entry for free; kind ("cq", "sparql", "ucq:…", the
+// batch tier's "plan" and "ans") keeps entries of different concrete
+// types apart. Callers pass both scoping values explicitly so the
+// epochkey analyzer sees the epoch at every call site.
+func CacheKey(fingerprint string, epoch uint64, kind, key string) string {
+	return fingerprint + "|" + strconv.FormatUint(epoch, 10) + "|" + kind + "|" + key
+}
+
 // Answers is a set of certain-answer tuples.
 type Answers struct {
 	// Vars names the distinguished variables, in head order.
@@ -509,16 +521,8 @@ func (kb *KB) Answer(query string) (*Answers, error) {
 
 // AnswerWithOptions runs GenOGP + OMatch under the given limits.
 func (kb *KB) AnswerWithOptions(query string, opt Options) (*Answers, error) {
-	rw, err := kb.Rewrite(query)
-	if err != nil {
-		return nil, err
-	}
-	v := kb.view() // one pinned view for match, shard set and render
-	res, _, err := match.Match(rw.Pattern, v.g, v.matchOpts(opt))
-	if err != nil {
-		return nil, err
-	}
-	return render(rw.Query, res, v.g), nil
+	ans, _, err := kb.AnswerWithStats(query, opt)
+	return ans, err
 }
 
 // MatchStats mirrors the matcher's per-query statistics for the public
@@ -587,59 +591,65 @@ type PreparedQuery struct {
 
 // Prepare compiles a CQ into a reusable matching plan.
 func (kb *KB) Prepare(query string) (*PreparedQuery, error) {
-	q, err := cq.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return kb.prepare(q)
+	return kb.prepareKind("cq", query, 0)
 }
 
 // PrepareSPARQL compiles a SPARQL SELECT query into a reusable plan.
 func (kb *KB) PrepareSPARQL(src string) (*PreparedQuery, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return kb.prepare(q)
-}
-
-func (kb *KB) prepare(q *cq.Query) (*PreparedQuery, error) {
-	res, err := rewrite.Generate(q, kb.tbox)
-	if err != nil {
-		return nil, err
-	}
-	v := kb.view() // pin: the plan answers against this view forever
-	pr, err := match.Prepare(res.Pattern, v.g, match.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{
-		kb: kb,
-		q:  q,
-		g:  v.g,
-		sh: v.shards,
-		rw: &Rewriting{Query: q, Pattern: res.Pattern, result: res},
-		pr: pr,
-	}, nil
+	return kb.prepareKind("sparql", src, 0)
 }
 
 // PrepareBaseline compiles a query through one of the UCQ baseline
 // pipelines (BaselineUCQ, BaselineUCQOpt) into a reusable plan:
 // PerfectRef runs once and every disjunct's candidate space is built,
 // so repeated Answer calls — the server's cached-baseline path — only
-// enumerate. The datalog and saturation baselines have no prepared
-// form and return an error.
-func (kb *KB) PrepareBaseline(b Baseline, query string) (*PreparedQuery, error) {
-	q, err := cq.Parse(query)
+// enumerate. rewriteTimeout bounds PerfectRef (0 = unbounded); a
+// rewriting that completes does not depend on it, so the plan is
+// shareable across callers with different timeouts. The datalog and
+// saturation baselines have no prepared form and return an error.
+func (kb *KB) PrepareBaseline(b Baseline, query string, rewriteTimeout time.Duration) (*PreparedQuery, error) {
+	return kb.prepareKind(ucqKindPrefix+string(b), query, rewriteTimeout)
+}
+
+// ucqKindPrefix marks the plan kinds of the UCQ baselines:
+// "ucq:perfectref+daf", "ucq:perfectrefopt+daf".
+const ucqKindPrefix = "ucq:"
+
+// prepareKind is the one Prepare path behind every answering method that
+// has a prepared form. kind is the plan kind the serving tier also keys
+// its cache and /stats by: "cq" and "sparql" parse accordingly and
+// compile GenOGP's output for OMatch; "ucq:<baseline>" runs PerfectRef
+// under rewriteTimeout and compiles every disjunct for DAF.
+func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*PreparedQuery, error) {
+	parse := cq.Parse
+	if kind == "sparql" {
+		parse = sparql.Parse
+	}
+	q, err := parse(query)
 	if err != nil {
 		return nil, err
 	}
+	b, isUCQ := strings.CutPrefix(kind, ucqKindPrefix)
+	if !isUCQ {
+		res, err := rewrite.Generate(q, kb.tbox)
+		if err != nil {
+			return nil, err
+		}
+		v := kb.view() // pin: the plan answers against this view forever
+		pr, err := match.Prepare(res.Pattern, v.g, match.Options{})
+		if err != nil {
+			return nil, err
+		}
+		rw := &Rewriting{Query: q, Pattern: res.Pattern, result: res}
+		return &PreparedQuery{kb: kb, q: q, g: v.g, sh: v.shards, rw: rw, pr: pr}, nil
+	}
 	var u *perfectref.UCQ
-	switch b {
+	lim := perfectref.Limits{Timeout: rewriteTimeout}
+	switch Baseline(b) {
 	case BaselineUCQ:
-		u, err = perfectref.Rewrite(q, kb.tbox, perfectref.Limits{})
+		u, err = perfectref.Rewrite(q, kb.tbox, lim)
 	case BaselineUCQOpt:
-		u, err = perfectref.RewriteOptimized(q, kb.tbox, perfectref.Limits{})
+		u, err = perfectref.RewriteOptimized(q, kb.tbox, lim)
 	default:
 		return nil, fmt.Errorf("ogpa: baseline %q has no prepared form", b)
 	}
@@ -730,29 +740,18 @@ const (
 
 // AnswerBaseline answers the query with one of the baseline pipelines.
 func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, error) {
+	if b == BaselineUCQ || b == BaselineUCQOpt {
+		pq, err := kb.PrepareBaseline(b, query, opt.Timeout)
+		if err != nil {
+			return nil, err
+		}
+		return pq.Answer(opt)
+	}
 	q, err := cq.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	lim := dafLimits(opt)
 	switch b {
-	case BaselineUCQ, BaselineUCQOpt:
-		prLim := perfectref.Limits{Timeout: opt.Timeout}
-		var u *perfectref.UCQ
-		if b == BaselineUCQ {
-			u, err = perfectref.Rewrite(q, kb.tbox, prLim)
-		} else {
-			u, err = perfectref.RewriteOptimized(q, kb.tbox, prLim)
-		}
-		if err != nil {
-			return nil, err
-		}
-		v := kb.view()
-		res, _, err := daf.EvalUCQ(u.Queries, v.g, v.dafLims(opt))
-		if err != nil {
-			return nil, err
-		}
-		return render(q, res, v.g), nil
 	case BaselineDatalog:
 		prog, err := datalog.Rewrite(q, kb.tbox, perfectref.Limits{Timeout: opt.Timeout})
 		if err != nil {
@@ -795,7 +794,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if opt.Timeout > 0 {
 			slim.Deadline = time.Now().Add(opt.Timeout)
 		}
-		res, mg, _, err := saturate.AnswerCQ(kb.tbox, kb.aboxNow(), q, slim, lim)
+		res, mg, _, err := saturate.AnswerCQ(kb.tbox, kb.aboxNow(), q, slim, dafLimits(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -818,20 +817,11 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 // (the CQ fragment used by the paper's real-life workloads) and answers it
 // through GenOGP + OMatch.
 func (kb *KB) AnswerSPARQL(src string, opt Options) (*Answers, error) {
-	q, err := sparql.Parse(src)
+	pq, err := kb.PrepareSPARQL(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := rewrite.Generate(q, kb.tbox)
-	if err != nil {
-		return nil, err
-	}
-	v := kb.view()
-	ans, _, err := match.Match(res.Pattern, v.g, v.matchOpts(opt))
-	if err != nil {
-		return nil, err
-	}
-	return render(q, ans, v.g), nil
+	return pq.Answer(opt)
 }
 
 // BatchCache is the cache surface a serving tier hands to
@@ -911,8 +901,7 @@ func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache)
 			continue
 		}
 		if cache != nil {
-			memoKey := fmt.Sprintf("%s|%d|ans|%s", fingerprint, epoch, b.Keys[i])
-			if rows, ok := cache.GetAnswers(memoKey); ok {
+			if rows, ok := cache.GetAnswers(CacheKey(fingerprint, epoch, "ans", b.Keys[i])); ok {
 				st.MemoHits++
 				results[i] = capRows(&Answers{Vars: append([]string(nil), qs[i].Head...), Rows: rows}, opt.MaxResults)
 				continue
@@ -925,13 +914,11 @@ func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache)
 	if cache != nil {
 		src = mqo.PlanSource{
 			Get: func(key string) *match.Prepared {
-				planKey := fmt.Sprintf("%s|%d|plan|%s", fingerprint, epoch, key)
-				pr, _ := cache.GetPlan(planKey).(*match.Prepared)
+				pr, _ := cache.GetPlan(CacheKey(fingerprint, epoch, "plan", key)).(*match.Prepared)
 				return pr
 			},
 			Put: func(key string, pr *match.Prepared) {
-				planKey := fmt.Sprintf("%s|%d|plan|%s", fingerprint, epoch, key)
-				cache.PutPlan(planKey, pr)
+				cache.PutPlan(CacheKey(fingerprint, epoch, "plan", key), pr)
 			},
 		}
 	}
@@ -958,8 +945,7 @@ func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache)
 			answered++
 			ans := render(qs[i], sets[i], g)
 			if cache != nil && !truncated[i] {
-				memoKey := fmt.Sprintf("%s|%d|ans|%s", fingerprint, epoch, b.Keys[i])
-				cache.PutAnswers(memoKey, ans.Rows)
+				cache.PutAnswers(CacheKey(fingerprint, epoch, "ans", b.Keys[i]), ans.Rows)
 			}
 			results[i] = capRows(ans, opt.MaxResults)
 			results[i].Truncated = results[i].Truncated || truncated[i]
