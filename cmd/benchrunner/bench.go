@@ -20,8 +20,9 @@ import (
 )
 
 // benchResult is one row of the machine-readable benchmark report
-// (BENCH_9.json): the same three numbers `go test -bench -benchmem`
-// prints, in a form CI and plotting scripts can diff across commits.
+// (-bench-out; the reports of earlier PRs are kept in history/): the same
+// three numbers `go test -bench -benchmem` prints, in a form CI and
+// plotting scripts can diff across commits.
 type benchResult struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
@@ -132,12 +133,7 @@ func runBenchJSON(outPath string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	suite = append(suite, batchSuite(f, w, dir)...)
-	sf, err := buildShardFixture(w)
-	if err != nil {
-		return err
-	}
-	suite = append(suite, shardSuite(sf)...)
+	suite = append(suite, batchSuite(f)...)
 	inf, err := buildIncFixture(w)
 	if err != nil {
 		return err
@@ -164,9 +160,6 @@ func runBenchJSON(outPath string, seed int64) error {
 		return err
 	}
 	if err := checkBatchRows(results); err != nil {
-		return err
-	}
-	if err := checkShardRows(results); err != nil {
 		return err
 	}
 	if err := checkIncRows(results); err != nil {

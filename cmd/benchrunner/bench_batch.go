@@ -3,12 +3,10 @@ package main
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"ogpa"
-	"ogpa/internal/snap"
 	"ogpa/internal/testkb"
 )
 
@@ -123,38 +121,12 @@ func (c *benchBatchCache) GetAnswers(key string) ([][]string, bool) {
 }
 func (c *benchBatchCache) PutAnswers(key string, rows [][]string) { c.answers[key] = rows }
 
-// benchMmapLoad: one op = map + validate + rebuild via snap.MapSnapshot —
-// the zero-copy twin of BenchmarkStartup/snapshot (same file, page cache
-// warm for both).
-func (w *benchWorkload) benchMmapLoad(dir string) func(*testing.B) {
-	path := filepath.Join(dir, "load.snap")
-	if err := snap.SaveSnapshot(path, w.g, 1); err != nil {
-		return func(b *testing.B) { b.Fatal(err) }
-	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ms, err := snap.MapSnapshot(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ms.Graph().NumEdges() != w.g.NumEdges() {
-				b.Fatal("mapped snapshot lost edges")
-			}
-			if err := ms.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// batchSuite returns the batching + mmap rows.
-func batchSuite(f *batchFixture, w *benchWorkload, dir string) []namedBench {
+// batchSuite returns the batching rows.
+func batchSuite(f *batchFixture) []namedBench {
 	return []namedBench{
 		{"BenchmarkBatch32/sequential", f.benchBatchSequential()},
 		{"BenchmarkBatch32/batched", f.benchBatchShared()},
 		{"BenchmarkBatch32/memoized", f.benchBatchMemoized()},
-		{"BenchmarkStartup/mmap", w.benchMmapLoad(dir)},
 	}
 }
 

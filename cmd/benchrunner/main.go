@@ -30,7 +30,7 @@ func main() {
 		evalTimeout = flag.Duration("eval-timeout", 5*time.Second, "per-query evaluation limit")
 		rwTimeout   = flag.Duration("rewrite-timeout", 2*time.Second, "per-query rewriting limit")
 		markdown    = flag.Bool("markdown", false, "emit markdown tables (for EXPERIMENTS.md)")
-		benchOut    = flag.String("bench-out", "BENCH_9.json", "output path for -exp bench")
+		benchOut    = flag.String("bench-out", "bench-rows.json", "output path for -exp bench")
 	)
 	flag.Parse()
 

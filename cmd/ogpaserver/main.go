@@ -36,7 +36,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "durable live data: snapshot + WAL directory (implies -live; recovers existing state, -data only seeds the first run)")
 		batchWindow   = flag.Duration("batch-window", 0, "gather window for the batching/MQO tier (0 = disabled); concurrent CQ requests within a window share one snapshot, merged shape-group plans and an epoch-keyed answer memo")
 		batchMax      = flag.Int("batch-max", 0, "max queries per batch (0 = default 32; a full batch fires before its window elapses)")
-		shards        = flag.Int("shards", 0, "scatter-gather execution over this many VID-range graph shards (0 = monolithic); /stats grows per-shard rows")
 		subscribe     = flag.Bool("subscribe", false, "serve standing queries (POST /subscribe, long-poll + SSE delta streams) over incrementally maintained state; needs -live or -data-dir")
 		subMaxRows    = flag.Int("subscribe-max-rows", 0, "cap every subscription's answer-set size (0 = uncapped); a breach fails that subscription closed")
 	)
@@ -76,14 +75,10 @@ func main() {
 		PlanCacheSize:       *planCacheSize,
 		BatchWindow:         *batchWindow,
 		BatchMax:            *batchMax,
-		Shards:              *shards,
 		Subscriptions:       *subscribe,
 		SubscriptionMaxRows: *subMaxRows,
 	}
 	h := server.HandlerWithConfig(kb, cfg)
-	if *shards > 0 {
-		log.Printf("scatter-gather execution over %d shards", *shards)
-	}
 	if *subscribe {
 		log.Printf("standing-query subscriptions enabled (max rows %d)", *subMaxRows)
 	}

@@ -61,10 +61,6 @@ type Limits struct {
 	// sequential. Answers are merged canonically either way, so results
 	// are identical to sequential.
 	Workers int
-	// Sharder, when non-nil, routes every enumeration (each disjunct of a
-	// UCQ included) through the engine's scatter-gather path over the
-	// shard set, taking precedence over Workers. See engine.Options.
-	Sharder engine.Sharder
 }
 
 // ErrLimit reports that enumeration stopped due to Limits. It is the
@@ -100,7 +96,6 @@ func engineOptions(o Options) engine.Options {
 			Ctx:        o.Limits.Ctx,
 		},
 		Workers:     o.Limits.Workers,
-		Sharder:     o.Limits.Sharder,
 		UseLegacyCS: o.UseLegacyCS,
 		Caps:        engine.Caps{Injective: o.Injective},
 	}
@@ -137,7 +132,6 @@ func (pr *Prepared) Run(lim Limits) (*core.AnswerSet, Stats, error) {
 	eo := engineOptions(pr.opts)
 	eo.Limits = engine.Limits{MaxResults: lim.MaxResults, MaxSteps: lim.MaxSteps, Deadline: lim.Deadline, Ctx: lim.Ctx}
 	eo.Workers = lim.Workers
-	eo.Sharder = lim.Sharder
 	return pr.pl.Run(eo)
 }
 
@@ -326,7 +320,6 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 		total.Steps += r.st.Steps
 		total.CSCandidates += r.st.CSCandidates
 		total.AdjPairs += r.st.AdjPairs
-		total.ShardRuns = engine.MergeShardRuns(total.ShardRuns, r.st.ShardRuns)
 		if r.st.Truncated {
 			total.Truncated = true // e.g. Ctx canceled mid-disjunct
 		}

@@ -231,9 +231,6 @@ func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
 // when compaction folds the overlay into the base).
 func (s *Store) OverlaySize() int { return len(s.cur.Load().ops) }
 
-// BaseVertices reports |V| of the current compacted base.
-func (s *Store) BaseVertices() int { return s.cur.Load().base.NumVertices() }
-
 // Compactions reports how many compactions have completed.
 func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 

@@ -49,10 +49,6 @@ type runtime struct {
 	// sequential from contention alone.
 	steps int64
 	base  int64
-	// flushed accumulates every flushSteps publication: the runtime's own
-	// lifetime step total, read by the sharded fan-out for per-shard Stats
-	// (the shared budget only holds the cross-runtime sum).
-	flushed int64
 }
 
 // stepFlush is how many local ticks a runtime accumulates before
@@ -127,7 +123,6 @@ func (rt *runtime) tick() error {
 // runtime retires so Stats.Steps is exact.
 func (rt *runtime) flushSteps() {
 	rt.base = rt.bud.steps.Add(rt.steps)
-	rt.flushed += rt.steps
 	rt.steps = 0
 }
 

@@ -11,8 +11,8 @@
 //     bitsets, per-DAG-edge adjacency materialized in CSR form (the
 //     map-based build of legacy.go is kept as the test oracle);
 //   - OMBacktrack: a zero-allocation backtracking runtime with adaptive
-//     or static-BFS ordering, one first-decision-level fan-out (worker
-//     pool or shard placement), budget/step accounting and truncation.
+//     or static-BFS ordering, one first-decision-level fan-out (a
+//     worker pool), budget/step accounting and truncation.
 //
 // OGP-only features are *capabilities* a front-end installs at Prepare
 // time (Caps): ⊥ dummy candidates for omittable vertices (Omission),
@@ -104,16 +104,6 @@ type Options struct {
 	// are identical to sequential.
 	Workers int
 
-	// Sharder, when non-nil, changes the fan-out's placement: instead of
-	// claiming items off a shared counter, one goroutine per non-empty
-	// shard enumerates the first-level candidates that shard owns (the ⊥
-	// candidate rides with the last shard). Merge, limits and errors are
-	// the fan-out's own, so answers stay byte-identical to the monolithic
-	// run; Stats gains one ShardRuns row per shard. Takes precedence over
-	// Workers (the shards are the workers). A one-shard Sharder still fans
-	// out, degenerating to a single bucket.
-	Sharder Sharder
-
 	// Caps select the plan capabilities; consulted by Prepare only.
 	Caps Caps
 
@@ -153,54 +143,6 @@ type Stats struct {
 	// search space (MaxResults reached, MaxSteps exceeded, or the
 	// deadline passed).
 	Truncated bool
-	// ShardRuns holds one entry per shard when the run fanned out under
-	// Options.Sharder; nil otherwise.
-	ShardRuns []ShardRunStats
-}
-
-// Sharder assigns data vertices to shards for scatter-gather runs. The
-// engine only needs ownership of the first decision level's candidates;
-// traversal below that level runs over the shared graph, so cross-shard
-// edges need no engine-side handling. Implementations must be safe for
-// concurrent use (internal/shard's Set is immutable after Partition).
-type Sharder interface {
-	// Shards reports the shard count (>= 1).
-	Shards() int
-	// Owner maps a data vertex to its owning shard in [0, Shards()).
-	Owner(v graph.VID) int
-}
-
-// ShardRunStats is one shard's share of a scatter-gather run.
-type ShardRunStats struct {
-	Shard     int   // shard index
-	Items     int   // first-level candidates owned by the shard
-	Answers   int   // answers banked before the global-dedup merge
-	Steps     int64 // search-tree nodes expanded by the shard goroutine
-	EnumNanos int64 // wall-clock time of the shard goroutine
-}
-
-// MergeShardRuns accumulates per-shard counters from one run into an
-// aggregate keyed by shard index (used by the UCQ path, which runs one
-// scatter per disjunct and reports the union). Either argument may be
-// nil; the result is sorted by shard.
-func MergeShardRuns(dst, src []ShardRunStats) []ShardRunStats {
-	for _, s := range src {
-		for i := range dst {
-			if dst[i].Shard == s.Shard {
-				dst[i].Items += s.Items
-				dst[i].Answers += s.Answers
-				dst[i].Steps += s.Steps
-				dst[i].EnumNanos += s.EnumNanos
-				s.Shard = -1
-				break
-			}
-		}
-		if s.Shard >= 0 {
-			dst = append(dst, s)
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Shard < dst[j].Shard })
-	return dst
 }
 
 type condKind uint8
@@ -372,19 +314,6 @@ func (pl *Plan) CandidatePool(u int) []graph.VID {
 		return nil
 	}
 	return pl.m.cand[u]
-}
-
-// CandidatePoolSizes returns the per-vertex candidate-pool sizes (nil
-// for provably-empty plans).
-func (pl *Plan) CandidatePoolSizes() []int {
-	if pl.empty || pl.m.cand == nil {
-		return nil
-	}
-	sizes := make([]int, len(pl.m.cand))
-	for u, pool := range pl.m.cand {
-		sizes[u] = len(pool)
-	}
-	return sizes
 }
 
 // atomID interns an atomic condition as a BDD variable and compiles it to

@@ -62,10 +62,10 @@ func (rg *resultGate) record(k string) {
 // backtrack implements OMBacktrack (paper Section V-B): adaptive or static
 // ordering over the OMDAG, ⊥ assignments for omittable vertices, and
 // condition evaluation through the shared BDD as soon as variables are
-// mapped. With Workers > 1 or a Sharder the first decision level is
-// fanned out (fanOut); otherwise the recursion runs inline. Both return
-// through the same limit/error mapping, so a run reports Truncated and
-// maps its sentinels identically in every mode.
+// mapped. With Workers > 1 the first decision level is fanned out
+// (fanOut); otherwise the recursion runs inline. Both return through the
+// same limit/error mapping, so a run reports Truncated and maps its
+// sentinels identically in every mode.
 func (m *matcher) backtrack(out *core.AnswerSet) error {
 	bud := &budget{
 		maxSteps: m.opts.Limits.MaxSteps,
@@ -81,10 +81,6 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 	if workers <= 0 {
 		workers = stdruntime.GOMAXPROCS(0)
 	}
-	sh := m.opts.Sharder
-	if sh != nil && sh.Shards() < 1 {
-		sh = nil
-	}
 
 	// The probe runtime decides the first vertex exactly as the sequential
 	// recursion would (over the same frozen candidate sets), then doubles
@@ -92,7 +88,7 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 	rt := m.newRuntime(out, bud, nil)
 	var items []graph.VID
 	u0 := -1
-	if (workers > 1 || sh != nil) && len(m.p.Vertices) > 0 {
+	if workers > 1 && len(m.p.Vertices) > 0 {
 		u0 = rt.pickNext()
 		if u0 >= 0 {
 			cands := rt.candidates(u0)
@@ -104,11 +100,10 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 		}
 	}
 
-	// A Sharder scatters any non-empty first level (one item, one shard
-	// included); the pool needs at least two items to be worth a goroutine.
+	// The pool needs at least two items to be worth a goroutine.
 	var err error
-	if (sh != nil && len(items) > 0) || (workers > 1 && len(items) >= 2) {
-		err = m.fanOut(out, bud, u0, items, workers, sh)
+	if workers > 1 && len(items) >= 2 {
+		err = m.fanOut(out, bud, u0, items, workers)
 	} else {
 		err = rt.rec(0)
 		rt.flushSteps()
@@ -129,83 +124,39 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 }
 
 // fanOut explores the first-level items u0 := items[i] concurrently and
-// merges their answers into out in item order. The only thing that varies
-// is placement — how a goroutine gets its next item index:
-//
-//   - pool (sh == nil): workers goroutines claim indexes off one shared
-//     atomic counter, so a skewed first-level subtree does not idle the
-//     others;
-//   - sharded: one goroutine per non-empty shard walks a private cursor
-//     over the indexes that shard owns. Every item has a fixed owner — the
-//     deterministic placement is what a multi-process tier would ship over
-//     the wire — and the ⊥ item (always last, never a data vertex) rides
-//     with the last shard. Traversal below the first level reads the whole
-//     shared graph, so matches crossing shard boundaries need no handling.
-//     Stats gains one ShardRuns row per shard.
+// merges their answers into out in item order. The goroutines claim item
+// indexes off one shared atomic counter, so a skewed first-level subtree
+// does not idle the others.
 //
 // Each goroutine reuses one runtime (and its BDD evaluation cache) across
 // its items — try leaves the mapping empty on exit — and emits into a
 // per-item answer set. Budget (MaxSteps/deadline/ctx) and the MaxResults
 // gate are shared. It returns the first error in item order that is not
 // errStopped.
-func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph.VID, workers int, sh Sharder) error {
+func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph.VID, workers int) error {
 	limit := m.opts.Limits.MaxResults
 	var gate *resultGate
 	if limit > 0 {
 		//lint:ignore internsafety keys are canonical Answer.Key() strings (mirrors core.AnswerSet); touched once per distinct answer, not per node
 		gate = &resultGate{seen: make(map[string]bool), max: limit, bud: bud}
 	}
-
-	var next atomic.Int64 // pool placement: the shared claim counter
-	var owned [][]int     // sharded placement: owned[w] = item indexes of shard w, in item order
-	var shardRuns []ShardRunStats
-	if sh == nil {
-		if workers > len(items) {
-			workers = len(items)
-		}
-	} else {
-		workers = sh.Shards()
-		owned = make([][]int, workers)
-		for i, v := range items {
-			w := workers - 1
-			if v != core.Omitted {
-				if w = sh.Owner(v); w < 0 || w >= workers {
-					w = workers - 1 // defensive: a misbehaving Sharder must not drop items
-				}
-			}
-			owned[w] = append(owned[w], i)
-		}
-		shardRuns = make([]ShardRunStats, workers)
+	if workers > len(items) {
+		workers = len(items)
 	}
 
 	results := make([]*core.AnswerSet, len(items))
 	errs := make([]error, len(items))
-	var atomEvals atomic.Int64
+	var next, atomEvals atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		if sh != nil {
-			shardRuns[w] = ShardRunStats{Shard: w, Items: len(owned[w])}
-			if len(owned[w]) == 0 {
-				continue // empty shard: nothing to seed, no goroutine
-			}
-		}
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			start := time.Now()
 			wrt := m.newRuntime(nil, bud, gate)
-			answers := 0
-			for k := 0; !bud.stop.Load(); k++ {
-				var i int
-				if sh == nil {
-					if i = int(next.Add(1)) - 1; i >= len(items) {
-						break
-					}
-				} else {
-					if k >= len(owned[w]) {
-						break
-					}
-					i = owned[w][k]
+			for !bud.stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(items) {
+					break
 				}
 				sub := core.NewAnswerSet()
 				results[i] = sub
@@ -216,24 +167,17 @@ func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph
 					bud.stop.Store(true)
 					break
 				}
-				answers += sub.Len()
 			}
 			wrt.flushSteps()
 			atomEvals.Add(wrt.atomEvals)
-			if sh != nil {
-				shardRuns[w].Answers = answers
-				shardRuns[w].Steps = wrt.flushed
-				shardRuns[w].EnumNanos = time.Since(start).Nanoseconds()
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	m.stats.AtomEvals += atomEvals.Load()
-	m.stats.ShardRuns = shardRuns
 
 	// Merge in item order with global deduplication: identical to the
-	// sequential insertion order whatever the placement was (results is
-	// indexed by item, not by goroutine). Under MaxResults the merge
+	// sequential insertion order whichever goroutine ran an item (results
+	// is indexed by item, not by goroutine). Under MaxResults the merge
 	// truncates to exactly the limit (goroutines may have banked a few
 	// extra answers between the gate tripping and the unwind).
 	for _, sub := range results {

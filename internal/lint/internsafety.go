@@ -32,7 +32,6 @@ var hotPathSuffixes = []string{
 	"internal/graph",
 	"internal/delta",
 	"internal/snap",
-	"internal/shard",
 	"internal/inc",
 }
 

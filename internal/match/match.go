@@ -53,13 +53,6 @@ type Options = engine.Options
 // Stats reports work done by one Match call; see engine.Stats.
 type Stats = engine.Stats
 
-// Sharder routes a Run through the engine's scatter-gather path when set
-// on Options; see engine.Sharder (internal/shard's Set implements it).
-type Sharder = engine.Sharder
-
-// ShardRunStats is one shard's share of a scatter-gather run.
-type ShardRunStats = engine.ShardRunStats
-
 // Prepared is a compiled OGP matching plan; see engine.Plan. The build
 // phase depends only on the pattern and the graph, so a Prepared can be
 // cached and Run many times — concurrently, with different limits and

@@ -11,37 +11,14 @@ import (
 	"ogpa/internal/rewrite"
 )
 
-// modSharder places VID v on shard v % n — non-contiguous on purpose, so
-// the fan-out's merge cannot lean on shards owning contiguous runs of the
-// first-level pool. With wild set, Owner returns out-of-range shards
-// (negative and too large), which the engine must re-home, not drop.
-type modSharder struct {
-	n    int
-	wild bool
-}
-
-func (s modSharder) Shards() int { return s.n }
-
-func (s modSharder) Owner(v graph.VID) int {
-	if s.wild {
-		return int(v)%(3*s.n) - s.n
-	}
-	return int(v) % s.n
-}
-
-// placements is the placement axis of the first-level fan-out: the worker
-// pool at several sizes, then shard placement (which overrides Workers).
-var placements = []Options{
-	{Workers: 0}, {Workers: 2}, {Workers: 4}, {Workers: 8},
-	{Sharder: modSharder{n: 1}}, {Sharder: modSharder{n: 3}}, {Sharder: modSharder{n: 4}},
-	{Sharder: modSharder{n: 4, wild: true}},
-}
+// poolSizes is the Workers axis of the first-level fan-out.
+var poolSizes = []int{0, 2, 4, 8}
 
 // TestParallelSequentialEquivalence is the contract of the first-level
-// fan-out: for any pattern, under every placement, it returns
-// byte-identical answers (same set, same insertion order) and the same
-// Truncated flag as the sequential path. 100 random KBs, each checked
-// under every placement, with and without a MaxResults limit.
+// fan-out: for any pattern, at every pool size, it returns byte-identical
+// answers (same set, same insertion order) and the same Truncated flag as
+// the sequential path. 100 random KBs, each checked at every pool size,
+// with and without a MaxResults limit.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,19 +40,19 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 			full[a.Key()] = true
 		}
 
-		for pi, opts := range placements {
-			parAns, parSt, err := Match(p, g, opts)
+		for _, workers := range poolSizes {
+			parAns, parSt, err := Match(p, g, Options{Workers: workers})
 			if err != nil {
-				t.Fatalf("seed %d placement %d: Match: %v", seed, pi, err)
+				t.Fatalf("seed %d workers %d: Match: %v", seed, workers, err)
 			}
 			if seqSt.Truncated != parSt.Truncated {
-				t.Fatalf("seed %d placement %d: Truncated %v vs sequential %v",
-					seed, pi, parSt.Truncated, seqSt.Truncated)
+				t.Fatalf("seed %d workers %d: Truncated %v vs sequential %v",
+					seed, workers, parSt.Truncated, seqSt.Truncated)
 			}
 			parNames := parAns.Names(g)
 			if fmt.Sprint(seqNames) != fmt.Sprint(parNames) {
-				t.Fatalf("seed %d placement %d:\nsequential %v\nparallel   %v\npattern:\n%s",
-					seed, pi, seqNames, parNames, p)
+				t.Fatalf("seed %d workers %d:\nsequential %v\nparallel   %v\npattern:\n%s",
+					seed, workers, seqNames, parNames, p)
 			}
 		}
 
@@ -96,20 +73,20 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 			t.Fatalf("seed %d limit %d: sequential %d answers, Truncated=%v",
 				seed, limit, limAns.Len(), limSt.Truncated)
 		}
-		for pi, opts := range placements {
-			opts.Limits.MaxResults = limit
-			parAns, parSt, err := Match(p, g, opts)
+		for _, workers := range poolSizes {
+			parAns, parSt, err := Match(p, g, Options{
+				Limits: Limits{MaxResults: limit}, Workers: workers})
 			if err != nil {
-				t.Fatalf("seed %d limit %d placement %d: Match: %v", seed, limit, pi, err)
+				t.Fatalf("seed %d limit %d workers %d: Match: %v", seed, limit, workers, err)
 			}
 			if parAns.Len() != limit || !parSt.Truncated {
-				t.Fatalf("seed %d limit %d placement %d: %d answers, Truncated=%v",
-					seed, limit, pi, parAns.Len(), parSt.Truncated)
+				t.Fatalf("seed %d limit %d workers %d: %d answers, Truncated=%v",
+					seed, limit, workers, parAns.Len(), parSt.Truncated)
 			}
 			for _, a := range parAns.Answers() {
 				if !full[a.Key()] {
-					t.Fatalf("seed %d limit %d placement %d: answer %s outside the full answer set",
-						seed, limit, pi, a.Key())
+					t.Fatalf("seed %d limit %d workers %d: answer %s outside the full answer set",
+						seed, limit, workers, a.Key())
 				}
 			}
 		}

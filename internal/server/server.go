@@ -130,26 +130,10 @@ type StatsResponse struct {
 	SharedBuilds   uint64 `json:"sharedBuilds,omitempty"`
 	MemoHits       uint64 `json:"memoHits,omitempty"`
 	MemoSize       int    `json:"memoSize,omitempty"`
-	// Sharding fields: empty unless the server runs with scatter-gather
-	// execution (`ogpaserver -shards`). Every topology row comes from one
-	// pinned KB view, so the per-shard epochs are always equal within one
-	// response — never a torn mix across a concurrent mutation.
-	Shards     int             `json:"shards,omitempty"`
-	ShardStats []ShardStatsRow `json:"shardStats,omitempty"`
 	// Incremental-maintenance counters: absent unless the KB runs with
 	// maintained state (`ogpaserver -subscribe`, or any embedder calling
 	// ogpa.KB.EnableIncremental).
 	Incremental *ogpa.IncrementalStats `json:"incremental,omitempty"`
-}
-
-// ShardStatsRow is one shard's row in GET /stats: the current epoch's
-// partition topology plus the handler's cumulative execution counters
-// (first-level candidates routed to the shard and pre-dedup answers it
-// enumerated, summed over every non-batched query served).
-type ShardStatsRow struct {
-	ogpa.ShardInfo
-	Items   int64 `json:"items"`
-	Answers int64 `json:"answers"`
 }
 
 // CheckpointResponse is the body of a successful POST /checkpoint.
@@ -175,10 +159,6 @@ type metrics struct {
 	errors   uint64
 	inserts  uint64
 	deletes  uint64
-	// Cumulative per-shard execution counters, indexed by shard; sized on
-	// first use from the run's stats (the shard count is fixed per KB).
-	shardItems   []int64
-	shardAnswers []int64
 }
 
 func (m *metrics) recordQuery() {
@@ -207,28 +187,6 @@ func (m *metrics) recordMutation(del bool) {
 		m.inserts++
 	}
 	m.mu.Unlock()
-}
-
-func (m *metrics) recordShards(runs []ogpa.ShardRunStats) {
-	if len(runs) == 0 {
-		return
-	}
-	m.mu.Lock()
-	for _, sr := range runs {
-		for sr.Shard >= len(m.shardItems) {
-			m.shardItems = append(m.shardItems, 0)
-			m.shardAnswers = append(m.shardAnswers, 0)
-		}
-		m.shardItems[sr.Shard] += int64(sr.Items)
-		m.shardAnswers[sr.Shard] += int64(sr.Answers)
-	}
-	m.mu.Unlock()
-}
-
-func (m *metrics) snapshotShards() (items, answers []int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int64(nil), m.shardItems...), append([]int64(nil), m.shardAnswers...)
 }
 
 func (m *metrics) snapshot() (queries, rewrites, errors, inserts, deletes uint64) {
@@ -262,12 +220,6 @@ type Config struct {
 	// BatchMax caps how many queries one batch gathers; a full batch
 	// fires before its window elapses. 0 means the default (32).
 	BatchMax int
-
-	// Shards routes every enumeration through the engine's scatter-gather
-	// path over this many VID-range shards (ogpa.KB.EnableSharding).
-	// Answers are byte-identical to monolithic execution; GET /stats
-	// grows per-shard topology and counter rows. 0 disables sharding.
-	Shards int
 
 	// Subscriptions registers the standing-query endpoints (POST
 	// /subscribe, GET /subscribe/{id}/poll, GET /subscribe/{id}/events,
@@ -360,17 +312,9 @@ func (h *handler) Close() error {
 // snapshot's vertices.
 func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	kb.Graph().Symbols.Freeze()
-	if cfg.Shards > 0 {
-		// A conflicting shard count is a construction-time misconfiguration
-		// (the KB was already sharded differently); serving anyway would
-		// silently report counters against the wrong partition.
-		if err := kb.EnableSharding(cfg.Shards); err != nil {
-			panic(fmt.Sprintf("server: %v", err))
-		}
-	}
 	if cfg.Subscriptions && kb.Live() && !kb.Incremental() {
-		// Same contract as sharding: a KB that cannot take maintained
-		// state here is a construction-time misconfiguration.
+		// A KB that cannot take maintained state here is a
+		// construction-time misconfiguration.
 		if err := kb.EnableIncremental(); err != nil {
 			panic(fmt.Sprintf("server: %v", err))
 		}
@@ -481,7 +425,6 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		m.recordShards(st.Shards)
 		writeJSON(w, QueryResponse{
 			Vars:      ans.Vars,
 			Rows:      ans.Rows,
@@ -552,7 +495,11 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			m.recordError()
 			return
 		}
-		rw, err := kb.Rewrite(req.Query)
+		rewrite := kb.Rewrite
+		if req.SPARQL {
+			rewrite = kb.RewriteSPARQL
+		}
+		rw, err := rewrite(req.Query)
 		if err != nil {
 			m.recordError()
 			writeError(w, http.StatusBadRequest, err)
@@ -591,18 +538,6 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			resp.MemoHits = bs.MemoHits
 			resp.MemoSize = bs.MemoSize
 		}
-		if infos := kb.ShardStats(); len(infos) > 0 {
-			items, answers := m.snapshotShards()
-			resp.Shards = len(infos)
-			resp.ShardStats = make([]ShardStatsRow, len(infos))
-			for i, info := range infos {
-				row := ShardStatsRow{ShardInfo: info}
-				if i < len(items) {
-					row.Items, row.Answers = items[i], answers[i]
-				}
-				resp.ShardStats[i] = row
-			}
-		}
 		if ist := kb.IncrementalStats(); ist.Enabled {
 			resp.Incremental = &ist
 		}
@@ -613,16 +548,23 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 		registerSubscribeRoutes(mux, kb, cfg, m)
 	}
 
-	mux.HandleFunc("GET /consistency", func(w http.ResponseWriter, r *http.Request) {
-		vs, err := kb.CheckConsistency()
+	mux.HandleFunc("GET /consistency", consistencyHandler(kb.CheckConsistency, m))
+
+	return &handler{Handler: mux, batcher: bat}
+}
+
+// consistencyHandler serves GET /consistency from check (the KB's
+// CheckConsistency; a parameter so a test can make it fail).
+func consistencyHandler(check func() ([]string, error), m *metrics) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		vs, err := check()
 		if err != nil {
+			m.recordError()
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, ConsistencyResponse{Consistent: len(vs) == 0, Violations: vs})
-	})
-
-	return &handler{Handler: mux, batcher: bat}
+	}
 }
 
 func decode(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -106,6 +107,37 @@ func TestRewriteEndpoint(t *testing.T) {
 	_ = json.Unmarshal(rec.Body.Bytes(), &resp)
 	if resp.CondCount == 0 || !strings.Contains(resp.Pattern, "PhD") {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// TestRewriteEndpointSPARQL: /rewrite honours "sparql": true like /query
+// does, and the two surface syntaxes of one query rewrite to one OGP.
+func TestRewriteEndpointSPARQL(t *testing.T) {
+	h := Handler(testKB(t))
+	rec := do(t, h, "POST", "/rewrite", `{"query":"SELECT ?x WHERE { ?x <http://e/takesCourse> ?y . }","sparql":true}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var sp, plain RewriteResponse
+	_ = json.Unmarshal(rec.Body.Bytes(), &sp)
+	rec = do(t, h, "POST", "/rewrite", `{"query":"q(x) :- takesCourse(x, y)"}`)
+	_ = json.Unmarshal(rec.Body.Bytes(), &plain)
+	if sp.CondCount == 0 || sp.CondCount != plain.CondCount || !strings.Contains(sp.Pattern, "PhD") {
+		t.Fatalf("sparql rewrite = %+v, cq rewrite = %+v", sp, plain)
+	}
+}
+
+// TestConsistencyFailureCounted: a failing consistency check is a 500
+// that /stats.errors counts, like every other failed request.
+func TestConsistencyFailureCounted(t *testing.T) {
+	m := &metrics{}
+	h := consistencyHandler(func() ([]string, error) { return nil, errors.New("boom") }, m)
+	rec := do(t, h, "GET", "/consistency", "")
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "boom") {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if _, _, errs, _, _ := m.snapshot(); errs != 1 {
+		t.Fatalf("errors = %d, want 1", errs)
 	}
 }
 

@@ -24,11 +24,9 @@
 // Sections hold the symbol strings and the five per-vertex CSR arrays
 // (names, labels, out-halves, in-halves, attributes), each as a count, a
 // cumulative offset table and a flat data area — fixed-width integers
-// throughout, so a future mmap path can serve every array straight from
-// the page cache without a decode pass. Derived indexes (byName, byLabel,
-// frequency tables) are not stored; LoadSnapshot rebuilds them in one
-// pass, which is the cheap part of startup compared to re-parsing and
-// re-interning an N-Triples dump.
+// throughout. Derived indexes (byName, byLabel, frequency tables) are not
+// stored; LoadSnapshot rebuilds them in one pass, which is the cheap part
+// of startup compared to re-parsing and re-interning an N-Triples dump.
 //
 // SaveSnapshot writes to a temp file in the target directory, fsyncs,
 // and renames over the destination, so a crash mid-write never destroys
@@ -169,7 +167,7 @@ func SaveSnapshot(path string, g *graph.Graph, epoch uint64) error {
 
 // parsedSnapshot is a validated snapshot buffer: every section located,
 // CRC-checked and sliced out of the underlying bytes (payload slices
-// alias the buffer — callers decide whether to copy or view).
+// alias the buffer; LoadSnapshot copies out of them).
 type parsedSnapshot struct {
 	epoch    uint64
 	numEdges uint64
@@ -178,9 +176,7 @@ type parsedSnapshot struct {
 
 // parseSections validates a whole snapshot buffer — magic, version,
 // header CRC, per-section CRCs and the exact-length check — and returns
-// the located section payloads. Both the copying loader (LoadSnapshot)
-// and the mmap loader (MapSnapshot) run exactly this validation once at
-// open.
+// the located section payloads.
 func parseSections(buf []byte) (*parsedSnapshot, error) {
 	if len(buf) < headerSize {
 		return nil, fmt.Errorf("snap: snapshot truncated: %d bytes, header needs %d", len(buf), headerSize)
@@ -247,8 +243,7 @@ func parseSections(buf []byte) (*parsedSnapshot, error) {
 // LoadSnapshot reads a snapshot file and reassembles the graph and its
 // symbol table, copying every array out of the file buffer. The returned
 // table is unfrozen; callers freeze or thaw it (ogpa.KB does) before
-// sharing the graph across goroutines. MapSnapshot is the zero-copy
-// alternative for read-only serving.
+// sharing the graph across goroutines.
 func LoadSnapshot(path string) (*graph.Graph, uint64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {

@@ -41,7 +41,6 @@ import (
 	"ogpa/internal/rdf"
 	"ogpa/internal/rewrite"
 	"ogpa/internal/saturate"
-	"ogpa/internal/shard"
 	"ogpa/internal/sparql"
 )
 
@@ -75,105 +74,25 @@ type KB struct {
 
 	store *delta.Store // nil while read-only
 	live  aboxMemo     // per-epoch ABox view of the live graph
-	shcfg shardMemo    // sharded execution config + per-epoch shard set
 	inc   incMemo      // maintained-state chains (EnableIncremental)
 }
 
-// shardMemo holds the sharding configuration and caches the shard set of
-// the current epoch's graph, rebuilding it only when the epoch moves —
-// the same per-epoch pattern as aboxMemo. It is its own struct so KB
-// itself holds no mutex.
-type shardMemo struct {
-	mu    sync.Mutex
-	n     int // 0 = sharding disabled
-	epoch uint64
-	set   *shard.Set
-}
-
-// forGraph returns the shard set for (epoch, g), rebuilding under mu
-// when the epoch moved. Compaction folds the overlay without changing
-// vertex content or epoch, so a memoized set stays valid across it (the
-// set holds no reference to the graph it was built from). Returns nil
-// when sharding is disabled.
-func (m *shardMemo) forGraph(epoch uint64, g *graph.Graph) *shard.Set {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n == 0 {
-		return nil
-	}
-	if m.set == nil || m.epoch != epoch {
-		m.set = shard.Partition(g, m.n)
-		m.epoch = epoch
-	}
-	return m.set
-}
-
-// EnableSharding routes every enumeration through the engine's
-// scatter-gather path over n contiguous VID-range shards. Answers are
-// byte-identical to monolithic runs; on a live KB the shard set is
-// re-derived per epoch, and each query pins exactly one (graph, epoch,
-// shard set) view so all shards of one run see the same version.
-// Calling it again with the same n is a no-op; changing n is an error
-// (per-shard counters would silently mix partitions).
-func (kb *KB) EnableSharding(n int) error {
-	if n < 1 {
-		return fmt.Errorf("ogpa: shard count %d < 1", n)
-	}
-	kb.shcfg.mu.Lock()
-	defer kb.shcfg.mu.Unlock()
-	if kb.shcfg.n != 0 && kb.shcfg.n != n {
-		return fmt.Errorf("ogpa: sharding already enabled with n=%d", kb.shcfg.n)
-	}
-	kb.shcfg.n = n
-	return nil
-}
-
-// Sharding reports the configured shard count (0 when disabled).
-func (kb *KB) Sharding() int {
-	kb.shcfg.mu.Lock()
-	defer kb.shcfg.mu.Unlock()
-	return kb.shcfg.n
-}
-
 // queryView is the one pinned read view a query runs against: the graph
-// snapshot, its epoch, and (when sharding is enabled) that epoch's shard
-// set. Resolving all three from a single Snapshot call is what keeps
-// sharded runs torn-read-free — every shard of one query sees one
-// version, never a mix across a concurrent delta commit.
+// snapshot and its epoch, resolved from a single Snapshot call so the two
+// can never straddle a concurrent delta commit.
 type queryView struct {
-	g      *graph.Graph
-	epoch  uint64
-	shards *shard.Set // nil when sharding is disabled
+	g     *graph.Graph
+	epoch uint64
 }
 
 // view resolves the KB's current query view (the load-time graph at
 // epoch 0 when read-only). Callers capture it once per operation.
 func (kb *KB) view() queryView {
 	if kb.store == nil {
-		return queryView{g: kb.g, shards: kb.shcfg.forGraph(0, kb.g)}
+		return queryView{g: kb.g}
 	}
 	sn := kb.store.Snapshot()
-	g := sn.Graph()
-	return queryView{g: g, epoch: sn.Epoch(), shards: kb.shcfg.forGraph(sn.Epoch(), g)}
-}
-
-// matchOpts converts public options and installs the view's shard set.
-func (v queryView) matchOpts(opt Options) match.Options {
-	mo := matchOptions(opt)
-	if v.shards != nil {
-		mo.Sharder = v.shards
-	}
-	return mo
-}
-
-// dafLims converts public options for the UCQ pipeline, with the view's
-// shard set installed (each disjunct then scatters over the shards).
-func (v queryView) dafLims(opt Options) daf.Limits {
-	lim := dafLimits(opt)
-	if v.shards != nil {
-		lim.Sharder = v.shards
-	}
-	return lim
+	return queryView{g: sn.Graph(), epoch: sn.Epoch()}
 }
 
 // aboxMemo caches the ABox reconstruction of a live snapshot per epoch,
@@ -396,48 +315,6 @@ func (kb *KB) Stats() string {
 	return describe(kb.abox, kb.g)
 }
 
-// ShardInfo describes one shard of the current epoch's partition, for
-// the serving tier's /stats surface.
-type ShardInfo struct {
-	Shard         int    `json:"shard"`
-	Epoch         uint64 `json:"epoch"` // the epoch this shard's view is pinned to
-	LoVID         uint32 `json:"lo_vid"`
-	HiVID         uint32 `json:"hi_vid"` // owned VID range [lo, hi)
-	Vertices      int    `json:"vertices"`
-	InternalEdges int    `json:"internal_edges"`
-	CrossEdges    int    `json:"cross_edges"`
-	Frontier      int    `json:"frontier"`
-	Halo          int    `json:"halo"`
-}
-
-// ShardStats reports the current epoch's shard partition, every row
-// derived from ONE pinned view — the per-shard epochs are equal by
-// construction, never a torn mix across a concurrent delta commit (the
-// single-pinned-view rule KB.Stats follows, extended to the multi-shard
-// read). Returns nil when sharding is disabled.
-func (kb *KB) ShardStats() []ShardInfo {
-	v := kb.view()
-	if v.shards == nil {
-		return nil
-	}
-	infos := v.shards.Infos()
-	out := make([]ShardInfo, len(infos))
-	for i, info := range infos {
-		out[i] = ShardInfo{
-			Shard:         info.Shard,
-			Epoch:         v.epoch,
-			LoVID:         uint32(info.Lo),
-			HiVID:         uint32(info.Hi),
-			Vertices:      info.Vertices,
-			InternalEdges: info.InternalEdges,
-			CrossEdges:    info.CrossEdges,
-			Frontier:      info.Frontier,
-			Halo:          info.Halo,
-		}
-	}
-	return out
-}
-
 // Fingerprint returns a stable FNV-1a hash of the ontology's positive
 // inclusion axioms — the part of the KB that GenOGP output depends on.
 // Cache layers (the server's plan cache) key rewrites by
@@ -503,7 +380,22 @@ func (r *Rewriting) ExplainProvenance() string { return r.result.ExplainProvenan
 // Rewrite runs GenOGP: it compiles the query into a single OGP equivalent
 // to the query under the KB's ontology.
 func (kb *KB) Rewrite(query string) (*Rewriting, error) {
-	q, err := cq.Parse(query)
+	return kb.rewriteKind("cq", query)
+}
+
+// RewriteSPARQL is Rewrite for a SPARQL SELECT query.
+func (kb *KB) RewriteSPARQL(src string) (*Rewriting, error) {
+	return kb.rewriteKind("sparql", src)
+}
+
+// rewriteKind parses query as kind says ("sparql", else the CQ syntax)
+// and runs GenOGP on it: the head of every primary-pipeline request.
+func (kb *KB) rewriteKind(kind, query string) (*Rewriting, error) {
+	parse := cq.Parse
+	if kind == "sparql" {
+		parse = sparql.Parse
+	}
+	q, err := parse(query)
 	if err != nil {
 		return nil, err
 	}
@@ -538,22 +430,10 @@ type MatchStats struct {
 	AtomEvals int64 // atomic condition evaluations
 	EnumNanos int64 // wall-clock of OMBacktrack
 	Truncated bool  // enumeration stopped at a limit
-	// Shards holds one entry per shard when the run took the
-	// scatter-gather path (EnableSharding); nil otherwise.
-	Shards []ShardRunStats
-}
-
-// ShardRunStats is one shard's share of a scatter-gather run.
-type ShardRunStats struct {
-	Shard     int   // shard index
-	Items     int   // first-level candidates owned by the shard
-	Answers   int   // answers banked before the global-dedup merge
-	Steps     int64 // search-tree nodes expanded by the shard goroutine
-	EnumNanos int64 // wall-clock time of the shard goroutine
 }
 
 func fromMatchStats(st match.Stats) MatchStats {
-	out := MatchStats{
+	return MatchStats{
 		CSCandidates: st.CSCandidates,
 		AdjPairs:     st.AdjPairs,
 		BDDNodes:     st.BDDNodes,
@@ -563,13 +443,6 @@ func fromMatchStats(st match.Stats) MatchStats {
 		EnumNanos:    st.EnumNanos,
 		Truncated:    st.Truncated,
 	}
-	for _, sr := range st.ShardRuns {
-		out.Shards = append(out.Shards, ShardRunStats{
-			Shard: sr.Shard, Items: sr.Items, Answers: sr.Answers,
-			Steps: sr.Steps, EnumNanos: sr.EnumNanos,
-		})
-	}
-	return out
 }
 
 // PreparedQuery is a query compiled down to a reusable matching plan.
@@ -583,7 +456,6 @@ type PreparedQuery struct {
 	kb  *KB
 	q   *cq.Query
 	g   *graph.Graph     // the snapshot the plan was built against
-	sh  *shard.Set       // the snapshot's shard set; nil unless sharding
 	rw  *Rewriting       // nil for baseline plans
 	pr  *match.Prepared  // OGP plan; nil for baseline plans
 	ucq *daf.PreparedUCQ // UCQ-baseline plan; nil for OGP plans
@@ -621,27 +493,22 @@ const ucqKindPrefix = "ucq:"
 // compile GenOGP's output for OMatch; "ucq:<baseline>" runs PerfectRef
 // under rewriteTimeout and compiles every disjunct for DAF.
 func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*PreparedQuery, error) {
-	parse := cq.Parse
-	if kind == "sparql" {
-		parse = sparql.Parse
-	}
-	q, err := parse(query)
-	if err != nil {
-		return nil, err
-	}
 	b, isUCQ := strings.CutPrefix(kind, ucqKindPrefix)
 	if !isUCQ {
-		res, err := rewrite.Generate(q, kb.tbox)
+		rw, err := kb.rewriteKind(kind, query)
 		if err != nil {
 			return nil, err
 		}
 		v := kb.view() // pin: the plan answers against this view forever
-		pr, err := match.Prepare(res.Pattern, v.g, match.Options{})
+		pr, err := match.Prepare(rw.Pattern, v.g, match.Options{})
 		if err != nil {
 			return nil, err
 		}
-		rw := &Rewriting{Query: q, Pattern: res.Pattern, result: res}
-		return &PreparedQuery{kb: kb, q: q, g: v.g, sh: v.shards, rw: rw, pr: pr}, nil
+		return &PreparedQuery{kb: kb, q: rw.Query, g: v.g, rw: rw, pr: pr}, nil
+	}
+	q, err := cq.Parse(query)
+	if err != nil {
+		return nil, err
 	}
 	var u *perfectref.UCQ
 	lim := perfectref.Limits{Timeout: rewriteTimeout}
@@ -661,7 +528,7 @@ func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{kb: kb, q: q, g: v.g, sh: v.shards, ucq: ucq}, nil
+	return &PreparedQuery{kb: kb, q: q, g: v.g, ucq: ucq}, nil
 }
 
 // Rewriting exposes the generated OGP behind the plan (nil for baseline
@@ -685,17 +552,14 @@ func (pq *PreparedQuery) Answer(opt Options) (*Answers, error) {
 
 // AnswerWithStats is Answer plus the matcher's work counters.
 func (pq *PreparedQuery) AnswerWithStats(opt Options) (*Answers, MatchStats, error) {
-	// The plan was pinned to one view at Prepare time; its shard set rides
-	// along so every run scatters over the same partition.
-	pv := queryView{g: pq.g, shards: pq.sh}
 	if pq.ucq != nil {
-		res, st, err := pq.ucq.Run(pv.dafLims(opt))
+		res, st, err := pq.ucq.Run(dafLimits(opt))
 		if err != nil {
 			return nil, MatchStats{}, err
 		}
 		return render(pq.q, res, pq.g), fromMatchStats(st), nil
 	}
-	res, st, err := pq.pr.Run(pv.matchOpts(opt))
+	res, st, err := pq.pr.Run(matchOptions(opt))
 	if err != nil {
 		return nil, MatchStats{}, err
 	}
@@ -716,7 +580,7 @@ func (kb *KB) AnswerWithStats(query string, opt Options) (*Answers, MatchStats, 
 // returns its answer tuples.
 func (kb *KB) MatchOGP(p *core.Pattern, opt Options) (*Answers, error) {
 	v := kb.view()
-	res, _, err := match.Match(p, v.g, v.matchOpts(opt))
+	res, _, err := match.Match(p, v.g, matchOptions(opt))
 	if err != nil {
 		return nil, err
 	}
@@ -883,9 +747,8 @@ func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache)
 	b := mqo.Compile(qs, kb.tbox)
 
 	// Pin one view for the whole batch: compile, match, replay and render
-	// all see a single (graph, epoch, shard set) triple, so no member can
-	// straddle a concurrent delta commit — and every group run of the
-	// batch scatters over the same shard partition.
+	// all see a single (graph, epoch) pair, so no member can straddle a
+	// concurrent delta commit.
 	v := kb.view()
 	g, epoch := v.g, v.epoch
 	fingerprint := kb.Fingerprint()
@@ -922,7 +785,7 @@ func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache)
 			},
 		}
 	}
-	runOpts := v.matchOpts(opt)
+	runOpts := matchOptions(opt)
 	runOpts.Limits.MaxResults = 0 // per-member caps are applied below
 	sets, truncated, errs, mst := b.Run(g, runOpts, src, need)
 	st.Groups = mst.Groups
