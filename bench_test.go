@@ -277,6 +277,39 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepare isolates the build phase a plan-cache miss pays
+// (condition compilation, seeding, OMDAG, OMCS refinement, CSR
+// adjacency): one op prepares the sixteen Fig. 4 random-walk OGPs,
+// |Q| = 4 to 16, over LUBM(6).
+func BenchmarkPrepare(b *testing.B) {
+	e := benchSetup()
+	g := e.lubm.Graph()
+	var patterns []*core.Pattern
+	for _, size := range []int{4, 8, 12, 16} {
+		for _, q := range e.queries[size] {
+			res, err := rewrite.Generate(q, e.lubm.TBox)
+			if err != nil {
+				b.Fatal(err)
+			}
+			patterns = append(patterns, res.Pattern)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range patterns {
+			pr, err := match.Prepare(p, g, match.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			preparedSink = pr
+		}
+	}
+}
+
+// preparedSink keeps BenchmarkPrepare's result live.
+var preparedSink *match.Prepared
+
 func benchMatchVariant(b *testing.B, e *benchEnv, qs []*cq.Query, mo match.Options) {
 	g := e.lubm.Graph()
 	patterns := make([]*core.Pattern, 0, len(qs))

@@ -1,12 +1,12 @@
-// Package bitset provides fixed-universe, word-packed bit sets and a
-// pooled allocator for them. The matchers use Sets for candidate-set
-// membership during candidate-space construction (BuildCS / BuildOMCS):
-// a membership probe is one shift and one mask instead of a map hash,
-// and a whole-set intersection runs at eight candidates per byte.
+// Package bitset provides fixed-universe, word-packed bit sets. The
+// matchers use Sets for candidate-set membership during candidate-space
+// construction (BuildCS / BuildOMCS): a membership probe is one shift
+// and one mask instead of a map hash, and a whole-set intersection runs
+// at eight candidates per byte.
 //
-// The package is stdlib-only and deliberately small: sets never grow,
-// indexes are uint32 (matching graph.VID), and the allocator is a plain
-// free list because the build phase that uses it is single-goroutine.
+// The package is stdlib-only and deliberately small: sets never grow and
+// indexes are uint32 (matching graph.VID). Recycling sets across build
+// phases is the engine's business (its pooled scratch).
 package bitset
 
 import "math/bits"
@@ -105,33 +105,4 @@ func (s *Set) Append(dst []uint32) []uint32 {
 		}
 	}
 	return dst
-}
-
-// Pool recycles equally-sized Sets so a build phase that repeatedly
-// needs scratch sets allocates each at most once. It is a plain free
-// list, NOT safe for concurrent use: each build phase (one goroutine)
-// owns its own Pool.
-type Pool struct {
-	n    int
-	free []*Set
-}
-
-// NewPool returns a Pool handing out Sets over the universe [0, n).
-func NewPool(n int) *Pool { return &Pool{n: n} }
-
-// Get returns an empty Set, reusing a returned one when available.
-func (p *Pool) Get() *Set {
-	if k := len(p.free); k > 0 {
-		s := p.free[k-1]
-		p.free = p.free[:k-1]
-		return s
-	}
-	return New(p.n)
-}
-
-// Put returns a Set to the pool for reuse. The Set is Reset here so Get
-// always hands out an empty set.
-func (p *Pool) Put(s *Set) {
-	s.Reset()
-	p.free = append(p.free, s)
 }

@@ -142,38 +142,6 @@ func TestWordBoundaries(t *testing.T) {
 	checkAgainstModel(t, s, m, 129)
 }
 
-// TestPoolReuseAfterReset verifies the allocator contract: a Put set
-// comes back empty, and the pool actually recycles memory rather than
-// allocating fresh sets.
-func TestPoolReuseAfterReset(t *testing.T) {
-	p := bitset.NewPool(100)
-	a := p.Get()
-	a.Add(7)
-	a.Add(93)
-	p.Put(a)
-	b := p.Get()
-	if b != a {
-		t.Fatal("pool did not recycle the returned set")
-	}
-	if b.Count() != 0 {
-		t.Fatalf("recycled set has %d stale elements", b.Count())
-	}
-	// Distinct outstanding sets must be distinct objects.
-	c := p.Get()
-	if c == b {
-		t.Fatal("pool handed out the same set twice")
-	}
-	b.Add(1)
-	if c.Has(1) {
-		t.Fatal("outstanding sets alias each other")
-	}
-	p.Put(b)
-	p.Put(c)
-	if p.Get().Count() != 0 || p.Get().Count() != 0 {
-		t.Fatal("recycled sets not reset")
-	}
-}
-
 // TestZeroUniverse pins the degenerate empty-universe behaviour used by
 // empty graphs.
 func TestZeroUniverse(t *testing.T) {

@@ -126,6 +126,10 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Prepared, error) {
 // Stats reports the build-phase statistics.
 func (pr *Prepared) Stats() Stats { return pr.pl.Stats() }
 
+// CandidatePool returns the refined candidate pool of pattern vertex u;
+// see engine.Plan.CandidatePool.
+func (pr *Prepared) CandidatePool(u int) []graph.VID { return pr.pl.CandidatePool(u) }
+
 // Run enumerates matches over the prepared plan under lim. Safe to call
 // concurrently on one Prepared.
 func (pr *Prepared) Run(lim Limits) (*core.AnswerSet, Stats, error) {
@@ -234,6 +238,7 @@ func (pu *PreparedUCQ) Stats() Stats {
 	var total Stats
 	for _, pr := range pu.plans {
 		st := pr.Stats()
+		total.SeedCandidates += st.SeedCandidates
 		total.CSCandidates += st.CSCandidates
 		total.AdjPairs += st.AdjPairs
 		total.RefinePasses += st.RefinePasses
@@ -318,6 +323,7 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 	for i := range results {
 		r := &results[i]
 		total.Steps += r.st.Steps
+		total.SeedCandidates += r.st.SeedCandidates
 		total.CSCandidates += r.st.CSCandidates
 		total.AdjPairs += r.st.AdjPairs
 		if r.st.Truncated {

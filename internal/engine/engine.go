@@ -31,7 +31,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"ogpa/internal/bitset"
@@ -120,8 +122,11 @@ type Options struct {
 
 // Stats reports work done by one Prepare + Run.
 type Stats struct {
-	Steps        int64
-	CSCandidates int
+	Steps int64
+	// SeedCandidates sums the pool sizes handed to the local filter,
+	// before any refinement; CSCandidates sums what refinement left.
+	SeedCandidates int
+	CSCandidates   int
 	// AdjPairs counts the candidate pairs actually materialized in the
 	// per-DAG-edge adjacency (the CS index's true size; CSCandidates is
 	// summed before materialization and does not see pairwise pruning).
@@ -177,23 +182,16 @@ type matcher struct {
 
 	// Conditions and the shared BDD.
 	bdd      *sbdd.Builder
-	atoms    []core.Cond
 	atomVars [][]int
 	atomFns  []func(core.Mapping) bool
-	atomIdx  map[core.Cond]int
 	conds    []condInfo
 	// condsOf[u] = indexes of conditions whose vars include u.
 	condsOf [][]int
 
-	// localDNF[u]: DNF of the vertex's matching condition restricted check
-	// (nil when no condition).
-	localDNF [][][]core.Cond
-
 	// Per-edge compiled info.
 	edgeProbes                    [][]probe
 	edgeIndexab                   []bool
-	edgePairs                     [][][]core.Cond // DNF clauses for pairwise checking
-	edgeCondIdx                   []int           // index into conds, or -1
+	edgeCondIdx                   []int // index into conds, or -1
 	vertexMatchIdx, vertexOmitIdx []int
 
 	// OMDAG.
@@ -216,11 +214,21 @@ type matcher struct {
 	// non-nil only on the legacy path, which candidates() dispatches on.
 	adjMap []map[graph.VID][]graph.VID
 
-	// Build-phase scratch, released after Prepare so a shared Plan
-	// carries no mutable state into concurrent Runs.
-	mini    core.Mapping // reusable partial mapping for local/pairwise probes
-	nbrBuf  []graph.VID  // reusable neighbor buffer
-	nbrSeen *bitset.Set  // dedup bits for multi-probe neighbor walks
+	// Build-phase state, nil once Prepare returns (a cached Plan pins none
+	// of it): what localPass, pairwiseOK and seeding read per candidate,
+	// resolved once per plan by compileConditions.
+	atomIdx map[core.Cond]int
+	// localClauses[u]: u's matching condition in DNF, each clause cut down
+	// to the ids of its atoms over u alone (atoms over other vertices are
+	// optimistic at build time); nil without a condition, which an empty,
+	// unsatisfiable DNF is not. pairClauses[ei]: likewise for an edge and
+	// its two endpoints; nil when in every clause the only such atom is an
+	// EdgeIs that contributed a probe — the neighbour walk proved it.
+	localClauses, pairClauses [][][]int
+	// seedBuckets[u]: label buckets whose union holds every vertex u can
+	// match; nil when some clause pins no label (bucketsOf).
+	seedBuckets [][]symbols.ID
+	sc          *scratch
 
 	// Build-phase statistics; per-worker runtime counters (steps, atom
 	// evaluations) live in budget/runtime and are merged in after the
@@ -257,8 +265,9 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 	m := &matcher{
 		p: p, g: g, opts: opts,
 		atomIdx: make(map[core.Cond]int),
+		bdd:     sbdd.New(),
+		sc:      getScratch(g.NumVertices(), len(p.Vertices)),
 	}
-	m.bdd = sbdd.New()
 	m.compileConditions()
 
 	pl := &Plan{m: m}
@@ -271,14 +280,62 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 		}
 	}
 	pl.empty = !built
+	m.releaseBuild(built)
 	m.stats.BDDNodes = m.bdd.NumNodes()
 	m.stats.BuildNanos = time.Since(start).Nanoseconds()
-	// Release build-phase scratch: a shared Plan must carry no mutable
-	// state into concurrent Runs, and the buffers are dead weight in a
-	// plan cache.
-	m.mini, m.nbrBuf, m.nbrSeen = nil, nil, nil
 	pl.stats = m.stats
 	return pl, nil
+}
+
+// releaseBuild ends the build phase: the pools move out of the scratch
+// into exact-size slices of the plan's own (none if Q(G) = ∅ is proved),
+// the scratch goes back to its pool, sets empty, and build-only fields go.
+func (m *matcher) releaseBuild(built bool) {
+	if built {
+		for u, pool := range m.cand {
+			m.cand[u] = append(make([]graph.VID, 0, len(pool)), pool...)
+		}
+	} else {
+		m.cand = nil
+	}
+	for _, s := range m.sc.inCand[:len(m.p.Vertices)] {
+		s.Reset()
+	}
+	scratchPool.Put(m.sc)
+	m.sc, m.atomIdx, m.localClauses, m.pairClauses, m.seedBuckets = nil, nil, nil, nil, nil
+}
+
+// scratch is the build phase's working memory: buffers that grow to |V|
+// entries, recycled through scratchPool instead of re-grown by append on
+// every Prepare. Nothing in it outlives the Prepare that took it.
+type scratch struct {
+	mini    core.Mapping  // all-⊥ partial mapping for the local/pairwise probes
+	nbrBuf  []graph.VID   // one neighbour row
+	nbrSeen *bitset.Set   // dedup bits for multi-probe neighbour walks
+	flat    []graph.VID   // a seed before the local filter, then one edge's adjacency rows
+	pools   [][]graph.VID // per pattern vertex: the candidate pool under construction
+	inCand  []*bitset.Set // per pattern vertex: membership bits of that pool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a scratch for an n-vertex pattern over a graph of
+// nv vertices, every set empty and mini all-⊥. Sets sized for fewer
+// vertices (first use, or a live KB that has grown since) are replaced.
+func getScratch(nv, n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if sc.nbrSeen == nil || sc.nbrSeen.Cap() < nv {
+		sc.nbrSeen, sc.inCand, sc.pools = bitset.New(nv), nil, nil
+	}
+	for len(sc.inCand) < n {
+		sc.inCand = append(sc.inCand, bitset.New(sc.nbrSeen.Cap()))
+		sc.pools = append(sc.pools, nil)
+	}
+	sc.mini = sc.mini[:0]
+	for len(sc.mini) < n {
+		sc.mini = append(sc.mini, core.Omitted)
+	}
+	return sc
 }
 
 // Stats reports the build-phase statistics (BuildNanos, CSCandidates,
@@ -324,9 +381,8 @@ func (m *matcher) atomID(c core.Cond) int {
 	if id, ok := m.atomIdx[c]; ok {
 		return id
 	}
-	id := len(m.atoms)
+	id := len(m.atomFns)
 	m.atomIdx[c] = id
-	m.atoms = append(m.atoms, c)
 	vars := make([]int, 0, 2)
 	for v := range core.Vars(c) {
 		vars = append(vars, v)
@@ -414,10 +470,37 @@ func (m *matcher) compileAtom(c core.Cond) func(core.Mapping) bool {
 		return func(mp core.Mapping) bool {
 			return mp[x] == core.Omitted
 		}
+	case core.AttrCmpConst:
+		a := g.Symbols.Lookup(t.Attr)
+		if a == symbols.None {
+			return never
+		}
+		x, op, k := t.X, t.Op, t.C
+		return func(mp core.Mapping) bool {
+			v := mp[x]
+			if v == core.Omitted {
+				return false
+			}
+			val, ok := g.Attribute(v, a)
+			return ok && op.Holds(val.Compare(k))
+		}
+	case core.AttrCmpAttr:
+		ax, ay := g.Symbols.Lookup(t.AttrX), g.Symbols.Lookup(t.AttrY)
+		if ax == symbols.None || ay == symbols.None {
+			return never
+		}
+		x, y, op := t.X, t.Y, t.Op
+		return func(mp core.Mapping) bool {
+			vx, vy := mp[x], mp[y]
+			if vx == core.Omitted || vy == core.Omitted {
+				return false
+			}
+			valX, okx := g.Attribute(vx, ax)
+			valY, oky := g.Attribute(vy, ay)
+			return okx && oky && op.Holds(valX.Compare(valY))
+		}
 	default:
-		// Attribute comparisons and anything exotic fall back to the
-		// generic evaluator (they intern names per call, but attribute
-		// conditions are rare and cheap relative to enumeration).
+		// An atom added to core later stays correct, if slow.
 		return func(mp core.Mapping) bool {
 			return core.Eval(c, mp, g)
 		}
@@ -459,10 +542,28 @@ func (m *matcher) addCond(kind condKind, owner int, c core.Cond, extraVars ...in
 	return ci
 }
 
+// localAtoms returns the ids of the clause's atoms whose variables all
+// lie in {a, b}.
+func (m *matcher) localAtoms(clause []core.Cond, a, b int) []int {
+	var ids []int
+next:
+	for _, c := range clause {
+		id := m.atomID(c)
+		for _, w := range m.atomVars[id] {
+			if w != a && w != b {
+				continue next
+			}
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 func (m *matcher) compileConditions() {
 	n := len(m.p.Vertices)
 	m.canOmit = make([]bool, n)
-	m.localDNF = make([][][]core.Cond, n)
+	m.localClauses = make([][][]int, n)
+	m.seedBuckets = make([][]symbols.ID, n)
 	m.vertexMatchIdx = make([]int, n)
 	m.vertexOmitIdx = make([]int, n)
 	for u, v := range m.p.Vertices {
@@ -473,9 +574,16 @@ func (m *matcher) compileConditions() {
 		m.vertexMatchIdx[u] = -1
 		m.vertexOmitIdx[u] = -1
 		if v.Match != nil {
-			m.localDNF[u] = core.DNF(v.Match)
 			m.vertexMatchIdx[u] = m.addCond(condVertexMatch, u, v.Match, u)
 		}
+		dnf := core.DNF(v.Match) // nil without a condition
+		if dnf != nil {
+			m.localClauses[u] = make([][]int, len(dnf))
+			for ci, clause := range dnf {
+				m.localClauses[u][ci] = m.localAtoms(clause, u, u)
+			}
+		}
+		m.seedBuckets[u] = m.bucketsOf(u, v.Label, dnf)
 		if v.Omit != nil && m.opts.Caps.Omission {
 			m.vertexOmitIdx[u] = m.addCond(condVertexOmit, u, v.Omit, u)
 		}
@@ -483,7 +591,7 @@ func (m *matcher) compileConditions() {
 
 	m.edgeProbes = make([][]probe, len(m.p.Edges))
 	m.edgeIndexab = make([]bool, len(m.p.Edges))
-	m.edgePairs = make([][][]core.Cond, len(m.p.Edges))
+	m.pairClauses = make([][][]int, len(m.p.Edges))
 	m.edgeCondIdx = make([]int, len(m.p.Edges))
 	for ei, e := range m.p.Edges {
 		cond := e.Match
@@ -492,11 +600,15 @@ func (m *matcher) compileConditions() {
 		}
 		m.edgeCondIdx[ei] = m.addCond(condEdgeMatch, ei, cond, e.From, e.To)
 		clauses := core.DNF(cond)
-		m.edgePairs[ei] = clauses
+		pairs := make([][]int, len(clauses))
 		indexable := true
+		// A self-loop's two slots of mini are one, so its walk proves less
+		// than its pairwise check asks.
+		proven := e.From != e.To
 		seen := map[probe]bool{}
 		var probes []probe
-		for _, clause := range clauses {
+		for ci, clause := range clauses {
+			pairs[ci] = m.localAtoms(clause, e.From, e.To)
 			found := false
 			for _, a := range clause {
 				pe, ok := a.(core.EdgeIs)
@@ -530,9 +642,13 @@ func (m *matcher) compileConditions() {
 				// adjacency. The edge is checked purely as a condition.
 				indexable = false
 			}
+			proven = proven && found && len(pairs[ci]) == 1
 		}
 		m.edgeProbes[ei] = probes
 		m.edgeIndexab[ei] = indexable && len(probes) > 0
+		if !proven {
+			m.pairClauses[ei] = pairs
+		}
 	}
 
 	m.condsOf = make([][]int, n)
@@ -543,117 +659,169 @@ func (m *matcher) compileConditions() {
 	}
 }
 
-// scratchMini returns the matcher's reusable build-phase partial
-// mapping, all-⊥; callers set the slots they probe and must restore
-// them to core.Omitted before returning.
-func (m *matcher) scratchMini() core.Mapping {
-	if m.mini == nil {
-		m.mini = make(core.Mapping, len(m.p.Vertices))
-		for i := range m.mini {
-			m.mini[i] = core.Omitted
-		}
+// bucketsOf returns seedBuckets[u]: the vertex label's bucket, else that
+// of the first LabelIs on u in each clause. A label absent from G has no
+// vertices: None under a vertex label, no bucket under a clause.
+func (m *matcher) bucketsOf(u int, label string, dnf [][]core.Cond) []symbols.ID {
+	if label != core.Wildcard {
+		return []symbols.ID{m.g.Symbols.Lookup(label)}
 	}
-	return m.mini
+	if dnf == nil {
+		return nil
+	}
+	buckets := make([]symbols.ID, 0, len(dnf))
+clauses:
+	for _, clause := range dnf {
+		for _, a := range clause {
+			if li, ok := a.(core.LabelIs); ok && li.X == u && li.Label != core.Wildcard {
+				if id := m.g.Symbols.Lookup(li.Label); id != symbols.None {
+					buckets = append(buckets, id)
+				}
+				continue clauses
+			}
+		}
+		return nil // this clause pins no label
+	}
+	return buckets
 }
 
-// localPass checks the label constraint plus the vertex's local condition
-// disjuncts on a single candidate.
-func (m *matcher) localPass(u int, v graph.VID) bool {
-	pv := m.p.Vertices[u]
-	if pv.Label != core.Wildcard {
-		l := m.g.Symbols.Lookup(pv.Label)
-		if l == symbols.None || !m.g.HasLabel(v, l) {
-			return false
-		}
-	}
-	if m.localDNF[u] == nil {
-		return true
-	}
-	mini := m.scratchMini()
-	mini[u] = v
-	defer func() { mini[u] = core.Omitted }()
-	for _, clause := range m.localDNF[u] {
-		ok := true
-		for _, a := range clause {
-			vars := core.Vars(a)
-			if len(vars) == 1 && vars[u] {
-				if !core.Eval(a, mini, m.g) {
-					ok = false
-					break
-				}
+// anyClause reports whether every listed atom of some clause holds under
+// mini.
+func (m *matcher) anyClause(clauses [][]int, mini core.Mapping) bool {
+next:
+	for _, clause := range clauses {
+		for _, id := range clause {
+			if !m.atomFns[id](mini) {
+				continue next
 			}
-			// Atoms referencing other vertices are optimistic here.
 		}
-		if ok {
-			return true
-		}
+		return true
 	}
 	return false
 }
 
-// seedPool returns an initial candidate pool for vertex u, preferring label
-// buckets when every local disjunct pins a label.
-func (m *matcher) seedPool(u int) []graph.VID {
-	pv := m.p.Vertices[u]
-	if pv.Label != core.Wildcard {
-		l := m.g.Symbols.Lookup(pv.Label)
-		if l == symbols.None {
-			return nil
-		}
-		return m.g.VerticesByLabel(l)
+// localPass checks the vertex's local condition disjuncts on a single
+// candidate. The vertex label is not re-checked: a labelled vertex is
+// only ever seeded from its label's bucket.
+func (m *matcher) localPass(u int, v graph.VID) bool {
+	if m.localClauses[u] == nil {
+		return true
 	}
-	if m.localDNF[u] != nil {
-		// Union of the clauses' label buckets via a label bitmap: each
-		// clause must pin a label for the bucket seeding to be sound.
-		bits := bitset.New(m.g.NumVertices())
-		ok := true
-		for _, clause := range m.localDNF[u] {
-			label := ""
-			for _, a := range clause {
-				if li, isLabel := a.(core.LabelIs); isLabel && li.X == u && li.Label != core.Wildcard {
-					label = li.Label
-					break
+	mini := m.sc.mini
+	mini[u] = v
+	ok := m.anyClause(m.localClauses[u], mini)
+	mini[u] = core.Omitted
+	return ok
+}
+
+// seedFrom makes seed, filtered through localPass, the candidate pool of
+// u. It reports false when that proves Q(G) = ∅.
+func (m *matcher) seedFrom(u int, seed []graph.VID) bool {
+	m.stats.SeedCandidates += len(seed)
+	out := m.sc.pools[u][:0]
+	for _, v := range seed {
+		if m.localPass(u, v) {
+			out = append(out, v)
+		}
+	}
+	m.sc.pools[u], m.cand[u] = out, out
+	if len(out) == 0 && !m.canOmit[u] {
+		m.stats.EmptyCandSets++
+		return false
+	}
+	return true
+}
+
+// drainSorted moves the members of bits, ascending, into the scratch's
+// flat buffer and leaves bits empty.
+func (m *matcher) drainSorted(bits *bitset.Set) []graph.VID {
+	flat := m.sc.flat[:0]
+	bits.ForEach(func(i uint32) bool {
+		flat = append(flat, graph.VID(i))
+		return true
+	})
+	bits.Reset()
+	m.sc.flat = flat
+	return flat
+}
+
+// seedPools gives every pattern vertex its initial candidate pool, the
+// cheapest sound seed first so that refinement starts from small pools:
+// (1) a vertex whose every clause pins a label takes the union of those
+// label buckets; (2) while there is one, an unseeded vertex joined by an
+// indexable edge that cannot be excused (the rule refineVertex prunes by)
+// to a seeded partner of fewer than |V|/4 candidates takes the union of
+// that partner's neighbour rows — refinement would cut it down to a
+// subset of exactly that; (3) failing both, every vertex of G.
+func (m *matcher) seedPools() bool {
+	n, nv := len(m.p.Vertices), m.g.NumVertices()
+	m.cand = make([][]graph.VID, n)
+	seeded := make([]bool, n)
+	left := n
+	for u, b := range m.seedBuckets {
+		if b == nil {
+			continue
+		}
+		var seed []graph.VID
+		if len(b) == 1 {
+			seed = m.g.VerticesByLabel(b[0])
+		} else {
+			for _, l := range b {
+				m.g.LabelBits(l, m.sc.inCand[u])
+			}
+			seed = m.drainSorted(m.sc.inCand[u])
+		}
+		if !m.seedFrom(u, seed) {
+			return false
+		}
+		seeded[u] = true
+		left--
+	}
+	for ; left > 0; left-- {
+		u, via, partner := -1, -1, -1
+		for ei, e := range m.p.Edges {
+			if !m.edgeIndexab[ei] || m.canOmit[e.From] || m.canOmit[e.To] {
+				continue
+			}
+			for _, end := range [2][2]int{{e.From, e.To}, {e.To, e.From}} {
+				w := end[1]
+				if !seeded[end[0]] && seeded[w] && len(m.cand[w]) < nv/4 &&
+					(partner < 0 || len(m.cand[w]) < len(m.cand[partner])) {
+					u, via, partner = end[0], ei, w
 				}
 			}
-			if label == "" {
-				ok = false
-				break
+		}
+		if u < 0 {
+			for u = 0; seeded[u]; u++ {
 			}
-			m.g.LabelBits(m.g.Symbols.Lookup(label), bits)
+			m.sc.flat = m.sc.flat[:0]
+			for v := 0; v < nv; v++ {
+				m.sc.flat = append(m.sc.flat, graph.VID(v))
+			}
+		} else {
+			fromSide := partner == m.p.Edges[via].From
+			for _, w := range m.cand[partner] {
+				m.sc.nbrBuf = m.appendNeighborsVia(m.sc.nbrBuf[:0], via, w, fromSide)
+				for _, v := range m.sc.nbrBuf {
+					m.sc.inCand[u].Add(uint32(v))
+				}
+			}
+			m.drainSorted(m.sc.inCand[u])
 		}
-		if ok {
-			union := make([]graph.VID, 0, bits.Count())
-			bits.ForEach(func(i uint32) bool {
-				union = append(union, graph.VID(i))
-				return true
-			})
-			return union
+		if !m.seedFrom(u, m.sc.flat) {
+			return false
 		}
+		seeded[u] = true
 	}
-	all := make([]graph.VID, m.g.NumVertices())
-	for i := range all {
-		all[i] = graph.VID(i)
-	}
-	return all
+	return true
 }
 
 // buildOMDAG initializes candidates, collects dependency edges and computes
 // a dependency-respecting BFS order.
 func (m *matcher) buildOMDAG() bool {
 	n := len(m.p.Vertices)
-	m.cand = make([][]graph.VID, n)
-	for u := 0; u < n; u++ {
-		var out []graph.VID
-		for _, v := range m.seedPool(u) {
-			if m.localPass(u, v) {
-				out = append(out, v)
-			}
-		}
-		if len(out) == 0 && !m.canOmit[u] {
-			m.stats.EmptyCandSets++
-			return false
-		}
-		m.cand[u] = out
+	if !m.seedPools() {
+		return false
 	}
 
 	// Dependency parents: conditions of u referencing u' (the
@@ -706,7 +874,15 @@ func (m *matcher) buildOMDAG() bool {
 		if d == 0 {
 			d = 1
 		}
-		score := float64(len(m.cand[u])) / float64(d)
+		size := len(m.cand[u])
+		if m.seedBuckets[u] == nil && m.localClauses[u] == nil {
+			// Neither label nor condition of its own: the pool is only as
+			// small as seedPools narrowed it through a partner. Weighed so,
+			// an existential hub becomes the root and is enumerated before
+			// any distinguished vertex; weigh it as unfiltered.
+			size = m.g.NumVertices()
+		}
+		score := float64(size) / float64(d)
 		if len(m.depParents[u]) > 0 {
 			score *= 1e6
 		}
@@ -791,20 +967,18 @@ func (m *matcher) appendNeighborsVia(dst []graph.VID, ei int, v graph.VID, fromS
 		}
 		return dst
 	}
-	if m.nbrSeen == nil {
-		m.nbrSeen = bitset.New(m.g.NumVertices())
-	}
+	seen := m.sc.nbrSeen
 	base := len(dst)
 	for _, pr := range probes {
 		for _, h := range m.probeHalves(pr, v, fromSide) {
-			if !m.nbrSeen.Has(uint32(h.To)) {
-				m.nbrSeen.Add(uint32(h.To))
+			if !seen.Has(uint32(h.To)) {
+				seen.Add(uint32(h.To))
 				dst = append(dst, h.To)
 			}
 		}
 	}
 	for _, w := range dst[base:] {
-		m.nbrSeen.Remove(uint32(w))
+		seen.Remove(uint32(w))
 	}
 	return dst
 }
@@ -827,32 +1001,17 @@ func (m *matcher) probeHalves(pr probe, v graph.VID, fromSide bool) []graph.Half
 }
 
 // pairwiseOK checks the pairwise-local part of edge ei's condition for the
-// candidate pair (atoms referencing third vertices are optimistic).
+// candidate pair (atoms referencing third vertices are optimistic). Both
+// builds pass only pairs from ei's neighbour walk, which is all that an
+// edge without pairClauses asks.
 func (m *matcher) pairwiseOK(ei int, vFrom, vTo graph.VID) bool {
-	e := m.p.Edges[ei]
-	mini := m.scratchMini()
-	mini[e.From], mini[e.To] = vFrom, vTo
-	ok := false
-	for _, clause := range m.edgePairs[ei] {
-		clauseOK := true
-		for _, a := range clause {
-			local := true
-			for w := range core.Vars(a) {
-				if w != e.From && w != e.To {
-					local = false
-					break
-				}
-			}
-			if local && !core.Eval(a, mini, m.g) {
-				clauseOK = false
-				break
-			}
-		}
-		if clauseOK {
-			ok = true
-			break
-		}
+	if m.pairClauses[ei] == nil {
+		return true
 	}
+	e := &m.p.Edges[ei]
+	mini := m.sc.mini
+	mini[e.From], mini[e.To] = vFrom, vTo
+	ok := m.anyClause(m.pairClauses[ei], mini)
 	mini[e.From], mini[e.To] = core.Omitted, core.Omitted
 	return ok
 }
@@ -865,14 +1024,11 @@ func (m *matcher) pairwiseOK(ei int, vFrom, vTo graph.VID) bool {
 // map-based reference this must stay answer-identical to.
 func (m *matcher) buildOMCS() bool {
 	n := len(m.p.Vertices)
-	pool := bitset.NewPool(m.g.NumVertices())
-	inCand := make([]*bitset.Set, n)
+	inCand := m.sc.inCand[:n]
 	for u := 0; u < n; u++ {
-		s := pool.Get()
 		for _, v := range m.cand[u] {
-			s.Add(uint32(v))
+			inCand[u].Add(uint32(v))
 		}
-		inCand[u] = s
 	}
 
 	refineVertex := func(u int) bool {
@@ -898,8 +1054,8 @@ func (m *matcher) buildOMCS() bool {
 					continue // edge may be excused; do not prune through it
 				}
 				found := false
-				m.nbrBuf = m.appendNeighborsVia(m.nbrBuf[:0], ei, v, fromSide)
-				for _, w := range m.nbrBuf {
+				m.sc.nbrBuf = m.appendNeighborsVia(m.sc.nbrBuf[:0], ei, v, fromSide)
+				for _, w := range m.sc.nbrBuf {
 					if !inCand[far].Has(uint32(w)) {
 						continue
 					}
@@ -968,12 +1124,12 @@ func (m *matcher) buildOMCS() bool {
 		e := m.p.Edges[de.edge]
 		fromSide := de.parent == e.From
 		starts := make([]uint32, len(m.cand[de.parent])+1)
-		var items []graph.VID
+		items := m.sc.flat[:0]
 		for pi, v := range m.cand[de.parent] {
 			starts[pi] = uint32(len(items))
 			segStart := len(items)
-			m.nbrBuf = m.appendNeighborsVia(m.nbrBuf[:0], de.edge, v, fromSide)
-			for _, w := range m.nbrBuf {
+			m.sc.nbrBuf = m.appendNeighborsVia(m.sc.nbrBuf[:0], de.edge, v, fromSide)
+			for _, w := range m.sc.nbrBuf {
 				if !inCand[de.child].Has(uint32(w)) {
 					continue
 				}
@@ -988,16 +1144,14 @@ func (m *matcher) buildOMCS() bool {
 				}
 			}
 			if seg := items[segStart:]; !vidsSorted(seg) {
-				sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+				slices.Sort(seg)
 			}
 		}
 		starts[len(m.cand[de.parent])] = uint32(len(items))
 		m.adjStart[di] = starts
-		m.adjItems[di] = items
+		m.adjItems[di] = append(make([]graph.VID, 0, len(items)), items...)
+		m.sc.flat = items
 		m.stats.AdjPairs += len(items)
-	}
-	for u := 0; u < n; u++ {
-		pool.Put(inCand[u])
 	}
 	return true
 }

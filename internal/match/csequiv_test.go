@@ -3,8 +3,13 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ogpa/internal/core"
+	"ogpa/internal/daf"
+	"ogpa/internal/graph"
+	"ogpa/internal/perfectref"
 	"ogpa/internal/rewrite"
 )
 
@@ -54,6 +59,51 @@ func TestBitsetMapEquivalence(t *testing.T) {
 					csrSt.CSCandidates, csrSt.AdjPairs, csrSt.RefinePasses,
 					mapSt.CSCandidates, mapSt.AdjPairs, mapSt.RefinePasses)
 			}
+		}
+	}
+}
+
+// TestCandidateSpaceCoversAnswers checks the soundness of seeding and
+// refinement directly instead of through answer equality: whatever value
+// a distinguished vertex takes in some answer of the brute-force
+// evaluator is in that vertex's refined pool. 100 random KBs, through
+// both front-ends: the generated OGP under OMatch, and every disjunct of
+// the PerfectRef rewriting under DAF.
+func TestCandidateSpaceCoversAnswers(t *testing.T) {
+	check := func(seed int64, what string, p *core.Pattern, g *graph.Graph, pool func(u int) []graph.VID) {
+		t.Helper()
+		dist := p.Distinguished()
+		for _, a := range core.EnumerateNaive(p, g).Answers() {
+			for i, v := range a {
+				if v != core.Omitted && !slices.Contains(pool(dist[i]), v) {
+					t.Fatalf("seed %d, %s: answer value %s of vertex %d is not in its pool %v\npattern:\n%s",
+						seed, what, g.Name(v), dist[i], pool(dist[i]), p)
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb, abox, q := randomKB(rng)
+		g := abox.Graph(nil)
+		if res, err := rewrite.Generate(q, tb); err == nil {
+			pr, err := Prepare(res.Pattern, g, Options{})
+			if err != nil {
+				t.Fatalf("seed %d: Prepare: %v", seed, err)
+			}
+			check(seed, "OGP", res.Pattern, g, pr.CandidatePool)
+		}
+		u, err := perfectref.Rewrite(q, tb, perfectref.Limits{MaxQueries: 5000})
+		if err != nil {
+			continue
+		}
+		for i, d := range u.Queries {
+			p := core.FromCQ(d)
+			pr, err := daf.Prepare(p, g, daf.Options{})
+			if err != nil {
+				t.Fatalf("seed %d disjunct %d: daf.Prepare: %v", seed, i, err)
+			}
+			check(seed, fmt.Sprintf("DAF disjunct %d", i), p, g, pr.CandidatePool)
 		}
 	}
 }

@@ -421,10 +421,11 @@ func (kb *KB) AnswerWithOptions(query string, opt Options) (*Answers, error) {
 // API (the matcher itself lives in an internal package).
 type MatchStats struct {
 	// Build-phase numbers, fixed when the plan is prepared.
-	CSCandidates int   // candidates across pattern vertices after refinement
-	AdjPairs     int   // candidate pairs materialized in the CS adjacency
-	BDDNodes     int   // nodes in the shared condition BDD
-	BuildNanos   int64 // wall-clock of GenOGP output compilation + BuildOMCS
+	SeedCandidates int   // candidates handed to the local filter, before refinement
+	CSCandidates   int   // candidates across pattern vertices after refinement
+	AdjPairs       int   // candidate pairs materialized in the CS adjacency
+	BDDNodes       int   // nodes in the shared condition BDD
+	BuildNanos     int64 // wall-clock of GenOGP output compilation + BuildOMCS
 	// Enumeration-phase numbers, per Run.
 	Steps     int64 // backtracking tree nodes visited
 	AtomEvals int64 // atomic condition evaluations
@@ -434,14 +435,15 @@ type MatchStats struct {
 
 func fromMatchStats(st match.Stats) MatchStats {
 	return MatchStats{
-		CSCandidates: st.CSCandidates,
-		AdjPairs:     st.AdjPairs,
-		BDDNodes:     st.BDDNodes,
-		BuildNanos:   st.BuildNanos,
-		Steps:        st.Steps,
-		AtomEvals:    st.AtomEvals,
-		EnumNanos:    st.EnumNanos,
-		Truncated:    st.Truncated,
+		SeedCandidates: st.SeedCandidates,
+		CSCandidates:   st.CSCandidates,
+		AdjPairs:       st.AdjPairs,
+		BDDNodes:       st.BDDNodes,
+		BuildNanos:     st.BuildNanos,
+		Steps:          st.Steps,
+		AtomEvals:      st.AtomEvals,
+		EnumNanos:      st.EnumNanos,
+		Truncated:      st.Truncated,
 	}
 }
 
