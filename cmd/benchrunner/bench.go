@@ -129,11 +129,6 @@ func runBenchJSON(outPath string, seed int64) error {
 		{"BenchmarkDAFEval/map", w.benchDAFEval(true)},
 	}
 	suite = append(suite, persistSuite(w, dir)...)
-	f, err := buildBatchFixture(w)
-	if err != nil {
-		return err
-	}
-	suite = append(suite, batchSuite(f)...)
 	inf, err := buildIncFixture(w)
 	if err != nil {
 		return err
@@ -157,9 +152,6 @@ func runBenchJSON(outPath string, seed int64) error {
 			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp)
 	}
 	if err := checkStartupRows(results); err != nil {
-		return err
-	}
-	if err := checkBatchRows(results); err != nil {
 		return err
 	}
 	if err := checkIncRows(results); err != nil {

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -131,13 +132,10 @@ func main() {
 		query = min
 	}
 
-	if *explain && !*isSPARQL {
-		rw, err := kb.Rewrite(query)
-		if err != nil {
+	if *explain {
+		if err := printExplain(os.Stdout, kb, query, *isSPARQL); err != nil {
 			fail(err)
 		}
-		fmt.Printf("generated OGP (#COND=%d):\n%s\n", rw.CondCount(), rw.Explain())
-		fmt.Printf("condition provenance:\n%s\n", rw.ExplainProvenance())
 	}
 
 	opt := ogpa.Options{MaxResults: *maxResults, Timeout: *timeout, Workers: *workers}
@@ -189,6 +187,23 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Fprintf(os.Stderr, "%d answers in %v\n", ans.Len(), elapsed)
+}
+
+// printExplain writes the OGP that GenOGP generates for query — a SPARQL
+// SELECT when sparql is set, a CQ otherwise — and the provenance of its
+// conditions.
+func printExplain(w io.Writer, kb *ogpa.KB, query string, sparql bool) error {
+	rewrite := kb.Rewrite
+	if sparql {
+		rewrite = kb.RewriteSPARQL
+	}
+	rw, err := rewrite(query)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "generated OGP (#COND=%d):\n%s\n", rw.CondCount(), rw.Explain())
+	fmt.Fprintf(w, "condition provenance:\n%s\n", rw.ExplainProvenance())
+	return nil
 }
 
 func fail(err error) {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -34,8 +33,6 @@ func main() {
 		live          = flag.Bool("live", false, "enable ABox mutations via POST /insert and /delete")
 		compactThresh = flag.Int("compact-threshold", 0, "overlay ops before background compaction (0 = default, negative = never; needs -live)")
 		dataDir       = flag.String("data-dir", "", "durable live data: snapshot + WAL directory (implies -live; recovers existing state, -data only seeds the first run)")
-		batchWindow   = flag.Duration("batch-window", 0, "gather window for the batching/MQO tier (0 = disabled); concurrent CQ requests within a window share one snapshot, merged shape-group plans and an epoch-keyed answer memo")
-		batchMax      = flag.Int("batch-max", 0, "max queries per batch (0 = default 32; a full batch fires before its window elapses)")
 		subscribe     = flag.Bool("subscribe", false, "serve standing queries (POST /subscribe, long-poll + SSE delta streams) over incrementally maintained state; needs -live or -data-dir")
 		subMaxRows    = flag.Int("subscribe-max-rows", 0, "cap every subscription's answer-set size (0 = uncapped); a breach fails that subscription closed")
 	)
@@ -73,23 +70,13 @@ func main() {
 	cfg := server.Config{
 		MaxWorkersPerQuery:  *maxWorkers,
 		PlanCacheSize:       *planCacheSize,
-		BatchWindow:         *batchWindow,
-		BatchMax:            *batchMax,
 		Subscriptions:       *subscribe,
 		SubscriptionMaxRows: *subMaxRows,
 	}
-	h := server.HandlerWithConfig(kb, cfg)
 	if *subscribe {
 		log.Printf("standing-query subscriptions enabled (max rows %d)", *subMaxRows)
 	}
-	srv := &http.Server{Addr: *addr, Handler: h}
-	if *batchWindow > 0 {
-		max := *batchMax
-		if max <= 0 {
-			max = 32
-		}
-		log.Printf("batching tier enabled: window %s, max %d queries/batch", *batchWindow, max)
-	}
+	srv := &http.Server{Addr: *addr, Handler: server.HandlerWithConfig(kb, cfg)}
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests and flush
 	// any profiles; a plain log.Fatal would lose the CPU profile tail.
@@ -118,12 +105,6 @@ func main() {
 	// that the profile session might sample mid-teardown.
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("shutdown: %v", err)
-	}
-	// With HTTP drained no request can reach the batcher; stop its gather
-	// goroutine before the KB goes away underneath it.
-	if c, ok := h.(io.Closer); ok {
-		//lint:ignore droppederr handler Close never fails
-		_ = c.Close()
 	}
 	if kb.Durable() {
 		if epoch, err := kb.Checkpoint(); err != nil {

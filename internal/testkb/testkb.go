@@ -1,7 +1,7 @@
 // Package testkb is the shared randomized knowledge-base generator
 // behind the cross-layer equivalence sweeps: the same seed produces the
 // same (TBox, ABox, query) triple in every suite, so a failure found by
-// the root-level batched-vs-sequential sweep can be replayed in
+// the root-level workers-vs-sequential sweep can be replayed in
 // internal/match's UCQ-vs-OGP harness (and vice versa) by seed alone.
 //
 // The draw sequence is the historical one from internal/match's

@@ -36,7 +36,6 @@ import (
 	"ogpa/internal/dllite"
 	"ogpa/internal/graph"
 	"ogpa/internal/match"
-	"ogpa/internal/mqo"
 	"ogpa/internal/perfectref"
 	"ogpa/internal/rdf"
 	"ogpa/internal/rewrite"
@@ -340,10 +339,9 @@ func (kb *KB) Fingerprint() string {
 // CacheKey builds the one key shape every cross-request cache uses:
 // fingerprint|epoch|kind|key. The fingerprint ties an entry to the TBox
 // that produced it and the epoch to the data version, so a delta commit
-// invalidates every entry for free; kind ("cq", "sparql", "ucq:…", the
-// batch tier's "plan" and "ans") keeps entries of different concrete
-// types apart. Callers pass both scoping values explicitly so the
-// epochkey analyzer sees the epoch at every call site.
+// invalidates every entry for free; kind ("cq", "sparql", "ucq:…") keeps
+// plans of different pipelines apart. Callers pass both scoping values
+// explicitly so the epochkey analyzer sees the epoch at every call site.
 func CacheKey(fingerprint string, epoch uint64, kind, key string) string {
 	return fingerprint + "|" + strconv.FormatUint(epoch, 10) + "|" + kind + "|" + key
 }
@@ -688,171 +686,6 @@ func (kb *KB) AnswerSPARQL(src string, opt Options) (*Answers, error) {
 		return nil, err
 	}
 	return pq.Answer(opt)
-}
-
-// BatchCache is the cache surface a serving tier hands to
-// AnswerBatchCached. Both hooks receive fully scoped keys (the TBox
-// fingerprint, the store epoch and a canonical pattern identity are
-// already mixed in), so implementations are plain key/value stores.
-// Plans are opaque (*match.Prepared under the hood; internal types can't
-// appear in the public API) — store and return them as-is.
-type BatchCache interface {
-	// GetPlan / PutPlan cache compiled shape-group plans.
-	GetPlan(key string) any
-	PutPlan(key string, plan any)
-	// GetAnswers / PutAnswers cache fully rendered answer rows for one
-	// member pattern. Rows are canonical (sorted) and must be treated as
-	// immutable by callers and implementations alike.
-	GetAnswers(key string) ([][]string, bool)
-	PutAnswers(key string, rows [][]string)
-}
-
-// BatchResult is one member query's outcome within a batch.
-type BatchResult struct {
-	Answers   *Answers
-	Truncated bool // enumeration stopped at a limit; rows are sound but possibly incomplete
-	Err       error
-}
-
-// BatchStats reports the sharing a batch achieved.
-type BatchStats struct {
-	Queries       int    // member queries in the batch
-	Groups        int    // shape groups executed
-	MergedMatches int    // matches enumerated across merged patterns
-	MemoHits      int    // members answered straight from the answer memo
-	PlanCacheHits int    // group plans resolved from the cache
-	PlansBuilt    int    // group plans built fresh this batch
-	SharedBuilds  int    // members answered by riding another member's engine run
-	MergedGroups  int    // multi-class groups the cost model ran merged
-	SplitGroups   int    // multi-class groups the cost model ran per class
-	Epoch         uint64 // store epoch the whole batch was pinned to
-}
-
-// AnswerBatchCached evaluates a batch of queries with multi-query
-// optimization against ONE snapshot of the knowledge base: structurally
-// identical queries share a single compiled plan and matching run, and —
-// when cache is non-nil — answers and group plans are memoized under keys
-// scoped by (TBox fingerprint, epoch, canonical pattern), so the next
-// delta commit invalidates every entry for free.
-//
-// Limits semantics differ from the sequential path in one way:
-// opt.MaxResults is applied per member AFTER the shared enumeration
-// (merged runs need full mappings for exact replay), and capped or
-// truncated results are never memoized. Failures are per member
-// (BatchResult.Err); the batch itself always returns.
-func (kb *KB) AnswerBatchCached(queries []string, opt Options, cache BatchCache) ([]BatchResult, BatchStats) {
-	qs := make([]*cq.Query, len(queries))
-	parseErrs := make([]error, len(queries))
-	for i, src := range queries {
-		qs[i], parseErrs[i] = cq.Parse(src)
-	}
-	b := mqo.Compile(qs, kb.tbox)
-
-	// Pin one view for the whole batch: compile, match, replay and render
-	// all see a single (graph, epoch) pair, so no member can straddle a
-	// concurrent delta commit.
-	v := kb.view()
-	g, epoch := v.g, v.epoch
-	fingerprint := kb.Fingerprint()
-	st := BatchStats{Queries: len(queries), Epoch: epoch}
-	results := make([]BatchResult, len(queries))
-
-	// Answer memo: a member whose canonical pattern was fully enumerated
-	// at this (fingerprint, epoch) is answered without touching the
-	// engine; only its own head variables are re-attached.
-	need := make([]bool, len(queries))
-	for i := range queries {
-		if parseErrs[i] != nil || b.Errs[i] != nil {
-			continue
-		}
-		if cache != nil {
-			if rows, ok := cache.GetAnswers(CacheKey(fingerprint, epoch, "ans", b.Keys[i])); ok {
-				st.MemoHits++
-				results[i] = capRows(&Answers{Vars: append([]string(nil), qs[i].Head...), Rows: rows}, opt.MaxResults)
-				continue
-			}
-		}
-		need[i] = true
-	}
-
-	var src mqo.PlanSource
-	if cache != nil {
-		src = mqo.PlanSource{
-			Get: func(key string) *match.Prepared {
-				pr, _ := cache.GetPlan(CacheKey(fingerprint, epoch, "plan", key)).(*match.Prepared)
-				return pr
-			},
-			Put: func(key string, pr *match.Prepared) {
-				cache.PutPlan(CacheKey(fingerprint, epoch, "plan", key), pr)
-			},
-		}
-	}
-	runOpts := matchOptions(opt)
-	runOpts.Limits.MaxResults = 0 // per-member caps are applied below
-	sets, truncated, errs, mst := b.Run(g, runOpts, src, need)
-	st.Groups = mst.Groups
-	st.MergedMatches = mst.MergedMatches
-	st.PlanCacheHits = mst.PlanCacheHits
-	st.PlansBuilt = mst.PlansBuilt
-	st.MergedGroups = mst.MergedGroups
-	st.SplitGroups = mst.SplitGroups
-
-	answered := 0
-	for i := range queries {
-		switch {
-		case parseErrs[i] != nil:
-			results[i] = BatchResult{Err: parseErrs[i]}
-		case errs[i] != nil:
-			results[i] = BatchResult{Err: errs[i]}
-		case !need[i]:
-			answered++ // memo hit, already rendered
-		default:
-			answered++
-			ans := render(qs[i], sets[i], g)
-			if cache != nil && !truncated[i] {
-				cache.PutAnswers(CacheKey(fingerprint, epoch, "ans", b.Keys[i]), ans.Rows)
-			}
-			results[i] = capRows(ans, opt.MaxResults)
-			results[i].Truncated = results[i].Truncated || truncated[i]
-		}
-	}
-	// Members minus memo hits minus engine runs = members that rode a
-	// shapemate's run (a merged group answers all its members from one
-	// enumeration; a split group one run per class). Plan builds are the
-	// wrong baseline since the cost model builds per-class plans even for
-	// groups it then runs merged.
-	if shared := answered - st.MemoHits - mst.SharedRuns; shared > 0 {
-		st.SharedBuilds = shared
-	}
-	return results, st
-}
-
-// capRows applies a per-member row cap without mutating the (possibly
-// memo-shared) input rows.
-func capRows(ans *Answers, max int) BatchResult {
-	if max > 0 && len(ans.Rows) > max {
-		return BatchResult{
-			Answers:   &Answers{Vars: ans.Vars, Rows: ans.Rows[:max:max]},
-			Truncated: true,
-		}
-	}
-	return BatchResult{Answers: ans}
-}
-
-// AnswerBatch evaluates several queries at once with multi-query
-// optimization: structurally identical queries share one matching run.
-// Any member failure fails the batch (AnswerBatchCached reports failures
-// per member instead).
-func (kb *KB) AnswerBatch(queries []string, opt Options) ([]*Answers, error) {
-	results, _ := kb.AnswerBatchCached(queries, opt, nil)
-	out := make([]*Answers, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		out[i] = r.Answers
-	}
-	return out, nil
 }
 
 // CheckConsistency verifies the KB against the ontology's negative

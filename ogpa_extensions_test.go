@@ -25,39 +25,6 @@ SELECT ?x WHERE {
 	}
 }
 
-func TestAnswerBatch(t *testing.T) {
-	kb := exampleKB(t)
-	res, err := kb.AnswerBatch([]string{
-		`q(x) :- Student(x), takesCourse(x, y)`,
-		`q(x) :- PhD(x), advisorOf(z, x)`,
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("results = %d", len(res))
-	}
-	// First: Ann and Bob; second: Ann only (PhD ⊑ ∃advisorOf⁻ entails the
-	// advisor).
-	if res[0].Len() != 2 {
-		t.Fatalf("batch[0] = %v", res[0].Rows)
-	}
-	if res[1].Len() != 1 || res[1].Rows[0][0] != "Ann" {
-		t.Fatalf("batch[1] = %v", res[1].Rows)
-	}
-	// Batched answers must agree with single-query answers.
-	single, err := kb.Answer(`q(x) :- Student(x), takesCourse(x, y)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Len() != res[0].Len() {
-		t.Fatalf("batch %v vs single %v", res[0].Rows, single.Rows)
-	}
-	if _, err := kb.AnswerBatch([]string{"bad"}, Options{}); err == nil {
-		t.Fatal("bad batch query accepted")
-	}
-}
-
 func TestCheckConsistency(t *testing.T) {
 	kb, err := NewKB(strings.NewReader(`
 PhD SubClassOf Student

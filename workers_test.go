@@ -9,6 +9,15 @@ import (
 	"ogpa/internal/testkb"
 )
 
+func rowsString(a *Answers) string {
+	var sb strings.Builder
+	for _, r := range a.Rows {
+		sb.WriteString(strings.Join(r, "\x00"))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
 // TestWorkersVsSequentialSweep is the facade-level gate on the
 // first-level fan-out: across 100 random live KBs, every query answered
 // with Workers ∈ {2, 4, 8} must be byte-identical to the Workers: 1 run
