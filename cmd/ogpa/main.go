@@ -165,8 +165,8 @@ func main() {
 	elapsed := time.Since(start)
 	if *matchStats && pq != nil {
 		fmt.Fprintf(os.Stderr,
-			"match stats: seed-candidates=%d cs-candidates=%d adj-pairs=%d bdd-nodes=%d steps=%d atom-evals=%d build=%v enum=%v truncated=%v\n",
-			st.SeedCandidates, st.CSCandidates, st.AdjPairs, st.BDDNodes, st.Steps, st.AtomEvals,
+			"match stats: seed-candidates=%d cs-candidates=%d adj-pairs=%d indexed-edges=%d/%d bdd-nodes=%d steps=%d atom-evals=%d build=%v enum=%v truncated=%v\n",
+			st.SeedCandidates, st.CSCandidates, st.AdjPairs, st.IndexedEdges, st.PatternEdges, st.BDDNodes, st.Steps, st.AtomEvals,
 			time.Duration(st.BuildNanos), time.Duration(st.EnumNanos), st.Truncated)
 	}
 

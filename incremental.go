@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ogpa/internal/core"
 	"ogpa/internal/cq"
 	"ogpa/internal/daf"
 	"ogpa/internal/datalog"
@@ -188,7 +189,7 @@ func (kb *KB) incDatalogAnswer(query string, prog *datalog.Program, q *cq.Query)
 	for _, t := range tuples {
 		out.Rows = append(out.Rows, append([]string(nil), t...))
 	}
-	sortRows(out.Rows)
+	core.SortRows(out.Rows)
 	return out, true, nil
 }
 
@@ -211,7 +212,7 @@ func (kb *KB) incSaturateAnswer(q *cq.Query) (ans *Answers, ok bool, err error) 
 		}
 		out.Rows = append(out.Rows, cells)
 	}
-	sortRows(out.Rows)
+	core.SortRows(out.Rows)
 	return out, true, nil
 }
 

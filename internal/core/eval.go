@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -245,11 +246,17 @@ func (s *AnswerSet) Names(g *graph.Graph) []string {
 }
 
 // Names2D renders answers as sorted rows of vertex names ("⊥" for
-// omitted), one slice per answer.
+// omitted), one slice per answer. The rows share one backing array.
 func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
+	n := 0
+	for _, a := range s.list {
+		n += len(a)
+	}
+	cells := make([]string, n)
 	rows := make([][]string, 0, len(s.list))
 	for _, a := range s.list {
-		parts := make([]string, len(a))
+		parts := cells[:len(a):len(a)]
+		cells = cells[len(a):]
 		for i, v := range a {
 			if v == Omitted {
 				parts[i] = "⊥"
@@ -259,10 +266,53 @@ func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
 		}
 		rows = append(rows, parts)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		return strings.Join(rows[i], ",") < strings.Join(rows[j], ",")
-	})
+	SortRows(rows)
 	return rows
+}
+
+// SortRows puts answer rows in the canonical order of every pipeline: by
+// the row's cells joined with ",". Without it, pipelines whose natural
+// enumeration order is map-dependent (datalog, saturate) would return
+// rows in a nondeterministic order. Each row's key is built once, all of
+// them into one string, instead of twice per comparison. slices.SortFunc
+// and sort.Slice are generated from one pdqsort template, so sorting on
+// the keys makes the same comparisons and swaps as sort.Slice over the
+// joining comparator did, and rows with equal keys ("a,b"+"c" and
+// "a"+"b,c") land where they did: responses stay byte-identical.
+func SortRows(rows [][]string) {
+	size := 0
+	for _, r := range rows {
+		for _, c := range r {
+			size += len(c) + 1
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	ends := make([]int, len(rows))
+	for i, r := range rows {
+		for j, c := range r {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(c)
+		}
+		ends[i] = b.Len()
+	}
+	all := b.String()
+	keyed := make([]keyedRow, len(rows))
+	start := 0
+	for i, end := range ends {
+		keyed[i], start = keyedRow{all[start:end], rows[i]}, end
+	}
+	slices.SortFunc(keyed, func(x, y keyedRow) int { return strings.Compare(x.key, y.key) })
+	for i := range keyed {
+		rows[i] = keyed[i].row
+	}
+}
+
+type keyedRow struct {
+	key string
+	row []string
 }
 
 // Project extracts the answer tuple of mapping m for pattern p.

@@ -241,6 +241,8 @@ func (pu *PreparedUCQ) Stats() Stats {
 		total.SeedCandidates += st.SeedCandidates
 		total.CSCandidates += st.CSCandidates
 		total.AdjPairs += st.AdjPairs
+		total.IndexedEdges += st.IndexedEdges
+		total.PatternEdges += st.PatternEdges
 		total.RefinePasses += st.RefinePasses
 		total.EmptyCandSets += st.EmptyCandSets
 		total.BDDNodes += st.BDDNodes
@@ -326,6 +328,8 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 		total.SeedCandidates += r.st.SeedCandidates
 		total.CSCandidates += r.st.CSCandidates
 		total.AdjPairs += r.st.AdjPairs
+		total.IndexedEdges += r.st.IndexedEdges
+		total.PatternEdges += r.st.PatternEdges
 		if r.st.Truncated {
 			total.Truncated = true // e.g. Ctx canceled mid-disjunct
 		}

@@ -130,7 +130,12 @@ type Stats struct {
 	// AdjPairs counts the candidate pairs actually materialized in the
 	// per-DAG-edge adjacency (the CS index's true size; CSCandidates is
 	// summed before materialization and does not see pairwise pruning).
-	AdjPairs     int
+	AdjPairs int
+	// IndexedEdges counts the pattern edges, of PatternEdges, whose
+	// partners are enumerated from CSR adjacency; the others are checked
+	// as a condition on every candidate pair the search reaches.
+	IndexedEdges int
+	PatternEdges int
 	RefinePasses int
 	// EmptyCandSets counts pattern vertices whose candidate set was (or
 	// refined to) empty while the vertex cannot be omitted — each one
@@ -268,10 +273,8 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 		bdd:     sbdd.New(),
 		sc:      getScratch(g.NumVertices(), len(p.Vertices)),
 	}
-	m.compileConditions()
-
 	pl := &Plan{m: m}
-	built := m.buildOMDAG()
+	built := m.compileConditions() && m.buildOMDAG()
 	if built {
 		if opts.UseLegacyCS {
 			built = m.buildOMCSLegacy()
@@ -521,8 +524,13 @@ func (m *matcher) toBDD(c core.Cond) sbdd.Ref {
 	}
 }
 
-func (m *matcher) addCond(kind condKind, owner int, c core.Cond, extraVars ...int) int {
-	ref := m.toBDD(c)
+// addCond compiles a pruned condition into the shared BDD; a dead one is
+// the constant false, decided once extraVars are mapped.
+func (m *matcher) addCond(kind condKind, owner int, c core.Cond, st pruned, extraVars ...int) int {
+	ref := sbdd.False
+	if st != dead {
+		ref = m.toBDD(c)
+	}
 	seen := map[int]bool{}
 	var vars []int
 	add := func(v int) {
@@ -542,6 +550,74 @@ func (m *matcher) addCond(kind condKind, owner int, c core.Cond, extraVars ...in
 	return ci
 }
 
+// pruned is what prune left of a condition.
+type pruned uint8
+
+const (
+	kept pruned = iota // every disjunct
+	cut                // some disjuncts
+	dead               // none: the condition holds under no mapping
+)
+
+// prune drops from c every disjunct that mentions a label absent from G:
+// such an atom holds under no mapping, ⊥ or not, and so neither does a
+// conjunction holding it. c itself comes back when nothing is dropped.
+// Sound per plan because a plan is built against one graph snapshot and
+// cached per epoch: a write that brings the label into G makes a new
+// epoch, whose first query compiles afresh.
+func (m *matcher) prune(c core.Cond) (core.Cond, pruned) {
+	switch t := c.(type) {
+	case core.LabelIs:
+		return m.pruneAtom(c, t.Label, false)
+	case core.EdgeIs:
+		return m.pruneAtom(c, t.Label, true)
+	case core.EdgeExists:
+		return m.pruneAtom(c, t.Label, true)
+	case core.And:
+		l, sl := m.prune(t.L)
+		if sl == dead {
+			return nil, dead
+		}
+		r, sr := m.prune(t.R)
+		switch {
+		case sr == dead:
+			return nil, dead
+		case sl == kept && sr == kept:
+			return c, kept
+		}
+		return core.And{L: l, R: r}, cut
+	case core.Or:
+		l, sl := m.prune(t.L)
+		r, sr := m.prune(t.R)
+		switch {
+		case sl == dead && sr == dead:
+			return nil, dead
+		case sl == dead:
+			return r, cut
+		case sr == dead:
+			return l, cut
+		case sl == kept && sr == kept:
+			return c, kept
+		}
+		return core.Or{L: l, R: r}, cut
+	default: // nil, True, and the atoms over attributes, equality and ⊥
+		return c, kept
+	}
+}
+
+// pruneAtom is prune on one atom over label: dead when no vertex (or, for
+// an edge atom, no edge) of G carries it.
+func (m *matcher) pruneAtom(c core.Cond, label string, edge bool) (core.Cond, pruned) {
+	if label == core.Wildcard {
+		return c, kept
+	}
+	id := m.g.Symbols.Lookup(label)
+	if edge && m.g.EdgeLabelFrequency(id) == 0 || !edge && m.g.LabelFrequency(id) == 0 {
+		return nil, dead
+	}
+	return c, kept
+}
+
 // localAtoms returns the ids of the clause's atoms whose variables all
 // lie in {a, b}.
 func (m *matcher) localAtoms(clause []core.Cond, a, b int) []int {
@@ -559,7 +635,11 @@ next:
 	return ids
 }
 
-func (m *matcher) compileConditions() {
+// compileConditions prunes every condition (prune) and compiles what is
+// left: into the shared BDD, and into the per-candidate probes and edge
+// indexes of the build phase. It reports false when that proves Q(G) = ∅:
+// an edge that can never hold between two vertices that cannot be omitted.
+func (m *matcher) compileConditions() bool {
 	n := len(m.p.Vertices)
 	m.canOmit = make([]bool, n)
 	m.localClauses = make([][][]int, n)
@@ -567,16 +647,16 @@ func (m *matcher) compileConditions() {
 	m.vertexMatchIdx = make([]int, n)
 	m.vertexOmitIdx = make([]int, n)
 	for u, v := range m.p.Vertices {
-		// ⊥ candidates are the Omission capability: without it a vertex
-		// never maps to ⊥ (the DAF front-end rejects omission conditions
-		// before Prepare, so nothing is silently dropped here).
-		m.canOmit[u] = m.opts.Caps.Omission && v.Omit != nil
 		m.vertexMatchIdx[u] = -1
 		m.vertexOmitIdx[u] = -1
+		match, st := m.prune(v.Match)
 		if v.Match != nil {
-			m.vertexMatchIdx[u] = m.addCond(condVertexMatch, u, v.Match, u)
+			m.vertexMatchIdx[u] = m.addCond(condVertexMatch, u, match, st, u)
 		}
-		dnf := core.DNF(v.Match) // nil without a condition
+		dnf := core.DNF(match) // nil without a condition
+		if st == dead {
+			dnf = [][]core.Cond{} // no clause: no candidate passes
+		}
 		if dnf != nil {
 			m.localClauses[u] = make([][]int, len(dnf))
 			for ci, clause := range dnf {
@@ -584,8 +664,14 @@ func (m *matcher) compileConditions() {
 			}
 		}
 		m.seedBuckets[u] = m.bucketsOf(u, v.Label, dnf)
-		if v.Omit != nil && m.opts.Caps.Omission {
-			m.vertexOmitIdx[u] = m.addCond(condVertexOmit, u, v.Omit, u)
+		// ⊥ candidates are the Omission capability: without it a vertex
+		// never maps to ⊥ (the DAF front-end rejects omission conditions
+		// before Prepare, so nothing is silently dropped here). Nor does
+		// it under an omission condition that can never hold.
+		omit, st := m.prune(v.Omit)
+		m.canOmit[u] = m.opts.Caps.Omission && v.Omit != nil && st != dead
+		if m.canOmit[u] {
+			m.vertexOmitIdx[u] = m.addCond(condVertexOmit, u, omit, st, u)
 		}
 	}
 
@@ -593,12 +679,21 @@ func (m *matcher) compileConditions() {
 	m.edgeIndexab = make([]bool, len(m.p.Edges))
 	m.pairClauses = make([][][]int, len(m.p.Edges))
 	m.edgeCondIdx = make([]int, len(m.p.Edges))
+	m.stats.PatternEdges = len(m.p.Edges)
+	possible := true
 	for ei, e := range m.p.Edges {
 		cond := e.Match
 		if cond == nil {
 			cond = core.EdgeIs{X: e.From, Y: e.To, Label: e.Label}
 		}
-		m.edgeCondIdx[ei] = m.addCond(condEdgeMatch, ei, cond, e.From, e.To)
+		cond, st := m.prune(cond)
+		m.edgeCondIdx[ei] = m.addCond(condEdgeMatch, ei, cond, st, e.From, e.To)
+		if st == dead && !m.canOmit[e.From] && !m.canOmit[e.To] {
+			possible = false
+		}
+		// Every clause left names only labels G has. A dead edge has none,
+		// so it is indexable with no probe: its rows are empty, and a mapped
+		// endpoint leaves the other only ⊥.
 		clauses := core.DNF(cond)
 		pairs := make([][]int, len(clauses))
 		indexable := true
@@ -626,9 +721,6 @@ func (m *matcher) compileConditions() {
 				}
 				if pe.Label != core.Wildcard {
 					pr.label = m.g.Symbols.Lookup(pe.Label)
-					if pr.label == symbols.None {
-						continue // label absent from G: this atom can never hold
-					}
 				}
 				found = true
 				if !seen[pr] {
@@ -645,7 +737,10 @@ func (m *matcher) compileConditions() {
 			proven = proven && found && len(pairs[ci]) == 1
 		}
 		m.edgeProbes[ei] = probes
-		m.edgeIndexab[ei] = indexable && len(probes) > 0
+		m.edgeIndexab[ei] = indexable
+		if indexable {
+			m.stats.IndexedEdges++
+		}
 		if !proven {
 			m.pairClauses[ei] = pairs
 		}
@@ -657,11 +752,12 @@ func (m *matcher) compileConditions() {
 			m.condsOf[v] = append(m.condsOf[v], ci)
 		}
 	}
+	return possible
 }
 
 // bucketsOf returns seedBuckets[u]: the vertex label's bucket, else that
-// of the first LabelIs on u in each clause. A label absent from G has no
-// vertices: None under a vertex label, no bucket under a clause.
+// of the first LabelIs on u in each (pruned) clause. A vertex label absent
+// from G has no vertices: its bucket is None.
 func (m *matcher) bucketsOf(u int, label string, dnf [][]core.Cond) []symbols.ID {
 	if label != core.Wildcard {
 		return []symbols.ID{m.g.Symbols.Lookup(label)}
@@ -674,9 +770,7 @@ clauses:
 	for _, clause := range dnf {
 		for _, a := range clause {
 			if li, ok := a.(core.LabelIs); ok && li.X == u && li.Label != core.Wildcard {
-				if id := m.g.Symbols.Lookup(li.Label); id != symbols.None {
-					buckets = append(buckets, id)
-				}
+				buckets = append(buckets, m.g.Symbols.Lookup(li.Label))
 				continue clauses
 			}
 		}
@@ -824,26 +918,20 @@ func (m *matcher) buildOMDAG() bool {
 		return false
 	}
 
-	// Dependency parents: conditions of u referencing u' (the
-	// DependencyEdges capability; a condition-free CQ never has any).
+	// Dependency parents: the vertices u's (pruned) conditions reference
+	// (the DependencyEdges capability; a condition-free CQ never has any).
 	m.depParents = make([][]int, n)
 	if m.opts.Caps.DependencyEdges {
-		depSeen := make([]map[int]bool, n)
 		for u := 0; u < n; u++ {
-			depSeen[u] = map[int]bool{}
-		}
-		addDep := func(u, parent int) {
-			if parent != u && !depSeen[u][parent] {
-				depSeen[u][parent] = true
-				m.depParents[u] = append(m.depParents[u], parent)
-			}
-		}
-		for u, v := range m.p.Vertices {
-			for w := range core.Vars(v.Match) {
-				addDep(u, w)
-			}
-			for w := range core.Vars(v.Omit) {
-				addDep(u, w)
+			for _, ci := range [2]int{m.vertexMatchIdx[u], m.vertexOmitIdx[u]} {
+				if ci < 0 {
+					continue
+				}
+				for _, w := range m.conds[ci].vars {
+					if w != u && !slices.Contains(m.depParents[u], w) {
+						m.depParents[u] = append(m.depParents[u], w)
+					}
+				}
 			}
 		}
 	}

@@ -344,8 +344,8 @@ func TestFullPipelineEquivalence(t *testing.T) {
 		return true
 	}
 	for _, seed := range []int64{
-		-143985124633941825,  // omission gate on an omitted vertex (fixed)
-		2392402369435569976,  // gated existential root leaked into C^l (fixed)
+		-143985124633941825, // omission gate on an omitted vertex (fixed)
+		2392402369435569976, // gated existential root leaked into C^l (fixed)
 	} {
 		if !f(seed) {
 			t.Fatalf("fixed seed %d regressed", seed)

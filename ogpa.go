@@ -22,7 +22,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -422,6 +421,8 @@ type MatchStats struct {
 	SeedCandidates int   // candidates handed to the local filter, before refinement
 	CSCandidates   int   // candidates across pattern vertices after refinement
 	AdjPairs       int   // candidate pairs materialized in the CS adjacency
+	IndexedEdges   int   // pattern edges enumerated from that adjacency, of PatternEdges
+	PatternEdges   int   // edges of the pattern (summed over a UCQ's disjuncts)
 	BDDNodes       int   // nodes in the shared condition BDD
 	BuildNanos     int64 // wall-clock of GenOGP output compilation + BuildOMCS
 	// Enumeration-phase numbers, per Run.
@@ -436,6 +437,8 @@ func fromMatchStats(st match.Stats) MatchStats {
 		SeedCandidates: st.SeedCandidates,
 		CSCandidates:   st.CSCandidates,
 		AdjPairs:       st.AdjPairs,
+		IndexedEdges:   st.IndexedEdges,
+		PatternEdges:   st.PatternEdges,
 		BDDNodes:       st.BDDNodes,
 		BuildNanos:     st.BuildNanos,
 		Steps:          st.Steps,
@@ -642,7 +645,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		for _, t := range tuples {
 			out.Rows = append(out.Rows, append([]string(nil), t...))
 		}
-		sortRows(out.Rows)
+		core.SortRows(out.Rows)
 		return out, nil
 	case BaselineSaturate:
 		if incEligible(opt) {
@@ -670,7 +673,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 			}
 			out.Rows = append(out.Rows, cells)
 		}
-		sortRows(out.Rows)
+		core.SortRows(out.Rows)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("ogpa: unknown baseline %q", b)
@@ -714,15 +717,6 @@ func MinimizeQuery(query string) (string, error) {
 		return "", err
 	}
 	return q.Minimize().String(), nil
-}
-
-// sortRows canonicalizes answer-row order the way AnswerSet.Names2D does;
-// pipelines whose natural enumeration order is map-dependent (datalog,
-// saturate) would otherwise return rows in a nondeterministic order.
-func sortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		return strings.Join(rows[i], ",") < strings.Join(rows[j], ",")
-	})
 }
 
 // render resolves VIDs to names against the same graph snapshot the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"ogpa/internal/core"
 	"ogpa/internal/cq"
 	"ogpa/internal/daf"
 	"ogpa/internal/datalog"
@@ -347,7 +348,7 @@ func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscr
 			for i, t := range tuples {
 				rows[i] = append([]string(nil), t...)
 			}
-			sortRows(rows)
+			core.SortRows(rows)
 			return rows, epoch, nil
 		}
 	case BaselineSaturate:
@@ -371,7 +372,7 @@ func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscr
 				}
 				rows = append(rows, cells)
 			}
-			sortRows(rows)
+			core.SortRows(rows)
 			return rows, epoch, nil
 		}
 	default:
