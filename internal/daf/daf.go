@@ -72,12 +72,6 @@ type Options struct {
 	Injective bool // subgraph isomorphism instead of homomorphism
 	Order     Order
 	Limits    Limits
-
-	// UseLegacyCS selects the engine's pre-bitset, map-based
-	// candidate-space oracle (engine/legacy.go). It exists only for the
-	// bitset-vs-map equivalence property test on the DAF side; answers
-	// are identical either way.
-	UseLegacyCS bool
 }
 
 // Stats reports work done by one Match call; see engine.Stats.
@@ -95,9 +89,8 @@ func engineOptions(o Options) engine.Options {
 			Deadline:   o.Limits.Deadline,
 			Ctx:        o.Limits.Ctx,
 		},
-		Workers:     o.Limits.Workers,
-		UseLegacyCS: o.UseLegacyCS,
-		Caps:        engine.Caps{Injective: o.Injective},
+		Workers: o.Limits.Workers,
+		Caps:    engine.Caps{Injective: o.Injective},
 	}
 }
 
@@ -237,16 +230,7 @@ func PrepareUCQ(qs []*cq.Query, g *graph.Graph, opts Options) (*PreparedUCQ, err
 func (pu *PreparedUCQ) Stats() Stats {
 	var total Stats
 	for _, pr := range pu.plans {
-		st := pr.Stats()
-		total.SeedCandidates += st.SeedCandidates
-		total.CSCandidates += st.CSCandidates
-		total.AdjPairs += st.AdjPairs
-		total.IndexedEdges += st.IndexedEdges
-		total.PatternEdges += st.PatternEdges
-		total.RefinePasses += st.RefinePasses
-		total.EmptyCandSets += st.EmptyCandSets
-		total.BDDNodes += st.BDDNodes
-		total.BuildNanos += st.BuildNanos
+		total.Add(pr.Stats())
 	}
 	return total
 }
@@ -324,15 +308,7 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 	var total Stats
 	for i := range results {
 		r := &results[i]
-		total.Steps += r.st.Steps
-		total.SeedCandidates += r.st.SeedCandidates
-		total.CSCandidates += r.st.CSCandidates
-		total.AdjPairs += r.st.AdjPairs
-		total.IndexedEdges += r.st.IndexedEdges
-		total.PatternEdges += r.st.PatternEdges
-		if r.st.Truncated {
-			total.Truncated = true // e.g. Ctx canceled mid-disjunct
-		}
+		total.Add(r.st) // ORs Truncated, e.g. Ctx canceled mid-disjunct
 		if r.err != nil {
 			total.Truncated = true
 			return out, total, r.err

@@ -253,9 +253,6 @@ func (rt *runtime) earlyReject(u int) bool {
 // constrains u.
 func (rt *runtime) candidates(u int) []graph.VID {
 	m := rt.m
-	if m.adjMap != nil {
-		return rt.legacyCandidates(u)
-	}
 	var base []graph.VID
 	first := true
 	for _, di := range m.parentEdges[u] {

@@ -54,23 +54,21 @@ func TestSeedCandidates(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &core.Pattern{Vertices: c.vertices, Edges: edge}
-		for _, legacy := range []bool{false, true} {
-			pl, err := Prepare(p, g, Options{UseLegacyCS: legacy})
-			if err != nil {
-				t.Fatal(err)
+		pl, err := Prepare(p, g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.Stats().SeedCandidates; got != c.seeds {
+			t.Errorf("%s: SeedCandidates = %d, want %d (|V| = %d)", c.name, got, c.seeds, nv)
+		}
+		for u, want := range c.pools {
+			if got := len(pl.CandidatePool(u)); got != want {
+				t.Errorf("%s: |pool(%d)| = %d, want %d", c.name, u, got, want)
 			}
-			if got := pl.Stats().SeedCandidates; got != c.seeds {
-				t.Errorf("%s (legacy %v): SeedCandidates = %d, want %d (|V| = %d)", c.name, legacy, got, c.seeds, nv)
-			}
-			for u, want := range c.pools {
-				if got := len(pl.CandidatePool(u)); got != want {
-					t.Errorf("%s (legacy %v): |pool(%d)| = %d, want %d", c.name, legacy, u, got, want)
-				}
-			}
-			ans, _, err := pl.Run(Options{Workers: 1})
-			if err != nil || ans.Len() != 3 {
-				t.Errorf("%s (legacy %v): %d answers, err %v; want 3", c.name, legacy, ans.Len(), err)
-			}
+		}
+		ans, _, err := pl.Run(Options{Workers: 1})
+		if err != nil || ans.Len() != 3 {
+			t.Errorf("%s: %d answers, err %v; want 3", c.name, ans.Len(), err)
 		}
 	}
 }
@@ -285,8 +283,8 @@ func TestConcurrentPreparesShareNoScratch(t *testing.T) {
 // over an ABox of 24 more individuals and 45 more assertions, where a label bucket
 // is well under |V|/4. Both the generated OGP (OMatch capabilities) and
 // the plain CQ (none, as DAF runs it) must return what the brute-force
-// evaluator returns for the same pattern, from the bitset and the map
-// build, and their pools must hold every answer value.
+// evaluator returns for the same pattern, and their pools must hold
+// every answer value.
 func TestNarrowedSeedingEquivalence(t *testing.T) {
 	narrowedPlans := 0
 	check := func(seed int64, p *core.Pattern, g *graph.Graph, caps Caps) {
@@ -306,30 +304,28 @@ func TestNarrowedSeedingEquivalence(t *testing.T) {
 			unnarrowed += m.sc.nbrSeen.Count()
 			m.sc.nbrSeen.Reset()
 		}
-		for _, legacy := range []bool{false, true} {
-			opts := Options{Workers: 1, Caps: caps, UseLegacyCS: legacy}
-			pl, err := Prepare(p, g, opts)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			ans, _, err := pl.Run(opts)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if got := fmt.Sprint(ans.Names(g)); got != want {
-				t.Fatalf("seed %d (caps %+v, legacy %v):\nplan answers %s\nbrute force  %s\npattern:\n%s", seed, caps, legacy, got, want, p)
-			}
-			dist := p.Distinguished()
-			for _, a := range ans.Answers() {
-				for i, v := range a {
-					if v != core.Omitted && !slices.Contains(pl.CandidatePool(dist[i]), v) {
-						t.Fatalf("seed %d (caps %+v, legacy %v): answer value %s of vertex %d is not in its pool", seed, caps, legacy, g.Name(v), dist[i])
-					}
+		opts := Options{Workers: 1, Caps: caps}
+		pl, err := Prepare(p, g, opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ans, _, err := pl.Run(opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := fmt.Sprint(ans.Names(g)); got != want {
+			t.Fatalf("seed %d (caps %+v):\nplan answers %s\nbrute force  %s\npattern:\n%s", seed, caps, got, want, p)
+		}
+		dist := p.Distinguished()
+		for _, a := range ans.Answers() {
+			for i, v := range a {
+				if v != core.Omitted && !slices.Contains(pl.CandidatePool(dist[i]), v) {
+					t.Fatalf("seed %d (caps %+v): answer value %s of vertex %d is not in its pool", seed, caps, g.Name(v), dist[i])
 				}
 			}
-			if !legacy && !pl.empty && pl.Stats().SeedCandidates < unnarrowed {
-				narrowedPlans++
-			}
+		}
+		if !pl.empty && pl.Stats().SeedCandidates < unnarrowed {
+			narrowedPlans++
 		}
 	}
 	for seed := int64(0); seed < 100; seed++ {

@@ -8,8 +8,7 @@
 //   - BuildOMDAG: rooted DAG ordering of the pattern, with optional
 //     dependency edges from conditions (Caps.DependencyEdges);
 //   - BuildOMCS: candidate sets refined incrementally on word-packed
-//     bitsets, per-DAG-edge adjacency materialized in CSR form (the
-//     map-based build of legacy.go is kept as the test oracle);
+//     bitsets, per-DAG-edge adjacency materialized in CSR form;
 //   - OMBacktrack: a zero-allocation backtracking runtime with adaptive
 //     or static-BFS ordering, one first-decision-level fan-out (a
 //     worker pool), budget/step accounting and truncation.
@@ -112,12 +111,6 @@ type Options struct {
 	// Ablation switches (benchmarking only; both default to enabled).
 	DisableEarlyReject           bool // skip partial-BDD pruning during backtracking
 	DisableExistentialCompletion bool // enumerate existential witnesses exhaustively
-
-	// UseLegacyCS selects the pre-bitset, map-based candidate-space build
-	// and adjacency (legacy.go). It exists only as the reference for the
-	// bitset-vs-map equivalence property tests of both front-ends and the
-	// BuildOMCS benchmarks; answers are identical either way.
-	UseLegacyCS bool
 }
 
 // Stats reports work done by one Prepare + Run.
@@ -142,7 +135,6 @@ type Stats struct {
 	// proves Q(G) = ∅ during the build phase.
 	EmptyCandSets int
 	BDDNodes      int
-	AtomCacheHit  int64
 	AtomEvals     int64
 	// BuildNanos and EnumNanos split wall-clock time between the shared
 	// build phase (BuildOMDAG + BuildOMCS + BDD compilation) and the
@@ -153,6 +145,25 @@ type Stats struct {
 	// search space (MaxResults reached, MaxSteps exceeded, or the
 	// deadline passed).
 	Truncated bool
+}
+
+// Add accumulates o into s: every counter and timing is summed and
+// Truncated is ORed, which is how a union's statistics combine over its
+// disjunct plans.
+func (s *Stats) Add(o Stats) {
+	s.Steps += o.Steps
+	s.SeedCandidates += o.SeedCandidates
+	s.CSCandidates += o.CSCandidates
+	s.AdjPairs += o.AdjPairs
+	s.IndexedEdges += o.IndexedEdges
+	s.PatternEdges += o.PatternEdges
+	s.RefinePasses += o.RefinePasses
+	s.EmptyCandSets += o.EmptyCandSets
+	s.BDDNodes += o.BDDNodes
+	s.AtomEvals += o.AtomEvals
+	s.BuildNanos += o.BuildNanos
+	s.EnumNanos += o.EnumNanos
+	s.Truncated = s.Truncated || o.Truncated
 }
 
 type condKind uint8
@@ -215,10 +226,6 @@ type matcher struct {
 	adjStart [][]uint32
 	adjItems [][]graph.VID
 
-	// adjMap is the legacy map-based adjacency (Options.UseLegacyCS);
-	// non-nil only on the legacy path, which candidates() dispatches on.
-	adjMap []map[graph.VID][]graph.VID
-
 	// Build-phase state, nil once Prepare returns (a cached Plan pins none
 	// of it): what localPass, pairwiseOK and seeding read per candidate,
 	// resolved once per plan by compileConditions.
@@ -259,9 +266,9 @@ type Plan struct {
 	empty bool  // build proved Q(G) = ∅
 }
 
-// Prepare runs the shared build phase. Of opts, Caps and UseLegacyCS
-// are consulted (they fix the plan's capabilities and candidate-space
-// representation); enumeration options are taken per Run.
+// Prepare runs the shared build phase. Of opts only Caps is consulted
+// (it fixes the plan's capabilities); enumeration options are taken per
+// Run.
 func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -274,14 +281,7 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 		sc:      getScratch(g.NumVertices(), len(p.Vertices)),
 	}
 	pl := &Plan{m: m}
-	built := m.compileConditions() && m.buildOMDAG()
-	if built {
-		if opts.UseLegacyCS {
-			built = m.buildOMCSLegacy()
-		} else {
-			built = m.buildOMCS()
-		}
-	}
+	built := m.compileConditions() && m.buildOMDAG() && m.buildOMCS()
 	pl.empty = !built
 	m.releaseBuild(built)
 	m.stats.BDDNodes = m.bdd.NumNodes()
@@ -1108,8 +1108,7 @@ func (m *matcher) pairwiseOK(ei int, vFrom, vTo graph.VID) bool {
 // Edges whose far endpoint is omittable never prune (they may be excused),
 // keeping OMCS sound (paper Section V-B). Candidate-set membership lives
 // in word-packed bitmaps (one probe = shift + mask) and the adjacency is
-// CSR over the sorted candidate pools; buildOMCSLegacy (legacy.go) is the
-// map-based reference this must stay answer-identical to.
+// CSR over the sorted candidate pools.
 func (m *matcher) buildOMCS() bool {
 	n := len(m.p.Vertices)
 	inCand := m.sc.inCand[:n]

@@ -51,30 +51,24 @@ func q5Pattern(xMatch, edge, yOmit core.Cond) *core.Pattern {
 	}
 }
 
-// checkNaive prepares and runs p on both builds and compares the answers
-// with the brute-force evaluator's; it returns the bitset build's plan.
+// checkNaive prepares and runs p and compares the answers with the
+// brute-force evaluator's; it returns the plan.
 func checkNaive(t *testing.T, what string, p *core.Pattern, g *graph.Graph, caps Caps) *Plan {
 	t.Helper()
 	want := fmt.Sprint(core.EnumerateNaive(p, g).Names(g))
-	var bitsetPlan *Plan
-	for _, legacy := range []bool{false, true} {
-		opts := Options{Workers: 1, Caps: caps, UseLegacyCS: legacy}
-		pl, err := Prepare(p, g, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		ans, _, err := pl.Run(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if got := fmt.Sprint(ans.Names(g)); got != want {
-			t.Fatalf("%s (caps %+v, legacy %v):\nplan answers %s\nbrute force  %s\npattern:\n%s", what, caps, legacy, got, want, p)
-		}
-		if !legacy {
-			bitsetPlan = pl
-		}
+	opts := Options{Workers: 1, Caps: caps}
+	pl, err := Prepare(p, g, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
-	return bitsetPlan
+	ans, _, err := pl.Run(opts)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := fmt.Sprint(ans.Names(g)); got != want {
+		t.Fatalf("%s (caps %+v):\nplan answers %s\nbrute force  %s\npattern:\n%s", what, caps, got, want, p)
+	}
+	return pl
 }
 
 // TestAbsentLabelDisjunctKeepsEdgeIndexed: one disjunct of Q5's x–y edge

@@ -14,10 +14,10 @@ import (
 )
 
 // TestBitsetMapEquivalence is the contract of the bitset/CSR candidate
-// space: for any pattern it yields byte-identical answers (same set,
-// same insertion order) and the same index statistics as the map-based
-// build it replaced (Options.UseLegacyCS, legacy.go). 100 random KBs,
-// both checked sequentially and with a worker pool.
+// space: for any generated OGP it yields exactly the answers of the
+// brute-force evaluator core.EnumerateNaive, sequentially and with a
+// worker pool, and never reports truncation without limits. 100 random
+// KBs; internal/daf runs the DAF-side twin of this test.
 func TestBitsetMapEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,36 +28,19 @@ func TestBitsetMapEquivalence(t *testing.T) {
 			continue // rewrite hit a generator limit; nothing to compare
 		}
 		p := res.Pattern
-
-		mapAns, mapSt, err := Match(p, g, Options{Workers: 1, UseLegacyCS: true})
-		if err != nil {
-			t.Fatalf("seed %d: legacy Match: %v", seed, err)
-		}
-		mapNames := fmt.Sprint(mapAns.Names(g))
+		want := fmt.Sprint(core.EnumerateNaive(p, g).Names(g))
 
 		for _, workers := range []int{1, 4} {
-			csrAns, csrSt, err := Match(p, g, Options{Workers: workers})
+			ans, st, err := Match(p, g, Options{Workers: workers})
 			if err != nil {
-				t.Fatalf("seed %d workers %d: bitset Match: %v", seed, workers, err)
+				t.Fatalf("seed %d workers %d: Match: %v", seed, workers, err)
 			}
-			if names := fmt.Sprint(csrAns.Names(g)); names != mapNames {
-				t.Fatalf("seed %d workers %d:\nmap    %s\nbitset %s\npattern:\n%s",
-					seed, workers, mapNames, names, p)
+			if got := fmt.Sprint(ans.Names(g)); got != want {
+				t.Fatalf("seed %d workers %d:\nnaive  %s\nengine %s\npattern:\n%s",
+					seed, workers, want, got, p)
 			}
-			if csrSt.Truncated != mapSt.Truncated {
-				t.Fatalf("seed %d workers %d: Truncated %v vs legacy %v",
-					seed, workers, csrSt.Truncated, mapSt.Truncated)
-			}
-			// The two builds must construct the *same* index, not merely
-			// agree on answers: candidate totals, materialized pairs and
-			// refinement passes are all deterministic.
-			if csrSt.CSCandidates != mapSt.CSCandidates ||
-				csrSt.AdjPairs != mapSt.AdjPairs ||
-				csrSt.RefinePasses != mapSt.RefinePasses {
-				t.Fatalf("seed %d workers %d: index stats diverge: bitset {cand %d pairs %d passes %d} vs map {cand %d pairs %d passes %d}",
-					seed, workers,
-					csrSt.CSCandidates, csrSt.AdjPairs, csrSt.RefinePasses,
-					mapSt.CSCandidates, mapSt.AdjPairs, mapSt.RefinePasses)
+			if st.Truncated {
+				t.Fatalf("seed %d workers %d: Truncated without limits", seed, workers)
 			}
 		}
 	}
@@ -109,55 +92,44 @@ func TestCandidateSpaceCoversAnswers(t *testing.T) {
 }
 
 // BenchmarkBuildOMCS isolates the shared build phase (BuildOMDAG +
-// BuildOMCS + BDD compilation) on the large KB, bitset/CSR build vs the
-// map-based legacy build. Allocations are the headline number: the CSR
-// build must show >= 2x fewer allocs/op than map.
+// BuildOMCS + BDD compilation) on the large KB; allocations are the
+// headline number.
 func BenchmarkBuildOMCS(b *testing.B) {
 	g, p := benchGraph()
-	for _, variant := range []struct {
-		name   string
-		legacy bool
-	}{{"csr", false}, {"map", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pr, err := Prepare(p, g, Options{UseLegacyCS: variant.legacy})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if pr.Stats().CSCandidates == 0 {
-					b.Fatal("empty candidate space")
-				}
+	b.Run("csr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pr, err := Prepare(p, g, Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if pr.Stats().CSCandidates == 0 {
+				b.Fatal("empty candidate space")
+			}
+		}
+	})
 }
 
 // BenchmarkAdjacency isolates the enumeration phase over a prepared
 // plan, so what's measured is the per-node candidate work: CSR row
-// lookups + galloping intersections vs map probes + allocating merges.
+// lookups and galloping intersections.
 func BenchmarkAdjacency(b *testing.B) {
 	g, p := benchGraph()
-	for _, variant := range []struct {
-		name   string
-		legacy bool
-	}{{"csr", false}, {"map", true}} {
-		opts := Options{Workers: 1, UseLegacyCS: variant.legacy}
-		pr, err := Prepare(p, g, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ans, _, err := pr.Run(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ans.Len() == 0 {
-					b.Fatal("no answers")
-				}
-			}
-		})
+	opts := Options{Workers: 1}
+	pr, err := Prepare(p, g, opts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("csr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ans, _, err := pr.Run(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ans.Len() == 0 {
+				b.Fatal("no answers")
+			}
+		}
+	})
 }

@@ -66,9 +66,8 @@ type Prepared = engine.Plan
 var ogpCaps = engine.Caps{Omission: true, DependencyEdges: true}
 
 // Prepare runs the shared build phase with the OGP capabilities
-// installed. Of opts only UseLegacyCS is consulted (it selects the
-// reference candidate-space representation); enumeration options are
-// taken per Run.
+// installed. No field of opts is consulted (opts.Caps is replaced by the
+// OGP set); enumeration options are taken per Run.
 func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Prepared, error) {
 	opts.Caps = ogpCaps
 	return engine.Prepare(p, g, opts)
