@@ -79,7 +79,9 @@ func (f *incFixture) benchIncrementalMaintain(w *benchWorkload) func(*testing.B)
 // benchFullRecompute is the cold contender on the identical workload:
 // one op = the same 8-triple batch plus a from-scratch answer — ABox
 // extraction from the new snapshot, database load, full fixpoint. This
-// is what every KB query paid per mutation before EnableIncremental.
+// is what a one-shot datalog answer pays after every mutation, and what
+// a datalog subscription would pay per batch without its maintained
+// chain.
 func (f *incFixture) benchFullRecompute(w *benchWorkload) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

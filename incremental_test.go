@@ -38,11 +38,16 @@ func tripleLines(cs []dllite.ConceptAssertion, rs []dllite.RoleAssertion) string
 	return strings.Join(lines, "\n")
 }
 
-// TestIncrementalMatchesColdSweep is the KB-level 100-seed
-// incremental-vs-recompute equivalence sweep: after every live batch
-// (including deletion-heavy ones) the maintained BaselineDatalog and
-// BaselineSaturate paths must return byte-identical rows to a fresh KB
-// built from the live store's current ABox view.
+// sweepBaselines are the pipelines a standing query can run on.
+var sweepBaselines = []Baseline{BaselineDatalog, BaselineSaturate}
+
+// TestIncrementalMatchesColdSweep is the KB-level 100-seed sweep of
+// standing queries against cold answers: one subscription per baseline
+// folds its delta stream, and after every live batch (including
+// deletion-heavy ones) the folded set must equal AnswerBaseline on a
+// fresh KB built from the live store's current ABox view. Each step
+// waits at most 2 s for the fold to catch up, so a broken path fails
+// the seed quickly instead of stalling the run.
 func TestIncrementalMatchesColdSweep(t *testing.T) {
 	for seed := 0; seed < 100; seed++ {
 		seed := seed
@@ -53,23 +58,40 @@ func TestIncrementalMatchesColdSweep(t *testing.T) {
 
 			kb := incKB(t, tb, abox)
 			defer kb.Close()
+			subs := make([]*Subscription, len(sweepBaselines))
+			folds := make([]map[string]bool, len(sweepBaselines))
+			for i, b := range sweepBaselines {
+				sub, err := kb.Subscribe(b, query, SubscribeOptions{})
+				if err != nil {
+					t.Fatalf("subscribe %s: %v", b, err)
+				}
+				defer sub.Close()
+				subs[i], folds[i] = sub, map[string]bool{}
+			}
 
 			check := func(step string) {
 				t.Helper()
 				cold := FromParts(tb, kb.ABox())
-				for _, b := range []Baseline{BaselineDatalog, BaselineSaturate} {
-					got, err := kb.AnswerBaseline(b, query, Options{})
-					if err != nil {
-						t.Fatalf("%s: incremental %s: %v", step, b, err)
-					}
+				for i, b := range sweepBaselines {
 					want, err := cold.AnswerBaseline(b, query, Options{})
 					if err != nil {
 						t.Fatalf("%s: cold %s: %v", step, b, err)
 					}
-					g, w := fmt.Sprint(got.Rows), fmt.Sprint(want.Rows)
-					if g != w {
-						t.Fatalf("%s: %s on %s\nincremental: %s\ncold:        %s", step, b, query, g, w)
+					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+					for !foldEquals(folds[i], want.Rows) {
+						d, err := subs[i].Next(ctx)
+						if err != nil {
+							cancel()
+							t.Fatalf("%s: %s on %s: fold never matched the cold answer: %v\nfolded: %v\ncold:   %v",
+								step, b, query, err, folds[i], want.Rows)
+						}
+						if d.Epoch > kb.Epoch() {
+							cancel()
+							t.Fatalf("%s: %s delta at epoch %d, store at %d", step, b, d.Epoch, kb.Epoch())
+						}
+						applyDelta(folds[i], d)
 					}
+					cancel()
 				}
 			}
 			check("initial")
@@ -152,51 +174,6 @@ func TestEnableIncrementalPreconditions(t *testing.T) {
 	}
 }
 
-// TestIncrementalConsistencyLive: the maintained violation index follows
-// live mutations through the public CheckConsistency surface.
-func TestIncrementalConsistencyLive(t *testing.T) {
-	ontology := exampleOntology + "PhD DisjointWith Course\n"
-	kb, err := NewKB(strings.NewReader(ontology), strings.NewReader(exampleData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.EnableLiveData(-1); err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.EnableIncremental(); err != nil {
-		t.Fatal(err)
-	}
-	defer kb.Close()
-
-	vs, err := kb.CheckConsistency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 0 {
-		t.Fatalf("consistent KB reports %v", vs)
-	}
-	if _, err := kb.InsertTriples(strings.NewReader("Ann a Course .")); err != nil {
-		t.Fatal(err)
-	}
-	vs, err = kb.CheckConsistency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) == 0 {
-		t.Fatal("PhD ⊓ Course individual not reported inconsistent")
-	}
-	if _, err := kb.DeleteTriples(strings.NewReader("Ann a Course .")); err != nil {
-		t.Fatal(err)
-	}
-	vs, err = kb.CheckConsistency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 0 {
-		t.Fatalf("violation survived the retraction: %v", vs)
-	}
-}
-
 // applyDelta folds one answer delta into a row set keyed by joined row.
 func applyDelta(set map[string]bool, d AnswerDelta) {
 	for _, r := range d.Removed {
@@ -205,6 +182,19 @@ func applyDelta(set map[string]bool, d AnswerDelta) {
 	for _, r := range d.Added {
 		set[strings.Join(r, ",")] = true
 	}
+}
+
+// foldEquals reports whether a folded row set holds exactly rows.
+func foldEquals(set map[string]bool, rows [][]string) bool {
+	if len(set) != len(rows) {
+		return false
+	}
+	for _, row := range rows {
+		if !set[strings.Join(row, ",")] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSubscribeDeltas covers the standing-query lifecycle on both
@@ -351,6 +341,9 @@ func TestSubscribeMaxRows(t *testing.T) {
 	if _, err := capped.Next(ctx); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("capped Next = %v, want row-limit failure", err)
 	}
+	if _, ok := kb.SubscriptionByID(capped.ID()); ok {
+		t.Fatal("failed subscription still resolvable after its cause was delivered")
+	}
 	d, err := open.Next(ctx)
 	if err != nil {
 		t.Fatalf("sibling subscription failed: %v", err)
@@ -365,94 +358,132 @@ func TestSubscribeMaxRows(t *testing.T) {
 }
 
 // TestSubscribeConcurrentWrites replays a subscription's delta stream
-// against concurrent writers (run under -race): folding every delta in
-// order must reproduce exactly the final answer set.
+// against concurrent writers (run under -race), on both standing
+// pipelines: folding every delta in order must reproduce exactly the
+// final answer set.
 func TestSubscribeConcurrentWrites(t *testing.T) {
-	kb, err := NewKB(strings.NewReader(exampleOntology), strings.NewReader(exampleData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.EnableLiveData(-1); err != nil {
-		t.Fatal(err)
-	}
-	if err := kb.EnableIncremental(); err != nil {
-		t.Fatal(err)
-	}
-	defer kb.Close()
-
-	sub, err := kb.Subscribe(BaselineDatalog, "q(x) :- Student(x)", SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	const writers, perWriter = 4, 15
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perWriter; j++ {
-				line := fmt.Sprintf("s%d_%d a Student .", i, j)
-				if _, err := kb.InsertTriples(strings.NewReader(line)); err != nil {
-					t.Error(err)
-					return
-				}
-				if j%4 == 3 { // retract some to exercise Removed rows
-					if _, err := kb.DeleteTriples(strings.NewReader(line)); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(i)
-	}
-
-	set := map[string]bool{}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// matches reports whether the replayed set equals the live answer set.
-	matches := func() bool {
-		want, err := kb.AnswerBaseline(BaselineDatalog, "q(x) :- Student(x)", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(set) != want.Len() {
-			return false
-		}
-		for _, row := range want.Rows {
-			if !set[strings.Join(row, ",")] {
-				return false
-			}
-		}
-		return true
-	}
-
-	for {
-		pollCtx, pollCancel := context.WithTimeout(ctx, 250*time.Millisecond)
-		d, err := sub.Next(pollCtx)
-		pollCancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				t.Fatalf("delta stream never converged: replayed %d rows", len(set))
-			}
-			if err != context.DeadlineExceeded {
+	for _, b := range sweepBaselines {
+		t.Run(string(b), func(t *testing.T) {
+			kb, err := NewKB(strings.NewReader(exampleOntology), strings.NewReader(exampleData))
+			if err != nil {
 				t.Fatal(err)
 			}
-			// No delta pending right now. Once the writers are done and the
-			// replay matches the live answer set, the stream has converged.
-			select {
-			case <-done:
-				if matches() {
-					return
-				}
-			default:
+			if err := kb.EnableLiveData(-1); err != nil {
+				t.Fatal(err)
 			}
-			continue
+			if err := kb.EnableIncremental(); err != nil {
+				t.Fatal(err)
+			}
+			defer kb.Close()
+
+			sub, err := kb.Subscribe(b, "q(x) :- Student(x)", SubscribeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+
+			const writers, perWriter = 4, 15
+			var wg sync.WaitGroup
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < perWriter; j++ {
+						line := fmt.Sprintf("s%d_%d a Student .", i, j)
+						if _, err := kb.InsertTriples(strings.NewReader(line)); err != nil {
+							t.Error(err)
+							return
+						}
+						if j%4 == 3 { // retract some to exercise Removed rows
+							if _, err := kb.DeleteTriples(strings.NewReader(line)); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}(i)
+			}
+
+			set := map[string]bool{}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+
+			// matches reports whether the replayed set equals the live answer set.
+			matches := func() bool {
+				want, err := kb.AnswerBaseline(b, "q(x) :- Student(x)", Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return foldEquals(set, want.Rows)
+			}
+
+			for {
+				pollCtx, pollCancel := context.WithTimeout(ctx, 250*time.Millisecond)
+				d, err := sub.Next(pollCtx)
+				pollCancel()
+				if err != nil {
+					if ctx.Err() != nil {
+						t.Fatalf("delta stream never converged: replayed %d rows", len(set))
+					}
+					if err != context.DeadlineExceeded {
+						t.Fatal(err)
+					}
+					// No delta pending right now. Once the writers are done and the
+					// replay matches the live answer set, the stream has converged.
+					select {
+					case <-done:
+						if matches() {
+							return
+						}
+					default:
+					}
+					continue
+				}
+				applyDelta(set, d)
+			}
+		})
+	}
+}
+
+// TestSubscribeBudget: maintained datalog fixpoints and live saturate
+// subscriptions share the maxIncChains slots. A full budget refuses a
+// new saturate subscription, a datalog subscription to an already
+// maintained query still shares its chain, and closing a saturate
+// subscription frees its slot.
+func TestSubscribeBudget(t *testing.T) {
+	base := exampleKB(t)
+	kb := incKB(t, base.TBox(), base.ABox())
+	defer kb.Close()
+	const query = "q(x) :- Student(x)"
+
+	if _, err := kb.Subscribe(BaselineDatalog, query, SubscribeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var last *Subscription
+	for i := 1; i < maxIncChains; i++ {
+		s, err := kb.Subscribe(BaselineSaturate, query, SubscribeOptions{})
+		if err != nil {
+			t.Fatalf("saturate subscription %d of %d: %v", i, maxIncChains-1, err)
 		}
-		applyDelta(set, d)
+		last = s
+	}
+	if _, err := kb.Subscribe(BaselineSaturate, query, SubscribeOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "budget exhausted") {
+		t.Fatalf("saturate Subscribe past the cap = %v, want the budget error", err)
+	}
+	if _, err := kb.Subscribe(BaselineDatalog, "q(y) :- Student(y)", SubscribeOptions{}); err == nil {
+		t.Fatal("a new datalog chain past the cap should be refused")
+	}
+	if _, err := kb.Subscribe(BaselineDatalog, query, SubscribeOptions{}); err != nil {
+		t.Fatalf("datalog subscription sharing a maintained chain: %v", err)
+	}
+	last.Close()
+	if _, err := kb.Subscribe(BaselineSaturate, query, SubscribeOptions{}); err != nil {
+		t.Fatalf("saturate Subscribe after a slot was freed: %v", err)
+	}
+	if st := kb.IncrementalStats(); st.Chains != 1 || st.Subscriptions != maxIncChains+1 {
+		t.Fatalf("stats = %+v, want 1 chain and %d subscriptions", st, maxIncChains+1)
 	}
 }

@@ -1,17 +1,20 @@
 // Package inc is the incremental-reasoning subsystem: it sits on a
 // delta.Store's committed-batch stream (delta.Watcher) and keeps
-// registered reasoning states — datalog fixpoints, chase
-// materializations, consistency indexes — maintained batch-by-batch
-// instead of rebuilt from scratch at every epoch.
+// registered datalog fixpoints — one per standing query's rewriting —
+// maintained batch-by-batch instead of rebuilt from scratch at every
+// epoch. It is the one piece of maintained state in the repository;
+// every other reasoning path (the chase, the consistency check, one-shot
+// baseline answers) runs cold over the epoch's snapshot.
 //
 // A Manager owns one watcher and an ABox mirror of the store's current
 // contents. Chains register against the manager and are advanced lazily:
-// every Answer/Check call first drains the watcher under the manager's
-// lock and applies each pending batch (translated from triples to ABox
-// assertions) to every registered chain, then evaluates against the
-// maintained state and returns the epoch the answer is valid at. Lazy
-// advancement means an idle manager costs nothing but the watcher's
-// queued batches, and every answer is exact for the epoch it reports.
+// every Answer call (and every explicit Advance) first drains the watcher
+// under the manager's lock and applies each pending batch (translated
+// from triples to ABox assertions) to every registered chain, then
+// evaluates against the maintained fixpoint and returns the epoch the
+// answer is valid at. Lazy advancement means an idle manager costs
+// nothing but the watcher's queued batches, and every answer is exact for
+// the epoch it reports.
 //
 // Error isolation: a chain whose incremental apply fails (limit
 // exceeded, malformed rule) is marked broken and silently rebuilt from
@@ -27,15 +30,10 @@ import (
 	"fmt"
 	"sync"
 
-	"ogpa/internal/core"
-	"ogpa/internal/cq"
-	"ogpa/internal/daf"
 	"ogpa/internal/datalog"
 	"ogpa/internal/delta"
 	"ogpa/internal/dllite"
-	"ogpa/internal/graph"
 	"ogpa/internal/rdf"
-	"ogpa/internal/saturate"
 )
 
 // ErrClosed reports use of a closed manager.
@@ -77,14 +75,8 @@ type Manager struct {
 	concepts map[dllite.ConceptAssertion]bool
 	roles    map[dllite.RoleAssertion]bool
 
-	chains []chain
+	chains []*DatalogChain
 	stats  Stats
-}
-
-// chain is one maintained reasoning state.
-type chain interface {
-	apply(ins, del *dllite.ABox, m *Manager) error
-	rebuild(base *dllite.ABox) error
 }
 
 // NewManager registers a watcher on store and mirrors the registration
@@ -138,8 +130,8 @@ func (m *Manager) Stats() Stats {
 
 // Advance drains all pending batches and applies them to every chain,
 // returning the resulting epoch. Callers normally never need this —
-// every Answer/Check advances implicitly — but a subscription hub calls
-// it once per wake-up before evaluating its standing queries.
+// every Answer advances implicitly — but a subscription hub calls it
+// once per wake-up before evaluating its standing queries.
 func (m *Manager) Advance() (uint64, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
@@ -147,13 +139,8 @@ func (m *Manager) Advance() (uint64, error) {
 	return m.epoch, err
 }
 
-// Ready exposes the watcher's wake-up channel (edge-triggered): a
-// receive means new batches may be pending. Subscription hubs select on
-// it and then call Advance.
-func (m *Manager) Ready() <-chan struct{} { return m.w.Ready() }
-
 // advanceLocked drains the watcher and applies each batch in publish
-// order: mirror first, then every chain. Chain errors break only that
+// order: mirror first, then every chain. A chain error breaks only that
 // chain (flagged for rebuild); translation and mirror maintenance are
 // infallible.
 func (m *Manager) advanceLocked() error {
@@ -164,8 +151,7 @@ func (m *Manager) advanceLocked() error {
 		ins, del := m.translate(b)
 		m.mirrorIn(ins, del)
 		for _, c := range m.chains {
-			//lint:ignore droppederr the chain records its own failure (broken flag, rebuilt on next use); the batch must keep applying to sibling chains
-			_ = c.apply(ins, del, m)
+			c.apply(ins, del)
 		}
 		m.epoch = b.Epoch
 		m.stats.Batches++
@@ -231,76 +217,33 @@ func (m *Manager) mirrorABox() *dllite.ABox {
 	return a
 }
 
-// use advances to the newest epoch and rebuilds c from the mirror if a
-// previous batch broke it. Called at the top of every chain evaluation,
-// under the manager gate.
-func (m *Manager) use(c *chainState) error {
-	if err := m.advanceLocked(); err != nil && !errors.Is(err, ErrClosed) {
-		return err
-	}
-	if c.broken {
-		if err := c.self.rebuild(m.mirrorABox()); err != nil {
-			return fmt.Errorf("inc: chain rebuild at epoch %d: %w", m.epoch, err)
-		}
-		c.broken = false
-		m.stats.Rebuilds++
-	}
-	return nil
-}
-
-// chainState is the bookkeeping every concrete chain embeds.
-type chainState struct {
-	self   chain
-	broken bool
-}
-
-// fail marks the chain broken and passes err through.
-func (c *chainState) fail(err error) error {
-	if err != nil {
-		c.broken = true
-	}
-	return err
-}
-
-// register wires a chain into the manager after draining pending
-// batches, so the chain's base state is exactly the mirror at m.epoch.
-func (m *Manager) register(c chain) error {
-	if err := m.advanceLocked(); err != nil {
-		return err
-	}
-	if err := c.rebuild(m.mirrorABox()); err != nil {
-		return err
-	}
-	m.chains = append(m.chains, c)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Datalog chain
-
 // DatalogChain maintains the semi-naive fixpoint of one datalog program
 // (the rewriting of one standing query) across epochs: insertions seed a
 // continuation round, deletions run DRed, and Answer only re-joins the
 // residual UCQ over the maintained database.
 type DatalogChain struct {
-	chainState
-	m     *Manager
-	prog  *datalog.Program
-	lim   datalog.Limits
-	state *datalog.State
+	m      *Manager
+	prog   *datalog.Program
+	lim    datalog.Limits
+	state  *datalog.State
+	broken bool // an apply failed; the next use rebuilds from the mirror
 }
 
 // RegisterDatalog builds a maintained fixpoint for prog over the store's
-// current contents. lim bounds both the initial evaluation and every
-// per-batch apply.
+// current contents, after draining pending batches so the chain's base
+// state is exactly the mirror at the manager's epoch. lim bounds both
+// the initial evaluation and every per-batch apply.
 func (m *Manager) RegisterDatalog(prog *datalog.Program, lim datalog.Limits) (*DatalogChain, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
-	c := &DatalogChain{m: m, prog: prog, lim: lim}
-	c.self = c
-	if err := m.register(c); err != nil {
+	if err := m.advanceLocked(); err != nil {
 		return nil, err
 	}
+	c := &DatalogChain{m: m, prog: prog, lim: lim}
+	if err := c.rebuild(m.mirrorABox()); err != nil {
+		return nil, err
+	}
+	m.chains = append(m.chains, c)
 	return c, nil
 }
 
@@ -316,14 +259,17 @@ func aboxFacts(a *dllite.ABox) []datalog.Fact {
 	return fs
 }
 
-func (c *DatalogChain) apply(ins, del *dllite.ABox, m *Manager) error {
+// apply advances the fixpoint by one batch. A failure only marks the
+// chain broken: the batch must keep applying to sibling chains, and the
+// next use rebuilds this one from the mirror.
+func (c *DatalogChain) apply(ins, del *dllite.ABox) {
 	if c.broken {
-		return nil // already pending rebuild; skip to keep applies cheap
+		return // already pending rebuild; skip to keep applies cheap
 	}
 	st, err := c.state.Apply(aboxFacts(ins), aboxFacts(del), c.lim)
-	m.stats.DatalogIns += uint64(st.Added)
-	m.stats.DatalogDel += uint64(st.Overdeleted)
-	return c.fail(err)
+	c.m.stats.DatalogIns += uint64(st.Added)
+	c.m.stats.DatalogDel += uint64(st.Overdeleted)
+	c.broken = err != nil
 }
 
 func (c *DatalogChain) rebuild(base *dllite.ABox) error {
@@ -339,130 +285,19 @@ func (c *DatalogChain) rebuild(base *dllite.ABox) error {
 // residual UCQ over the maintained fixpoint, returning distinct sorted
 // tuples and the epoch they are exact for.
 func (c *DatalogChain) Answer() ([]datalog.Tuple, uint64, error) {
-	c.m.gate.mu.Lock()
-	defer c.m.gate.mu.Unlock()
-	if err := c.m.use(&c.chainState); err != nil {
-		return nil, c.m.epoch, err
+	m := c.m
+	m.gate.mu.Lock()
+	defer m.gate.mu.Unlock()
+	if err := m.advanceLocked(); err != nil && !errors.Is(err, ErrClosed) {
+		return nil, m.epoch, err
+	}
+	if c.broken {
+		if err := c.rebuild(m.mirrorABox()); err != nil {
+			return nil, m.epoch, fmt.Errorf("inc: chain rebuild at epoch %d: %w", m.epoch, err)
+		}
+		c.broken = false
+		m.stats.Rebuilds++
 	}
 	out, err := datalog.AnswerMaintained(c.prog, c.state.DB())
-	return out, c.m.epoch, err
-}
-
-// ---------------------------------------------------------------------------
-// Chase chain
-
-// ChaseChain maintains a bounded restricted-chase materialization
-// (saturate.Maintainer) across epochs. One chain serves every query
-// whose required depth (q.Size()+1) fits under its construction depth.
-type ChaseChain struct {
-	chainState
-	m     *Manager
-	t     *dllite.TBox
-	depth int
-	lim   saturate.Limits
-	mnt   *saturate.Maintainer
-}
-
-// RegisterChase builds a maintained chase of the given depth over the
-// store's current contents.
-func (m *Manager) RegisterChase(t *dllite.TBox, depth int, lim saturate.Limits) (*ChaseChain, error) {
-	m.gate.mu.Lock()
-	defer m.gate.mu.Unlock()
-	c := &ChaseChain{m: m, t: t, depth: depth, lim: lim}
-	c.self = c
-	if err := m.register(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Depth reports the chain's chase depth bound.
-func (c *ChaseChain) Depth() int { return c.depth }
-
-func (c *ChaseChain) apply(ins, del *dllite.ABox, m *Manager) error {
-	if c.broken {
-		return nil
-	}
-	return c.fail(c.mnt.Apply(ins, del, c.lim))
-}
-
-func (c *ChaseChain) rebuild(base *dllite.ABox) error {
-	mnt, err := saturate.NewMaintainer(c.t, base, c.depth, c.lim)
-	if err != nil {
-		return err
-	}
-	c.mnt = mnt
-	return nil
-}
-
-// Answer advances to the newest epoch and evaluates q over the
-// maintained canonical model, filtering null-touching rows. The query's
-// required depth must fit under the chain's bound or answers would be
-// incomplete.
-func (c *ChaseChain) Answer(q *cq.Query, evalLim daf.Limits) (*core.AnswerSet, *graph.Graph, uint64, error) {
-	c.m.gate.mu.Lock()
-	defer c.m.gate.mu.Unlock()
-	if q.Size()+1 > c.depth {
-		return nil, nil, c.m.epoch,
-			fmt.Errorf("inc: query needs chase depth %d but chain was built at %d", q.Size()+1, c.depth)
-	}
-	if err := c.m.use(&c.chainState); err != nil {
-		return nil, nil, c.m.epoch, err
-	}
-	res, g, err := c.mnt.Answer(q, evalLim)
-	return res, g, c.m.epoch, err
-}
-
-// ---------------------------------------------------------------------------
-// Consistency chain
-
-// ConsistencyChain maintains the negative-inclusion violation index
-// (saturate.ConsistencyState) across epochs; each batch rechecks only
-// the individuals it touched.
-type ConsistencyChain struct {
-	chainState
-	m   *Manager
-	t   *dllite.TBox
-	lim saturate.Limits
-	cs  *saturate.ConsistencyState
-}
-
-// RegisterConsistency builds a maintained violation index over the
-// store's current contents.
-func (m *Manager) RegisterConsistency(t *dllite.TBox, lim saturate.Limits) (*ConsistencyChain, error) {
-	m.gate.mu.Lock()
-	defer m.gate.mu.Unlock()
-	c := &ConsistencyChain{m: m, t: t, lim: lim}
-	c.self = c
-	if err := m.register(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *ConsistencyChain) apply(ins, del *dllite.ABox, m *Manager) error {
-	if c.broken {
-		return nil
-	}
-	return c.fail(c.cs.Apply(ins, del, c.lim))
-}
-
-func (c *ConsistencyChain) rebuild(base *dllite.ABox) error {
-	cs, err := saturate.NewConsistencyState(c.t, base, c.lim)
-	if err != nil {
-		return err
-	}
-	c.cs = cs
-	return nil
-}
-
-// Check advances to the newest epoch and reports the maintained verdict
-// and violation list, plus the epoch they are exact for.
-func (c *ConsistencyChain) Check() (bool, []saturate.Violation, uint64, error) {
-	c.m.gate.mu.Lock()
-	defer c.m.gate.mu.Unlock()
-	if err := c.m.use(&c.chainState); err != nil {
-		return false, nil, c.m.epoch, err
-	}
-	return c.cs.Consistent(), c.cs.Violations(), c.m.epoch, nil
+	return out, m.epoch, err
 }

@@ -11,7 +11,7 @@
 //	GET  /consistency  negative-inclusion check
 //
 // With Config.Subscriptions (`ogpaserver -subscribe`) the handler also
-// serves standing queries over maintained incremental state:
+// serves standing queries:
 //
 //	POST   /subscribe              register a standing query
 //	GET    /subscribe/{id}/poll    long-poll the next answer delta
@@ -117,8 +117,8 @@ type StatsResponse struct {
 	WALBytes            int64  `json:"walBytes,omitempty"`
 	LastCheckpointEpoch uint64 `json:"lastCheckpointEpoch,omitempty"`
 	CheckpointError     string `json:"checkpointError,omitempty"`
-	// Incremental-maintenance counters: absent unless the KB runs with
-	// maintained state (`ogpaserver -subscribe`, or any embedder calling
+	// Standing-query counters: absent unless the KB serves subscriptions
+	// (`ogpaserver -subscribe`, or any embedder calling
 	// ogpa.KB.EnableIncremental).
 	Incremental *ogpa.IncrementalStats `json:"incremental,omitempty"`
 }
@@ -199,10 +199,12 @@ type Config struct {
 
 	// Subscriptions registers the standing-query endpoints (POST
 	// /subscribe, GET /subscribe/{id}/poll, GET /subscribe/{id}/events,
-	// DELETE /subscribe/{id}) and, on a live KB, enables incremental
-	// maintenance (ogpa.KB.EnableIncremental) so the maintained-state
-	// pipelines back them. Against a read-only KB the endpoints answer
-	// 403, like the mutation endpoints.
+	// DELETE /subscribe/{id}) and, on a live KB, calls
+	// ogpa.KB.EnableIncremental: datalog subscriptions then ride
+	// maintained fixpoints, saturate subscriptions re-chase per batch.
+	// /query, /consistency and every other one-shot endpoint keep
+	// running cold. Against a read-only KB the endpoints answer 403, like
+	// the mutation endpoints.
 	Subscriptions bool
 
 	// SubscriptionMaxRows caps every subscription's answer-set size;

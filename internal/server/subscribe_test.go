@@ -58,11 +58,25 @@ func poll(t *testing.T, h http.Handler, id uint64) ogpa.AnswerDelta {
 	return d
 }
 
+// TestSubscribeEndpointLifecycle drives one subscription through
+// subscribe, poll, idle poll, /stats and unsubscribe, once per standing
+// pipeline (datalog is the default baseline).
 func TestSubscribeEndpointLifecycle(t *testing.T) {
+	for _, tc := range []struct{ body, baseline string }{
+		{`{"query":"q(x) :- Student(x)"}`, string(ogpa.BaselineDatalog)},
+		{`{"query":"q(x) :- Student(x)","baseline":"saturate"}`, string(ogpa.BaselineSaturate)},
+	} {
+		t.Run(tc.baseline, func(t *testing.T) {
+			testSubscribeLifecycle(t, tc.body, tc.baseline)
+		})
+	}
+}
+
+func testSubscribeLifecycle(t *testing.T, body, baseline string) {
 	kb, h := subKB(t, Config{})
 
-	resp := subscribe(t, h, `{"query":"q(x) :- Student(x)"}`)
-	if resp.ID == 0 || resp.Baseline != string(ogpa.BaselineDatalog) ||
+	resp := subscribe(t, h, body)
+	if resp.ID == 0 || resp.Baseline != baseline ||
 		len(resp.Vars) != 1 || resp.Vars[0] != "x" {
 		t.Fatalf("subscribe resp = %+v", resp)
 	}

@@ -282,3 +282,45 @@ func TestLiveEquivalence100Seeds(t *testing.T) {
 		kb.WaitIdle()
 	}
 }
+
+// TestConsistencyFollowsLiveEpochs: the cold consistency check runs over
+// the current snapshot, so it follows live insertions and retractions.
+func TestConsistencyFollowsLiveEpochs(t *testing.T) {
+	ontology := exampleOntology + "PhD DisjointWith Course\n"
+	kb, err := NewKB(strings.NewReader(ontology), strings.NewReader(exampleData))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.EnableLiveData(-1); err != nil {
+		t.Fatal(err)
+	}
+	defer kb.Close()
+
+	vs, err := kb.CheckConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 0 {
+		t.Fatalf("consistent KB reports %v", vs)
+	}
+	if _, err := kb.InsertTriples(strings.NewReader("Ann a Course .")); err != nil {
+		t.Fatal(err)
+	}
+	vs, err = kb.CheckConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) == 0 {
+		t.Fatal("PhD ⊓ Course individual not reported inconsistent")
+	}
+	if _, err := kb.DeleteTriples(strings.NewReader("Ann a Course .")); err != nil {
+		t.Fatal(err)
+	}
+	vs, err = kb.CheckConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 0 {
+		t.Fatalf("violation survived the retraction: %v", vs)
+	}
+}

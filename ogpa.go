@@ -72,7 +72,7 @@ type KB struct {
 
 	store *delta.Store // nil while read-only
 	live  aboxMemo     // per-epoch ABox view of the live graph
-	inc   incMemo      // maintained-state chains (EnableIncremental)
+	inc   incMemo      // standing queries and their datalog chains (EnableIncremental)
 }
 
 // queryView is the one pinned read view a query runs against: the graph
@@ -624,15 +624,6 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if err != nil {
 			return nil, err
 		}
-		if incEligible(opt) {
-			ans, ok, err := kb.incDatalogAnswer(query, prog, q)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return ans, nil
-			}
-		}
 		var dlim datalog.Limits
 		if opt.Timeout > 0 {
 			dlim.Deadline = time.Now().Add(opt.Timeout)
@@ -641,40 +632,21 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if err != nil {
 			return nil, err
 		}
-		out := &Answers{Vars: append([]string(nil), q.Head...)}
-		for _, t := range tuples {
-			out.Rows = append(out.Rows, append([]string(nil), t...))
+		rows := datalogRows(tuples)
+		if opt.MaxResults > 0 && len(rows) > opt.MaxResults {
+			rows = rows[:opt.MaxResults]
 		}
-		core.SortRows(out.Rows)
-		return out, nil
+		return &Answers{Vars: append([]string(nil), q.Head...), Rows: rows}, nil
 	case BaselineSaturate:
-		if incEligible(opt) {
-			ans, ok, err := kb.incSaturateAnswer(q)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return ans, nil
-			}
-		}
 		var slim saturate.Limits
 		if opt.Timeout > 0 {
 			slim.Deadline = time.Now().Add(opt.Timeout)
 		}
-		res, mg, _, err := saturate.AnswerCQ(kb.tbox, kb.aboxNow(), q, slim, dafLimits(opt))
+		rows, err := kb.saturateRows(kb.aboxNow(), q, slim, dafLimits(opt))
 		if err != nil {
 			return nil, err
 		}
-		out := &Answers{Vars: append([]string(nil), q.Head...)}
-		for _, row := range res.Answers() {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = mg.Name(v)
-			}
-			out.Rows = append(out.Rows, cells)
-		}
-		core.SortRows(out.Rows)
-		return out, nil
+		return &Answers{Vars: append([]string(nil), q.Head...), Rows: rows}, nil
 	default:
 		return nil, fmt.Errorf("ogpa: unknown baseline %q", b)
 	}
@@ -693,11 +665,9 @@ func (kb *KB) AnswerSPARQL(src string, opt Options) (*Answers, error) {
 
 // CheckConsistency verifies the KB against the ontology's negative
 // inclusions (DisjointWith / DisjointPropertyWith statements). It returns
-// human-readable violations; an empty slice means consistent.
+// human-readable violations; an empty slice means consistent. It runs
+// cold over the current snapshot on every call.
 func (kb *KB) CheckConsistency() ([]string, error) {
-	if out, ok, err := kb.incConsistency(); ok || err != nil {
-		return out, err
-	}
 	vs, err := saturate.CheckConsistency(kb.tbox, kb.aboxNow(), saturate.Limits{})
 	if err != nil {
 		return nil, err
@@ -726,6 +696,35 @@ func render(q *cq.Query, res *core.AnswerSet, g *graph.Graph) *Answers {
 	out := &Answers{Vars: append([]string(nil), q.Head...)}
 	out.Rows = res.Names2D(g)
 	return out
+}
+
+// datalogRows copies a datalog answer into sorted rows.
+func datalogRows(tuples []datalog.Tuple) [][]string {
+	var rows [][]string
+	for _, t := range tuples {
+		rows = append(rows, append([]string(nil), t...))
+	}
+	core.SortRows(rows)
+	return rows
+}
+
+// saturateRows answers q by chasing abox (the saturation baseline) and
+// resolves the certain answers to sorted rows over the materialization.
+func (kb *KB) saturateRows(abox *dllite.ABox, q *cq.Query, lim saturate.Limits, evalLim daf.Limits) ([][]string, error) {
+	res, mg, _, err := saturate.AnswerCQ(kb.tbox, abox, q, lim, evalLim)
+	if err != nil {
+		return nil, err
+	}
+	var rows [][]string
+	for _, row := range res.Answers() {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = mg.Name(v)
+		}
+		rows = append(rows, cells)
+	}
+	core.SortRows(rows)
+	return rows, nil
 }
 
 func matchOptions(opt Options) match.Options {

@@ -77,6 +77,15 @@ func TestAllBaselinesAgree(t *testing.T) {
 				t.Fatalf("%s: %v vs %v", b, got.Rows, want.Rows)
 			}
 		}
+		// Student(x) has two answers (Ann, Bob); MaxResults must cap every
+		// baseline, not only the matcher-backed ones.
+		capped, err := kb.AnswerBaseline(b, `q(x) :- Student(x)`, Options{MaxResults: 1})
+		if err != nil {
+			t.Fatalf("%s with MaxResults: %v", b, err)
+		}
+		if capped.Len() > 1 {
+			t.Fatalf("%s ignores MaxResults: 1: %v", b, capped.Rows)
+		}
 	}
 	if _, err := kb.AnswerBaseline("nope", query, Options{}); err == nil {
 		t.Fatal("unknown baseline should error")

@@ -7,12 +7,13 @@ import (
 	"strings"
 	"sync"
 
-	"ogpa/internal/core"
 	"ogpa/internal/cq"
 	"ogpa/internal/daf"
 	"ogpa/internal/datalog"
 	"ogpa/internal/delta"
+	"ogpa/internal/inc"
 	"ogpa/internal/perfectref"
+	"ogpa/internal/saturate"
 )
 
 // ErrSubscriptionClosed reports Next on a subscription whose pending
@@ -38,12 +39,14 @@ type SubscribeOptions struct {
 	MaxRows int
 }
 
-// Subscription is one standing query: the hub re-evaluates it over
-// maintained state on every committed epoch and Next streams the answer
-// deltas. Deltas coalesce while the consumer lags — Next always returns
-// one delta from the last delivered answer set straight to the newest
-// evaluated one, so a slow consumer costs memory proportional to the
-// answer set, never to the number of missed epochs.
+// Subscription is one standing query: the hub re-evaluates it on every
+// committed epoch — a datalog subscription over its maintained
+// fixpoint, a saturate subscription by a cold chase of one pinned
+// snapshot — and Next streams the answer deltas. Deltas coalesce while
+// the consumer lags — Next always returns one delta from the last
+// delivered answer set straight to the newest evaluated one, so a slow
+// consumer costs memory proportional to the answer set, never to the
+// number of missed epochs.
 type Subscription struct {
 	id       uint64
 	query    string
@@ -127,6 +130,7 @@ func (s *Subscription) Next(ctx context.Context) (AnswerDelta, error) {
 		if s.st.err != nil {
 			err := s.st.err
 			s.st.mu.Unlock()
+			s.hub.forgetFailed(s.id)
 			return AnswerDelta{}, err
 		}
 		if !rowsEqual(s.st.current, s.st.delivered) {
@@ -205,33 +209,40 @@ func diffRows(old, cur [][]string) AnswerDelta {
 }
 
 // subHub owns a KB's standing queries: one goroutine watches the delta
-// store and re-evaluates every subscription per committed batch group.
-// Evaluation failures are isolated per subscription (the failed one
-// fails closed; siblings keep streaming).
+// store, advances the maintenance manager and re-evaluates every
+// subscription per committed batch group. Evaluation failures are
+// isolated per subscription (the failed one fails closed; siblings keep
+// streaming).
 type subHub struct {
-	kb *KB
-
 	mu       sync.Mutex
-	subs     map[uint64]*Subscription
+	subs     map[uint64]*Subscription // live: re-evaluated per batch
+	failed   map[uint64]*Subscription // failed closed, cause not yet delivered
 	nextID   uint64
 	deltas   uint64 // answer deltas made collectable
 	evalErrs uint64 // standing-query evaluation failures
 }
 
 // newSubHub starts the hub's watch loop. The loop exits when the KB's
-// store closes (Watcher.Wait returns ErrClosed), failing every
-// remaining subscription closed.
-func newSubHub(kb *KB) *subHub {
-	h := &subHub{kb: kb, subs: map[uint64]*Subscription{}}
+// store closes (Watcher.Wait returns ErrClosed) or mgr is closed,
+// failing every remaining subscription closed.
+func newSubHub(kb *KB, mgr *inc.Manager) *subHub {
+	h := &subHub{subs: map[uint64]*Subscription{}, failed: map[uint64]*Subscription{}}
 	w, _ := kb.store.Watch()
-	go h.run(w)
+	go h.run(w, mgr)
 	return h
 }
 
-func (h *subHub) run(w *delta.Watcher) {
+func (h *subHub) run(w *delta.Watcher, mgr *inc.Manager) {
 	ctx := context.Background()
 	for {
 		if _, err := w.Wait(ctx); err != nil {
+			h.closeAll()
+			return
+		}
+		// Advance even when no datalog chain will answer this round
+		// (only saturate subscriptions, or none): the manager's mirror
+		// and queue then follow every batch instead of piling up.
+		if _, err := mgr.Advance(); err != nil {
 			h.closeAll()
 			return
 		}
@@ -254,6 +265,7 @@ func (h *subHub) refreshOne(s *Subscription) {
 	if failed {
 		h.evalErrs++
 		delete(h.subs, s.id)
+		h.failed[s.id] = s // stays resolvable until Next hands out the cause
 	}
 	h.mu.Unlock()
 }
@@ -273,14 +285,28 @@ func (h *subHub) snapshotSubs() []*Subscription {
 func (h *subHub) remove(id uint64) {
 	h.mu.Lock()
 	delete(h.subs, id)
+	delete(h.failed, id)
 	h.mu.Unlock()
 }
 
-// get resolves a live subscription by id.
+// forgetFailed drops a failed subscription from lookup once its cause
+// has been delivered.
+func (h *subHub) forgetFailed(id uint64) {
+	h.mu.Lock()
+	delete(h.failed, id)
+	h.mu.Unlock()
+}
+
+// get resolves a subscription by id: a live one, or a failed one whose
+// cause no Next has delivered yet (so a poll racing the hub's eviction
+// still reports why the subscription failed).
 func (h *subHub) get(id uint64) (*Subscription, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s, ok := h.subs[id]
+	if !ok {
+		s, ok = h.failed[id]
+	}
 	return s, ok
 }
 
@@ -291,10 +317,25 @@ func (h *subHub) closeAll() {
 		subs = append(subs, s)
 	}
 	h.subs = map[uint64]*Subscription{}
+	h.failed = map[uint64]*Subscription{}
 	h.mu.Unlock()
 	for _, s := range subs {
 		s.markClosed()
 	}
+}
+
+// saturateCount reports how many live subscriptions run on the
+// saturation baseline; each holds one slot of the maxIncChains budget.
+func (h *subHub) saturateCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, s := range h.subs {
+		if s.baseline == BaselineSaturate {
+			n++
+		}
+	}
+	return n
 }
 
 // counters reports (live subscriptions, deltas published, eval errors).
@@ -307,79 +348,90 @@ func (h *subHub) counters() (int, uint64, uint64) {
 	return len(h.subs), h.deltas, h.evalErrs
 }
 
-// Subscribe registers a standing query on one of the maintained
-// pipelines (BaselineDatalog or BaselineSaturate; the OGP pipeline has
-// no maintained form). The first Next delivers the full current answer
-// set as Added rows at the subscription epoch; every subsequent delta
-// is the exact change since the previous delivery. Requires
-// EnableIncremental.
+// Subscribe registers a standing query on BaselineDatalog or
+// BaselineSaturate (the OGP pipeline has no standing form). A datalog
+// subscription rides a maintained fixpoint shared by every subscription
+// to the same query text; a saturate subscription re-chases one pinned
+// snapshot per committed batch group, so its answers and epoch always
+// come from the same version. Each maintained fixpoint and each live
+// saturate subscription holds one of maxIncChains slots. The first Next
+// delivers the full current answer set as Added rows at the
+// subscription epoch; every subsequent delta is the exact change since
+// the previous delivery. Requires EnableIncremental.
 func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscription, error) {
-	kb.inc.mu.Lock()
-	hub := kb.inc.hub
-	kb.inc.mu.Unlock()
-	if hub == nil {
-		return nil, fmt.Errorf("ogpa: subscriptions need incremental maintenance (call EnableIncremental first)")
-	}
 	q, err := cq.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-
-	var eval func() ([][]string, uint64, error)
+	var prog *datalog.Program
 	switch b {
 	case BaselineDatalog:
-		prog, err := datalog.Rewrite(q, kb.tbox, perfectref.Limits{})
-		if err != nil {
+		if prog, err = datalog.Rewrite(q, kb.tbox, perfectref.Limits{}); err != nil {
 			return nil, err
 		}
-		c, ok, err := kb.datalogChain(query, prog)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("ogpa: maintained-chain budget exhausted (%d chains)", maxIncChains)
+	case BaselineSaturate:
+	default:
+		return nil, fmt.Errorf("ogpa: baseline %q has no standing form for subscriptions", b)
+	}
+
+	kb.inc.mu.Lock()
+	s, err := kb.newSubscriptionLocked(b, query, q, prog, opt)
+	kb.inc.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+
+	// Seed: evaluate now so the first Next returns the full current
+	// answer set without waiting for a write.
+	s.hub.refreshOne(s)
+	s.st.mu.Lock()
+	err = s.st.err
+	s.st.mu.Unlock()
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSubscriptionLocked charges the standing-query budget, resolves the
+// evaluator and registers the subscription with the hub. Called under
+// kb.inc.mu, so concurrent Subscribes cannot overrun maxIncChains.
+func (kb *KB) newSubscriptionLocked(b Baseline, query string, q *cq.Query, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
+	hub := kb.inc.hub
+	if hub == nil {
+		return nil, fmt.Errorf("ogpa: subscriptions need incremental maintenance (call EnableIncremental first)")
+	}
+	c := kb.inc.dl[query]
+	if (b == BaselineSaturate || c == nil) && len(kb.inc.dl)+hub.saturateCount() >= maxIncChains {
+		return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d slots)", maxIncChains)
+	}
+	var eval func() ([][]string, uint64, error)
+	if b == BaselineDatalog {
+		if c == nil {
+			var err error
+			if c, err = kb.inc.mgr.RegisterDatalog(prog, datalog.Limits{}); err != nil {
+				return nil, err
+			}
+			kb.inc.dl[query] = c
 		}
 		eval = func() ([][]string, uint64, error) {
 			tuples, epoch, err := c.Answer()
 			if err != nil {
 				return nil, epoch, err
 			}
-			rows := make([][]string, len(tuples))
-			for i, t := range tuples {
-				rows[i] = append([]string(nil), t...)
-			}
-			core.SortRows(rows)
-			return rows, epoch, nil
+			return datalogRows(tuples), epoch, nil
 		}
-	case BaselineSaturate:
-		c, ok, err := kb.chaseChain(q.Size() + 1)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("ogpa: maintained-chain budget exhausted (%d chains)", maxIncChains)
-		}
+	} else {
 		eval = func() ([][]string, uint64, error) {
-			res, mg, epoch, err := c.Answer(q, daf.Limits{})
-			if err != nil {
-				return nil, epoch, err
-			}
-			var rows [][]string
-			for _, row := range res.Answers() {
-				cells := make([]string, len(row))
-				for i, v := range row {
-					cells[i] = mg.Name(v)
-				}
-				rows = append(rows, cells)
-			}
-			core.SortRows(rows)
-			return rows, epoch, nil
+			sn := kb.store.Snapshot() // one version for both the ABox and the epoch
+			rows, err := kb.saturateRows(kb.live.get(sn), q, saturate.Limits{}, daf.Limits{})
+			return rows, sn.Epoch(), err
 		}
-	default:
-		return nil, fmt.Errorf("ogpa: baseline %q has no maintained form for subscriptions", b)
 	}
 
 	hub.mu.Lock()
+	defer hub.mu.Unlock()
 	hub.nextID++
 	s := &Subscription{
 		id:       hub.nextID,
@@ -392,23 +444,12 @@ func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscr
 		notify:   make(chan struct{}, 1),
 	}
 	hub.subs[s.id] = s
-	hub.mu.Unlock()
-
-	// Seed: evaluate now so the first Next returns the full current
-	// answer set without waiting for a write.
-	hub.refreshOne(s)
-	s.st.mu.Lock()
-	err = s.st.err
-	s.st.mu.Unlock()
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
 }
 
-// SubscriptionByID resolves a live subscription (the serving tier's
-// poll/unsubscribe handlers look subscriptions up per request).
+// SubscriptionByID resolves a live subscription, or a failed one whose
+// cause Next has not delivered yet (the serving tier's poll/unsubscribe
+// handlers look subscriptions up per request).
 func (kb *KB) SubscriptionByID(id uint64) (*Subscription, bool) {
 	kb.inc.mu.Lock()
 	hub := kb.inc.hub
