@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,9 +320,38 @@ func TestAnswerSet(t *testing.T) {
 	if len(s.Answers()) != 2 {
 		t.Fatal("Answers length mismatch")
 	}
-	// Keys must distinguish (12) from (1,2).
-	if (Answer{12}).Key() == (Answer{1, 2}).Key() {
-		t.Fatal("ambiguous answer keys")
+}
+
+// TestAnswerSetGrowth checks the packed store and its index against a map
+// model through many index doublings: same distinct answers, kept in
+// first-insertion order, duplicates rejected wherever they probe.
+func TestAnswerSetGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewAnswerSet()
+	seen := make(map[[2]graph.VID]bool)
+	var want []Answer
+	for i := 0; i < 20000; i++ {
+		a := Answer{graph.VID(rng.Intn(200)), graph.VID(rng.Intn(60))}
+		if rng.Intn(10) == 0 {
+			a[1] = Omitted
+		}
+		k := [2]graph.VID{a[0], a[1]}
+		if got := s.Add(a); got == seen[k] {
+			t.Fatalf("Add(%v) = %v after %d inserts, want %v", a, got, i, !seen[k])
+		}
+		if !seen[k] {
+			seen[k] = true
+			want = append(want, slices.Clone(a))
+		}
+	}
+	if s.Len() != len(want) || !reflect.DeepEqual(s.Answers(), want) {
+		t.Fatalf("%d answers, want %d in first-insertion order", s.Len(), len(want))
+	}
+
+	// Zero-arity answers (a boolean query's): the empty tuple, once.
+	z := NewAnswerSet()
+	if !z.Add(Answer{}) || z.Add(nil) || z.Len() != 1 || len(z.At(0)) != 0 {
+		t.Fatal("the empty answer must be added exactly once")
 	}
 }
 

@@ -170,149 +170,196 @@ func edgeSatisfied(e Edge, m Mapping, g *graph.Graph) bool {
 // distinguished vertex was omitted.
 type Answer []graph.VID
 
-// Key encodes an answer for deduplication.
-func (a Answer) Key() string {
-	var b strings.Builder
-	for _, v := range a {
-		if v == Omitted {
-			b.WriteString("⊥,")
-			continue
-		}
-		b.WriteString(itoa(uint64(v)))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// AnswerSet accumulates deduplicated answers.
+// AnswerSet accumulates deduplicated answers of one arity, fixed by the
+// first Add. The tuples sit packed in one flat store in insertion order,
+// and an open-addressing index of int32 slots over their VIDs
+// deduplicates them, so Add allocates only when the store or the index
+// grows.
 type AnswerSet struct {
-	seen map[string]bool
-	list []Answer
+	width int         // arity of every answer
+	n     int         // number of distinct answers
+	store []graph.VID // answer i is store[i*width : (i+1)*width]
+	// index holds answer number + 1 per slot (0: empty), probed linearly
+	// from the slot a tuple's hash picks; len(index) is a power of two
+	// at least twice n.
+	index []int32
+	shift uint // 64 - log2(len(index)): the hash's top bits pick a slot
 }
 
 // NewAnswerSet returns an empty answer set.
-func NewAnswerSet() *AnswerSet {
-	return &AnswerSet{seen: make(map[string]bool)}
+func NewAnswerSet() *AnswerSet { return &AnswerSet{} }
+
+// hashMul is 2^64 divided by the golden ratio: multiplying by it spreads
+// each VID into the top bits, which pick the slot (Fibonacci hashing).
+const hashMul = 0x9E3779B97F4A7C15
+
+func hashAnswer(a Answer) uint64 {
+	var h uint64
+	for _, v := range a {
+		h = (h ^ uint64(v)) * hashMul
+	}
+	return h
 }
 
-// Add inserts a (copy of) answer a, reporting whether it was new.
+// Add inserts a copy of answer a, reporting whether it was new. Every
+// answer of one set must have the same arity.
 func (s *AnswerSet) Add(a Answer) bool {
-	k := a.Key()
-	if s.seen[k] {
-		return false
+	if s.index == nil {
+		s.width = len(a)
+		s.index, s.shift = make([]int32, 16), 64-4
+	} else if len(a) != s.width {
+		panic("core: answer arity differs from the set's")
 	}
-	s.seen[k] = true
-	s.list = append(s.list, append(Answer(nil), a...))
+	mask := len(s.index) - 1
+	pos := int(hashAnswer(a) >> s.shift)
+	for ; s.index[pos] != 0; pos = (pos + 1) & mask {
+		if slices.Equal(s.At(int(s.index[pos])-1), a) {
+			return false
+		}
+	}
+	s.store = append(s.store, a...)
+	s.n++
+	s.index[pos] = int32(s.n)
+	if 2*s.n > len(s.index) {
+		s.grow()
+	}
 	return true
 }
 
-// Len reports the number of distinct answers.
-func (s *AnswerSet) Len() int { return len(s.list) }
+// grow doubles the index and re-slots every answer.
+func (s *AnswerSet) grow() {
+	s.index, s.shift = make([]int32, 2*len(s.index)), s.shift-1
+	mask := len(s.index) - 1
+	for i := 0; i < s.n; i++ {
+		pos := int(hashAnswer(s.At(i)) >> s.shift)
+		for s.index[pos] != 0 {
+			pos = (pos + 1) & mask
+		}
+		s.index[pos] = int32(i + 1)
+	}
+}
 
-// Answers returns the deduplicated answers in insertion order.
-func (s *AnswerSet) Answers() []Answer { return s.list }
+// Len reports the number of distinct answers.
+func (s *AnswerSet) Len() int { return s.n }
+
+// At returns the i-th answer in insertion order: a read-only view of the
+// store.
+func (s *AnswerSet) At(i int) Answer {
+	return s.store[i*s.width : (i+1)*s.width : (i+1)*s.width]
+}
+
+// Answers returns the deduplicated answers in insertion order, as
+// read-only views of the store.
+func (s *AnswerSet) Answers() []Answer {
+	out := make([]Answer, s.n)
+	for i := range out {
+		out[i] = s.At(i)
+	}
+	return out
+}
+
+// cells renders every answer's vertex names ("⊥" for omitted) into one
+// flat slice in insertion order: answer i is cells[i*width : (i+1)*width].
+func (s *AnswerSet) cells(g *graph.Graph) []string {
+	cells := make([]string, len(s.store))
+	for i, v := range s.store {
+		if v == Omitted {
+			cells[i] = "⊥"
+		} else {
+			cells[i] = g.Name(v)
+		}
+	}
+	return cells
+}
 
 // Names renders answers as sorted rows of vertex names ("⊥" for omitted),
 // for tests and CLI output.
 func (s *AnswerSet) Names(g *graph.Graph) []string {
-	rows := make([]string, 0, len(s.list))
-	for _, a := range s.list {
-		parts := make([]string, len(a))
-		for i, v := range a {
-			if v == Omitted {
-				parts[i] = "⊥"
-			} else {
-				parts[i] = g.Name(v)
-			}
-		}
-		rows = append(rows, strings.Join(parts, ","))
+	cells, w := s.cells(g), s.width
+	rows := make([]string, s.n)
+	for i := range rows {
+		rows[i] = strings.Join(cells[i*w:(i+1)*w], ",")
 	}
 	sort.Strings(rows)
 	return rows
 }
 
-// Names2D renders answers as sorted rows of vertex names ("⊥" for
-// omitted), one slice per answer. The rows share one backing array.
+// Names2D renders answers as rows of vertex names ("⊥" for omitted), one
+// slice per answer, in SortRows order. The rows share one backing array,
+// and the sort moves int32 row numbers, not rows.
 func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
-	n := 0
-	for _, a := range s.list {
-		n += len(a)
+	cells, w := s.cells(g), s.width
+	row := func(i int) []string { return cells[i*w : (i+1)*w : (i+1)*w] }
+	rows := make([][]string, s.n)
+	for i, p := range rowOrder(s.n, row) {
+		rows[i] = row(int(p))
 	}
-	cells := make([]string, n)
-	rows := make([][]string, 0, len(s.list))
-	for _, a := range s.list {
-		parts := cells[:len(a):len(a)]
-		cells = cells[len(a):]
-		for i, v := range a {
-			if v == Omitted {
-				parts[i] = "⊥"
-			} else {
-				parts[i] = g.Name(v)
-			}
-		}
-		rows = append(rows, parts)
-	}
-	SortRows(rows)
 	return rows
 }
 
 // SortRows puts answer rows in the canonical order of every pipeline: by
 // the row's cells joined with ",". Without it, pipelines whose natural
 // enumeration order is map-dependent (datalog, saturate) would return
-// rows in a nondeterministic order. Each row's key is built once, all of
-// them into one string, instead of twice per comparison. slices.SortFunc
-// and sort.Slice are generated from one pdqsort template, so sorting on
-// the keys makes the same comparisons and swaps as sort.Slice over the
-// joining comparator did, and rows with equal keys ("a,b"+"c" and
-// "a"+"b,c") land where they did: responses stay byte-identical.
+// rows in a nondeterministic order.
 func SortRows(rows [][]string) {
-	size := 0
-	for _, r := range rows {
-		for _, c := range r {
-			size += len(c) + 1
-		}
-	}
-	var b strings.Builder
-	b.Grow(size)
-	ends := make([]int, len(rows))
-	for i, r := range rows {
-		for j, c := range r {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c)
-		}
-		ends[i] = b.Len()
-	}
-	all := b.String()
-	keyed := make([]keyedRow, len(rows))
-	start := 0
-	for i, end := range ends {
-		keyed[i], start = keyedRow{all[start:end], rows[i]}, end
-	}
-	slices.SortFunc(keyed, func(x, y keyedRow) int { return strings.Compare(x.key, y.key) })
-	for i := range keyed {
-		rows[i] = keyed[i].row
+	orig := slices.Clone(rows)
+	for i, p := range rowOrder(len(rows), func(i int) []string { return orig[i] }) {
+		rows[i] = orig[p]
 	}
 }
 
-type keyedRow struct {
-	key string
-	row []string
+// rowOrder returns the permutation that lists the n rows row(0), ...,
+// row(n-1) in SortRows order. Each row's key is built once, not twice per
+// comparison: a one-cell row's key is the cell itself, and the other rows'
+// keys are cut from one joined string. The sort then moves int32 row
+// numbers, which carry no pointers, so swaps pay no write barriers.
+// slices.SortFunc and sort.Slice are generated from one pdqsort template,
+// so sorting row numbers by key makes the same comparisons and swaps as
+// sort.Slice over the joining comparator did, and rows with equal keys
+// ("a,b"+"c" and "a"+"b,c") land where they did: responses stay
+// byte-identical.
+func rowOrder(n int, row func(int) []string) []int32 {
+	keys := make([]string, n)
+	size := 0
+	for i := range keys {
+		switch r := row(i); len(r) {
+		case 0: // the empty key
+		case 1:
+			keys[i] = r[0]
+		default:
+			for _, c := range r {
+				size += len(c) + 1
+			}
+		}
+	}
+	if size > 0 {
+		var b strings.Builder
+		b.Grow(size)
+		ends := make([]int, n)
+		for i := range keys {
+			if r := row(i); len(r) > 1 {
+				for j, c := range r {
+					if j > 0 {
+						b.WriteByte(',')
+					}
+					b.WriteString(c)
+				}
+				ends[i] = b.Len()
+			}
+		}
+		all, start := b.String(), 0
+		for i, end := range ends {
+			if end > 0 {
+				keys[i], start = all[start:end], end
+			}
+		}
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(x, y int32) int { return strings.Compare(keys[x], keys[y]) })
+	return perm
 }
 
 // Project extracts the answer tuple of mapping m for pattern p.

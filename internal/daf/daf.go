@@ -270,8 +270,7 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 	// workers stop claiming new disjuncts.
 	var stop atomic.Bool
 	var mu sync.Mutex
-	//lint:ignore internsafety keys are canonical Answer.Key() strings (mirrors core.AnswerSet); touched once per disjunct answer, not per node
-	seen := make(map[string]bool)
+	seen := core.NewAnswerSet()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -291,10 +290,10 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 				}
 				if lim.MaxResults > 0 {
 					mu.Lock()
-					for _, a := range res.Answers() {
-						seen[a.Key()] = true
+					for k := 0; k < res.Len(); k++ {
+						seen.Add(res.At(k))
 					}
-					if len(seen) >= lim.MaxResults {
+					if seen.Len() >= lim.MaxResults {
 						stop.Store(true)
 					}
 					mu.Unlock()
@@ -316,12 +315,12 @@ func evalDisjuncts(n int, lim Limits, eval func(int, Limits) (*core.AnswerSet, S
 		if r.res == nil {
 			continue // disjunct skipped by early exit
 		}
-		for _, a := range r.res.Answers() {
+		for k := 0; k < r.res.Len(); k++ {
 			if lim.MaxResults > 0 && out.Len() >= lim.MaxResults {
 				total.Truncated = true
 				return out, total, nil
 			}
-			out.Add(a)
+			out.Add(r.res.At(k))
 		}
 	}
 	if lim.MaxResults > 0 && out.Len() >= lim.MaxResults {

@@ -3,6 +3,7 @@ package daf
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ogpa/internal/cq"
@@ -62,7 +63,7 @@ func TestEvalUCQParallelEquivalence(t *testing.T) {
 		}
 		full := make(map[string]bool, seqRes.Len())
 		for _, a := range seqRes.Answers() {
-			full[a.Key()] = true
+			full[fmt.Sprint(a)] = true
 		}
 		for _, workers := range []int{0, 2, 4} {
 			parRes, parSt, err := EvalUCQ(qs, g, Limits{Workers: workers})
@@ -76,6 +77,10 @@ func TestEvalUCQParallelEquivalence(t *testing.T) {
 			if fmt.Sprint(parRes.Names(g)) != fmt.Sprint(seqRes.Names(g)) {
 				t.Fatalf("seed %d workers %d:\nsequential %v\nparallel   %v",
 					seed, workers, seqRes.Names(g), parRes.Names(g))
+			}
+			if !reflect.DeepEqual(parRes.Answers(), seqRes.Answers()) {
+				t.Fatalf("seed %d workers %d: insertion order differs:\nsequential %v\nparallel   %v",
+					seed, workers, seqRes.Answers(), parRes.Answers())
 			}
 		}
 
@@ -93,9 +98,9 @@ func TestEvalUCQParallelEquivalence(t *testing.T) {
 					seed, workers, limit, res.Len(), st.Truncated)
 			}
 			for _, a := range res.Answers() {
-				if !full[a.Key()] {
-					t.Fatalf("seed %d workers %d limit %d: answer %s outside full set",
-						seed, workers, limit, a.Key())
+				if !full[fmt.Sprint(a)] {
+					t.Fatalf("seed %d workers %d limit %d: answer %v outside full set",
+						seed, workers, limit, a)
 				}
 			}
 		}

@@ -20,6 +20,7 @@ type runtime struct {
 	// remaining[ci]: number of still-unmapped variables of condition ci;
 	// a condition is decided exactly when its counter hits zero.
 	remaining []int
+	proj      core.Answer // emit's projection buffer, one cell per m.dist
 	out       *core.AnswerSet
 	bud       *budget
 	gate      *resultGate // nil unless fanned out with MaxResults
@@ -64,6 +65,7 @@ func (m *matcher) newRuntime(out *core.AnswerSet, bud *budget, gate *resultGate)
 		mapping:   make(core.Mapping, len(m.p.Vertices)),
 		mapped:    make([]bool, len(m.p.Vertices)),
 		remaining: make([]int, len(m.conds)),
+		proj:      make(core.Answer, len(m.dist)),
 		out:       out,
 		bud:       bud,
 		gate:      gate,
@@ -133,15 +135,19 @@ func (rt *runtime) evalAtom(id int, mapping core.Mapping) bool {
 	return rt.m.atomFns[id](mapping)
 }
 
-// emit records the completed mapping as an answer. It returns ErrLimit
-// (sequential) or errStopped (parallel) once MaxResults distinct answers
-// exist, so the enumeration unwinds.
+// emit records the completed mapping's projection as an answer; out
+// copies it from the runtime's buffer, so emitting allocates nothing
+// until out grows. It returns ErrLimit (sequential) or errStopped
+// (parallel) once MaxResults distinct answers exist, so the enumeration
+// unwinds.
 func (rt *runtime) emit() error {
-	a := core.Project(rt.m.p, rt.mapping)
-	isNew := rt.out.Add(a)
+	for i, u := range rt.m.dist {
+		rt.proj[i] = rt.mapping[u]
+	}
+	isNew := rt.out.Add(rt.proj)
 	if rt.gate != nil {
 		if isNew {
-			rt.gate.record(a.Key())
+			rt.gate.record(rt.proj)
 		}
 		if rt.bud.stop.Load() {
 			return errStopped

@@ -195,6 +195,7 @@ type matcher struct {
 
 	canOmit []bool
 	cand    [][]graph.VID
+	dist    []int // distinguished vertices: the answer tuple's columns
 
 	// Conditions and the shared BDD.
 	bdd      *sbdd.Builder
@@ -276,6 +277,7 @@ func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
 	start := time.Now()
 	m := &matcher{
 		p: p, g: g, opts: opts,
+		dist:    p.Distinguished(),
 		atomIdx: make(map[core.Cond]int),
 		bdd:     sbdd.New(),
 		sc:      getScratch(g.NumVertices(), len(p.Vertices)),

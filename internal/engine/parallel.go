@@ -36,25 +36,21 @@ type budget struct {
 // resultGate tracks globally-distinct answers across workers so
 // MaxResults-aware early cancellation fires at the right count: per-worker
 // answer sets deduplicate only locally, and the same answer can be reached
-// from different first-level candidates. It sits off the hot path — one
-// lock per *distinct local* answer, not per node.
+// by different workers. It sits off the hot path — one lock per *distinct
+// local* answer, not per node.
 type resultGate struct {
-	mu sync.Mutex
-	//lint:ignore internsafety keys are canonical Answer.Key() strings (mirrors core.AnswerSet); touched once per distinct answer, not per node
-	seen map[string]bool
-	max  int
-	bud  *budget
+	mu  sync.Mutex
+	set *core.AnswerSet
+	max int
+	bud *budget
 }
 
-// record registers one answer key; reaching max distinct keys trips the
+// record registers one answer; reaching max distinct answers trips the
 // shared stop flag.
-func (rg *resultGate) record(k string) {
+func (rg *resultGate) record(a core.Answer) {
 	rg.mu.Lock()
-	if !rg.seen[k] {
-		rg.seen[k] = true
-		if len(rg.seen) >= rg.max {
-			rg.bud.stop.Store(true)
-		}
+	if rg.set.Add(a) && rg.set.Len() >= rg.max {
+		rg.bud.stop.Store(true)
 	}
 	rg.mu.Unlock()
 }
@@ -129,39 +125,46 @@ func (m *matcher) backtrack(out *core.AnswerSet) error {
 // does not idle the others.
 //
 // Each goroutine reuses one runtime (and its BDD evaluation cache) across
-// its items — try leaves the mapping empty on exit — and emits into a
-// per-item answer set. Budget (MaxSteps/deadline/ctx) and the MaxResults
-// gate are shared. It returns the first error in item order that is not
-// errStopped.
+// its items — try leaves the mapping empty on exit — and emits into one
+// answer set of its own, recording the span of answers each item added.
+// An item's span holds only answers new to its goroutine: a goroutine
+// claims items in increasing order, so an answer it drops already sits in
+// one of its lower items. Budget (MaxSteps/deadline/ctx) and the
+// MaxResults gate are shared. It returns the first error in item order
+// that is not errStopped.
 func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph.VID, workers int) error {
 	limit := m.opts.Limits.MaxResults
 	var gate *resultGate
 	if limit > 0 {
-		//lint:ignore internsafety keys are canonical Answer.Key() strings (mirrors core.AnswerSet); touched once per distinct answer, not per node
-		gate = &resultGate{seen: make(map[string]bool), max: limit, bud: bud}
+		gate = &resultGate{set: core.NewAnswerSet(), max: limit, bud: bud}
 	}
 	if workers > len(items) {
 		workers = len(items)
 	}
 
-	results := make([]*core.AnswerSet, len(items))
+	// spans[i] holds item i's answers: sets[w].At(lo), ..., sets[w].At(hi-1).
+	type span struct{ w, lo, hi int32 }
+	sets := make([]*core.AnswerSet, workers)
+	spans := make([]span, len(items))
 	errs := make([]error, len(items))
 	var next, atomEvals atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range sets {
+		sets[w] = core.NewAnswerSet()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wrt := m.newRuntime(nil, bud, gate)
+			set := sets[w]
+			wrt := m.newRuntime(set, bud, gate)
 			for !bud.stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
 					break
 				}
-				sub := core.NewAnswerSet()
-				results[i] = sub
-				wrt.out = sub
-				if errs[i] = wrt.try(u0, items[i], 0); errs[i] != nil {
+				lo := int32(set.Len())
+				errs[i] = wrt.try(u0, items[i], 0)
+				spans[i] = span{int32(w), lo, int32(set.Len())}
+				if errs[i] != nil {
 					// Real limit errors cancel every goroutine; errStopped
 					// means another one's gate already did.
 					bud.stop.Store(true)
@@ -176,19 +179,17 @@ func (m *matcher) fanOut(out *core.AnswerSet, bud *budget, u0 int, items []graph
 	m.stats.AtomEvals += atomEvals.Load()
 
 	// Merge in item order with global deduplication: identical to the
-	// sequential insertion order whichever goroutine ran an item (results
+	// sequential insertion order whichever goroutine ran an item (spans
 	// is indexed by item, not by goroutine). Under MaxResults the merge
 	// truncates to exactly the limit (goroutines may have banked a few
 	// extra answers between the gate tripping and the unwind).
-	for _, sub := range results {
-		if sub == nil {
-			continue
-		}
-		for _, a := range sub.Answers() {
+merge:
+	for _, sp := range spans {
+		for k := sp.lo; k < sp.hi; k++ {
 			if limit > 0 && out.Len() >= limit {
-				break
+				break merge
 			}
-			out.Add(a)
+			out.Add(sets[sp.w].At(int(k)))
 		}
 	}
 	for _, err := range errs {

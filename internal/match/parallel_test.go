@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 		seqNames := seqAns.Names(g)
 		full := make(map[string]bool, seqAns.Len())
 		for _, a := range seqAns.Answers() {
-			full[a.Key()] = true
+			full[fmt.Sprint(a)] = true
 		}
 
 		for _, workers := range poolSizes {
@@ -53,6 +54,10 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 			if fmt.Sprint(seqNames) != fmt.Sprint(parNames) {
 				t.Fatalf("seed %d workers %d:\nsequential %v\nparallel   %v\npattern:\n%s",
 					seed, workers, seqNames, parNames, p)
+			}
+			if !reflect.DeepEqual(seqAns.Answers(), parAns.Answers()) {
+				t.Fatalf("seed %d workers %d: insertion order differs:\nsequential %v\nparallel   %v\npattern:\n%s",
+					seed, workers, seqAns.Answers(), parAns.Answers(), p)
 			}
 		}
 
@@ -84,9 +89,9 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 					seed, limit, workers, parAns.Len(), parSt.Truncated)
 			}
 			for _, a := range parAns.Answers() {
-				if !full[a.Key()] {
-					t.Fatalf("seed %d limit %d workers %d: answer %s outside the full answer set",
-						seed, limit, workers, a.Key())
+				if !full[fmt.Sprint(a)] {
+					t.Fatalf("seed %d limit %d workers %d: answer %v outside the full answer set",
+						seed, limit, workers, a)
 				}
 			}
 		}

@@ -343,8 +343,13 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 				ans, st, err = answerCached("ucq:"+req.Baseline, query, opt)
 			default:
 				// Datalog/saturation (and unknown baselines, which error
-				// inside) have no prepared form and bypass the cache.
+				// inside) have no prepared form and bypass the cache. They
+				// report no statistics, so their rows count as cut by the
+				// rule the engine applies: MaxResults answers were kept.
 				ans, err = kb.AnswerBaseline(b, query, opt)
+				if err == nil {
+					st.Truncated = opt.MaxResults > 0 && ans.Len() >= opt.MaxResults
+				}
 			}
 		default:
 			ans, st, err = answerCached("cq", query, opt)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -80,6 +81,33 @@ func TestQuerySPARQLAndBaseline(t *testing.T) {
 	_ = json.Unmarshal(rec.Body.Bytes(), &resp)
 	if resp.Count != 2 || resp.Method != "datalog" {
 		t.Fatalf("baseline resp = %+v", resp)
+	}
+}
+
+// TestQueryTruncatedEveryMethod: a request whose rows stop at maxResults
+// says so in the response, whichever pipeline answered it, and one under
+// its limit does not.
+func TestQueryTruncatedEveryMethod(t *testing.T) {
+	h := Handler(testKB(t))
+	for _, baseline := range []string{"", "perfectref+daf", "datalog", "saturate"} {
+		for _, tc := range []struct {
+			maxResults, count int
+			truncated         bool
+		}{{1, 1, true}, {5, 2, false}} {
+			body := fmt.Sprintf(`{"query":"q(x) :- Student(x)","baseline":%q,"maxResults":%d}`, baseline, tc.maxResults)
+			rec := do(t, h, "POST", "/query", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+			}
+			var resp QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Count != tc.count || len(resp.Rows) != tc.count || resp.Truncated != tc.truncated {
+				t.Fatalf("%s: count %d, truncated %v; want %d, %v: %s",
+					body, resp.Count, resp.Truncated, tc.count, tc.truncated, rec.Body)
+			}
+		}
 	}
 }
 
