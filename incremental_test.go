@@ -303,6 +303,108 @@ func TestSubscribeDeltas(t *testing.T) {
 	}
 }
 
+// TestSubscribeCommaCells: IRIs may hold commas, so ["a,b" "c"] and
+// ["a" "b,c"] are different rows with the same comma-joined sort key.
+// Replacing one by the other must publish a delta that removes the one
+// and adds the other, never an empty one; the folded stream must equal
+// the cold answer. Next is called only once the subscription has
+// evaluated the store's epoch, so both writes land in one delta.
+func TestSubscribeCommaCells(t *testing.T) {
+	rowKey := func(row []string) string { return fmt.Sprintf("%q", row) }
+	fold := func(set map[string]bool, d AnswerDelta) {
+		for _, r := range d.Removed {
+			delete(set, rowKey(r))
+		}
+		for _, r := range d.Added {
+			set[rowKey(r)] = true
+		}
+	}
+	// The unit first: the same set in either order of its equal-key
+	// rows is equal, and the swap is a one-row removal plus addition.
+	ab, bc := []string{"a,b", "c"}, []string{"a", "b,c"}
+	if !rowsEqual([][]string{ab, bc}, [][]string{bc, ab}) {
+		t.Fatal("rowsEqual: one set, two orders of its equal-key rows: not equal")
+	}
+	if d := diffRows([][]string{ab}, [][]string{bc}); len(d.Removed) != 1 || len(d.Added) != 1 {
+		t.Fatalf("diffRows(%q, %q) = %+v", ab, bc, d)
+	}
+
+	for _, b := range sweepBaselines {
+		t.Run(string(b), func(t *testing.T) {
+			kb, err := NewKB(strings.NewReader(exampleOntology), strings.NewReader(exampleData))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kb.EnableLiveData(-1); err != nil {
+				t.Fatal(err)
+			}
+			if err := kb.EnableIncremental(); err != nil {
+				t.Fatal(err)
+			}
+			defer kb.Close()
+			if _, err := kb.InsertTriples(strings.NewReader("<http://x/a,b> <http://x/p> <http://x/c> .")); err != nil {
+				t.Fatal(err)
+			}
+			const query = "q(x, y) :- p(x, y)"
+			sub, err := kb.Subscribe(b, query, SubscribeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			set := map[string]bool{}
+			next := func() {
+				t.Helper()
+				for {
+					sub.st.mu.Lock()
+					caughtUp := sub.st.epoch == kb.Epoch()
+					sub.st.mu.Unlock()
+					if caughtUp {
+						break
+					}
+					if ctx.Err() != nil {
+						t.Fatal("subscription never evaluated the store's epoch")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				d, err := sub.Next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(d.Added)+len(d.Removed) == 0 {
+					t.Fatalf("empty delta at epoch %d", d.Epoch)
+				}
+				fold(set, d)
+				cold, err := kb.AnswerBaseline(b, query, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := map[string]bool{}
+				for _, r := range cold.Rows {
+					want[rowKey(r)] = true
+				}
+				if fmt.Sprint(set) != fmt.Sprint(want) {
+					t.Fatalf("folded deltas %v, cold answer %v", set, want)
+				}
+			}
+			next()
+			if !set[rowKey(ab)] {
+				t.Fatalf("initial answer %v lacks %q", set, ab)
+			}
+			if _, err := kb.DeleteTriples(strings.NewReader("<http://x/a,b> <http://x/p> <http://x/c> .")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := kb.InsertTriples(strings.NewReader("<http://x/a> <http://x/p> <http://x/b,c> .")); err != nil {
+				t.Fatal(err)
+			}
+			next()
+			if !set[rowKey(bc)] || set[rowKey(ab)] {
+				t.Fatalf("answer after the swap %v, want %q only", set, bc)
+			}
+		})
+	}
+}
+
 // TestSubscribeMaxRows: blowing the per-subscription row cap fails the
 // subscription closed without touching its sibling.
 func TestSubscribeMaxRows(t *testing.T) {

@@ -197,7 +197,7 @@ func TestAgainstPerfectRef(t *testing.T) {
 			return true
 		}
 		g := abox.Graph(nil)
-		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 		if err != nil {
 			return false
 		}

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"time"
-
-	"ogpa/internal/bitset"
 	"ogpa/internal/core"
 	"ogpa/internal/graph"
 	"ogpa/internal/sbdd"
@@ -36,15 +33,9 @@ type runtime struct {
 	// mapped for the whole subtree beneath it, so deeper frames never
 	// clobber a buffer a shallower frame is still iterating.
 	candBuf [][]graph.VID
-	// used / usedMine implement the Injective capability (subgraph
-	// isomorphism): used marks data vertices currently claimed by some
-	// pattern vertex, usedMine[u] records whether u's own assignment set
-	// the bit (a clashing assign must not clear a bit it did not set).
-	// Both are nil when the plan is homomorphic.
-	used     *bitset.Set
-	usedMine []bool
 	// steps is the local tick count since the last flush to the shared
-	// budget; base is the global total as of that flush. Batching keeps
+	// budget (atomEvals likewise); base is the global step total as of
+	// that flush. Batching keeps
 	// the per-node hot path off the shared cache line — a naive
 	// bud.steps.Add(1) per tick makes the parallel pool slower than
 	// sequential from contention alone.
@@ -58,10 +49,14 @@ type runtime struct {
 // latency at stepFlush nodes.
 const stepFlush = 256
 
-// newRuntime builds a fresh runtime over m's frozen structures.
+// newRuntime builds a fresh runtime over m's frozen structures. Its view
+// of the shared step total starts from what earlier runtimes of the run
+// (a union's previous disjuncts) have flushed, so MaxSteps bounds the
+// run, not each runtime.
 func (m *matcher) newRuntime(out *core.AnswerSet, bud *budget, gate *resultGate) *runtime {
 	rt := &runtime{
 		m:         m,
+		base:      bud.steps.Load(),
 		mapping:   make(core.Mapping, len(m.p.Vertices)),
 		mapped:    make([]bool, len(m.p.Vertices)),
 		remaining: make([]int, len(m.conds)),
@@ -78,10 +73,6 @@ func (m *matcher) newRuntime(out *core.AnswerSet, bud *budget, gate *resultGate)
 		rt.remaining[ci] = len(c.vars)
 	}
 	rt.candBuf = make([][]graph.VID, len(m.p.Vertices))
-	if m.opts.Caps.Injective {
-		rt.used = bitset.New(m.g.NumVertices())
-		rt.usedMine = make([]bool, len(m.p.Vertices))
-	}
 	rt.evalFn = func(atom int) bool {
 		return rt.evalAtom(atom, rt.mapping)
 	}
@@ -107,11 +98,8 @@ func (rt *runtime) tick() error {
 	}
 	if rt.steps >= stepFlush {
 		rt.flushSteps()
-		if !rt.bud.deadline.IsZero() && time.Now().After(rt.bud.deadline) {
-			return ErrLimit
-		}
-		if rt.bud.ctx != nil && rt.bud.ctx.Err() != nil {
-			return errCanceled
+		if err := rt.bud.poll(); err != nil {
+			return err
 		}
 		if rt.bud.stop.Load() {
 			return errStopped
@@ -120,12 +108,15 @@ func (rt *runtime) tick() error {
 	return nil
 }
 
-// flushSteps publishes the local tick count to the shared budget and
-// refreshes the global snapshot. Callers must flush once more when a
-// runtime retires so Stats.Steps is exact.
+// flushSteps publishes the local tick and atom-evaluation counts to the
+// shared budget and refreshes the global snapshot. Callers must flush
+// once more when a runtime retires so Stats.Steps and Stats.AtomEvals
+// are exact.
 func (rt *runtime) flushSteps() {
 	rt.base = rt.bud.steps.Add(rt.steps)
 	rt.steps = 0
+	rt.bud.atomEvals.Add(rt.atomEvals)
+	rt.atomEvals = 0
 }
 
 // evalAtom evaluates atomic condition id under the current mapping via its
@@ -161,22 +152,12 @@ func (rt *runtime) emit() error {
 }
 
 // assign maps u (to a vertex or ⊥) and evaluates every condition this
-// decides. Under the Injective capability it also claims the data vertex,
-// failing on a clash. It reports false when a decided condition fails; the
-// caller must still call unassign to roll the counters back.
+// decides. It reports false when a decided condition fails; the caller
+// must still call unassign to roll the counters back.
 func (rt *runtime) assign(u int, v graph.VID) bool {
 	rt.mapping[u] = v
 	rt.mapped[u] = true
 	ok := true
-	if rt.used != nil && v != core.Omitted {
-		if rt.used.Has(uint32(v)) {
-			ok = false
-			rt.usedMine[u] = false
-		} else {
-			rt.used.Add(uint32(v))
-			rt.usedMine[u] = true
-		}
-	}
 	for _, ci := range rt.m.condsOf[u] {
 		rt.remaining[ci]--
 		if ok && rt.remaining[ci] == 0 && !rt.checkCond(ci) {
@@ -187,10 +168,6 @@ func (rt *runtime) assign(u int, v graph.VID) bool {
 }
 
 func (rt *runtime) unassign(u int) {
-	if rt.used != nil && rt.usedMine[u] {
-		rt.used.Remove(uint32(rt.mapping[u]))
-		rt.usedMine[u] = false
-	}
 	for _, ci := range rt.m.condsOf[u] {
 		rt.remaining[ci]++
 	}
@@ -357,9 +334,10 @@ func (rt *runtime) allRemainingExistential() bool {
 }
 
 // try assigns u := v, prunes, recurses and rolls back — one branch of the
-// search. fanOut calls it at depth 0 for first-level work items, so the
-// parallel subtrees are explored exactly as the sequential loop would; the
-// mapping is empty again on return, so a worker reuses one runtime.
+// search. The first-level fan-out calls it at depth 0 for its work items,
+// so the parallel subtrees are explored exactly as the sequential loop
+// would; the mapping is empty again on return, so a worker reuses one
+// runtime.
 func (rt *runtime) try(u int, v graph.VID, depth int) error {
 	ok := rt.assign(u, v)
 	if ok && v != core.Omitted && !rt.m.opts.DisableEarlyReject {

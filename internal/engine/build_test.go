@@ -3,12 +3,14 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"ogpa/internal/core"
 	"ogpa/internal/graph"
+	"ogpa/internal/perfectref"
 	"ogpa/internal/rewrite"
 	"ogpa/internal/sbdd"
 	"ogpa/internal/testkb"
@@ -54,7 +56,7 @@ func TestSeedCandidates(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &core.Pattern{Vertices: c.vertices, Edges: edge}
-		pl, err := Prepare(p, g, Options{})
+		pl, err := Prepare(p, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +84,7 @@ func TestPlanKeepsNoBuildState(t *testing.T) {
 		Vertices: []core.Vertex{{Label: "A", Distinguished: true}, {Label: core.Wildcard}},
 		Edges:    []core.Edge{{From: 0, To: 1, Label: "p"}},
 	}
-	pl, err := Prepare(p, g, Options{})
+	pl, err := Prepare(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestPlanKeepsNoBuildState(t *testing.T) {
 		Vertices: []core.Vertex{{Label: core.Wildcard, Distinguished: true}, {Label: core.Wildcard}},
 		Edges:    []core.Edge{{From: 1, To: 0, Label: "p"}},
 	}
-	if _, err := Prepare(q, g, Options{}); err != nil {
+	if _, err := Prepare(q, g); err != nil {
 		t.Fatal(err)
 	}
 	if after := fmt.Sprint(pl.CandidatePool(0), pl.CandidatePool(1)); after != before {
@@ -122,7 +124,7 @@ func TestScratchRegrowsWithGraph(t *testing.T) {
 		for i := 0; i+1 < n; i++ {
 			b.AddEdge(fmt.Sprintf("v%d", i), "p", fmt.Sprintf("v%d", i+1))
 		}
-		pl, err := Prepare(p, b.Freeze(), Options{})
+		pl, err := Prepare(p, b.Freeze())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestScratchRegrowsWithGraph(t *testing.T) {
 // and buildOMDAG, for tests that call the per-candidate probes directly.
 func midBuild(p *core.Pattern, g *graph.Graph) *matcher {
 	m := &matcher{
-		p: p, g: g, opts: Options{Caps: Caps{Omission: true, DependencyEdges: true}},
+		p: p, g: g,
 		atomIdx: make(map[core.Cond]int),
 		bdd:     sbdd.New(),
 		sc:      getScratch(g.NumVertices(), len(p.Vertices)),
@@ -261,7 +263,7 @@ func TestConcurrentPreparesShareNoScratch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				pl, err := Prepare(p, g, Options{})
+				pl, err := Prepare(p, g)
 				if err != nil {
 					t.Error(err)
 					return
@@ -281,13 +283,12 @@ func TestConcurrentPreparesShareNoScratch(t *testing.T) {
 // most role labels, so their sweeps reach seedPools' second stage twice
 // in 24,000 seedings; here each of the same 100 TBoxes and queries runs
 // over an ABox of 24 more individuals and 45 more assertions, where a label bucket
-// is well under |V|/4. Both the generated OGP (OMatch capabilities) and
-// the plain CQ (none, as DAF runs it) must return what the brute-force
-// evaluator returns for the same pattern, and their pools must hold
-// every answer value.
+// is well under |V|/4. Both the generated OGP and the plain CQ must
+// return what the brute-force evaluator returns for the same pattern,
+// and their pools must hold every answer value.
 func TestNarrowedSeedingEquivalence(t *testing.T) {
 	narrowedPlans := 0
-	check := func(seed int64, p *core.Pattern, g *graph.Graph, caps Caps) {
+	check := func(seed int64, what string, p *core.Pattern, g *graph.Graph) {
 		t.Helper()
 		want := fmt.Sprint(core.EnumerateNaive(p, g).Names(g))
 		// What SeedCandidates would be with the first and third stage only.
@@ -304,23 +305,22 @@ func TestNarrowedSeedingEquivalence(t *testing.T) {
 			unnarrowed += m.sc.nbrSeen.Count()
 			m.sc.nbrSeen.Reset()
 		}
-		opts := Options{Workers: 1, Caps: caps}
-		pl, err := Prepare(p, g, opts)
+		pl, err := Prepare(p, g)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ans, _, err := pl.Run(opts)
+		ans, _, err := pl.Run(Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := fmt.Sprint(ans.Names(g)); got != want {
-			t.Fatalf("seed %d (caps %+v):\nplan answers %s\nbrute force  %s\npattern:\n%s", seed, caps, got, want, p)
+			t.Fatalf("seed %d (%s):\nplan answers %s\nbrute force  %s\npattern:\n%s", seed, what, got, want, p)
 		}
 		dist := p.Distinguished()
 		for _, a := range ans.Answers() {
 			for i, v := range a {
 				if v != core.Omitted && !slices.Contains(pl.CandidatePool(dist[i]), v) {
-					t.Fatalf("seed %d (caps %+v): answer value %s of vertex %d is not in its pool", seed, caps, g.Name(v), dist[i])
+					t.Fatalf("seed %d (%s): answer value %s of vertex %d is not in its pool", seed, what, g.Name(v), dist[i])
 				}
 			}
 		}
@@ -340,14 +340,82 @@ func TestNarrowedSeedingEquivalence(t *testing.T) {
 			}
 		}
 		g := abox.Graph(nil)
-		check(seed, core.FromCQ(q), g, Caps{})
+		check(seed, "CQ", core.FromCQ(q), g)
 		if res, err := rewrite.Generate(q, tb); err == nil {
-			check(seed, res.Pattern, g, Caps{Omission: true, DependencyEdges: true})
+			check(seed, "OGP", res.Pattern, g)
 		}
 	}
 	// 22 of the 200 when written; a sweep that stops reaching the
 	// partner path is no test of it.
 	if narrowedPlans < 15 {
 		t.Fatalf("only %d plans seeded a vertex through a partner", narrowedPlans)
+	}
+}
+
+// TestPrepareUnionStatsSumParts: a union plan's build statistics, in
+// Stats and in a worker-1 Run, are exactly the sums over its disjunct
+// plans, BuildNanos included, and the Run's enumeration counters are the
+// sums of the disjunct plans' own Runs. The sums are taken field by
+// field here rather than with Stats.Add, which the union itself uses.
+func TestPrepareUnionStatsSumParts(t *testing.T) {
+	sum := func(dst *Stats, src Stats) {
+		d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+		for f := 0; f < d.NumField(); f++ {
+			switch fd := d.Field(f); fd.Kind() {
+			case reflect.Int, reflect.Int64:
+				fd.SetInt(fd.Int() + s.Field(f).Int())
+			case reflect.Bool:
+				fd.SetBool(fd.Bool() || s.Field(f).Bool())
+			default:
+				t.Fatalf("Stats.%s: unhandled kind %s", d.Type().Field(f).Name, fd.Kind())
+			}
+		}
+	}
+	unions := 0
+	for seed := int64(0); seed < 40; seed++ {
+		tb, abox, q := testkb.RandomKB(rand.New(rand.NewSource(seed)))
+		ucq, err := perfectref.Rewrite(q, tb, perfectref.Limits{MaxQueries: 64})
+		if err != nil || ucq.Len() < 2 {
+			continue
+		}
+		unions++
+		g := abox.Graph(nil)
+		ps := make([]*core.Pattern, ucq.Len())
+		for i, d := range ucq.Queries {
+			ps[i] = core.FromCQ(d)
+		}
+		pl, err := PrepareUnion(ps, g)
+		if err != nil {
+			t.Fatalf("seed %d: PrepareUnion: %v", seed, err)
+		}
+		if len(pl.parts) != len(ps) {
+			t.Fatalf("seed %d: %d disjunct plans, want %d", seed, len(pl.parts), len(ps))
+		}
+		var wantBuild, wantRun Stats
+		for i, part := range pl.parts {
+			sum(&wantBuild, part.Stats())
+			_, st, err := part.Run(Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("seed %d disjunct %d: Run: %v", seed, i, err)
+			}
+			sum(&wantRun, st)
+		}
+		if got := pl.Stats(); got != wantBuild {
+			t.Fatalf("seed %d: union Stats\n got %+v\nwant %+v", seed, got, wantBuild)
+		}
+		_, got, err := pl.Run(Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("seed %d: union Run: %v", seed, err)
+		}
+		if got.BuildNanos != wantBuild.BuildNanos {
+			t.Fatalf("seed %d: union Run BuildNanos %d, want the disjuncts' sum %d", seed, got.BuildNanos, wantBuild.BuildNanos)
+		}
+		got.EnumNanos, wantRun.EnumNanos = 0, 0
+		if got != wantRun {
+			t.Fatalf("seed %d: union Run stats\n got %+v\nwant %+v", seed, got, wantRun)
+		}
+	}
+	if unions < 10 {
+		t.Fatalf("only %d of 40 seeds rewrote to a union of two or more disjuncts", unions)
 	}
 }

@@ -5,26 +5,27 @@
 // candidate-space index and adaptive backtracking, plus OGP-specific
 // machinery — and this package owns exactly that shared pipeline:
 //
-//   - BuildOMDAG: rooted DAG ordering of the pattern, with optional
-//     dependency edges from conditions (Caps.DependencyEdges);
+//   - BuildOMDAG: rooted DAG ordering of the pattern, with dependency
+//     edges from conditions;
 //   - BuildOMCS: candidate sets refined incrementally on word-packed
 //     bitsets, per-DAG-edge adjacency materialized in CSR form;
 //   - OMBacktrack: a zero-allocation backtracking runtime with adaptive
-//     or static-BFS ordering, one first-decision-level fan-out (a
-//     worker pool), budget/step accounting and truncation.
+//     or static-BFS ordering, budget/step accounting and truncation;
+//   - one worker pool (fanOut) behind both a plan's first-decision-level
+//     fan-out and a union's disjunct fan-out.
 //
-// OGP-only features are *capabilities* a front-end installs at Prepare
-// time (Caps): ⊥ dummy candidates for omittable vertices (Omission),
-// dependency edges (DependencyEdges), and injective matching for
-// subgraph isomorphism (Injective). Conditions are always compiled into
-// one shared BDD over interned atoms; a condition-free CQ is simply the
-// degenerate case where every vertex condition is a label conjunction
-// and every edge condition restates its edge, so the same runtime
-// serves both front-ends without branching on "which algorithm am I".
+// The OGP-only machinery — ⊥ dummy candidates for omittable vertices and
+// dependency edges — is always on, and conditions are always compiled
+// into one shared BDD over interned atoms. A condition-free CQ is simply
+// the degenerate case: no vertex has an omission condition and every
+// vertex condition mentions only its own vertex, so neither ⊥ nor a
+// dependency edge arises, and the same runtime serves both front-ends
+// without branching on "which algorithm am I".
 //
-// The contract is Prepare(pattern, graph, opts) → *Plan, then
-// Plan.Run(opts) → answers: the build phase depends only on the pattern
-// and the graph, so plans are cacheable and safe for concurrent Runs.
+// The contract is Prepare(pattern, graph) → *Plan (PrepareUnion for a
+// union of patterns), then Plan.Run(opts) → answers: the build phase
+// depends only on the patterns and the graph, so plans are cacheable and
+// safe for concurrent Runs.
 package engine
 
 import (
@@ -73,40 +74,19 @@ type Limits struct {
 // package boundaries.
 var ErrLimit = errors.New("engine: enumeration limit exceeded")
 
-// Caps are the plan capabilities a front-end installs at Prepare time.
-// They are properties of the compiled plan, not of a single Run: Run
-// ignores the Caps of its own Options and keeps the prepared ones.
-type Caps struct {
-	// Omission enables ⊥ dummy candidates: a vertex with a non-empty
-	// omission condition may map to ⊥ and its incident edges are then
-	// excused (paper BuildOMDAG step 1b). Off, omission conditions are
-	// ignored entirely (the DAF front-end rejects them before Prepare).
-	Omission bool
-	// DependencyEdges adds OMDAG edges (u', u) when a condition of u
-	// references u' (paper BuildOMDAG step 1c), steering the root choice
-	// away from condition-dependent vertices.
-	DependencyEdges bool
-	// Injective switches from homomorphism to subgraph-isomorphism
-	// semantics: two pattern vertices may not map to the same data
-	// vertex (⊥ assignments are exempt).
-	Injective bool
-}
-
-// Options configures Prepare and Run.
+// Options configures Run.
 type Options struct {
 	Order  Order
 	Limits Limits
 
-	// Workers bounds the first-level fan-out: the first decision level's
-	// candidate pool (including the ⊥ candidate) is claimed item by item
-	// by this many goroutines, each owning its own runtime state and BDD
-	// evaluation cache. 0 means runtime.GOMAXPROCS(0); 1 runs the
-	// recursion inline. Answers are merged in candidate order, so results
-	// are identical to sequential.
+	// Workers bounds the worker pool. A plan's first decision level
+	// (including the ⊥ candidate) or a union's disjuncts are claimed item
+	// by item by this many goroutines, each owning its own runtime state
+	// and BDD evaluation cache. 0 means runtime.GOMAXPROCS(0); 1 runs a
+	// plan's recursion inline and a union's disjuncts one after another.
+	// Answers are merged in item order, so results are identical to
+	// sequential.
 	Workers int
-
-	// Caps select the plan capabilities; consulted by Prepare only.
-	Caps Caps
 
 	// Ablation switches (benchmarking only; both default to enabled).
 	DisableEarlyReject           bool // skip partial-BDD pruning during backtracking
@@ -254,29 +234,30 @@ type dagEdge struct {
 	edge          int // pattern edge index
 }
 
-// Plan is a compiled matching plan for one (pattern, graph, caps)
-// triple: conditions compiled into the shared BDD, the OMDAG built,
-// candidate sets refined and the CS adjacency materialized. The build
-// phase depends only on the pattern and the graph, so a Plan can be
-// cached and Run many times — concurrently, with different limits and
-// worker counts — which is how the server's plan cache skips the
-// rewriter and BuildOMCS on repeated queries.
+// Plan is a compiled matching plan for one pattern over one graph:
+// conditions compiled into the shared BDD, the OMDAG built, candidate
+// sets refined and the CS adjacency materialized — or, for a union of
+// several patterns, one such plan per disjunct. The build phase depends
+// only on the patterns and the graph, so a Plan can be cached and Run
+// many times — concurrently, with different limits and worker counts —
+// which is how the server's plan cache skips the rewriter and BuildOMCS
+// on repeated queries.
 type Plan struct {
 	m     *matcher
-	stats Stats // build-phase statistics, copied into every Run
-	empty bool  // build proved Q(G) = ∅
+	parts []*Plan // a union's disjunct plans; nil for a single pattern
+	stats Stats   // build-phase statistics, copied into every Run
+	empty bool    // build proved Q(G) = ∅
 }
 
-// Prepare runs the shared build phase. Of opts only Caps is consulted
-// (it fixes the plan's capabilities); enumeration options are taken per
+// Prepare runs the shared build phase; enumeration options are taken per
 // Run.
-func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Plan, error) {
+func Prepare(p *core.Pattern, g *graph.Graph) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	m := &matcher{
-		p: p, g: g, opts: opts,
+		p: p, g: g,
 		dist:    p.Distinguished(),
 		atomIdx: make(map[core.Cond]int),
 		bdd:     sbdd.New(),
@@ -347,32 +328,64 @@ func getScratch(nv, n int) *scratch {
 // AdjPairs, BDDNodes, RefinePasses, EmptyCandSets).
 func (pl *Plan) Stats() Stats { return pl.stats }
 
+// PrepareUnion prepares the union of ps, whose heads must agree: one
+// plan per disjunct, built one after another. A single pattern gives
+// that pattern's own plan.
+func PrepareUnion(ps []*core.Pattern, g *graph.Graph) (*Plan, error) {
+	if len(ps) == 1 {
+		return Prepare(ps[0], g)
+	}
+	pl := &Plan{parts: make([]*Plan, len(ps))}
+	for i, p := range ps {
+		part, err := Prepare(p, g)
+		if err != nil {
+			return nil, err
+		}
+		pl.parts[i] = part
+		pl.stats.Add(part.stats)
+	}
+	return pl, nil
+}
+
+// MatchUnion evaluates the union of ps over g without keeping a plan:
+// each disjunct's plan is built inside the pool item that runs it, so
+// the build phase runs in parallel too.
+func MatchUnion(ps []*core.Pattern, g *graph.Graph, opts Options) (*core.AnswerSet, Stats, error) {
+	if len(ps) == 1 {
+		pl, err := Prepare(ps[0], g)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		return pl.Run(opts)
+	}
+	return runUnion(len(ps), opts, func(i int) (*Plan, error) { return Prepare(ps[i], g) })
+}
+
 // Run enumerates answers over the prepared plan under opts. It is safe
 // to call concurrently on one Plan: the compile-phase structures are
 // frozen, and each Run works on its own shallow matcher copy and
-// runtime state. The plan's Caps are kept; opts.Caps is ignored.
+// runtime state.
 func (pl *Plan) Run(opts Options) (*core.AnswerSet, Stats, error) {
-	out := core.NewAnswerSet()
-	if pl.empty {
-		return out, pl.stats, nil
+	if pl.parts != nil {
+		return runUnion(len(pl.parts), opts, func(i int) (*Plan, error) { return pl.parts[i], nil })
 	}
-	mc := *pl.m // shallow copy: compile structures shared read-only
-	mc.opts = opts
-	mc.opts.Caps = pl.m.opts.Caps // capabilities are plan properties
-	mc.stats = pl.stats
-	start := time.Now()
-	err := mc.backtrack(out)
-	mc.stats.EnumNanos = time.Since(start).Nanoseconds()
-	return out, mc.stats, err
+	if pl.empty {
+		return core.NewAnswerSet(), pl.stats, nil
+	}
+	return enumerate(opts, pl.stats, func(out *core.AnswerSet, bud *budget) error {
+		mc := *pl.m // shallow copy: compile structures shared read-only
+		mc.opts = opts
+		return mc.backtrack(out, bud)
+	})
 }
 
 // CandidatePool returns the refined candidate pool for pattern vertex u,
 // computed at Prepare time (sorted ascending; nil for provably-empty
-// plans). Shared slice — read only. Callers use pool sizes and overlap
+// plans and for unions). Shared slice — read only. Callers use pool sizes and overlap
 // to cost alternative execution strategies (the MQO tier's
 // merge-vs-separate decision) without re-running the build phase.
 func (pl *Plan) CandidatePool(u int) []graph.VID {
-	if pl.empty || pl.m.cand == nil || u < 0 || u >= len(pl.m.cand) {
+	if pl.empty || pl.m == nil || pl.m.cand == nil || u < 0 || u >= len(pl.m.cand) {
 		return nil
 	}
 	return pl.m.cand[u]
@@ -666,12 +679,10 @@ func (m *matcher) compileConditions() bool {
 			}
 		}
 		m.seedBuckets[u] = m.bucketsOf(u, v.Label, dnf)
-		// ⊥ candidates are the Omission capability: without it a vertex
-		// never maps to ⊥ (the DAF front-end rejects omission conditions
-		// before Prepare, so nothing is silently dropped here). Nor does
-		// it under an omission condition that can never hold.
+		// A vertex maps to ⊥ only under an omission condition that can
+		// hold (a CQ vertex has none).
 		omit, st := m.prune(v.Omit)
-		m.canOmit[u] = m.opts.Caps.Omission && v.Omit != nil && st != dead
+		m.canOmit[u] = v.Omit != nil && st != dead
 		if m.canOmit[u] {
 			m.vertexOmitIdx[u] = m.addCond(condVertexOmit, u, omit, st, u)
 		}
@@ -921,18 +932,16 @@ func (m *matcher) buildOMDAG() bool {
 	}
 
 	// Dependency parents: the vertices u's (pruned) conditions reference
-	// (the DependencyEdges capability; a condition-free CQ never has any).
+	// (a condition-free CQ never has any).
 	m.depParents = make([][]int, n)
-	if m.opts.Caps.DependencyEdges {
-		for u := 0; u < n; u++ {
-			for _, ci := range [2]int{m.vertexMatchIdx[u], m.vertexOmitIdx[u]} {
-				if ci < 0 {
-					continue
-				}
-				for _, w := range m.conds[ci].vars {
-					if w != u && !slices.Contains(m.depParents[u], w) {
-						m.depParents[u] = append(m.depParents[u], w)
-					}
+	for u := 0; u < n; u++ {
+		for _, ci := range [2]int{m.vertexMatchIdx[u], m.vertexOmitIdx[u]} {
+			if ci < 0 {
+				continue
+			}
+			for _, w := range m.conds[ci].vars {
+				if w != u && !slices.Contains(m.depParents[u], w) {
+					m.depParents[u] = append(m.depParents[u], w)
 				}
 			}
 		}
@@ -955,9 +964,9 @@ func (m *matcher) buildOMDAG() bool {
 	}
 
 	// Root selection: prefer vertices without dependencies and with small
-	// candidate sets relative to degree (paper BuildOMDAG step 2). With
-	// both capabilities off the penalties are inert and this is exactly
-	// DAF's root rule.
+	// candidate sets relative to degree (paper BuildOMDAG step 2). On a
+	// condition-free CQ the penalties are inert and this is exactly DAF's
+	// root rule.
 	root, bestScore := 0, float64(1<<62)
 	for u := 0; u < n; u++ {
 		d := deg[u]

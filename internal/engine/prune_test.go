@@ -11,8 +11,6 @@ import (
 	"ogpa/internal/testkb"
 )
 
-var ogpCaps = Caps{Omission: true, DependencyEdges: true}
-
 // q5Graph is LUBM in miniature: two departments, each with four student
 // members, a faculty member who works for it and a chair who heads it,
 // plus isolated fillers. No hasMember, advisor or Chair triple exists.
@@ -53,20 +51,19 @@ func q5Pattern(xMatch, edge, yOmit core.Cond) *core.Pattern {
 
 // checkNaive prepares and runs p and compares the answers with the
 // brute-force evaluator's; it returns the plan.
-func checkNaive(t *testing.T, what string, p *core.Pattern, g *graph.Graph, caps Caps) *Plan {
+func checkNaive(t *testing.T, what string, p *core.Pattern, g *graph.Graph) *Plan {
 	t.Helper()
 	want := fmt.Sprint(core.EnumerateNaive(p, g).Names(g))
-	opts := Options{Workers: 1, Caps: caps}
-	pl, err := Prepare(p, g, opts)
+	pl, err := Prepare(p, g)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	ans, _, err := pl.Run(opts)
+	ans, _, err := pl.Run(Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if got := fmt.Sprint(ans.Names(g)); got != want {
-		t.Fatalf("%s (caps %+v):\nplan answers %s\nbrute force  %s\npattern:\n%s", what, caps, got, want, p)
+		t.Fatalf("%s:\nplan answers %s\nbrute force  %s\npattern:\n%s", what, got, want, p)
 	}
 	return pl
 }
@@ -82,7 +79,7 @@ func TestAbsentLabelDisjunctKeepsEdgeIndexed(t *testing.T) {
 		core.LabelIs{X: 0, Label: "Chair"}, core.EdgeExists{X: 0, Label: "advisor", Out: true})
 	member := core.OrAll(core.EdgeIs{X: 1, Y: 0, Label: "hasMember"}, core.EdgeIs{X: 0, Y: 1, Label: "headOf"},
 		core.EdgeIs{X: 0, Y: 1, Label: "memberOf"}, core.EdgeIs{X: 0, Y: 1, Label: "worksFor"})
-	pl := checkNaive(t, "Q5", q5Pattern(person, member, nil), g, ogpCaps)
+	pl := checkNaive(t, "Q5", q5Pattern(person, member, nil), g)
 	st := pl.Stats()
 	if st.IndexedEdges != 1 || st.PatternEdges != 1 || st.AdjPairs == 0 {
 		t.Fatalf("indexed %d of %d edges, %d adjacency pairs; want the edge indexed", st.IndexedEdges, st.PatternEdges, st.AdjPairs)
@@ -94,7 +91,7 @@ func TestAbsentLabelDisjunctKeepsEdgeIndexed(t *testing.T) {
 		core.OrAll(core.LabelIs{X: 0, Label: "Student"}, core.LabelIs{X: 0, Label: "Faculty"}),
 		core.OrAll(core.EdgeIs{X: 0, Y: 1, Label: "headOf"}, core.EdgeIs{X: 0, Y: 1, Label: "memberOf"}, core.EdgeIs{X: 0, Y: 1, Label: "worksFor"}),
 		nil)
-	plPresent, err := Prepare(present, g, Options{Caps: ogpCaps})
+	plPresent, err := Prepare(present, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +120,7 @@ func TestAbsentLabelEdgeEmptiesPlan(t *testing.T) {
 		{"y omission never holds", core.LabelIs{X: 1, Label: "Chair"}, true, 0},
 		{"y omittable", core.EdgeExists{X: 0, Label: "memberOf", Out: true}, false, 8},
 	} {
-		pl := checkNaive(t, c.name, q5Pattern(person, never, c.yOmit), g, ogpCaps)
+		pl := checkNaive(t, c.name, q5Pattern(person, never, c.yOmit), g)
 		ans, _, err := pl.Run(Options{Workers: 1})
 		if err != nil || pl.empty != c.empty || ans.Len() != c.rows {
 			t.Fatalf("%s: plan empty %v, %d answers, err %v; want empty %v, %d answers", c.name, pl.empty, ans.Len(), err, c.empty, c.rows)
@@ -137,7 +134,7 @@ func TestAbsentLabelEdgeEmptiesPlan(t *testing.T) {
 		Vertices: []core.Vertex{{Label: "Student", Distinguished: true}, {Label: core.Wildcard}},
 		Edges:    []core.Edge{{From: 0, To: 1, Label: "hasMember"}},
 	}
-	if pl := checkNaive(t, "plain CQ", cq, g, Caps{}); !pl.empty {
+	if pl := checkNaive(t, "plain CQ", cq, g); !pl.empty {
 		t.Fatal("plain CQ over an absent role: plan not empty at Prepare")
 	}
 }
@@ -223,8 +220,8 @@ func withAbsent(rng *rand.Rand, p *core.Pattern) *core.Pattern {
 // evaluator returns for the same pattern, from both builds.
 func TestAbsentLabelPruningEquivalence(t *testing.T) {
 	empty, indexedPast := 0, 0
-	check := func(seed int64, p *core.Pattern, g *graph.Graph, caps Caps) {
-		pl := checkNaive(t, fmt.Sprintf("seed %d", seed), p, g, caps)
+	check := func(seed int64, p *core.Pattern, g *graph.Graph) {
+		pl := checkNaive(t, fmt.Sprintf("seed %d", seed), p, g)
 		if pl.empty {
 			empty++
 		}
@@ -246,9 +243,9 @@ func TestAbsentLabelPruningEquivalence(t *testing.T) {
 			}
 		}
 		g := abox.Graph(nil)
-		check(seed, withAbsent(rng, core.FromCQ(q)), g, Caps{})
+		check(seed, withAbsent(rng, core.FromCQ(q)), g)
 		if res, err := rewrite.Generate(q, tb); err == nil {
-			check(seed, withAbsent(rng, res.Pattern), g, ogpCaps)
+			check(seed, withAbsent(rng, res.Pattern), g)
 		}
 	}
 	// 65 empty plans and 149 edges indexed past an absent disjunct when

@@ -166,7 +166,7 @@ func (r *Runner) Answer(m Method, q *cq.Query, d *gen.Dataset) Result {
 	}
 	g := d.Graph()
 	deadline := time.Now().Add(r.EvalTimeout)
-	evalLim := daf.Limits{MaxResults: r.MaxResults, Deadline: deadline}
+	evalOpts := daf.Options{Limits: daf.Limits{MaxResults: r.MaxResults, Deadline: deadline}}
 	start := time.Now()
 
 	switch m {
@@ -202,7 +202,7 @@ func (r *Runner) Answer(m Method, q *cq.Query, d *gen.Dataset) Result {
 			res.Unsolved = true
 			break
 		}
-		ans, _, err := daf.EvalUCQ(u.Queries, g, evalLim)
+		ans, _, err := daf.EvalUCQ(u.Queries, g, evalOpts)
 		if err != nil {
 			res.Unsolved = true
 			break
@@ -228,7 +228,7 @@ func (r *Runner) Answer(m Method, q *cq.Query, d *gen.Dataset) Result {
 			res.Unsolved = true
 			break
 		}
-		ans, _, err := daf.EvalCQ(q, e.g, evalLim)
+		ans, _, err := daf.EvalCQ(q, e.g, evalOpts)
 		if err != nil {
 			res.Unsolved = true
 			break

@@ -7,10 +7,9 @@ package engine
 
 import "sync"
 
-// caps mirrors engine.Caps: feature flags pinned at Prepare time.
+// caps holds feature flags pinned at Prepare time.
 type caps struct {
-	omission  bool
-	injective bool
+	omission bool
 }
 
 // condKind mirrors the engine's compiled-condition discriminator.

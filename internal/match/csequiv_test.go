@@ -82,7 +82,7 @@ func TestCandidateSpaceCoversAnswers(t *testing.T) {
 		}
 		for i, d := range u.Queries {
 			p := core.FromCQ(d)
-			pr, err := daf.Prepare(p, g, daf.Options{})
+			pr, err := daf.Prepare(p, g)
 			if err != nil {
 				t.Fatalf("seed %d disjunct %d: daf.Prepare: %v", seed, i, err)
 			}

@@ -21,7 +21,7 @@ func ucqVsOGP(t *testing.T, seed int64) (want, got []string, query string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+	ref, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

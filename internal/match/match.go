@@ -3,20 +3,19 @@
 // framework. The execution pipeline itself — OMDAG construction, OMCS
 // candidate refinement with CSR adjacency, the zero-alloc backtracking
 // runtime and its worker pool — lives in internal/engine, shared with
-// the plain-CQ front-end internal/daf. This package installs the
-// OGP-specific plan capabilities on top of it:
+// the plain-CQ front-end internal/daf. The OGP-specific machinery is the
+// engine's too, and always on (a plain CQ is just the degenerate
+// condition-free case, on which it is inert):
 //
-//   - Dummy ⊥ candidates (engine.Caps.Omission): a vertex with a
-//     non-empty omission condition may map to ⊥; its incident edges are
-//     then excused (BuildOMDAG step 1b).
-//   - Dependency edges (engine.Caps.DependencyEdges): if C^l(u) or
-//     C^o(u) references u', the OMDAG gains an edge (u', u), so u' is
-//     mapped before u and u's conditions are decidable when u is
-//     assigned (BuildOMDAG step 1c).
+//   - Dummy ⊥ candidates: a vertex with a non-empty omission condition
+//     may map to ⊥; its incident edges are then excused (BuildOMDAG
+//     step 1b).
+//   - Dependency edges: if C^l(u) or C^o(u) references u', the OMDAG
+//     gains an edge (u', u), so u' is mapped before u and u's conditions
+//     are decidable when u is assigned (BuildOMDAG step 1c).
 //   - Global conditions compiled into a shared BDD over atomic
 //     conditions, decided as soon as their variables are mapped
-//     (OMBacktrack); the engine always carries this machinery — a plain
-//     CQ is just the degenerate condition-free case.
+//     (OMBacktrack).
 //
 // The exported types are aliases of the engine's, so a match.Options or
 // match.Stats is interchangeable with the engine's (and with daf's).
@@ -46,8 +45,7 @@ type Limits = engine.Limits
 // sentinel, re-exported so existing == comparisons keep working.
 var ErrLimit = engine.ErrLimit
 
-// Options configures Match; see engine.Options. The OGP capabilities
-// (Caps) are installed by Prepare and need not be set by callers.
+// Options configures Match; see engine.Options.
 type Options = engine.Options
 
 // Stats reports work done by one Match call; see engine.Stats.
@@ -60,17 +58,10 @@ type Stats = engine.Stats
 // BuildOMCS on repeated queries.
 type Prepared = engine.Plan
 
-// ogpCaps are the engine capabilities that make the shared pipeline
-// OMatch: ⊥ candidates for omittable vertices and dependency edges.
-// (Matching stays homomorphic; Injective is the daf front-end's.)
-var ogpCaps = engine.Caps{Omission: true, DependencyEdges: true}
-
-// Prepare runs the shared build phase with the OGP capabilities
-// installed. No field of opts is consulted (opts.Caps is replaced by the
-// OGP set); enumeration options are taken per Run.
+// Prepare runs the shared build phase. No field of opts is consulted;
+// enumeration options are taken per Run.
 func Prepare(p *core.Pattern, g *graph.Graph, opts Options) (*Prepared, error) {
-	opts.Caps = ogpCaps
-	return engine.Prepare(p, g, opts)
+	return engine.Prepare(p, g)
 }
 
 // Match computes Q(G) for a full OGP.

@@ -316,7 +316,7 @@ func TestFullPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 		if err != nil {
 			return false
 		}

@@ -59,11 +59,11 @@ func TestSnapshotReloadEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: PerfectRef: %v", seed, err)
 		}
-		ucqMem, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+		ucqMem, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: EvalUCQ (mem): %v", seed, err)
 		}
-		ucqSnap, _, err := daf.EvalUCQ(u.Queries, rg, daf.Limits{})
+		ucqSnap, _, err := daf.EvalUCQ(u.Queries, rg, daf.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: EvalUCQ (snap): %v", seed, err)
 		}

@@ -77,7 +77,7 @@ func TestWalkQueriesHaveAnswers(t *testing.T) {
 		// GeneralizeProb 0: the raw walks must all have matches.
 	})
 	for _, q := range qs {
-		res, _, err := daf.EvalCQ(q, g, daf.Limits{MaxResults: 1})
+		res, _, err := daf.EvalCQ(q, g, daf.Options{Limits: daf.Limits{MaxResults: 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -147,7 +147,7 @@ func TestLUBMQueriesAnswerable(t *testing.T) {
 	d := gen.LUBM(gen.LUBMConfig{Universities: 1, Seed: 1})
 	g := d.Graph()
 	q14 := LUBMQueries()[13]
-	res, _, err := daf.EvalCQ(q14, g, daf.Limits{MaxResults: 5})
+	res, _, err := daf.EvalCQ(q14, g, daf.Options{Limits: daf.Limits{MaxResults: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func checkEquivalent(t *testing.T, tb *dllite.TBox, abox *dllite.ABox, q *cq.Que
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+	want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestExample8Star(t *testing.T) {
 	abox.AddRole("P1", "a", "b")
 	abox.AddRole("P1", "a", "c")
 	g := abox.Graph(nil)
-	want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+	want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestEquivalenceWithPerfectRef(t *testing.T) {
 		if err != nil {
 			return true // pathological blowup: skip this sample
 		}
-		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 		if err != nil {
 			t.Logf("seed %d: EvalUCQ: %v", seed, err)
 			return false

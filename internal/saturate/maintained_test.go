@@ -175,7 +175,7 @@ func TestMaintainerMatchesAnswerCQ(t *testing.T) {
 
 			check := func(step string) {
 				t.Helper()
-				want, wg, _, err := AnswerCQ(tb, cur, q, Limits{}, daf.Limits{})
+				want, wg, _, err := AnswerCQ(tb, cur, q, Limits{}, daf.Options{})
 				if err != nil {
 					t.Fatalf("%s: AnswerCQ: %v", step, err)
 				}
@@ -333,7 +333,7 @@ func TestMaintainerDeleteOnlyWitness(t *testing.T) {
 	cur := cloneABox(abox)
 	ans := func(step, want string) {
 		t.Helper()
-		res, g, _, err := AnswerCQ(tb, cur, q, Limits{}, daf.Limits{})
+		res, g, _, err := AnswerCQ(tb, cur, q, Limits{}, daf.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -288,12 +288,12 @@ func FilterNulls(res *core.AnswerSet, g *graph.Graph) *core.AnswerSet {
 // AnswerCQ materializes to the depth required by q and evaluates q on the
 // completed graph, filtering null answers. The returned graph is the
 // materialization the answer VIDs refer to.
-func AnswerCQ(t *dllite.TBox, a *dllite.ABox, q *cq.Query, lim Limits, evalLim daf.Limits) (*core.AnswerSet, *graph.Graph, Stats, error) {
+func AnswerCQ(t *dllite.TBox, a *dllite.ABox, q *cq.Query, lim Limits, evalOpts daf.Options) (*core.AnswerSet, *graph.Graph, Stats, error) {
 	g, st, err := Materialize(t, a, q.Size()+1, lim)
 	if err != nil {
 		return nil, nil, st, err
 	}
-	res, _, err := daf.EvalCQ(q, g, evalLim)
+	res, _, err := daf.EvalCQ(q, g, evalOpts)
 	if err != nil {
 		return nil, g, st, err
 	}

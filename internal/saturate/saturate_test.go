@@ -108,7 +108,7 @@ func TestAnswerCQRunningExample(t *testing.T) {
 	q := cq.MustParse(`q(x) :- advisorOf(y1, x), advisorOf(y1, y2), advisorOf(y1, y3), takesCourse(x, z)`)
 	abox := &dllite.ABox{}
 	abox.AddConcept("PhD", "Ann")
-	res, g, _, err := AnswerCQ(exampleTBox(t), abox, q, Limits{}, daf.Limits{})
+	res, g, _, err := AnswerCQ(exampleTBox(t), abox, q, Limits{}, daf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestNullsNeverAnswer(t *testing.T) {
 	abox := &dllite.ABox{}
 	abox.AddConcept("PhD", "Ann")
 	q := cq.MustParse(`q(x) :- takesCourse(_, x)`)
-	res, _, _, err := AnswerCQ(tb, abox, q, Limits{}, daf.Limits{})
+	res, _, _, err := AnswerCQ(tb, abox, q, Limits{}, daf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestAgainstPerfectRef(t *testing.T) {
 			return true
 		}
 		g := abox.Graph(nil)
-		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Limits{})
+		want, _, err := daf.EvalUCQ(u.Queries, g, daf.Options{})
 		if err != nil {
 			return false
 		}
 
-		got, mg, _, err := AnswerCQ(tb, abox, q, Limits{}, daf.Limits{})
+		got, mg, _, err := AnswerCQ(tb, abox, q, Limits{}, daf.Options{})
 		if err != nil {
 			t.Logf("seed %d: AnswerCQ: %v", seed, err)
 			return false

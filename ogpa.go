@@ -456,12 +456,11 @@ func fromMatchStats(st match.Stats) MatchStats {
 // times — concurrently, with different limits — without repeating that
 // work. The server's plan cache stores these across requests.
 type PreparedQuery struct {
-	kb  *KB
-	q   *cq.Query
-	g   *graph.Graph     // the snapshot the plan was built against
-	rw  *Rewriting       // nil for baseline plans
-	pr  *match.Prepared  // OGP plan; nil for baseline plans
-	ucq *daf.PreparedUCQ // UCQ-baseline plan; nil for OGP plans
+	kb *KB
+	q  *cq.Query
+	g  *graph.Graph    // the snapshot the plan was built against
+	rw *Rewriting      // nil for baseline plans
+	pl *match.Prepared // the OGP's plan, or a UCQ baseline's (a daf.Prepared: the same engine plan type)
 }
 
 // Prepare compiles a CQ into a reusable matching plan.
@@ -503,11 +502,11 @@ func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*Pr
 			return nil, err
 		}
 		v := kb.view() // pin: the plan answers against this view forever
-		pr, err := match.Prepare(rw.Pattern, v.g, match.Options{})
+		pl, err := match.Prepare(rw.Pattern, v.g, match.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &PreparedQuery{kb: kb, q: rw.Query, g: v.g, rw: rw, pr: pr}, nil
+		return &PreparedQuery{kb: kb, q: rw.Query, g: v.g, rw: rw, pl: pl}, nil
 	}
 	q, err := cq.Parse(query)
 	if err != nil {
@@ -527,11 +526,11 @@ func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*Pr
 		return nil, err
 	}
 	v := kb.view() // pin: the plan answers against this view forever
-	ucq, err := daf.PrepareUCQ(u.Queries, v.g, daf.Options{})
+	pl, err := daf.PrepareUCQ(u.Queries, v.g)
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{kb: kb, q: q, g: v.g, ucq: ucq}, nil
+	return &PreparedQuery{kb: kb, q: q, g: v.g, pl: pl}, nil
 }
 
 // Rewriting exposes the generated OGP behind the plan (nil for baseline
@@ -541,10 +540,7 @@ func (pq *PreparedQuery) Rewriting() *Rewriting { return pq.rw }
 // Stats reports the build-phase statistics of the plan (the
 // enumeration-phase fields are zero; AnswerWithStats fills them per run).
 func (pq *PreparedQuery) Stats() MatchStats {
-	if pq.ucq != nil {
-		return fromMatchStats(pq.ucq.Stats())
-	}
-	return fromMatchStats(pq.pr.Stats())
+	return fromMatchStats(pq.pl.Stats())
 }
 
 // Answer enumerates the query's certain answers under opt.
@@ -555,14 +551,7 @@ func (pq *PreparedQuery) Answer(opt Options) (*Answers, error) {
 
 // AnswerWithStats is Answer plus the matcher's work counters.
 func (pq *PreparedQuery) AnswerWithStats(opt Options) (*Answers, MatchStats, error) {
-	if pq.ucq != nil {
-		res, st, err := pq.ucq.Run(dafLimits(opt))
-		if err != nil {
-			return nil, MatchStats{}, err
-		}
-		return render(pq.q, res, pq.g), fromMatchStats(st), nil
-	}
-	res, st, err := pq.pr.Run(matchOptions(opt))
+	res, st, err := pq.pl.Run(matchOptions(opt))
 	if err != nil {
 		return nil, MatchStats{}, err
 	}
@@ -642,7 +631,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if opt.Timeout > 0 {
 			slim.Deadline = time.Now().Add(opt.Timeout)
 		}
-		rows, err := kb.saturateRows(kb.aboxNow(), q, slim, dafLimits(opt))
+		rows, err := kb.saturateRows(kb.aboxNow(), q, slim, matchOptions(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -710,8 +699,8 @@ func datalogRows(tuples []datalog.Tuple) [][]string {
 
 // saturateRows answers q by chasing abox (the saturation baseline) and
 // resolves the certain answers to sorted rows over the materialization.
-func (kb *KB) saturateRows(abox *dllite.ABox, q *cq.Query, lim saturate.Limits, evalLim daf.Limits) ([][]string, error) {
-	res, mg, _, err := saturate.AnswerCQ(kb.tbox, abox, q, lim, evalLim)
+func (kb *KB) saturateRows(abox *dllite.ABox, q *cq.Query, lim saturate.Limits, evalOpts daf.Options) ([][]string, error) {
+	res, mg, _, err := saturate.AnswerCQ(kb.tbox, abox, q, lim, evalOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -733,12 +722,4 @@ func matchOptions(opt Options) match.Options {
 		lim.Deadline = time.Now().Add(opt.Timeout)
 	}
 	return match.Options{Limits: lim, Workers: opt.Workers}
-}
-
-func dafLimits(opt Options) daf.Limits {
-	lim := daf.Limits{MaxResults: opt.MaxResults, Workers: opt.Workers, Ctx: opt.Context}
-	if opt.Timeout > 0 {
-		lim.Deadline = time.Now().Add(opt.Timeout)
-	}
-	return lim
 }
