@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -258,18 +261,25 @@ func (s *AnswerSet) Answers() []Answer {
 	return out
 }
 
+// omittedName renders an omitted distinguished vertex.
+const omittedName = "⊥"
+
 // cells renders every answer's vertex names ("⊥" for omitted) into one
 // flat slice in insertion order: answer i is cells[i*width : (i+1)*width].
 func (s *AnswerSet) cells(g *graph.Graph) []string {
 	cells := make([]string, len(s.store))
 	for i, v := range s.store {
-		if v == Omitted {
-			cells[i] = "⊥"
-		} else {
-			cells[i] = g.Name(v)
-		}
+		cells[i] = cellName(v, g)
 	}
 	return cells
+}
+
+// cellName renders one answer cell.
+func cellName(v graph.VID, g *graph.Graph) string {
+	if v == Omitted {
+		return omittedName
+	}
+	return g.Name(v)
 }
 
 // Names renders answers as sorted rows of vertex names ("⊥" for omitted),
@@ -285,16 +295,138 @@ func (s *AnswerSet) Names(g *graph.Graph) []string {
 }
 
 // Names2D renders answers as rows of vertex names ("⊥" for omitted), one
-// slice per answer, in SortRows order. The rows share one backing array,
-// and the sort moves int32 row numbers, not rows.
+// slice per answer, in SortRows order. The rows share one backing array.
 func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
-	cells, w := s.cells(g), s.width
-	row := func(i int) []string { return cells[i*w : (i+1)*w : (i+1)*w] }
-	rows := make([][]string, s.n)
-	for i, p := range rowOrder(s.n, row) {
-		rows[i] = row(int(p))
+	perm, cells := s.sortedRows(g)
+	w := s.width
+	rows := make([][]string, len(perm))
+	if cells != nil {
+		for i, p := range perm {
+			rows[i] = cells[int(p)*w : (int(p)+1)*w : (int(p)+1)*w]
+		}
+		return rows
+	}
+	cells = make([]string, 0, len(s.store))
+	for i, p := range perm {
+		for _, v := range s.At(int(p)) {
+			cells = append(cells, cellName(v, g))
+		}
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
+}
+
+// Rows yields the answers as rows of vertex names ("⊥" for omitted) in
+// SortRows order, resolving each name only when its row is yielded. A
+// yielded row is valid until the next one.
+func (s *AnswerSet) Rows(g *graph.Graph) iter.Seq[[]string] {
+	return func(yield func([]string) bool) {
+		perm, cells := s.sortedRows(g)
+		w := s.width
+		row := make([]string, w)
+		for _, p := range perm {
+			if cells != nil {
+				row = cells[int(p)*w : (int(p)+1)*w]
+			} else {
+				for j, v := range s.At(int(p)) {
+					row[j] = cellName(v, g)
+				}
+			}
+			if !yield(row) {
+				return
+			}
+		}
+	}
+}
+
+// sortedRows returns the permutation that lists the answers in SortRows
+// order of their rendered rows: rankOrder's when it applies, else
+// rowOrder's over the rendered cells, which it returns too (nil on the
+// rank path, which renders nothing).
+func (s *AnswerSet) sortedRows(g *graph.Graph) (perm []int32, cells []string) {
+	if perm, ok := s.rankOrder(g); ok {
+		return perm, nil
+	}
+	cells, w := s.cells(g), s.width
+	return rowOrder(s.n, func(i int) []string { return cells[i*w : (i+1)*w] }), cells
+}
+
+// rankedHook, when set (by tests), is called on every rankOrder call with
+// whether the rank path decided the order.
+var rankedHook func(ranked bool)
+
+// rankOrder returns the permutation that lists the answers in SortRows
+// order of their rendered rows, comparing the names' ranks in
+// g.Symbols.Order() instead of joined strings. When no cell holds a byte
+// at or below ',', that is exactly the joined-key order: at the first
+// cell where two rows differ, either a byte inside both cells decides, or
+// one cell is a prefix of the other and the shorter cell's ',' (or the
+// key's end) loses to the longer one's next byte, which is above ','.
+// Equal ranks are equal names, except for even ranks (names outside the
+// order), which the names themselves break. ok is false, and the caller
+// falls back to rowOrder, when some cell holds such a byte.
+func (s *AnswerSet) rankOrder(g *graph.Graph) (perm []int32, ok bool) {
+	defer func() {
+		if rankedHook != nil {
+			rankedHook(ok)
+		}
+	}()
+	ord := g.Symbols.Order()
+	for _, v := range s.store {
+		if v != Omitted && ord.MinByte(g.NameID(v)) <= ',' {
+			return nil, false
+		}
+	}
+	omitted := ord.RankOf(omittedName)
+	ranks := make([]uint32, len(s.store))
+	var maxRank uint32
+	allOdd := true // every rank is a name's own: equal ranks are equal names
+	for i, v := range s.store {
+		r := omitted
+		if v != Omitted {
+			r = ord.Rank(g.NameID(v))
+		}
+		ranks[i], maxRank, allOdd = r, max(maxRank, r), allOdd && r&1 == 1
+	}
+	perm = make([]int32, s.n)
+	w, k, m := s.width, bits.Len32(maxRank), bits.Len(uint(s.n))
+	if allOdd && w*k+m <= 64 {
+		// A row's ranks fit in one word above its number: sorting the
+		// words sorts the rows by rank. Rows with equal ranks render
+		// identically, so their order among themselves does not matter.
+		keys := make([]uint64, s.n)
+		for i := range keys {
+			var key uint64
+			for _, r := range ranks[i*w : (i+1)*w] {
+				key = key<<k | uint64(r)
+			}
+			keys[i] = key<<m | uint64(i)
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			perm[i] = int32(key & (1<<m - 1))
+		}
+		return perm, true
+	}
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(x, y int32) int {
+		a, b := int(x)*w, int(y)*w
+		for j := 0; j < w; j++ {
+			ra, rb := ranks[a+j], ranks[b+j]
+			if ra != rb {
+				return cmp.Compare(ra, rb)
+			}
+			if ra&1 == 0 {
+				if c := strings.Compare(cellName(s.store[a+j], g), cellName(s.store[b+j], g)); c != 0 {
+					return c
+				}
+			}
+		}
+		return 0
+	})
+	return perm, true
 }
 
 // SortRows puts answer rows in the canonical order of every pipeline: by

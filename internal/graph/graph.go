@@ -149,6 +149,9 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // Name returns the external name of v.
 func (g *Graph) Name(v VID) string { return g.Symbols.Name(g.names[v]) }
 
+// NameID returns the symbol ID of v's name.
+func (g *Graph) NameID(v VID) symbols.ID { return g.names[v] }
+
 // VertexByName resolves an external name, returning NoVID when absent.
 func (g *Graph) VertexByName(name string) VID {
 	id := g.Symbols.Lookup(name)

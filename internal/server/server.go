@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	stdruntime "runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -267,33 +268,34 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	m := &metrics{}
 	cache := newLRU(cfg.planCacheSize()) // nil (inert) when caching is disabled
 	fingerprint := kb.Fingerprint()      // constant per handler; part of every cache key
-	// answerCached is the one request path for every kind with a prepared
-	// form: look the plan up, Prepare on a miss, Run.
-	answerCached := func(kind, query string, opt ogpa.Options) (*ogpa.Answers, ogpa.MatchStats, error) {
+	// plan is the one plan lookup for every kind with a prepared form:
+	// the cached plan, or a fresh Prepare on a miss.
+	plan := func(kind, query string, opt ogpa.Options) (*ogpa.PreparedQuery, error) {
 		// The epoch is in the key: a mutation bumps it, so every plan built
 		// against the superseded snapshot misses from then on and ages out
 		// of the LRU. On a read-only KB the epoch is constantly 0.
 		key := ogpa.CacheKey(fingerprint, kb.Epoch(), kind, query)
-		pq := cache.get(kind, key)
-		if pq == nil {
-			var err error
-			switch baseline, isUCQ := strings.CutPrefix(kind, "ucq:"); {
-			case kind == "sparql":
-				pq, err = kb.PrepareSPARQL(query)
-			case isUCQ:
-				// The request timeout bounds PerfectRef; a rewriting that
-				// fails caches nothing, one that completes is the same plan
-				// whatever the timeout was.
-				pq, err = kb.PrepareBaseline(ogpa.Baseline(baseline), query, opt.Timeout)
-			default:
-				pq, err = kb.Prepare(query)
-			}
-			if err != nil {
-				return nil, ogpa.MatchStats{}, err
-			}
-			cache.put(kind, key, pq)
+		if pq := cache.get(kind, key); pq != nil {
+			return pq, nil
 		}
-		return pq.AnswerWithStats(opt)
+		var pq *ogpa.PreparedQuery
+		var err error
+		switch baseline, isUCQ := strings.CutPrefix(kind, "ucq:"); {
+		case kind == "sparql":
+			pq, err = kb.PrepareSPARQL(query)
+		case isUCQ:
+			// The request timeout bounds PerfectRef; a rewriting that
+			// fails caches nothing, one that completes is the same plan
+			// whatever the timeout was.
+			pq, err = kb.PrepareBaseline(ogpa.Baseline(baseline), query, opt.Timeout)
+		default:
+			pq, err = kb.Prepare(query)
+		}
+		if err != nil {
+			return nil, err
+		}
+		cache.put(kind, key, pq)
+		return pq, nil
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
@@ -327,47 +329,61 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			}
 		}
 		start := time.Now()
-		var ans *ogpa.Answers
-		var st ogpa.MatchStats
+		var pq *ogpa.PreparedQuery
+		var ans *ogpa.Answers // the answer of a baseline without a prepared form
 		var err error
 		switch {
 		case req.SPARQL:
 			method = "genogp+omatch (sparql)"
-			ans, st, err = answerCached("sparql", query, opt)
+			pq, err = plan("sparql", query, opt)
 		case req.Baseline != "":
 			method = req.Baseline
 			switch b := ogpa.Baseline(req.Baseline); b {
 			case ogpa.BaselineUCQ, ogpa.BaselineUCQOpt:
 				// UCQ baselines have a Prepared form (PerfectRef + per-
 				// disjunct engine plans), so their plans are cached too.
-				ans, st, err = answerCached("ucq:"+req.Baseline, query, opt)
+				pq, err = plan("ucq:"+req.Baseline, query, opt)
 			default:
 				// Datalog/saturation (and unknown baselines, which error
-				// inside) have no prepared form and bypass the cache. They
-				// report no statistics, so their rows count as cut by the
-				// rule the engine applies: MaxResults answers were kept.
+				// inside) have no prepared form and bypass the cache.
 				ans, err = kb.AnswerBaseline(b, query, opt)
-				if err == nil {
-					st.Truncated = opt.MaxResults > 0 && ans.Len() >= opt.MaxResults
-				}
 			}
 		default:
-			ans, st, err = answerCached("cq", query, opt)
+			pq, err = plan("cq", query, opt)
 		}
 		if err != nil {
 			m.recordError()
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, QueryResponse{
-			Vars:      ans.Vars,
-			Rows:      ans.Rows,
-			Count:     ans.Len(),
-			TookMs:    float64(time.Since(start).Microseconds()) / 1000,
-			Method:    method,
-			Rewrote:   rewrote,
-			Truncated: st.Truncated,
-		})
+		// The body is written in one pass into a pooled buffer: prepared
+		// plans render their rows straight from the packed answer tuples.
+		buf := getBody()
+		defer putBody(buf)
+		resp := QueryResponse{Method: method, Rewrote: rewrote}
+		if pq != nil {
+			*buf = appendQueryHead(*buf, pq.Vars())
+			var st ogpa.MatchStats
+			*buf, resp.Count, st, err = pq.AppendRows(*buf, opt, appendRow)
+			if err != nil {
+				m.recordError()
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
+			resp.Truncated = st.Truncated
+		} else {
+			*buf = appendQueryHead(*buf, ans.Vars)
+			for _, row := range ans.Rows {
+				*buf = appendRow(*buf, row)
+			}
+			// These baselines report no statistics, so their rows count as
+			// cut by the rule the engine applies: MaxResults answers were
+			// kept.
+			resp.Count, resp.Truncated = ans.Len(), opt.MaxResults > 0 && ans.Len() >= opt.MaxResults
+		}
+		resp.TookMs = float64(time.Since(start).Microseconds()) / 1000
+		*buf = appendQueryTail(*buf, &resp)
+		writeBody(w, http.StatusOK, *buf)
 	})
 
 	mutate := func(w http.ResponseWriter, r *http.Request, del bool) {
@@ -506,15 +522,29 @@ func decode(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
 	return req, true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore droppederr best-effort response write; the client may be gone and there is no channel left to report on
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody sends a complete response body with its length.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	//lint:ignore droppederr best-effort response write; the client may be gone and there is no channel left to report on
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	_, _ = w.Write(body)
+}
+
+func writeJSON(w http.ResponseWriter, v any) { writeStatus(w, http.StatusOK, v) }
+
+func writeError(w http.ResponseWriter, code int, err error) {
+	writeStatus(w, code, errorResponse{Error: err.Error()})
+}
+
+// writeStatus sends v's encoding, as json.Encoder writes it, with code.
+// A value that cannot be encoded is a server bug: it answers 500.
+func writeStatus(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the response: %w", err))
+		return
+	}
+	writeBody(w, code, append(body, '\n'))
 }

@@ -106,6 +106,7 @@ type Table struct {
 	frozen atomic.Bool
 	live   atomic.Bool
 	ext    extension
+	order  orderCache
 }
 
 // NewTable returns an empty table. ID 0 is reserved; the first interned

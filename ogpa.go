@@ -555,7 +555,30 @@ func (pq *PreparedQuery) AnswerWithStats(opt Options) (*Answers, MatchStats, err
 	if err != nil {
 		return nil, MatchStats{}, err
 	}
-	return render(pq.q, res, pq.g), fromMatchStats(st), nil
+	// Rows resolve VIDs against the snapshot the answers were computed
+	// on: on a live KB a fresher epoch could name different vertices.
+	return &Answers{Vars: pq.Vars(), Rows: res.Names2D(pq.g)}, fromMatchStats(st), nil
+}
+
+// Vars names the plan's distinguished variables, in head order: the
+// Vars of every Answers it returns.
+func (pq *PreparedQuery) Vars() []string { return append([]string(nil), pq.q.Head...) }
+
+// AppendRows enumerates the query's certain answers under opt like
+// AnswerWithStats, but hands each row to appendRow, which appends it to
+// dst, instead of building Answers.Rows: the rows come in the order of
+// Answers.Rows, resolved straight from the packed answer tuples, and a
+// row slice is valid only during its call. It returns the extended dst and the number of rows.
+// The server renders /query bodies through it.
+func (pq *PreparedQuery) AppendRows(dst []byte, opt Options, appendRow func(dst []byte, row []string) []byte) ([]byte, int, MatchStats, error) {
+	res, st, err := pq.pl.Run(matchOptions(opt))
+	if err != nil {
+		return dst, 0, MatchStats{}, err
+	}
+	for row := range res.Rows(pq.g) {
+		dst = appendRow(dst, row)
+	}
+	return dst, res.Len(), fromMatchStats(st), nil
 }
 
 // AnswerWithStats runs GenOGP + OMatch under the given limits and also
@@ -678,18 +701,10 @@ func MinimizeQuery(query string) (string, error) {
 	return q.Minimize().String(), nil
 }
 
-// render resolves VIDs to names against the same graph snapshot the
-// answers were computed on (on a live KB a fresher epoch could have
-// different vertices, so rendering must not re-resolve the graph).
-func render(q *cq.Query, res *core.AnswerSet, g *graph.Graph) *Answers {
-	out := &Answers{Vars: append([]string(nil), q.Head...)}
-	out.Rows = res.Names2D(g)
-	return out
-}
-
-// datalogRows copies a datalog answer into sorted rows.
+// datalogRows copies a datalog answer into sorted rows (empty, never nil,
+// like every pipeline's).
 func datalogRows(tuples []datalog.Tuple) [][]string {
-	var rows [][]string
+	rows := make([][]string, 0, len(tuples))
 	for _, t := range tuples {
 		rows = append(rows, append([]string(nil), t...))
 	}
@@ -704,7 +719,7 @@ func (kb *KB) saturateRows(abox *dllite.ABox, q *cq.Query, lim saturate.Limits, 
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
+	rows := make([][]string, 0, res.Len())
 	for _, row := range res.Answers() {
 		cells := make([]string, len(row))
 		for i, v := range row {
