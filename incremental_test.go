@@ -304,29 +304,30 @@ func TestSubscribeDeltas(t *testing.T) {
 }
 
 // TestSubscribeCommaCells: IRIs may hold commas, so ["a,b" "c"] and
-// ["a" "b,c"] are different rows with the same comma-joined sort key.
+// ["a" "b,c"] are different rows with the same comma-joined cells.
 // Replacing one by the other must publish a delta that removes the one
 // and adds the other, never an empty one; the folded stream must equal
 // the cold answer. Next is called only once the subscription has
 // evaluated the store's epoch, so both writes land in one delta.
 func TestSubscribeCommaCells(t *testing.T) {
-	rowKey := func(row []string) string { return fmt.Sprintf("%q", row) }
+	setKey := func(row []string) string { return fmt.Sprintf("%q", row) }
 	fold := func(set map[string]bool, d AnswerDelta) {
 		for _, r := range d.Removed {
-			delete(set, rowKey(r))
+			delete(set, setKey(r))
 		}
 		for _, r := range d.Added {
-			set[rowKey(r)] = true
+			set[setKey(r)] = true
 		}
 	}
-	// The unit first: the same set in either order of its equal-key
-	// rows is equal, and the swap is a one-row removal plus addition.
-	ab, bc := []string{"a,b", "c"}, []string{"a", "b,c"}
-	if !rowsEqual([][]string{ab, bc}, [][]string{bc, ab}) {
-		t.Fatal("rowsEqual: one set, two orders of its equal-key rows: not equal")
+	// The unit first, on rows in cell order (["a" "b,c"] before
+	// ["a,b" "c"]): sets that differ in one of the two rows are not
+	// equal, and their diff removes and adds just that row.
+	ab, bc, z := []string{"a,b", "c"}, []string{"a", "b,c"}, []string{"z", "z"}
+	if !rowsEqual([][]string{bc, ab}, [][]string{bc, ab}) || rowsEqual([][]string{bc, z}, [][]string{ab, z}) {
+		t.Fatal("rowsEqual: rows with one joined key compared as one row")
 	}
-	if d := diffRows([][]string{ab}, [][]string{bc}); len(d.Removed) != 1 || len(d.Added) != 1 {
-		t.Fatalf("diffRows(%q, %q) = %+v", ab, bc, d)
+	if d := diffRows([][]string{bc, z}, [][]string{ab, z}); fmt.Sprintf("%q %q", d.Removed, d.Added) != fmt.Sprintf("%q %q", [][]string{bc}, [][]string{ab}) {
+		t.Fatalf("diffRows(%q, %q) = %+v", [][]string{bc, z}, [][]string{ab, z}, d)
 	}
 
 	for _, b := range sweepBaselines {
@@ -381,14 +382,14 @@ func TestSubscribeCommaCells(t *testing.T) {
 				}
 				want := map[string]bool{}
 				for _, r := range cold.Rows {
-					want[rowKey(r)] = true
+					want[setKey(r)] = true
 				}
 				if fmt.Sprint(set) != fmt.Sprint(want) {
 					t.Fatalf("folded deltas %v, cold answer %v", set, want)
 				}
 			}
 			next()
-			if !set[rowKey(ab)] {
+			if !set[setKey(ab)] {
 				t.Fatalf("initial answer %v lacks %q", set, ab)
 			}
 			if _, err := kb.DeleteTriples(strings.NewReader("<http://x/a,b> <http://x/p> <http://x/c> .")); err != nil {
@@ -398,7 +399,7 @@ func TestSubscribeCommaCells(t *testing.T) {
 				t.Fatal(err)
 			}
 			next()
-			if !set[rowKey(bc)] || set[rowKey(ab)] {
+			if !set[setKey(bc)] || set[setKey(ab)] {
 				t.Fatalf("answer after the swap %v, want %q only", set, bc)
 			}
 		})

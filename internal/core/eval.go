@@ -5,7 +5,6 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"ogpa/internal/graph"
@@ -264,16 +263,6 @@ func (s *AnswerSet) Answers() []Answer {
 // omittedName renders an omitted distinguished vertex.
 const omittedName = "⊥"
 
-// cells renders every answer's vertex names ("⊥" for omitted) into one
-// flat slice in insertion order: answer i is cells[i*width : (i+1)*width].
-func (s *AnswerSet) cells(g *graph.Graph) []string {
-	cells := make([]string, len(s.store))
-	for i, v := range s.store {
-		cells[i] = cellName(v, g)
-	}
-	return cells
-}
-
 // cellName renders one answer cell.
 func cellName(v graph.VID, g *graph.Graph) string {
 	if v == Omitted {
@@ -282,31 +271,22 @@ func cellName(v graph.VID, g *graph.Graph) string {
 	return g.Name(v)
 }
 
-// Names renders answers as sorted rows of vertex names ("⊥" for omitted),
-// for tests and CLI output.
+// Names renders answers as rows of vertex names ("⊥" for omitted) joined
+// with ",", in SortRows order, for tests and CLI output.
 func (s *AnswerSet) Names(g *graph.Graph) []string {
-	cells, w := s.cells(g), s.width
-	rows := make([]string, s.n)
-	for i := range rows {
-		rows[i] = strings.Join(cells[i*w:(i+1)*w], ",")
+	rows := make([]string, 0, s.n)
+	for row := range s.Rows(g) {
+		rows = append(rows, strings.Join(row, ","))
 	}
-	sort.Strings(rows)
 	return rows
 }
 
 // Names2D renders answers as rows of vertex names ("⊥" for omitted), one
 // slice per answer, in SortRows order. The rows share one backing array.
 func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
-	perm, cells := s.sortedRows(g)
-	w := s.width
+	perm, w := s.rankOrder(g), s.width
 	rows := make([][]string, len(perm))
-	if cells != nil {
-		for i, p := range perm {
-			rows[i] = cells[int(p)*w : (int(p)+1)*w : (int(p)+1)*w]
-		}
-		return rows
-	}
-	cells = make([]string, 0, len(s.store))
+	cells := make([]string, 0, len(s.store))
 	for i, p := range perm {
 		for _, v := range s.At(int(p)) {
 			cells = append(cells, cellName(v, g))
@@ -321,16 +301,10 @@ func (s *AnswerSet) Names2D(g *graph.Graph) [][]string {
 // yielded row is valid until the next one.
 func (s *AnswerSet) Rows(g *graph.Graph) iter.Seq[[]string] {
 	return func(yield func([]string) bool) {
-		perm, cells := s.sortedRows(g)
-		w := s.width
-		row := make([]string, w)
-		for _, p := range perm {
-			if cells != nil {
-				row = cells[int(p)*w : (int(p)+1)*w]
-			} else {
-				for j, v := range s.At(int(p)) {
-					row[j] = cellName(v, g)
-				}
+		row := make([]string, s.width)
+		for _, p := range s.rankOrder(g) {
+			for j, v := range s.At(int(p)) {
+				row[j] = cellName(v, g)
 			}
 			if !yield(row) {
 				return
@@ -339,44 +313,14 @@ func (s *AnswerSet) Rows(g *graph.Graph) iter.Seq[[]string] {
 	}
 }
 
-// sortedRows returns the permutation that lists the answers in SortRows
-// order of their rendered rows: rankOrder's when it applies, else
-// rowOrder's over the rendered cells, which it returns too (nil on the
-// rank path, which renders nothing).
-func (s *AnswerSet) sortedRows(g *graph.Graph) (perm []int32, cells []string) {
-	if perm, ok := s.rankOrder(g); ok {
-		return perm, nil
-	}
-	cells, w := s.cells(g), s.width
-	return rowOrder(s.n, func(i int) []string { return cells[i*w : (i+1)*w] }), cells
-}
-
-// rankedHook, when set (by tests), is called on every rankOrder call with
-// whether the rank path decided the order.
-var rankedHook func(ranked bool)
-
 // rankOrder returns the permutation that lists the answers in SortRows
 // order of their rendered rows, comparing the names' ranks in
-// g.Symbols.Order() instead of joined strings. When no cell holds a byte
-// at or below ',', that is exactly the joined-key order: at the first
-// cell where two rows differ, either a byte inside both cells decides, or
-// one cell is a prefix of the other and the shorter cell's ',' (or the
-// key's end) loses to the longer one's next byte, which is above ','.
-// Equal ranks are equal names, except for even ranks (names outside the
-// order), which the names themselves break. ok is false, and the caller
-// falls back to rowOrder, when some cell holds such a byte.
-func (s *AnswerSet) rankOrder(g *graph.Graph) (perm []int32, ok bool) {
-	defer func() {
-		if rankedHook != nil {
-			rankedHook(ok)
-		}
-	}()
+// g.Symbols.Order() instead of the names: ranks compare like names, so
+// comparing rows rank by rank is comparing them cell by cell. Equal ranks
+// are equal names, except for even ranks (names outside the order), which
+// the names themselves break.
+func (s *AnswerSet) rankOrder(g *graph.Graph) []int32 {
 	ord := g.Symbols.Order()
-	for _, v := range s.store {
-		if v != Omitted && ord.MinByte(g.NameID(v)) <= ',' {
-			return nil, false
-		}
-	}
 	omitted := ord.RankOf(omittedName)
 	ranks := make([]uint32, len(s.store))
 	var maxRank uint32
@@ -388,7 +332,7 @@ func (s *AnswerSet) rankOrder(g *graph.Graph) (perm []int32, ok bool) {
 		}
 		ranks[i], maxRank, allOdd = r, max(maxRank, r), allOdd && r&1 == 1
 	}
-	perm = make([]int32, s.n)
+	perm := make([]int32, s.n)
 	w, k, m := s.width, bits.Len32(maxRank), bits.Len(uint(s.n))
 	if allOdd && w*k+m <= 64 {
 		// A row's ranks fit in one word above its number: sorting the
@@ -406,7 +350,7 @@ func (s *AnswerSet) rankOrder(g *graph.Graph) (perm []int32, ok bool) {
 		for i, key := range keys {
 			perm[i] = int32(key & (1<<m - 1))
 		}
-		return perm, true
+		return perm
 	}
 	for i := range perm {
 		perm[i] = int32(i)
@@ -426,73 +370,14 @@ func (s *AnswerSet) rankOrder(g *graph.Graph) (perm []int32, ok bool) {
 		}
 		return 0
 	})
-	return perm, true
-}
-
-// SortRows puts answer rows in the canonical order of every pipeline: by
-// the row's cells joined with ",". Without it, pipelines whose natural
-// enumeration order is map-dependent (datalog, saturate) would return
-// rows in a nondeterministic order.
-func SortRows(rows [][]string) {
-	orig := slices.Clone(rows)
-	for i, p := range rowOrder(len(rows), func(i int) []string { return orig[i] }) {
-		rows[i] = orig[p]
-	}
-}
-
-// rowOrder returns the permutation that lists the n rows row(0), ...,
-// row(n-1) in SortRows order. Each row's key is built once, not twice per
-// comparison: a one-cell row's key is the cell itself, and the other rows'
-// keys are cut from one joined string. The sort then moves int32 row
-// numbers, which carry no pointers, so swaps pay no write barriers.
-// slices.SortFunc and sort.Slice are generated from one pdqsort template,
-// so sorting row numbers by key makes the same comparisons and swaps as
-// sort.Slice over the joining comparator did, and rows with equal keys
-// ("a,b"+"c" and "a"+"b,c") land where they did: responses stay
-// byte-identical.
-func rowOrder(n int, row func(int) []string) []int32 {
-	keys := make([]string, n)
-	size := 0
-	for i := range keys {
-		switch r := row(i); len(r) {
-		case 0: // the empty key
-		case 1:
-			keys[i] = r[0]
-		default:
-			for _, c := range r {
-				size += len(c) + 1
-			}
-		}
-	}
-	if size > 0 {
-		var b strings.Builder
-		b.Grow(size)
-		ends := make([]int, n)
-		for i := range keys {
-			if r := row(i); len(r) > 1 {
-				for j, c := range r {
-					if j > 0 {
-						b.WriteByte(',')
-					}
-					b.WriteString(c)
-				}
-				ends[i] = b.Len()
-			}
-		}
-		all, start := b.String(), 0
-		for i, end := range ends {
-			if end > 0 {
-				keys[i], start = all[start:end], end
-			}
-		}
-	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(x, y int32) int { return strings.Compare(keys[x], keys[y]) })
 	return perm
 }
+
+// SortRows puts answer rows in the canonical order of every pipeline: row
+// by row, cell by cell, each cell by its bytes (datalog's tuple order).
+// Without it, pipelines whose natural enumeration order is map-dependent
+// (saturate) would return rows in a nondeterministic order.
+func SortRows(rows [][]string) { slices.SortFunc(rows, slices.Compare) }
 
 // Project extracts the answer tuple of mapping m for pattern p.
 func Project(p *Pattern, m Mapping) Answer {

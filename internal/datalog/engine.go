@@ -17,6 +17,7 @@ package datalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -128,16 +129,9 @@ func (t Tuple) equal(u Tuple) bool {
 	return true
 }
 
-// less is the canonical tuple order (elementwise, shorter-prefix first) —
-// the same order the old "\x00"-joined keys sorted in.
-func (t Tuple) less(u Tuple) bool {
-	for i := 0; i < len(t) && i < len(u); i++ {
-		if t[i] != u[i] {
-			return t[i] < u[i]
-		}
-	}
-	return len(t) < len(u)
-}
+// less is the canonical tuple order (elementwise, shorter-prefix first),
+// the row order of core.SortRows.
+func (t Tuple) less(u Tuple) bool { return slices.Compare(t, u) < 0 }
 
 // tupleSet is an allocation-light tuple dedup set: hash buckets with
 // equality chains, no per-probe key strings.

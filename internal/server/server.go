@@ -27,6 +27,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	stdruntime "runtime"
@@ -300,9 +301,8 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		m.recordQuery()
-		req, ok := decode(w, r)
+		req, ok := decode[QueryRequest](w, r, m)
 		if !ok {
-			m.recordError()
 			return
 		}
 		opt := ogpa.Options{
@@ -440,9 +440,8 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 
 	mux.HandleFunc("POST /rewrite", func(w http.ResponseWriter, r *http.Request) {
 		m.recordRewrite()
-		req, ok := decode(w, r)
+		req, ok := decode[QueryRequest](w, r, m)
 		if !ok {
-			m.recordError()
 			return
 		}
 		rewrite := kb.Rewrite
@@ -507,19 +506,37 @@ func consistencyHandler(check func() ([]string, error), m *metrics) http.Handler
 	}
 }
 
-func decode(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
-	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a JSON request body; a larger one gets 413.
+const maxBodyBytes = 1 << 20
+
+// request is a JSON request body that names a query.
+type request interface{ query() string }
+
+func (q QueryRequest) query() string     { return q.Query }
+func (q SubscribeRequest) query() string { return q.Query }
+
+// decode reads r's JSON body into a T: at most maxBodyBytes of it, no
+// unknown field, and a query. On failure it counts the error, writes the
+// response and reports false.
+func decode[T request](w http.ResponseWriter, r *http.Request, m *metrics) (T, bool) {
+	var req T
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return req, false
+	code, err := http.StatusBadRequest, dec.Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		code, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxBodyBytes)
+	case err != nil:
+		err = fmt.Errorf("bad request body: %w", err)
+	case req.query() == "":
+		err = errors.New("missing query")
+	default:
+		return req, true
 	}
-	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing query"))
-		return req, false
-	}
-	return req, true
+	m.recordError()
+	writeError(w, code, err)
+	return req, false
 }
 
 // writeBody sends a complete response body with its length.

@@ -195,6 +195,29 @@ func TestStatsAndConsistency(t *testing.T) {
 	}
 }
 
+// TestOversizedBody: a JSON body over maxBodyBytes gets 413 on /query and
+// POST /subscribe, /stats counts each as an error, and the next /query
+// is served.
+func TestOversizedBody(t *testing.T) {
+	_, h := subKB(t, Config{})
+	big := `{"query":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{"/query", "/subscribe"} {
+		if rec := do(t, h, "POST", path, big); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a 2 MiB body: status %d: %.200s", path, rec.Code, rec.Body)
+		}
+	}
+	if rec := do(t, h, "POST", "/query", `{"query":"q(x) :- Student(x)"}`); rec.Code != http.StatusOK {
+		t.Fatalf("/query after an oversized body: status %d: %s", rec.Code, rec.Body)
+	}
+	var st StatsResponse
+	if err := json.Unmarshal(do(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Errors != 2 {
+		t.Fatalf("/stats errors = %d, want 2", st.Errors)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	h := Handler(testKB(t))
 	cases := []struct {

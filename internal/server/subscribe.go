@@ -83,17 +83,8 @@ func registerSubscribeRoutes(mux *http.ServeMux, kb *ogpa.KB, cfg Config, m *met
 		if !needInc(w) {
 			return
 		}
-		var req SubscribeRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			m.recordError()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if req.Query == "" {
-			m.recordError()
-			writeError(w, http.StatusBadRequest, fmt.Errorf("missing query"))
+		req, ok := decode[SubscribeRequest](w, r, m)
+		if !ok {
 			return
 		}
 		b := ogpa.BaselineDatalog

@@ -24,7 +24,6 @@ type Order struct {
 	t      *Table
 	covers int      // IDs below covers are ranked by table
 	rank   []uint32 // rank[id] for id < covers
-	minb   []byte   // minb[id]: the smallest byte of id's name (0xFF when empty)
 	byRank []ID     // covered IDs (except None) in byte order of their names
 }
 
@@ -62,7 +61,6 @@ func newOrder(t *Table) *Order {
 		t:      t,
 		covers: len(names),
 		rank:   make([]uint32, len(names)),
-		minb:   make([]byte, len(names)),
 		byRank: make([]ID, len(names)-1),
 	}
 	for i := range o.byRank {
@@ -72,19 +70,7 @@ func newOrder(t *Table) *Order {
 	for i, id := range o.byRank {
 		o.rank[id] = uint32(2*i + 1)
 	}
-	for id, s := range names {
-		o.minb[id] = minByte(s)
-	}
 	return o
-}
-
-// minByte returns the smallest byte of s, or 0xFF for the empty string.
-func minByte(s string) byte {
-	m := byte(0xFF)
-	for i := 0; i < len(s); i++ {
-		m = min(m, s[i])
-	}
-	return m
 }
 
 // Rank returns id's rank: exact for a covered name, an even slot for a
@@ -105,13 +91,4 @@ func (o *Order) RankOf(s string) uint32 {
 		return uint32(2*p + 1)
 	}
 	return uint32(2 * p)
-}
-
-// MinByte returns the smallest byte of id's name (0xFF for the empty
-// name).
-func (o *Order) MinByte(id ID) byte {
-	if int(id) < o.covers {
-		return o.minb[id]
-	}
-	return minByte(o.t.Name(id))
 }

@@ -74,7 +74,4 @@ func TestOrderFollowsLoading(t *testing.T) {
 	if o.covers != 3 || o.Rank(a) != 1 || o.Rank(b) != 3 {
 		t.Fatalf("order after a second intern: covers %d, ranks a=%d b=%d", o.covers, o.Rank(a), o.Rank(b))
 	}
-	if o.MinByte(a) != 'a' || o.MinByte(tbl.Intern("")) != 0xFF {
-		t.Fatal("MinByte")
-	}
 }

@@ -701,14 +701,14 @@ func MinimizeQuery(query string) (string, error) {
 	return q.Minimize().String(), nil
 }
 
-// datalogRows copies a datalog answer into sorted rows (empty, never nil,
-// like every pipeline's).
+// datalogRows copies a datalog answer, whose tuples come sorted in
+// core.SortRows order, into rows (empty, never nil, like every
+// pipeline's).
 func datalogRows(tuples []datalog.Tuple) [][]string {
 	rows := make([][]string, 0, len(tuples))
 	for _, t := range tuples {
 		rows = append(rows, append([]string(nil), t...))
 	}
-	core.SortRows(rows)
 	return rows
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"ogpa/internal/cq"
@@ -168,77 +167,32 @@ func (s *Subscription) markClosed() {
 	s.signal()
 }
 
-// rowKey is a row's sort key under core.SortRows: its comma-joined
-// cells. Distinct rows can share one (["a,b" "c"] and ["a" "b,c"]: IRIs
-// may hold commas), and SortRows leaves such rows in no defined order.
-func rowKey(row []string) string { return strings.Join(row, ",") }
-
 // rowsEqual reports whether two row sets sorted by core.SortRows hold
-// the same rows. Past their common prefix, a row whose key differs from
-// its counterpart's is in one set only; equal keys fall back to diffRows.
+// the same rows.
 func rowsEqual(a, b [][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !slices.Equal(a[i], b[i]) {
-			if rowKey(a[i]) != rowKey(b[i]) {
-				return false
-			}
-			d := diffRows(a[i:], b[i:])
-			return len(d.Added) == 0 && len(d.Removed) == 0
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, slices.Equal)
 }
 
-// diffRows merge-diffs two row sets sorted by core.SortRows into a
-// delta, by key; each run of rows sharing a key is compared cell by
-// cell, as a set.
+// diffRows merge-diffs two row sets sorted by core.SortRows into a delta.
 func diffRows(old, cur [][]string) AnswerDelta {
 	var d AnswerDelta
 	i, j := 0, 0
 	for i < len(old) && j < len(cur) {
-		if slices.Equal(old[i], cur[j]) {
-			i++
-			j++
-			continue
-		}
-		a, b := rowKey(old[i]), rowKey(cur[j])
-		switch {
-		case a < b:
+		switch c := slices.Compare(old[i], cur[j]); {
+		case c < 0:
 			d.Removed = append(d.Removed, old[i])
 			i++
-		case a > b:
+		case c > 0:
 			d.Added = append(d.Added, cur[j])
 			j++
 		default:
-			i2, j2 := i+1, j+1
-			for i2 < len(old) && rowKey(old[i2]) == a {
-				i2++
-			}
-			for j2 < len(cur) && rowKey(cur[j2]) == a {
-				j2++
-			}
-			d.Removed = append(d.Removed, rowsMissing(old[i:i2], cur[j:j2])...)
-			d.Added = append(d.Added, rowsMissing(cur[j:j2], old[i:i2])...)
-			i, j = i2, j2
+			i++
+			j++
 		}
 	}
 	d.Removed = append(d.Removed, old[i:]...)
 	d.Added = append(d.Added, cur[j:]...)
 	return d
-}
-
-// rowsMissing returns the rows of xs that ys lacks.
-func rowsMissing(xs, ys [][]string) [][]string {
-	var out [][]string
-	for _, x := range xs {
-		if !slices.ContainsFunc(ys, func(y []string) bool { return slices.Equal(x, y) }) {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // subHub owns a KB's standing queries: one goroutine watches the delta
