@@ -3,6 +3,10 @@ package datalog
 import (
 	"fmt"
 	"testing"
+
+	"ogpa/internal/cq"
+	"ogpa/internal/gen"
+	"ogpa/internal/perfectref"
 )
 
 // benchProgram builds a hierarchy-closure style workload: a 12-level
@@ -62,6 +66,104 @@ func BenchmarkFixpoint(b *testing.B) {
 		}
 		if db.Size() == 0 {
 			b.Fatal("empty fixpoint")
+		}
+	}
+}
+
+// standingQueries are the four standing queries of the benchmark's
+// standing workload (bench/workloads.go).
+var standingQueries = []string{
+	`q(x, y) :- Student(x), advisor(x, y)`,
+	`q(x) :- GraduateStudent(x), takesCourse(x, y), GraduateCourse(y)`,
+	`q(x, y) :- Professor(x), worksFor(x, y), Department(y)`,
+	`q(x) :- Person(x), memberOf(x, y), Department(y)`,
+}
+
+// standingLUBM is the benchmarks' KB: LUBM over a few universities.
+const standingLUBM = 8
+
+// standingFixture rewrites the standing queries over a LUBM KB and
+// returns the programs with the KB's assertions as EDB facts.
+func standingFixture(tb testing.TB, universities int) ([]*Program, []Fact) {
+	tb.Helper()
+	d := gen.LUBM(gen.LUBMConfig{Universities: universities, Seed: 1})
+	var progs []*Program
+	for _, q := range standingQueries {
+		prog, err := Rewrite(cq.MustParse(q), d.TBox, perfectref.Limits{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	var facts []Fact
+	for _, c := range d.ABox.Concepts {
+		facts = append(facts, Fact{Pred: c.Concept, Args: Tuple{c.Ind}})
+	}
+	for _, r := range d.ABox.Roles {
+		facts = append(facts, Fact{Pred: r.Role, Args: Tuple{r.Sub, r.Obj}})
+	}
+	return progs, facts
+}
+
+// standingStates materializes every standing program over facts, the
+// work of registering the four standing queries.
+func standingStates(tb testing.TB, progs []*Program, facts []Fact) []*State {
+	tb.Helper()
+	states := make([]*State, len(progs))
+	for i, prog := range progs {
+		st, err := NewState(prog.Rules, facts, Limits{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		states[i] = st
+	}
+	return states
+}
+
+// BenchmarkNewState measures registering the four standing queries: one
+// semi-naive fixpoint per program over the whole KB.
+func BenchmarkNewState(b *testing.B) {
+	progs, facts := standingFixture(b, standingLUBM)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		standingStates(b, progs, facts)
+	}
+}
+
+// BenchmarkAnswerMaintained measures one evaluation of the four standing
+// queries' residual UCQs over their maintained fixpoints: the in-process
+// work behind every standing-query refresh.
+func BenchmarkAnswerMaintained(b *testing.B) {
+	progs, facts := standingFixture(b, standingLUBM)
+	states := standingStates(b, progs, facts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, prog := range progs {
+			if _, err := AnswerMaintained(prog, states[j].DB()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkStateApply measures maintaining the four fixpoints under a
+// 64-fact batch: each op deletes the batch (DRed) and inserts it back.
+func BenchmarkStateApply(b *testing.B) {
+	progs, facts := standingFixture(b, standingLUBM)
+	states := standingStates(b, progs, facts)
+	batch := facts[len(facts)/2 : len(facts)/2+64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, st := range states {
+			if _, err := st.Apply(nil, batch, Limits{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.Apply(batch, nil, Limits{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

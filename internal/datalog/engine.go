@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -92,10 +91,10 @@ func (r Rule) Validate() error {
 // Tuple is a fact's argument list.
 type Tuple []string
 
-// hash is the dedup key of tupleSet (query-answer dedup): a 64-bit
+// hash is the dedup key of answerSet (query-answer dedup): a 64-bit
 // FNV-1a over the elements with a length prefix per element (so
 // ("ab","c") and ("a","bc") differ). Relations use interned-ID keys
-// instead; collisions here are resolved by tupleSet's equality chains.
+// instead; collisions here are resolved by answerSet's equality chains.
 func (t Tuple) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -126,30 +125,6 @@ func (t Tuple) equal(u Tuple) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// less is the canonical tuple order (elementwise, shorter-prefix first),
-// the row order of core.SortRows.
-func (t Tuple) less(u Tuple) bool { return slices.Compare(t, u) < 0 }
-
-// tupleSet is an allocation-light tuple dedup set: hash buckets with
-// equality chains, no per-probe key strings.
-type tupleSet struct {
-	m map[uint64][]Tuple
-}
-
-func newTupleSet() *tupleSet { return &tupleSet{m: map[uint64][]Tuple{}} }
-
-// add inserts t, reporting whether it was new.
-func (s *tupleSet) add(t Tuple) bool {
-	h := t.hash()
-	for _, u := range s.m[h] {
-		if u.equal(t) {
-			return false
-		}
-	}
-	s.m[h] = append(s.m[h], t)
 	return true
 }
 
@@ -465,44 +440,38 @@ func Evaluate(rules []Rule, db *Database, lim Limits) error {
 	for pred, rel := range db.rels {
 		delta[pred] = append([]Tuple(nil), rel.Tuples()...)
 	}
-	return propagate(rules, db, delta, lim)
+	return propagate(compileRules(rules), db, delta, lim)
 }
 
 // propagate runs the semi-naive loop seeded with delta (facts assumed
-// already present in db) until fixpoint. It is the shared core of
-// Evaluate (seeded with every EDB fact) and the incremental State
+// already present in db) until fixpoint: each round fires every rule
+// plan on the delta facts of its seed predicate. It is the shared core
+// of Evaluate (seeded with every EDB fact) and the incremental State
 // (seeded with just an applied batch).
-func propagate(rules []Rule, db *Database, delta map[string][]Tuple, lim Limits) error {
+func propagate(plans []*plan, db *Database, delta map[string][]Tuple, lim Limits) error {
 	for len(delta) > 0 {
 		if !lim.Deadline.IsZero() && time.Now().After(lim.Deadline) {
 			return ErrLimit
 		}
 		next := map[string][]Tuple{}
-		for _, rule := range rules {
-			// Semi-naive: at least one body atom must bind to a delta fact.
-			for di, ba := range rule.Body {
-				dts := delta[ba.Pred]
-				if len(dts) == 0 {
-					continue
-				}
-				for _, dt := range dts {
-					bind := map[string]string{}
-					if !unifyAtom(ba, dt, bind) {
-						continue
-					}
-					if err := joinRest(rule, di, bind, db, func(final map[string]string) error {
-						args := headArgs(rule, final)
-						rel := db.Relation(rule.Head.Pred, len(args))
-						if rel.Add(args) {
-							next[rule.Head.Pred] = append(next[rule.Head.Pred], args)
-							if lim.MaxFacts > 0 && db.Size() > lim.MaxFacts {
-								return ErrLimit
-							}
-						}
-						return nil
-					}); err != nil {
-						return err
-					}
+		derive := func(p *plan) error {
+			h := p.headTuple()
+			rel := db.Relation(p.pred, len(h))
+			if rel.find(h) >= 0 {
+				return nil
+			}
+			t := slices.Clone(h)
+			rel.Add(t)
+			next[p.pred] = append(next[p.pred], t)
+			if lim.MaxFacts > 0 && db.Size() > lim.MaxFacts {
+				return ErrLimit
+			}
+			return nil
+		}
+		for _, p := range plans {
+			for _, t := range delta[p.seed.pred] {
+				if _, err := p.run(db, t, derive); err != nil {
+					return err
 				}
 			}
 		}
@@ -511,144 +480,15 @@ func propagate(rules []Rule, db *Database, delta map[string][]Tuple, lim Limits)
 	return nil
 }
 
-// headArgs instantiates rule's head under a complete binding.
-func headArgs(rule Rule, bind map[string]string) Tuple {
-	args := make(Tuple, len(rule.Head.Args))
-	for i, t := range rule.Head.Args {
-		if t.Var {
-			args[i] = bind[t.Name]
-		} else {
-			args[i] = t.Name
-		}
-	}
-	return args
-}
-
-func unifyAtom(a Atom, t Tuple, bind map[string]string) bool {
-	if len(a.Args) != len(t) {
-		return false
-	}
-	for i, at := range a.Args {
-		if !at.Var {
-			if at.Name != t[i] {
-				return false
-			}
-			continue
-		}
-		if b, ok := bind[at.Name]; ok {
-			if b != t[i] {
-				return false
-			}
-			continue
-		}
-		bind[at.Name] = t[i]
-	}
-	return true
-}
-
-// joinRest extends bind over the remaining body atoms (all except skip,
-// which is already bound) and calls emit for each complete assignment.
-func joinRest(rule Rule, skip int, bind map[string]string, db *Database, emit func(map[string]string) error) error {
-	order := make([]int, 0, len(rule.Body)-1)
-	for i := range rule.Body {
-		if i != skip {
-			order = append(order, i)
-		}
-	}
-	var rec func(k int, bind map[string]string) error
-	rec = func(k int, bind map[string]string) error {
-		if k == len(order) {
-			return emit(bind)
-		}
-		a := rule.Body[order[k]]
-		rel := db.Lookup(a.Pred)
-		if rel == nil {
-			return nil
-		}
-		// Pick the most selective index among bound positions.
-		candIdx := -1
-		var candList []int
-		for i, t := range a.Args {
-			var val string
-			if t.Var {
-				b, ok := bind[t.Name]
-				if !ok {
-					continue
-				}
-				val = b
-			} else {
-				val = t.Name
-			}
-			list := rel.index[i][val]
-			if candIdx < 0 || len(list) < len(candList) {
-				candIdx = i
-				candList = list
-			}
-		}
-		try := func(t Tuple) error {
-			local := map[string]string{}
-			for k, v := range bind {
-				local[k] = v
-			}
-			if unifyAtom(a, t, local) {
-				return rec(k+1, local)
-			}
-			return nil
-		}
-		if candIdx >= 0 {
-			for _, ti := range candList {
-				if err := try(rel.tuples[ti]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, t := range rel.tuples {
-			if err := try(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0, bind)
-}
-
 // Query evaluates a conjunctive query (body atoms + head vars) against db,
-// returning distinct head bindings sorted lexicographically.
+// returning distinct head bindings sorted lexicographically, or nil when
+// there are none.
 func Query(head []string, body []Atom, db *Database) ([]Tuple, error) {
-	rule := Rule{Head: Atom{Pred: "_q", Args: varTerms(head)}, Body: body}
-	seen := newTupleSet()
-	var out []Tuple
-	// Reuse joinRest with a fake delta covering the first atom.
-	if len(body) == 0 {
-		return nil, nil
+	var s answerSet
+	if err := queryPlan(head, body, db).collect(db, &s); err != nil {
+		return nil, err
 	}
-	first := body[0]
-	rel := db.Lookup(first.Pred)
-	if rel == nil {
-		return nil, nil
-	}
-	for _, t := range rel.Tuples() {
-		bind := map[string]string{}
-		if !unifyAtom(first, t, bind) {
-			continue
-		}
-		err := joinRest(rule, 0, bind, db, func(final map[string]string) error {
-			args := make(Tuple, len(head))
-			for i, h := range head {
-				args[i] = final[h]
-			}
-			if seen.add(args) {
-				out = append(out, args)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out, nil
+	return s.sorted(), nil
 }
 
 func varTerms(names []string) []Term {

@@ -1,7 +1,7 @@
 package datalog
 
 import (
-	"errors"
+	"slices"
 	"time"
 )
 
@@ -35,9 +35,10 @@ type ApplyStats struct {
 // (mutually-supporting cycles keep counts positive after their base
 // support vanishes).
 type State struct {
-	rules []Rule
-	edb   *Database // asserted base facts
-	db    *Database // maintained fixpoint: base ∪ derived
+	fire   []*plan   // each rule once per body position, that atom the seed
+	derive []*plan   // each rule with its head as the seed (one-step rederivation)
+	edb    *Database // asserted base facts
+	db     *Database // maintained fixpoint: base ∪ derived
 }
 
 // NewState materializes the program over the base facts. The result is
@@ -49,14 +50,14 @@ func NewState(rules []Rule, base []Fact, lim Limits) (*State, error) {
 			return nil, err
 		}
 	}
-	s := &State{rules: rules, edb: NewDatabase(), db: NewDatabase()}
+	s := &State{fire: compileRules(rules), derive: compileDerivations(rules), edb: NewDatabase(), db: NewDatabase()}
 	delta := map[string][]Tuple{}
 	for _, f := range base {
 		if s.edb.Add(f.Pred, f.Args) && s.db.Add(f.Pred, f.Args) {
 			delta[f.Pred] = append(delta[f.Pred], f.Args)
 		}
 	}
-	if err := propagate(s.rules, s.db, delta, lim); err != nil {
+	if err := propagate(s.fire, s.db, delta, lim); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -89,34 +90,28 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 			}
 		}
 	}
+	overestimate := func(p *plan) error {
+		h := p.headTuple()
+		if s.edb.Contains(p.pred, h) || !s.db.Contains(p.pred, h) || over.Contains(p.pred, h) {
+			return nil
+		}
+		t := slices.Clone(h)
+		over.Add(p.pred, t)
+		work = append(work, Fact{Pred: p.pred, Args: t})
+		return nil
+	}
 	for len(work) > 0 {
 		if !lim.Deadline.IsZero() && time.Now().After(lim.Deadline) {
 			return st, ErrLimit
 		}
 		f := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, rule := range s.rules {
-			for di, ba := range rule.Body {
-				if ba.Pred != f.Pred || len(ba.Args) != len(f.Args) {
-					continue
-				}
-				bind := map[string]string{}
-				if !unifyAtom(ba, f.Args, bind) {
-					continue
-				}
-				err := joinRest(rule, di, bind, s.db, func(final map[string]string) error {
-					args := headArgs(rule, final)
-					if s.edb.Contains(rule.Head.Pred, args) || !s.db.Contains(rule.Head.Pred, args) {
-						return nil
-					}
-					if over.Add(rule.Head.Pred, args) {
-						work = append(work, Fact{Pred: rule.Head.Pred, Args: args})
-					}
-					return nil
-				})
-				if err != nil {
-					return st, err
-				}
+		for _, p := range s.fire {
+			if p.seed.pred != f.Pred {
+				continue
+			}
+			if _, err := p.run(s.db, f.Args, overestimate); err != nil {
+				return st, err
 			}
 		}
 	}
@@ -152,34 +147,22 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 			delta[f.Pred] = append(delta[f.Pred], f.Args)
 		}
 	}
-	if err := propagate(s.rules, s.db, delta, lim); err != nil {
+	if err := propagate(s.fire, s.db, delta, lim); err != nil {
 		return st, err
 	}
 	st.Added = s.db.Size() - sizeAfterRemoval
 	return st, nil
 }
 
-var errFound = errors.New("datalog: found")
-
 // derivableOneStep reports whether some rule derives pred(t) from the
 // current database in a single step.
 func (s *State) derivableOneStep(pred string, t Tuple) (bool, error) {
-	for _, rule := range s.rules {
-		if rule.Head.Pred != pred || len(rule.Head.Args) != len(t) {
+	for _, p := range s.derive {
+		if p.pred != pred {
 			continue
 		}
-		bind := map[string]string{}
-		if !unifyAtom(rule.Head, t, bind) {
-			continue
-		}
-		err := joinRest(rule, -1, bind, s.db, func(map[string]string) error {
-			return errFound
-		})
-		if err == errFound {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
+		if found, err := p.run(s.db, t, func(*plan) error { return nil }); found || err != nil {
+			return found, err
 		}
 	}
 	return false, nil

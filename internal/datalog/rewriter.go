@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"sort"
 	"time"
 
 	"ogpa/internal/cq"
@@ -261,10 +260,11 @@ func Answer(prog *Program, db *Database, lim Limits) ([]Tuple, error) {
 // AnswerMaintained evaluates the residual UCQ of prog over an
 // already-materialized database — the incremental path: a maintained
 // State's DB is the fixpoint at the current epoch, so only the residual
-// join runs per query.
+// join runs per query. Each disjunct is joined in an order chosen from
+// db's current relation sizes; the union is deduplicated as it grows and
+// sorted once.
 func AnswerMaintained(prog *Program, db *Database) ([]Tuple, error) {
-	seen := newTupleSet()
-	var out []Tuple
+	var s answerSet
 	for _, d := range prog.Residual {
 		body := make([]Atom, len(d.Atoms))
 		for i, a := range d.Atoms {
@@ -274,16 +274,9 @@ func AnswerMaintained(prog *Program, db *Database) ([]Tuple, error) {
 				body[i] = Atom{Pred: a.Pred, Args: []Term{V(a.X)}}
 			}
 		}
-		tuples, err := Query(d.Head, body, db)
-		if err != nil {
+		if err := queryPlan(d.Head, body, db).collect(db, &s); err != nil {
 			return nil, err
 		}
-		for _, t := range tuples {
-			if seen.add(t) {
-				out = append(out, t)
-			}
-		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out, nil
+	return s.sorted(), nil
 }

@@ -166,6 +166,43 @@ func TestEpochInvalidatesPlanCache(t *testing.T) {
 	}
 }
 
+// TestPlanCacheDropsSupersededEpochs: a plan from a superseded epoch can
+// never hit again, so it must not stay resident pinning its snapshot.
+// Alternating inserts with one query keeps exactly one plan cached, and
+// the cache refuses a plan prepared at an older epoch than it holds.
+func TestPlanCacheDropsSupersededEpochs(t *testing.T) {
+	h := Handler(liveTestKB(t))
+	for i := 0; i < 10; i++ {
+		rec := do(t, h, "POST", "/insert", fmt.Sprintf("New%d a Student .", i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("insert %d: %s", i, rec.Body)
+		}
+		if got := postQuery(t, h, "q(x) :- Student(x)").Count; got != 3+i {
+			t.Fatalf("round %d: count = %d, want %d", i, got, 3+i)
+		}
+		if size := statsOf(t, h).PlanCacheSize; size != 1 {
+			t.Fatalf("round %d: planCacheSize = %d, want 1 (superseded plans kept)", i, size)
+		}
+	}
+
+	c := newLRU(4)
+	kb := liveTestKB(t)
+	pq, err := kb.Prepare("q(x) :- Student(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.put("ogp", "a@2", 2, pq)
+	c.put("ogp", "b@2", 2, pq)
+	c.put("ogp", "c@1", 1, pq)
+	if _, _, size := c.snapshot(); size != 2 || c.get("ogp", "c@1") != nil {
+		t.Fatalf("size = %d after an older-epoch put, want 2 and no entry for it", size)
+	}
+	c.put("ogp", "d@3", 3, pq)
+	if _, _, size := c.snapshot(); size != 1 || c.get("ogp", "d@3") != pq {
+		t.Fatalf("size = %d after a newer-epoch put, want only its entry", size)
+	}
+}
+
 // TestConcurrentWritersAndQueries is the live-data -race stress: writer
 // goroutines hit /insert and /delete while query goroutines answer
 // through the plan cache and others poll /stats. Assertions are

@@ -15,9 +15,13 @@ import (
 // concurrent-safe, so one cached plan may serve overlapping requests.
 //
 // The epoch is in every key: a delta commit bumps it, so entries for a
-// superseded version simply stop being referenced and age out. Hits and
-// misses are counted per kind so /stats can show how the cache splits
-// between the primary pipeline and the baselines.
+// superseded version can never hit again. They are dropped at once
+// rather than left to age out, because each plan pins the snapshot graph
+// it was prepared on (and through it the pre-compaction base): the first
+// put at a newer epoch clears the cache, and a put at an older epoch
+// (a Prepare that raced a commit) stores nothing. Hits and misses are
+// counted per kind so /stats can show how the cache splits between the
+// primary pipeline and the baselines.
 //
 // Every sibling field is accessed under mu (the locksafety analyzer
 // enforces the discipline).
@@ -26,6 +30,7 @@ type lru struct {
 	cap    int
 	ll     *list.List // front = most recently used
 	items  map[string]*list.Element
+	epoch  uint64 // newest epoch put; every entry belongs to it
 	hits   uint64
 	misses uint64
 	byKind map[string]*kindCounters
@@ -83,15 +88,24 @@ func (c *lru) get(kind, key string) *ogpa.PreparedQuery {
 	return el.Value.(*lruEntry).value
 }
 
-// put inserts a plan, evicting the least recently used entry when full.
-// A concurrent duplicate insert (two requests missing on the same key)
-// just refreshes the existing entry.
-func (c *lru) put(kind, key string, value *ogpa.PreparedQuery) {
+// put inserts a plan prepared at epoch, evicting the least recently used
+// entry when full. A newer epoch than the cache holds first clears every
+// entry; an older one stores nothing. A concurrent duplicate insert (two
+// requests missing on the same key) just refreshes the existing entry.
+func (c *lru) put(kind, key string, epoch uint64, value *ogpa.PreparedQuery) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if epoch < c.epoch {
+		return
+	}
+	if epoch > c.epoch {
+		c.epoch = epoch
+		c.ll.Init()
+		clear(c.items)
+	}
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).value = value
 		c.ll.MoveToFront(el)

@@ -273,9 +273,11 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	// the cached plan, or a fresh Prepare on a miss.
 	plan := func(kind, query string, opt ogpa.Options) (*ogpa.PreparedQuery, error) {
 		// The epoch is in the key: a mutation bumps it, so every plan built
-		// against the superseded snapshot misses from then on and ages out
-		// of the LRU. On a read-only KB the epoch is constantly 0.
-		key := ogpa.CacheKey(fingerprint, kb.Epoch(), kind, query)
+		// against the superseded snapshot misses from then on, and the
+		// first put at the new epoch drops them. On a read-only KB the
+		// epoch is constantly 0.
+		epoch := kb.Epoch()
+		key := ogpa.CacheKey(fingerprint, epoch, kind, query)
 		if pq := cache.get(kind, key); pq != nil {
 			return pq, nil
 		}
@@ -295,7 +297,7 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 		if err != nil {
 			return nil, err
 		}
-		cache.put(kind, key, pq)
+		cache.put(kind, key, epoch, pq)
 		return pq, nil
 	}
 	mux := http.NewServeMux()

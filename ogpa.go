@@ -701,13 +701,13 @@ func MinimizeQuery(query string) (string, error) {
 	return q.Minimize().String(), nil
 }
 
-// datalogRows copies a datalog answer, whose tuples come sorted in
-// core.SortRows order, into rows (empty, never nil, like every
+// datalogRows takes a datalog answer, whose tuples are fresh and come
+// sorted in core.SortRows order, as rows (empty, never nil, like every
 // pipeline's).
 func datalogRows(tuples []datalog.Tuple) [][]string {
-	rows := make([][]string, 0, len(tuples))
-	for _, t := range tuples {
-		rows = append(rows, append([]string(nil), t...))
+	rows := make([][]string, len(tuples))
+	for i, t := range tuples {
+		rows[i] = t
 	}
 	return rows
 }
