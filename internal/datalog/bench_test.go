@@ -105,13 +105,17 @@ func standingFixture(tb testing.TB, universities int) ([]*Program, []Fact) {
 	return progs, facts
 }
 
-// standingStates materializes every standing program over facts, the
-// work of registering the four standing queries.
+// standingStates materializes every standing program with its answer
+// rules over facts, the work of registering the four standing queries.
 func standingStates(tb testing.TB, progs []*Program, facts []Fact) []*State {
 	tb.Helper()
 	states := make([]*State, len(progs))
 	for i, prog := range progs {
-		st, err := NewState(prog.Rules, facts, Limits{})
+		rules, err := prog.AnswerRules()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		st, err := NewState(rules, facts, Limits{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -163,6 +167,32 @@ func BenchmarkStateApply(b *testing.B) {
 			}
 			if _, err := st.Apply(batch, nil, Limits{}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkStandingRefresh measures what one committed batch costs the
+// four standing queries in process: each op applies one 64-fact batch
+// (deleting it on even ops, putting it back on odd ones) to every
+// fixpoint and reads each query's sorted answers.
+func BenchmarkStandingRefresh(b *testing.B) {
+	progs, facts := standingFixture(b, standingLUBM)
+	states := standingStates(b, progs, facts)
+	batch := facts[len(facts)/2 : len(facts)/2+64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ins, del := batch, []Fact(nil)
+		if i%2 == 0 {
+			ins, del = nil, batch
+		}
+		for _, st := range states {
+			if _, err := st.Apply(ins, del, Limits{}); err != nil {
+				b.Fatal(err)
+			}
+			if st.Answers() == nil {
+				b.Fatal("no answers")
 			}
 		}
 	}

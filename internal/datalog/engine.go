@@ -151,20 +151,27 @@ func (in *interner) id(s string) uint32 {
 // Contains must not grow the table).
 func (in *interner) peek(s string) uint32 { return in.ids[s] }
 
-// Relation stores the extension of one predicate with simple hash indexes
-// per argument position. Dedup runs over interned-ID keys: for arity ≤ 2
-// (every DL-Lite predicate) the key is the exact packed ID pair, for
-// wider tuples an FNV mix of the IDs. Same-key tuples (possible only for
-// arity > 2) are chained through the chain array, so inserting a fact
-// costs one map entry and zero slice allocations.
+// Relation stores the extension of one predicate. Dedup runs over
+// interned-ID keys: for arity ≤ 2 (every DL-Lite predicate) the key is
+// the exact packed ID pair, for wider tuples an FNV mix of the IDs.
+// Same-key tuples (possible only for arity > 2) are chained through the
+// chain array, so inserting a fact costs one map entry and zero slice
+// allocations.
+//
+// Positional hash indexes (argument value → tuple indexes) are lazy:
+// position i's is built from tuples the first time a join probes it
+// (position) and maintained by Add and Remove from then on. A relation
+// no join probes — a base relation behind a copy rule, the asserted
+// base, DRed's overestimate — never builds one. Because a probe may
+// build an index, joins over one Database must not run concurrently.
 type Relation struct {
 	arity  int
 	in     *interner // shared across the Database's relations
 	tuples []Tuple
-	keys   []uint64       // parallel to tuples: the interned dedup key
-	chain  []int          // parallel to tuples: previous index with same key, or -1
-	seen   map[uint64]int // key → last tuple index with that key, +1 (0 = absent)
-	index  []map[string][]int
+	keys   []uint64           // parallel to tuples: the interned dedup key
+	chain  []int              // parallel to tuples: previous index with same key, or -1
+	seen   map[uint64]int     // key → last tuple index with that key, +1 (0 = absent)
+	index  []map[string][]int // per position: value → tuple indexes; nil until first probed
 }
 
 // NewRelation creates an empty stand-alone relation of the given arity.
@@ -172,12 +179,20 @@ type Relation struct {
 func NewRelation(arity int) *Relation { return newRelation(arity, newInterner()) }
 
 func newRelation(arity int, in *interner) *Relation {
-	r := &Relation{arity: arity, in: in, seen: map[uint64]int{}}
-	r.index = make([]map[string][]int, arity)
-	for i := range r.index {
-		r.index[i] = map[string][]int{}
+	return &Relation{arity: arity, in: in, seen: map[uint64]int{}, index: make([]map[string][]int, arity)}
+}
+
+// position returns the index of argument position i, building it from
+// tuples on first use.
+func (r *Relation) position(i int) map[string][]int {
+	if r.index[i] == nil {
+		m := map[string][]int{}
+		for ti, t := range r.tuples {
+			m[t[i]] = append(m[t[i]], ti)
+		}
+		r.index[i] = m
 	}
-	return r
+	return r.index[i]
 }
 
 // key computes t's dedup key. With intern=false, unseen constants make
@@ -251,8 +266,10 @@ func (r *Relation) Add(t Tuple) bool {
 	r.tuples = append(r.tuples, t)
 	r.keys = append(r.keys, k)
 	r.chain = append(r.chain, head)
-	for i, v := range t {
-		r.index[i][v] = append(r.index[i][v], idx)
+	for i, m := range r.index {
+		if m != nil {
+			m[t[i]] = append(m[t[i]], idx)
+		}
 	}
 	return true
 }
@@ -294,7 +311,8 @@ func (r *Relation) relink(from, to int) {
 
 // Remove deletes a tuple, reporting whether it was present. The last
 // tuple is swapped into the vacated slot, so removal is O(arity ×
-// index-bucket length) and the key/positional indexes stay exact.
+// index-bucket length) and the key and built positional indexes stay
+// exact.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
@@ -313,11 +331,14 @@ func (r *Relation) Remove(t Tuple) bool {
 		return list
 	}
 	r.unlink(idx)
-	for i, v := range t {
-		if l := removeFrom(r.index[i][v], idx); len(l) == 0 {
-			delete(r.index[i], v)
+	for i, m := range r.index {
+		if m == nil {
+			continue
+		}
+		if l := removeFrom(m[t[i]], idx); len(l) == 0 {
+			delete(m, t[i])
 		} else {
-			r.index[i][v] = l
+			m[t[i]] = l
 		}
 	}
 	last := len(r.tuples) - 1
@@ -327,10 +348,10 @@ func (r *Relation) Remove(t Tuple) bool {
 		r.keys[idx] = r.keys[last]
 		r.chain[idx] = r.chain[last]
 		r.relink(last, idx)
-		for i, v := range moved {
-			for j, ti := range r.index[i][v] {
+		for i, m := range r.index {
+			for j, ti := range m[moved[i]] { // a nil m has no lists
 				if ti == last {
-					r.index[i][v][j] = idx
+					m[moved[i]][j] = idx
 				}
 			}
 		}
@@ -485,7 +506,7 @@ func propagate(plans []*plan, db *Database, delta map[string][]Tuple, lim Limits
 // there are none.
 func Query(head []string, body []Atom, db *Database) ([]Tuple, error) {
 	var s answerSet
-	if err := queryPlan(head, body, db).collect(db, &s); err != nil {
+	if err := queryPlan(head, body).collect(db, &s); err != nil {
 		return nil, err
 	}
 	return s.sorted(), nil

@@ -154,6 +154,22 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 	return st, nil
 }
 
+// Answers returns the AnswerPred relation — the residual UCQ's answers,
+// for a state built from Program.AnswerRules — sorted in the canonical
+// row order, as a fresh slice (nil when there are none). The relation
+// itself is never sorted: its key, chain and index arrays refer to
+// tuples by position, and a slice handed out earlier must not change
+// under its holder.
+func (s *State) Answers() []Tuple {
+	r := s.db.Lookup(AnswerPred)
+	if r == nil || r.Len() == 0 {
+		return nil
+	}
+	out := slices.Clone(r.tuples)
+	slices.SortFunc(out, slices.Compare[Tuple])
+	return out
+}
+
 // derivableOneStep reports whether some rule derives pred(t) from the
 // current database in a single step.
 func (s *State) derivableOneStep(pred string, t Tuple) (bool, error) {

@@ -3,9 +3,12 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"ogpa/internal/cq"
 )
 
 // dump renders every fact of db as "pred(a,b)" lines, sorted — the
@@ -198,7 +201,9 @@ func TestStateDeleteAll(t *testing.T) {
 	}
 }
 
-// TestRelationRemove exercises swap-delete index repair directly.
+// TestRelationRemove exercises swap-delete index repair directly. Both
+// positional indexes are built before the removals, so Remove has to
+// repair them.
 func TestRelationRemove(t *testing.T) {
 	r := NewRelation(2)
 	add := func(a, b string) { r.Add(Tuple{a, b}) }
@@ -206,6 +211,8 @@ func TestRelationRemove(t *testing.T) {
 	add("c", "d")
 	add("a", "d")
 	add("e", "f")
+	r.position(0)
+	r.position(1)
 	if !r.Remove(Tuple{"c", "d"}) {
 		t.Fatal("remove existing failed")
 	}
@@ -227,10 +234,156 @@ func TestRelationRemove(t *testing.T) {
 		t.Fatal("removed tuple still present")
 	}
 	// Index still answers joins: tuples with "a" in position 0.
-	if got := len(r.index[0]["a"]); got != 2 {
+	if got := len(r.position(0)["a"]); got != 2 {
 		t.Fatalf("index[0][a] len = %d, want 2", got)
 	}
-	if got := len(r.index[1]["d"]); got != 1 {
+	if got := len(r.position(1)["d"]); got != 1 {
 		t.Fatalf("index[1][d] len = %d, want 1", got)
+	}
+}
+
+// TestLazyIndexMatchesRebuilt: random Add/Remove scripts, with each
+// position's index first probed at a random step, keep every built
+// index equal to one rebuilt from the relation's tuples after every
+// step; an index Add or Remove (or Remove's swap repair) forgets fails
+// it.
+func TestLazyIndexMatchesRebuilt(t *testing.T) {
+	for seed := 0; seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		arity := 1 + rng.Intn(3)
+		r := NewRelation(arity)
+		tuple := func() Tuple {
+			t := make(Tuple, arity)
+			for i := range t {
+				t[i] = fmt.Sprintf("c%d", rng.Intn(5))
+			}
+			return t
+		}
+		for step := 0; step < 80; step++ {
+			switch k := rng.Intn(12); {
+			case k < 6:
+				r.Add(tuple())
+			case k < 11 && r.Len() > 0 && k%2 == 0:
+				r.Remove(slices.Clone(r.Tuples()[rng.Intn(r.Len())]))
+			case k < 11:
+				r.Remove(tuple())
+			default:
+				r.position(rng.Intn(arity))
+			}
+			for i, m := range r.index {
+				if m == nil {
+					continue
+				}
+				want := map[string][]int{}
+				for ti, tup := range r.Tuples() {
+					want[tup[i]] = append(want[tup[i]], ti)
+				}
+				got := map[string][]int{}
+				for v, l := range m {
+					got[v] = slices.Sorted(slices.Values(l))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: index %d = %v, rebuilt from %v: %v", seed, step, i, got, r.Tuples(), want)
+				}
+			}
+		}
+	}
+}
+
+// TestStandingAnswersMatchAnswerMaintained: a State built from a
+// program's AnswerRules holds, in its AnswerPred relation, exactly what
+// AnswerMaintained joins from the same fixpoint, after NewState and
+// after every Apply batch (batch 2 deletes at least half the base, so
+// DRed overdeletes answers that other derivations must restore). The
+// programs are the kernel tests' random recursive rules; the residual
+// disjuncts have self-joins, existential variables, now and then a head
+// variable no atom binds, and every fifth program a 0-ary (boolean)
+// head.
+func TestStandingAnswersMatchAnswerMaintained(t *testing.T) {
+	for seed := 0; seed < 300; seed++ {
+		g := kernelGen{rng: rand.New(rand.NewSource(int64(seed))), nInd: 3 + seed%4}
+		prog := &Program{Rules: g.rules()}
+		arity := 1 + g.rng.Intn(3)
+		if seed%5 == 0 {
+			arity = 0
+		}
+		for i := 1 + g.rng.Intn(5); i > 0; i-- {
+			d := g.disjunct()
+			vs := bodyVars(residualBody(d))
+			for range arity {
+				v := g.pick(vs...)
+				if g.rng.Intn(10) == 0 {
+					v = "v" // bound by no atom: the answer's cell is ""
+				}
+				d.Head = append(d.Head, v)
+			}
+			prog.Residual = append(prog.Residual, d)
+		}
+		rules, err := prog.AnswerRules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := g.facts(5 + g.rng.Intn(20))
+		st, err := NewState(rules, base, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(step string) {
+			t.Helper()
+			want, err := AnswerMaintained(prog, st.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Answers(); tuplesString(got) != tuplesString(want) {
+				t.Fatalf("seed %d %s: %v\n got: %s\nwant: %s", seed, step, prog.Residual, tuplesString(got), tuplesString(want))
+			}
+		}
+		check("NewState")
+		for bi := 0; bi < 4; bi++ {
+			n := g.rng.Intn(len(base) + 1)
+			if bi == 2 {
+				n = max(n, (len(base)+1)/2)
+			}
+			var del []Fact
+			for ; n > 0 && len(base) > 0; n-- {
+				f := base[g.rng.Intn(len(base))]
+				del = append(del, f)
+				base = slices.DeleteFunc(base, func(b Fact) bool {
+					return b.Pred == f.Pred && slices.Equal(b.Args, f.Args)
+				})
+			}
+			ins := g.facts(g.rng.Intn(5))
+			base = append(base, ins...)
+			if _, err := st.Apply(ins, del, Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("batch %d", bi))
+		}
+	}
+}
+
+// TestAnswerRulesRejects: the answer predicate is reserved, and the
+// disjuncts of one union share their head arity.
+func TestAnswerRulesRejects(t *testing.T) {
+	clash := &Program{Rules: []Rule{{
+		Head: Atom{Pred: AnswerPred, Args: []Term{V("x")}},
+		Body: []Atom{{Pred: "A", Args: []Term{V("x")}}},
+	}}}
+	if _, err := clash.AnswerRules(); err == nil {
+		t.Error("a rule deriving the answer predicate was accepted")
+	}
+	d := cq.MustParse("q(x) :- A(x)")
+	d.Atoms[0].Pred = AnswerPred
+	if _, err := (&Program{Residual: []*cq.Query{d}}).AnswerRules(); err == nil {
+		t.Error("a disjunct over the answer predicate was accepted")
+	}
+	mixed := &Program{Residual: []*cq.Query{cq.MustParse("q(x) :- A(x)"), cq.MustParse("q(x, y) :- R(x, y)")}}
+	if _, err := mixed.AnswerRules(); err == nil {
+		t.Error("disjuncts of different head arity were accepted")
+	}
+	ok := &Program{Residual: []*cq.Query{{Head: []string{"x"}}, cq.MustParse("q(x) :- A(x)")}}
+	rules, err := ok.AnswerRules()
+	if err != nil || len(rules) != 1 {
+		t.Errorf("empty-body disjunct: %d rules, %v; want the other disjunct's rule alone", len(rules), err)
 	}
 }

@@ -1,27 +1,30 @@
 package datalog
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // The join kernel. Every datalog join (a rule firing in the semi-naive
 // loop, DRed's overestimate and rederivation check, a conjunctive query
 // and a residual disjunct) runs through one compiled plan: the body's
-// atoms over integer variable slots, in join order, each atom knowing
-// which of its positions are bound by the time it is reached. A binding
-// is one []string of slots written in place, so trying a candidate tuple
-// allocates nothing.
+// atoms over integer variable slots. A binding is one []string of slots
+// written in place, so trying a candidate tuple allocates nothing.
+//
+// The join order is chosen as the join runs: at each level the next
+// atom is the one with the fewest candidates under the binding so far,
+// counted exactly from the relations (one dedup-key lookup when every
+// position is bound, else the shortest positional index list of a bound
+// position, else the whole relation). An atom with no candidate ends the
+// branch at once. So a seed that binds a hub constant never scans the
+// hub's fan-in while another atom is cheaper, which a fixed order chosen
+// before the data is known cannot promise.
 
 // joinArg is one argument position of a compiled atom.
 type joinArg struct {
 	slot int    // variable slot, or -1 for a constant
 	con  string // the constant, when slot < 0
-	bind bool   // the slot's first occurrence in join order: written, not compared
 }
 
 // value is the argument's current value under slots; only meaningful
-// for constants and slots bound earlier.
+// for constants and bound slots.
 func (g joinArg) value(slots []string) string {
 	if g.slot < 0 {
 		return g.con
@@ -31,17 +34,43 @@ func (g joinArg) value(slots []string) string {
 
 // joinAtom is one body atom of a plan.
 type joinAtom struct {
-	pred  string
-	args  []joinArg
-	probe []int // positions bound before the atom; their shortest index list is scanned (none: the whole relation)
+	pred string
+	args []joinArg
+	// bind marks, per position, whether matching writes its slot (the
+	// slot is free when the atom is joined; a variable repeated in the
+	// atom binds at its first position and is compared at the rest). It
+	// is set when the atom is joined and holds while its level runs:
+	// an atom is joined at most once per branch.
+	bind []bool
+	key  Tuple // scratch for the dedup-key lookup
 }
 
-// match unifies t with the atom under slots: a constant or a slot bound
-// earlier must equal its cell, a binding position writes its slot.
+// claim sets a.bind from the slots bound so far and marks a's free slots
+// bound.
+func (a *joinAtom) claim(bound []bool) {
+	for i, g := range a.args {
+		a.bind[i] = g.slot >= 0 && !bound[g.slot]
+		if a.bind[i] {
+			bound[g.slot] = true
+		}
+	}
+}
+
+// release frees the slots claim marked.
+func (a *joinAtom) release(bound []bool) {
+	for i, g := range a.args {
+		if a.bind[i] {
+			bound[g.slot] = false
+		}
+	}
+}
+
+// match unifies t with the atom under slots: a binding position writes
+// its slot, any other must equal its constant or bound slot.
 func (a *joinAtom) match(t Tuple, slots []string) bool {
 	for i, g := range a.args {
 		switch {
-		case g.bind:
+		case a.bind[i]:
 			slots[g.slot] = t[i]
 		case t[i] != g.value(slots):
 			return false
@@ -52,137 +81,69 @@ func (a *joinAtom) match(t Tuple, slots []string) bool {
 
 // plan is one compiled body. A rule's plan for a semi-naive delta
 // position has that atom as its seed, matched against a given tuple
-// before the steps run; so has a rederivation check, with the rule's
+// before the join runs; so has a rederivation check, with the rule's
 // head as seed. A query's plan has no seed.
 //
 // A plan carries its own scratch binding, so one plan serves one
 // goroutine at a time.
 type plan struct {
-	pred  string    // head predicate
-	head  []joinArg // head arguments
-	seed  *joinAtom
-	steps []joinAtom
-	// exist is the first step after which every head slot is bound:
-	// steps[exist:] only need a witness, so they stop at their first
-	// match (a semi-join).
-	exist int
-	slots []string
-	rels  []*Relation // steps' relations, resolved per run
-	out   Tuple       // head tuple scratch
+	pred   string    // head predicate
+	head   []joinArg // head arguments
+	seed   *joinAtom
+	atoms  []joinAtom // the rest of the body, in body order
+	joined []bool     // per atom: joined on the current branch
+	slots  []string
+	bound  []bool      // per slot: bound on the current branch
+	rels   []*Relation // atoms' relations, resolved per run
+	out    Tuple       // head tuple scratch
 }
 
-// compile builds the plan of head :- seed, steps..., joining the steps in
-// the given order.
-func compile(head Atom, seed *Atom, steps []Atom) *plan {
-	p := &plan{pred: head.Pred, steps: make([]joinAtom, len(steps))}
+// compile builds the plan of head :- seed, body...
+func compile(head Atom, seed *Atom, body []Atom) *plan {
+	p := &plan{pred: head.Pred, atoms: make([]joinAtom, len(body))}
 	slot := map[string]int{}
-	var boundAt []int // per slot: level that binds it (seed 0, steps[i] i+1), -1 if none
-	atom := func(a Atom, level int) joinAtom {
-		ja := joinAtom{pred: a.Pred, args: make([]joinArg, len(a.Args))}
-		for i, t := range a.Args {
+	args := func(ts []Term) []joinArg {
+		out := make([]joinArg, len(ts))
+		for i, t := range ts {
 			if !t.Var {
-				ja.args[i] = joinArg{slot: -1, con: t.Name}
-				ja.probe = append(ja.probe, i)
+				out[i] = joinArg{slot: -1, con: t.Name}
 				continue
 			}
 			s, ok := slot[t.Name]
 			if !ok {
-				s = len(boundAt)
+				s = len(slot)
 				slot[t.Name] = s
-				boundAt = append(boundAt, -1)
 			}
-			switch {
-			case boundAt[s] < 0:
-				boundAt[s] = level
-				ja.args[i] = joinArg{slot: s, bind: true}
-			case boundAt[s] < level:
-				ja.args[i] = joinArg{slot: s}
-				ja.probe = append(ja.probe, i)
-			default: // repeated within this atom: compared after its first position writes it
-				ja.args[i] = joinArg{slot: s}
-			}
+			out[i] = joinArg{slot: s}
 		}
-		return ja
+		return out
+	}
+	atom := func(a Atom) joinAtom {
+		return joinAtom{pred: a.Pred, args: args(a.Args), bind: make([]bool, len(a.Args)), key: make(Tuple, len(a.Args))}
 	}
 	if seed != nil {
-		sa := atom(*seed, 0)
-		sa.probe = nil
+		sa := atom(*seed)
 		p.seed = &sa
 	}
-	for i, a := range steps {
-		p.steps[i] = atom(a, i+1)
+	for i, a := range body {
+		p.atoms[i] = atom(a)
 	}
-	p.head = make([]joinArg, len(head.Args))
-	for i, t := range head.Args {
-		if !t.Var {
-			p.head[i] = joinArg{slot: -1, con: t.Name}
-			continue
-		}
-		s, ok := slot[t.Name]
-		if !ok { // not in the body: stays "", and no step may stop early
-			s = len(boundAt)
-			slot[t.Name] = s
-			boundAt = append(boundAt, len(steps))
-		}
-		p.head[i] = joinArg{slot: s}
-		p.exist = max(p.exist, boundAt[s])
-	}
-	p.slots = make([]string, len(boundAt))
-	p.rels = make([]*Relation, len(steps))
+	p.head = args(head.Args) // a variable not in the body stays "" and is never bound
+	p.joined = make([]bool, len(body))
+	p.slots = make([]string, len(slot))
+	p.bound = make([]bool, len(slot))
+	p.rels = make([]*Relation, len(body))
 	p.out = make(Tuple, len(head.Args))
 	return p
 }
 
-// order returns atoms in join order. The next atom is the one over the
-// smallest relation in db among those sharing a variable with bound (or
-// carrying a constant), or among all remaining atoms when none does;
-// ties keep body order. With db nil every size ties, which leaves a
-// connected-first order of the body.
-func order(atoms []Atom, bound map[string]bool, db *Database) []Atom {
-	size := func(a Atom) int {
-		if db == nil {
-			return 0
-		}
-		if r := db.Lookup(a.Pred); r != nil {
-			return r.Len()
-		}
-		return 0
-	}
-	connected := func(a Atom) bool {
-		for _, t := range a.Args {
-			if !t.Var || bound[t.Name] {
-				return true
-			}
-		}
-		return false
-	}
-	rest := slices.Clone(atoms)
-	out := make([]Atom, 0, len(atoms))
-	for len(rest) > 0 {
-		best, bestConn := 0, false
-		for i, a := range rest {
-			c := connected(a)
-			if i == 0 || c && !bestConn || c == bestConn && size(a) < size(rest[best]) {
-				best, bestConn = i, c
-			}
-		}
-		a := rest[best]
-		rest = slices.Delete(rest, best, best+1)
-		out = append(out, a)
-		maps.Copy(bound, vars(a))
-	}
-	return out
-}
-
 // compileRules compiles every rule once per body position, with that
-// atom as the semi-naive delta (the seed) and the rest of the body after
-// it in connected-first order. Plans come in rule order.
+// atom as the semi-naive delta (the seed). Plans come in rule order.
 func compileRules(rules []Rule) []*plan {
 	var out []*plan
 	for _, r := range rules {
 		for di := range r.Body {
-			rest := slices.Delete(slices.Clone(r.Body), di, di+1)
-			out = append(out, compile(r.Head, &r.Body[di], order(rest, vars(r.Body[di]), nil)))
+			out = append(out, compile(r.Head, &r.Body[di], slices.Delete(slices.Clone(r.Body), di, di+1)))
 		}
 	}
 	return out
@@ -193,87 +154,140 @@ func compileRules(rules []Rule) []*plan {
 func compileDerivations(rules []Rule) []*plan {
 	out := make([]*plan, len(rules))
 	for i, r := range rules {
-		out[i] = compile(r.Head, &r.Head, order(r.Body, vars(r.Head), nil))
+		out[i] = compile(r.Head, &r.Head, r.Body)
 	}
 	return out
 }
 
-// vars is the set of a's variables.
-func vars(a Atom) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range a.Args {
-		if t.Var {
-			out[t.Name] = true
-		}
-	}
-	return out
-}
-
-// queryPlan compiles the conjunctive query head :- body with its atoms
-// ordered for db's current relation sizes.
-func queryPlan(head []string, body []Atom, db *Database) *plan {
-	return compile(Atom{Pred: "_q", Args: varTerms(head)}, nil, order(body, map[string]bool{}, db))
+// queryPlan compiles the conjunctive query head :- body.
+func queryPlan(head []string, body []Atom) *plan {
+	return compile(Atom{Pred: "_q", Args: varTerms(head)}, nil, body)
 }
 
 // run calls emit once per match of the plan's body over db (seeded with
-// t when the plan has a seed), with the plan's binding in place; past
-// p.exist the search stops at the first match. It reports whether any
-// match was found. An error from emit ends the run.
+// t when the plan has a seed), with the plan's binding in place; once
+// every head slot is bound, the rest of a branch stops at its first
+// match (a semi-join). It reports whether any match was found. An error
+// from emit ends the run.
 func (p *plan) run(db *Database, t Tuple, emit func(*plan) error) (bool, error) {
-	if p.seed != nil && (len(t) != len(p.seed.args) || !p.seed.match(t, p.slots)) {
-		return false, nil
-	}
-	for i := range p.steps {
-		r := db.Lookup(p.steps[i].pred)
-		if r == nil || r.arity != len(p.steps[i].args) {
+	for i := range p.atoms {
+		r := db.Lookup(p.atoms[i].pred)
+		if r == nil || r.arity != len(p.atoms[i].args) {
 			return false, nil
 		}
 		p.rels[i] = r
 	}
-	return p.join(0, emit)
-}
-
-// join extends the binding over steps[d:].
-func (p *plan) join(d int, emit func(*plan) error) (bool, error) {
-	if d == len(p.steps) {
-		return true, emit(p)
-	}
-	a, rel := &p.steps[d], p.rels[d]
-	var list []int
-	for k, i := range a.probe {
-		l := rel.index[i][a.args[i].value(p.slots)]
-		if k == 0 || len(l) < len(list) {
-			list = l
+	clear(p.bound)
+	if p.seed != nil {
+		if len(t) != len(p.seed.args) {
+			return false, nil
 		}
-		if len(l) == 0 {
+		p.seed.claim(p.bound)
+		if !p.seed.match(t, p.slots) {
 			return false, nil
 		}
 	}
-	n := len(list)
-	if a.probe == nil {
-		n = len(rel.tuples)
+	return p.join(len(p.atoms), emit)
+}
+
+// candidates counts the tuples of atom i's relation that may match under
+// the current binding. With every position bound they are at most one,
+// found by dedup key (one ≥ 0); else they are the shortest index list
+// of a bound position (list), else the whole relation (both unset).
+func (p *plan) candidates(i int) (n int, list []int, one int) {
+	a, rel := &p.atoms[i], p.rels[i]
+	free, probed := false, false
+	for k, g := range a.args {
+		if g.slot >= 0 && !p.bound[g.slot] {
+			free = true
+			continue
+		}
+		a.key[k] = g.value(p.slots)
 	}
+	if !free {
+		if one = rel.find(a.key); one < 0 {
+			return 0, nil, -1
+		}
+		return 1, nil, one
+	}
+	for k, g := range a.args {
+		if g.slot >= 0 && !p.bound[g.slot] {
+			continue
+		}
+		l := rel.position(k)[a.key[k]]
+		if !probed || len(l) < len(list) {
+			list, probed = l, true
+		}
+		if len(l) == 0 {
+			return 0, nil, -1
+		}
+	}
+	if probed {
+		return len(list), list, -1
+	}
+	return len(rel.tuples), nil, -1
+}
+
+// join extends the binding over the left atoms not yet joined, taking
+// next the one with the fewest candidates (ties: body order).
+func (p *plan) join(left int, emit func(*plan) error) (bool, error) {
+	if left == 0 {
+		return true, emit(p)
+	}
+	next, n, list, one := -1, 0, []int(nil), -1
+	for i := range p.atoms {
+		if p.joined[i] {
+			continue
+		}
+		c, l, o := p.candidates(i)
+		if c == 0 {
+			return false, nil
+		}
+		if next < 0 || c < n {
+			next, n, list, one = i, c, l, o
+		}
+	}
+	witness := p.headBound() // every answer slot bound: one match below suffices
+	a, rel := &p.atoms[next], p.rels[next]
+	p.joined[next] = true
+	a.claim(p.bound)
 	found := false
+	var err error
 	for k := 0; k < n; k++ {
 		ti := k
-		if a.probe != nil {
+		switch {
+		case one >= 0:
+			ti = one
+		case list != nil:
 			ti = list[k]
 		}
 		if !a.match(rel.tuples[ti], p.slots) {
 			continue
 		}
-		ok, err := p.join(d+1, emit)
-		if err != nil {
-			return found, err
+		var ok bool
+		if ok, err = p.join(left-1, emit); err != nil {
+			break
 		}
 		if ok {
 			found = true
-			if d >= p.exist {
-				return true, nil
+			if witness {
+				break
 			}
 		}
 	}
-	return found, nil
+	a.release(p.bound)
+	p.joined[next] = false
+	return found, err
+}
+
+// headBound reports whether every variable of the head is bound.
+func (p *plan) headBound() bool {
+	for _, g := range p.head {
+		if g.slot >= 0 && !p.bound[g.slot] {
+			return false
+		}
+	}
+	return true
 }
 
 // headTuple instantiates the head under the current binding into the
@@ -318,7 +332,7 @@ func (s *answerSet) add(t Tuple) {
 // collect adds the head tuple of every match of the query plan p over db;
 // an empty body matches nothing.
 func (p *plan) collect(db *Database, s *answerSet) error {
-	if len(p.steps) == 0 {
+	if len(p.atoms) == 0 {
 		return nil
 	}
 	_, err := p.run(db, nil, func(p *plan) error {
@@ -331,6 +345,6 @@ func (p *plan) collect(db *Database, s *answerSet) error {
 // sorted returns the kept tuples in the canonical row order
 // (core.SortRows's), or nil when there are none.
 func (s *answerSet) sorted() []Tuple {
-	slices.SortFunc(s.tuples, func(a, b Tuple) int { return slices.Compare(a, b) })
+	slices.SortFunc(s.tuples, slices.Compare[Tuple])
 	return s.tuples
 }

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"time"
 
 	"ogpa/internal/cq"
@@ -27,6 +28,76 @@ func (p *Program) Size() int {
 		n += q.Size()
 	}
 	return n
+}
+
+// AnswerPred is the reserved predicate of AnswerRules: the residual
+// UCQ's answers.
+const AnswerPred = "q·"
+
+// AnswerRules returns the program's rules plus one rule per residual
+// disjunct, AnswerPred(head) :- body. Every disjunct shares that head,
+// so the relation's dedup forms the union: in the fixpoint of these
+// rules AnswerPred holds exactly AnswerMaintained's answers, and a
+// State built from them maintains the answers with everything else. A
+// disjunct with an empty body matches nothing and gets no rule; a head
+// variable its body does not bind is the constant "", as
+// AnswerMaintained leaves it. The rules are rejected if the program
+// already uses AnswerPred or its disjuncts disagree on the head arity.
+func (p *Program) AnswerRules() ([]Rule, error) {
+	for _, r := range p.Rules {
+		uses := r.Head.Pred == AnswerPred
+		for _, a := range r.Body {
+			uses = uses || a.Pred == AnswerPred
+		}
+		if uses {
+			return nil, fmt.Errorf("datalog: rule %s uses the reserved answer predicate %s", r, AnswerPred)
+		}
+	}
+	out := append(make([]Rule, 0, len(p.Rules)+len(p.Residual)), p.Rules...)
+	arity := -1
+	for _, d := range p.Residual {
+		body := disjunctBody(d)
+		for _, a := range body {
+			if a.Pred == AnswerPred {
+				return nil, fmt.Errorf("datalog: disjunct %s uses the reserved answer predicate %s", d, AnswerPred)
+			}
+		}
+		if len(body) == 0 {
+			continue
+		}
+		if arity >= 0 && len(d.Head) != arity {
+			return nil, fmt.Errorf("datalog: disjunct %s has %d answer variables, an earlier one %d", d, len(d.Head), arity)
+		}
+		arity = len(d.Head)
+		bound := map[string]bool{}
+		for _, a := range body {
+			for _, t := range a.Args {
+				bound[t.Name] = true
+			}
+		}
+		head := Atom{Pred: AnswerPred, Args: make([]Term, len(d.Head))}
+		for i, v := range d.Head {
+			head.Args[i] = V(v)
+			if !bound[v] {
+				head.Args[i] = C("")
+			}
+		}
+		out = append(out, Rule{Head: head, Body: body})
+	}
+	return out, nil
+}
+
+// disjunctBody translates a residual disjunct into datalog atoms.
+func disjunctBody(d *cq.Query) []Atom {
+	body := make([]Atom, len(d.Atoms))
+	for i, a := range d.Atoms {
+		if a.IsRole {
+			body[i] = Atom{Pred: a.Pred, Args: []Term{V(a.X), V(a.Y)}}
+		} else {
+			body[i] = Atom{Pred: a.Pred, Args: []Term{V(a.X)}}
+		}
+	}
+	return body
 }
 
 // cPred and rPred name the IDB predicates for a concept/role.
@@ -258,23 +329,14 @@ func Answer(prog *Program, db *Database, lim Limits) ([]Tuple, error) {
 }
 
 // AnswerMaintained evaluates the residual UCQ of prog over an
-// already-materialized database — the incremental path: a maintained
-// State's DB is the fixpoint at the current epoch, so only the residual
-// join runs per query. Each disjunct is joined in an order chosen from
-// db's current relation sizes; the union is deduplicated as it grows and
-// sorted once.
+// already-materialized database, one join per disjunct; the union is
+// deduplicated as it grows and sorted once. (A maintained State keeps
+// the answers in its fixpoint instead: see AnswerRules and
+// State.Answers.)
 func AnswerMaintained(prog *Program, db *Database) ([]Tuple, error) {
 	var s answerSet
 	for _, d := range prog.Residual {
-		body := make([]Atom, len(d.Atoms))
-		for i, a := range d.Atoms {
-			if a.IsRole {
-				body[i] = Atom{Pred: a.Pred, Args: []Term{V(a.X), V(a.Y)}}
-			} else {
-				body[i] = Atom{Pred: a.Pred, Args: []Term{V(a.X)}}
-			}
-		}
-		if err := queryPlan(d.Head, body, db).collect(db, &s); err != nil {
+		if err := queryPlan(d.Head, disjunctBody(d)).collect(db, &s); err != nil {
 			return nil, err
 		}
 	}

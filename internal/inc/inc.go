@@ -10,11 +10,11 @@
 // contents. Chains register against the manager and are advanced lazily:
 // every Answer call (and every explicit Advance) first drains the watcher
 // under the manager's lock and applies each pending batch (translated
-// from triples to ABox assertions) to every registered chain, then
-// evaluates against the maintained fixpoint and returns the epoch the
-// answer is valid at. Lazy advancement means an idle manager costs
-// nothing but the watcher's queued batches, and every answer is exact for
-// the epoch it reports.
+// once from triples to ABox assertions and datalog facts) to every
+// registered chain, then reads the answers the maintained fixpoint
+// holds and returns the epoch they are valid at. Lazy advancement means
+// an idle manager costs nothing but the watcher's queued batches, and
+// every answer is exact for the epoch it reports.
 //
 // Error isolation: a chain whose incremental apply fails (limit
 // exceeded, malformed rule) is marked broken and silently rebuilt from
@@ -150,8 +150,9 @@ func (m *Manager) advanceLocked() error {
 	for _, b := range m.w.Poll() {
 		ins, del := m.translate(b)
 		m.mirrorIn(ins, del)
+		insF, delF := aboxFacts(ins), aboxFacts(del)
 		for _, c := range m.chains {
-			c.apply(ins, del)
+			c.apply(insF, delF)
 		}
 		m.epoch = b.Epoch
 		m.stats.Batches++
@@ -219,11 +220,12 @@ func (m *Manager) mirrorABox() *dllite.ABox {
 
 // DatalogChain maintains the semi-naive fixpoint of one datalog program
 // (the rewriting of one standing query) across epochs: insertions seed a
-// continuation round, deletions run DRed, and Answer only re-joins the
-// residual UCQ over the maintained database.
+// continuation round, deletions run DRed. The program's residual UCQ is
+// part of that fixpoint (datalog.Program.AnswerRules), so the answers
+// are maintained with it and Answer only copies and sorts them.
 type DatalogChain struct {
 	m      *Manager
-	prog   *datalog.Program
+	rules  []datalog.Rule // the program's rules plus its answer rules
 	lim    datalog.Limits
 	state  *datalog.State
 	broken bool // an apply failed; the next use rebuilds from the mirror
@@ -236,10 +238,14 @@ type DatalogChain struct {
 func (m *Manager) RegisterDatalog(prog *datalog.Program, lim datalog.Limits) (*DatalogChain, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
+	rules, err := prog.AnswerRules()
+	if err != nil {
+		return nil, err
+	}
 	if err := m.advanceLocked(); err != nil {
 		return nil, err
 	}
-	c := &DatalogChain{m: m, prog: prog, lim: lim}
+	c := &DatalogChain{m: m, rules: rules, lim: lim}
 	if err := c.rebuild(m.mirrorABox()); err != nil {
 		return nil, err
 	}
@@ -262,18 +268,18 @@ func aboxFacts(a *dllite.ABox) []datalog.Fact {
 // apply advances the fixpoint by one batch. A failure only marks the
 // chain broken: the batch must keep applying to sibling chains, and the
 // next use rebuilds this one from the mirror.
-func (c *DatalogChain) apply(ins, del *dllite.ABox) {
+func (c *DatalogChain) apply(ins, del []datalog.Fact) {
 	if c.broken {
 		return // already pending rebuild; skip to keep applies cheap
 	}
-	st, err := c.state.Apply(aboxFacts(ins), aboxFacts(del), c.lim)
+	st, err := c.state.Apply(ins, del, c.lim)
 	c.m.stats.DatalogIns += uint64(st.Added)
 	c.m.stats.DatalogDel += uint64(st.Overdeleted)
 	c.broken = err != nil
 }
 
 func (c *DatalogChain) rebuild(base *dllite.ABox) error {
-	state, err := datalog.NewState(c.prog.Rules, aboxFacts(base), c.lim)
+	state, err := datalog.NewState(c.rules, aboxFacts(base), c.lim)
 	if err != nil {
 		return err
 	}
@@ -281,9 +287,9 @@ func (c *DatalogChain) rebuild(base *dllite.ABox) error {
 	return nil
 }
 
-// Answer advances to the newest epoch and evaluates the program's
-// residual UCQ over the maintained fixpoint, returning distinct sorted
-// tuples and the epoch they are exact for.
+// Answer advances to the newest epoch and returns the residual UCQ's
+// answers from the maintained fixpoint — distinct tuples, sorted, in a
+// slice of the caller's own — and the epoch they are exact for.
 func (c *DatalogChain) Answer() ([]datalog.Tuple, uint64, error) {
 	m := c.m
 	m.gate.mu.Lock()
@@ -298,6 +304,5 @@ func (c *DatalogChain) Answer() ([]datalog.Tuple, uint64, error) {
 		c.broken = false
 		m.stats.Rebuilds++
 	}
-	out, err := datalog.AnswerMaintained(c.prog, c.state.DB())
-	return out, m.epoch, err
+	return c.state.Answers(), m.epoch, nil
 }
