@@ -84,3 +84,64 @@ func TestUnionRunAllocsPerAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareAllocs: a warm Prepare allocates as many times when
+// refinement cascades across many arcs as when it removes nothing. The
+// pattern is a p-path of eight A-vertices; both graphs hold four
+// A-labelled p-cycles, which every pool keeps, and the second adds
+// A-labelled p-paths of one to six edges, which seeding puts in every
+// pool and refinement removes one member per revision. The arcs, the
+// queue and the queued flags live in the pooled scratch.
+func TestPrepareAllocs(t *testing.T) {
+	const k = 8
+	p := &core.Pattern{}
+	for i := 0; i < k; i++ {
+		p.Vertices = append(p.Vertices, core.Vertex{Name: fmt.Sprintf("x%d", i), Label: "A", Distinguished: i == 0})
+		if i > 0 {
+			p.Edges = append(p.Edges, core.Edge{From: i - 1, To: i, Label: "p"})
+		}
+	}
+	prepare := func(tails bool) (float64, Stats) {
+		b := graph.NewBuilder(nil)
+		path := func(name string, n int, cycle bool) {
+			for i := 0; i <= n; i++ {
+				b.AddLabel(fmt.Sprintf("%s_%d", name, i), "A")
+			}
+			for i := 0; i < n; i++ {
+				b.AddEdge(fmt.Sprintf("%s_%d", name, i), "p", fmt.Sprintf("%s_%d", name, i+1))
+			}
+			if cycle {
+				b.AddEdge(fmt.Sprintf("%s_%d", name, n), "p", fmt.Sprintf("%s_0", name))
+			}
+		}
+		for c := 0; c < 4; c++ {
+			path(fmt.Sprintf("c%d", c), 2, true)
+		}
+		if tails {
+			for l := 1; l <= 6; l++ {
+				path(fmt.Sprintf("t%d", l), l, false)
+			}
+		}
+		g := b.Freeze()
+		var st Stats
+		allocs := testing.AllocsPerRun(50, func() {
+			pl, err := Prepare(p, g)
+			if err != nil || pl.empty {
+				t.Fatalf("tails %v: Prepare: empty plan, err %v", tails, err)
+			}
+			st = pl.Stats()
+		})
+		return allocs, st
+	}
+	settled, sst := prepare(false)
+	cascade, cst := prepare(true)
+	if sst.Revisions != 2*(k-1) || cst.Revisions < 2*sst.Revisions || sst.CSCandidates != cst.CSCandidates {
+		t.Fatalf("revisions %d settled, %d cascading; candidates %d and %d: want every arc revised once against a cascade with the same pools",
+			sst.Revisions, cst.Revisions, sst.CSCandidates, cst.CSCandidates)
+	}
+	t.Logf("%v allocations at %d revisions, %v at %d", settled, sst.Revisions, cascade, cst.Revisions)
+	if settled != cascade {
+		t.Errorf("a warm Prepare allocates %v times when refinement removes nothing, %v times when it cascades over %d revisions",
+			settled, cascade, cst.Revisions)
+	}
+}

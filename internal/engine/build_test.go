@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ogpa/internal/core"
+	"ogpa/internal/dllite"
 	"ogpa/internal/graph"
 	"ogpa/internal/perfectref"
 	"ogpa/internal/rewrite"
@@ -278,6 +279,20 @@ func TestConcurrentPreparesShareNoScratch(t *testing.T) {
 	wg.Wait()
 }
 
+// padABox adds 24 individuals and 45 random assertions over them to a
+// random KB's ABox, so that a label bucket is well under |V|/4 and a
+// pattern edge's far pool can lose members to refinement.
+func padABox(rng *rand.Rand, abox *dllite.ABox) {
+	for i := 0; i < 45; i++ {
+		a, b := fmt.Sprintf("i%d", rng.Intn(24)), fmt.Sprintf("i%d", rng.Intn(24))
+		if rng.Intn(3) == 0 {
+			abox.AddConcept(string(rune('A'+rng.Intn(4))), a)
+		} else {
+			abox.AddRole(string(rune('p'+rng.Intn(3))), a, b)
+		}
+	}
+}
+
 // TestNarrowedSeedingEquivalence is the property test of seeding through
 // a partner. The shared random KBs have at most five vertices and miss
 // most role labels, so their sweeps reach seedPools' second stage twice
@@ -331,14 +346,7 @@ func TestNarrowedSeedingEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb, abox, q := testkb.RandomKB(rng)
-		for i := 0; i < 45; i++ {
-			a, b := fmt.Sprintf("i%d", rng.Intn(24)), fmt.Sprintf("i%d", rng.Intn(24))
-			if rng.Intn(3) == 0 {
-				abox.AddConcept(string(rune('A'+rng.Intn(4))), a)
-			} else {
-				abox.AddRole(string(rune('p'+rng.Intn(3))), a, b)
-			}
-		}
+		padABox(rng, abox)
 		g := abox.Graph(nil)
 		check(seed, "CQ", core.FromCQ(q), g)
 		if res, err := rewrite.Generate(q, tb); err == nil {

@@ -109,7 +109,9 @@ type Stats struct {
 	// as a condition on every candidate pair the search reaches.
 	IndexedEdges int
 	PatternEdges int
-	RefinePasses int
+	// Revisions counts the arc revisions refinement ran to its fixpoint:
+	// one check of a vertex's pool against one edge's far pool.
+	Revisions int
 	// EmptyCandSets counts pattern vertices whose candidate set was (or
 	// refined to) empty while the vertex cannot be omitted — each one
 	// proves Q(G) = ∅ during the build phase.
@@ -137,7 +139,7 @@ func (s *Stats) Add(o Stats) {
 	s.AdjPairs += o.AdjPairs
 	s.IndexedEdges += o.IndexedEdges
 	s.PatternEdges += o.PatternEdges
-	s.RefinePasses += o.RefinePasses
+	s.Revisions += o.Revisions
 	s.EmptyCandSets += o.EmptyCandSets
 	s.BDDNodes += o.BDDNodes
 	s.AtomEvals += o.AtomEvals
@@ -301,6 +303,20 @@ type scratch struct {
 	flat    []graph.VID   // a seed before the local filter, then one edge's adjacency rows
 	pools   [][]graph.VID // per pattern vertex: the candidate pool under construction
 	inCand  []*bitset.Set // per pattern vertex: membership bits of that pool
+
+	// Refinement's worklist: its arcs, a ring of queued arc indexes and a
+	// flag per arc that is set while it is queued.
+	arcs   []arc
+	queue  []int
+	queued []bool
+}
+
+// arc is one pruning constraint of refinement: every candidate of u needs
+// a partner across pattern edge edge in far's pool. u plays the edge's
+// From side iff fromSide (a self-loop's one arc has far == u).
+type arc struct {
+	u, far, edge int
+	fromSide     bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -325,7 +341,7 @@ func getScratch(nv, n int) *scratch {
 }
 
 // Stats reports the build-phase statistics (BuildNanos, CSCandidates,
-// AdjPairs, BDDNodes, RefinePasses, EmptyCandSets).
+// AdjPairs, BDDNodes, Revisions, EmptyCandSets).
 func (pl *Plan) Stats() Stats { return pl.stats }
 
 // PrepareUnion prepares the union of ps, whose heads must agree: one
@@ -856,7 +872,7 @@ func (m *matcher) drainSorted(bits *bitset.Set) []graph.VID {
 // cheapest sound seed first so that refinement starts from small pools:
 // (1) a vertex whose every clause pins a label takes the union of those
 // label buckets; (2) while there is one, an unseeded vertex joined by an
-// indexable edge that cannot be excused (the rule refineVertex prunes by)
+// indexable edge that cannot be excused (an arc of refinement, see buildArcs)
 // to a seeded partner of fewer than |V|/4 candidates takes the union of
 // that partner's neighbour rows — refinement would cut it down to a
 // subset of exactly that; (3) failing both, every vertex of G.
@@ -1115,9 +1131,102 @@ func (m *matcher) pairwiseOK(ei int, vFrom, vTo graph.VID) bool {
 	return ok
 }
 
-// buildOMCS refines candidate sets and materializes per-DAG-edge adjacency.
-// Edges whose far endpoint is omittable never prune (they may be excused),
-// keeping OMCS sound (paper Section V-B). Candidate-set membership lives
+// buildArcs fills the scratch's arcs: two per indexable pattern edge
+// that cannot be excused (neither end omittable; an edge with an
+// omittable end may map to ⊥ and then constrains nothing), one per such
+// self-loop.
+func (m *matcher) buildArcs() {
+	sc := m.sc
+	sc.arcs = sc.arcs[:0]
+	for ei, e := range m.p.Edges {
+		if !m.edgeIndexab[ei] || m.canOmit[e.From] || m.canOmit[e.To] {
+			continue
+		}
+		sc.arcs = append(sc.arcs, arc{u: e.From, far: e.To, edge: ei, fromSide: true})
+		if e.From != e.To {
+			sc.arcs = append(sc.arcs, arc{u: e.To, far: e.From, edge: ei})
+		}
+	}
+}
+
+// supported reports whether candidate v of a.u has a partner across a's
+// edge: the first neighbour its probes reach that is in a.far's pool and
+// passes pairwiseOK ends the walk.
+func (m *matcher) supported(a arc, v graph.VID) bool {
+	far := m.sc.inCand[a.far]
+	for _, pr := range m.edgeProbes[a.edge] {
+		for _, h := range m.probeHalves(pr, v, a.fromSide) {
+			if !far.Has(uint32(h.To)) {
+				continue
+			}
+			if a.fromSide && m.pairwiseOK(a.edge, v, h.To) || !a.fromSide && m.pairwiseOK(a.edge, h.To, v) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// revise drops every candidate of a.u that has no partner across a and
+// reports whether it dropped any.
+func (m *matcher) revise(a arc) bool {
+	pool, bits := m.cand[a.u], m.sc.inCand[a.u]
+	out := pool[:0]
+	for _, v := range pool {
+		if m.supported(a, v) {
+			out = append(out, v)
+		} else {
+			bits.Remove(uint32(v))
+		}
+	}
+	m.cand[a.u] = out
+	return len(out) < len(pool)
+}
+
+// refine runs the arc worklist to its fixpoint (AC-3): every arc starts
+// queued, in pattern edge order; a revision that drops candidates of u
+// queues again every arc whose far end is u, except the reverse arc of
+// the same non-loop edge, whose support the dropped candidates never
+// gave. It reports false when a pool empties, which proves Q(G) = ∅ (only
+// vertices that cannot be omitted have arcs).
+func (m *matcher) refine() bool {
+	m.buildArcs()
+	sc := m.sc
+	arcs := sc.arcs
+	if cap(sc.queue) < len(arcs) {
+		sc.queue, sc.queued = make([]int, len(arcs)), make([]bool, len(arcs))
+	}
+	queue, queued := sc.queue[:len(arcs)], sc.queued[:len(arcs)]
+	for ai := range arcs {
+		queue[ai], queued[ai] = ai, true
+	}
+	for head, size := 0, len(arcs); size > 0; {
+		ai := queue[head]
+		head, size = (head+1)%len(arcs), size-1
+		queued[ai] = false
+		m.stats.Revisions++
+		a := arcs[ai]
+		if !m.revise(a) {
+			continue
+		}
+		if len(m.cand[a.u]) == 0 {
+			m.stats.EmptyCandSets++
+			return false
+		}
+		for bi, b := range arcs {
+			if b.far != a.u || queued[bi] || b.edge == a.edge && a.u != a.far {
+				continue
+			}
+			queue[(head+size)%len(arcs)], queued[bi] = bi, true
+			size++
+		}
+	}
+	return true
+}
+
+// buildOMCS refines candidate sets (refine) and materializes per-DAG-edge
+// adjacency. Edges with an omittable endpoint never prune (they may be
+// excused), keeping OMCS sound (paper Section V-B). Candidate-set membership lives
 // in word-packed bitmaps (one probe = shift + mask) and the adjacency is
 // CSR over the sorted candidate pools.
 func (m *matcher) buildOMCS() bool {
@@ -1128,83 +1237,8 @@ func (m *matcher) buildOMCS() bool {
 			inCand[u].Add(uint32(v))
 		}
 	}
-
-	refineVertex := func(u int) bool {
-		changed := false
-		out := m.cand[u][:0]
-		for _, v := range m.cand[u] {
-			ok := true
-			for ei, e := range m.p.Edges {
-				if !m.edgeIndexab[ei] {
-					continue
-				}
-				var far int
-				var fromSide bool
-				switch u {
-				case e.From:
-					far, fromSide = e.To, true
-				case e.To:
-					far, fromSide = e.From, false
-				default:
-					continue
-				}
-				if m.canOmit[far] || m.canOmit[u] {
-					continue // edge may be excused; do not prune through it
-				}
-				found := false
-				m.sc.nbrBuf = m.appendNeighborsVia(m.sc.nbrBuf[:0], ei, v, fromSide)
-				for _, w := range m.sc.nbrBuf {
-					if !inCand[far].Has(uint32(w)) {
-						continue
-					}
-					var okPair bool
-					if fromSide {
-						okPair = m.pairwiseOK(ei, v, w)
-					} else {
-						okPair = m.pairwiseOK(ei, w, v)
-					}
-					if okPair {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, v)
-			} else {
-				changed = true
-				inCand[u].Remove(uint32(v))
-			}
-		}
-		m.cand[u] = out
-		return changed
-	}
-
-	for pass := 0; pass < 4; pass++ {
-		m.stats.RefinePasses++
-		changed := false
-		if pass%2 == 0 {
-			for i := len(m.order) - 1; i >= 0; i-- {
-				changed = refineVertex(m.order[i]) || changed
-			}
-		} else {
-			for _, u := range m.order {
-				changed = refineVertex(u) || changed
-			}
-		}
-		for u := 0; u < n; u++ {
-			if len(m.cand[u]) == 0 && !m.canOmit[u] {
-				m.stats.EmptyCandSets++
-				return false
-			}
-		}
-		if !changed {
-			break
-		}
+	if !m.refine() {
+		return false
 	}
 	for u := 0; u < n; u++ {
 		m.stats.CSCandidates += len(m.cand[u])

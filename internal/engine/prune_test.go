@@ -234,14 +234,7 @@ func TestAbsentLabelPruningEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb, abox, q := testkb.RandomKB(rng)
-		for i := 0; i < 45; i++ {
-			a, b := fmt.Sprintf("i%d", rng.Intn(24)), fmt.Sprintf("i%d", rng.Intn(24))
-			if rng.Intn(3) == 0 {
-				abox.AddConcept(string(rune('A'+rng.Intn(4))), a)
-			} else {
-				abox.AddRole(string(rune('p'+rng.Intn(3))), a, b)
-			}
-		}
+		padABox(rng, abox)
 		g := abox.Graph(nil)
 		check(seed, withAbsent(rng, core.FromCQ(q)), g)
 		if res, err := rewrite.Generate(q, tb); err == nil {

@@ -12,7 +12,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ogpa/internal/bitset"
 	"ogpa/internal/symbols"
@@ -169,9 +169,8 @@ func (g *Graph) Labels(v VID) []symbols.ID { return g.labels[v] }
 
 // HasLabel reports whether v carries label l.
 func (g *Graph) HasLabel(v VID, l symbols.ID) bool {
-	ls := g.labels[v]
-	i := sort.Search(len(ls), func(i int) bool { return ls[i] >= l })
-	return i < len(ls) && ls[i] == l
+	_, ok := slices.BinarySearch(g.labels[v], l)
+	return ok
 }
 
 // Out returns all outgoing half-edges of v, sorted by (label, to).
@@ -189,10 +188,42 @@ func (g *Graph) InDegree(v VID) int { return len(g.in[v]) }
 // Degree reports the total degree of v.
 func (g *Graph) Degree(v VID) int { return len(g.out[v]) + len(g.in[v]) }
 
+// labelStart returns the index of the first half-edge of hs labeled l or
+// above. The binary search is written out rather than run through
+// sort.Search: its closure call per step costs more than the comparison
+// it makes, and the build phase searches once per candidate per probe.
+func labelStart(hs []Half, l symbols.ID) int {
+	lo, hi := 0, len(hs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if hs[mid].Label < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// labelRange returns the run of hs labeled l. Runs are mostly a few
+// half-edges long, so its end is found by galloping from its start (steps
+// of 1, 2, 4, ...) and then bisecting the last step, not by a second
+// search over the rest of the row.
 func labelRange(hs []Half, l symbols.ID) []Half {
-	lo := sort.Search(len(hs), func(i int) bool { return hs[i].Label >= l })
-	hi := sort.Search(len(hs), func(i int) bool { return hs[i].Label > l })
-	return hs[lo:hi]
+	lo := labelStart(hs, l)
+	end, next := lo, lo // hs[lo:end] is labeled l; hs[next] is unread or past the run
+	for step := 1; next < len(hs) && hs[next].Label == l; step *= 2 {
+		end, next = next+1, next+step
+	}
+	for hi := min(next, len(hs)); end < hi; {
+		mid := int(uint(end+hi) >> 1)
+		if hs[mid].Label == l {
+			end = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return hs[lo:end]
 }
 
 // OutByLabel returns the outgoing half-edges of v labeled l (sorted by To).
@@ -204,8 +235,16 @@ func (g *Graph) InByLabel(v VID, l symbols.ID) []Half { return labelRange(g.in[v
 // HasEdge reports whether the edge (from, l, to) exists.
 func (g *Graph) HasEdge(from VID, l symbols.ID, to VID) bool {
 	hs := g.OutByLabel(from, l)
-	i := sort.Search(len(hs), func(i int) bool { return hs[i].To >= to })
-	return i < len(hs) && hs[i].To == to
+	lo, hi := 0, len(hs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if hs[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(hs) && hs[lo].To == to
 }
 
 // HasAnyEdge reports whether any edge from→to exists, regardless of label.
@@ -219,10 +258,15 @@ func (g *Graph) HasAnyEdge(from, to VID) bool {
 }
 
 // HasOutLabel reports whether v has at least one outgoing edge labeled l.
-func (g *Graph) HasOutLabel(v VID, l symbols.ID) bool { return len(g.OutByLabel(v, l)) > 0 }
+func (g *Graph) HasOutLabel(v VID, l symbols.ID) bool { return hasLabel(g.out[v], l) }
 
 // HasInLabel reports whether v has at least one incoming edge labeled l.
-func (g *Graph) HasInLabel(v VID, l symbols.ID) bool { return len(g.InByLabel(v, l)) > 0 }
+func (g *Graph) HasInLabel(v VID, l symbols.ID) bool { return hasLabel(g.in[v], l) }
+
+func hasLabel(hs []Half, l symbols.ID) bool {
+	i := labelStart(hs, l)
+	return i < len(hs) && hs[i].Label == l
+}
 
 // VerticesByLabel returns all vertices carrying label l (sorted).
 // Callers must not mutate the returned slice.
@@ -240,9 +284,17 @@ func (g *Graph) LabelBits(l symbols.ID, s *bitset.Set) {
 // Attribute returns the value of attribute a on v.
 func (g *Graph) Attribute(v VID, a symbols.ID) (Value, bool) {
 	as := g.attrs[v]
-	i := sort.Search(len(as), func(i int) bool { return as[i].Name >= a })
-	if i < len(as) && as[i].Name == a {
-		return as[i].Value, true
+	lo, hi := 0, len(as)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if as[mid].Name < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(as) && as[lo].Name == a {
+		return as[lo].Value, true
 	}
 	return Value{}, false
 }
