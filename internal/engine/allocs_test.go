@@ -91,7 +91,10 @@ func TestUnionRunAllocsPerAnswer(t *testing.T) {
 // A-labelled p-cycles, which every pool keeps, and the second adds
 // A-labelled p-paths of one to six edges, which seeding puts in every
 // pool and refinement removes one member per revision. The arcs, the
-// queue and the queued flags live in the pooled scratch.
+// queue and the queued flags live in the pooled scratch. A GC inside one
+// measurement can empty that pool and make its side rebuild the scratch,
+// so the two counts may differ by a few allocations; an allocation per
+// revision adds at least one per extra revision, 14 or more here.
 func TestPrepareAllocs(t *testing.T) {
 	const k = 8
 	p := &core.Pattern{}
@@ -140,8 +143,8 @@ func TestPrepareAllocs(t *testing.T) {
 			sst.Revisions, cst.Revisions, sst.CSCandidates, cst.CSCandidates)
 	}
 	t.Logf("%v allocations at %d revisions, %v at %d", settled, sst.Revisions, cascade, cst.Revisions)
-	if settled != cascade {
-		t.Errorf("a warm Prepare allocates %v times when refinement removes nothing, %v times when it cascades over %d revisions",
+	if cascade-settled > 4 {
+		t.Errorf("a warm Prepare allocates %v times when refinement removes nothing, %v times when it cascades over %d revisions: more than 4 apart",
 			settled, cascade, cst.Revisions)
 	}
 }

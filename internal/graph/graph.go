@@ -205,19 +205,15 @@ func labelStart(hs []Half, l symbols.ID) int {
 	return lo
 }
 
-// labelRange returns the run of hs labeled l. Runs are mostly a few
-// half-edges long, so its end is found by galloping from its start (steps
-// of 1, 2, 4, ...) and then bisecting the last step, not by a second
-// search over the rest of the row.
+// labelRange returns the run of hs labeled l: from its start, a second
+// bisection over the rest of the row finds the first half-edge labeled
+// above l.
 func labelRange(hs []Half, l symbols.ID) []Half {
 	lo := labelStart(hs, l)
-	end, next := lo, lo // hs[lo:end] is labeled l; hs[next] is unread or past the run
-	for step := 1; next < len(hs) && hs[next].Label == l; step *= 2 {
-		end, next = next+1, next+step
-	}
-	for hi := min(next, len(hs)); end < hi; {
+	end, hi := lo, len(hs)
+	for end < hi {
 		mid := int(uint(end+hi) >> 1)
-		if hs[mid].Label == l {
+		if hs[mid].Label <= l {
 			end = mid + 1
 		} else {
 			hi = mid

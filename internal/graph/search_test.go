@@ -35,13 +35,14 @@ func randRun(rng *rand.Rand) []symbols.ID {
 // OutByLabel, InByLabel, HasOutLabel, HasInLabel, HasLabel, HasEdge and
 // Attribute against sort.Search on random sorted rows: empty rows, one
 // label, labels absent below, between and above the present ones, and
-// long runs of one label.
+// long runs of one label (targets are drawn from 100 vertices, so a run
+// keeps dozens of half-edges after deduplication).
 func TestLabelRangeMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		var hs []Half
 		for _, l := range randRun(rng) {
-			hs = append(hs, Half{Label: l, To: VID(rng.Intn(6))})
+			hs = append(hs, Half{Label: l, To: VID(rng.Intn(100))})
 		}
 		slices.SortFunc(hs, func(a, b Half) int {
 			return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To))
@@ -65,7 +66,7 @@ func TestLabelRangeMatchesSearch(t *testing.T) {
 			if g.HasOutLabel(0, l) != (len(want) > 0) || g.HasInLabel(0, l) != (len(want) > 0) {
 				t.Fatalf("row %v: HasOutLabel/HasInLabel(%d) disagree with range %v", hs, l, want)
 			}
-			for to := VID(0); to <= 6; to++ {
+			for to := VID(0); to <= 100; to++ {
 				i := sort.Search(len(want), func(i int) bool { return want[i].To >= to })
 				if got, want := g.HasEdge(0, l, to), i < len(want) && want[i].To == to; got != want {
 					t.Fatalf("row %v: HasEdge(%d, %d) = %v, want %v", hs, l, to, got, want)
