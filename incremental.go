@@ -8,21 +8,23 @@ import (
 	"ogpa/internal/rdf"
 )
 
-// maxIncChains bounds the standing-query work one KB carries: maintained
-// datalog fixpoints plus live saturate subscriptions (each re-chases on
-// the hub goroutine for every committed batch). Past the cap Subscribe
-// errors, so an adversarial subscriber cannot grow memory or per-batch
-// work without bound.
+// maxIncChains bounds the standing-query work one KB carries: datalog
+// query texts registered on the manager's one maintained fixpoint (each
+// adds its answer rules, and a rebuild of the union, to it) plus live
+// saturate subscriptions (each re-chases on the hub goroutine for every
+// committed batch). Past the cap Subscribe errors, so an adversarial
+// subscriber cannot grow memory or per-batch work without bound.
 const maxIncChains = 64
 
 // incMemo holds the KB's standing-query state: an inc.Manager riding the
-// delta store's watcher stream, the maintained datalog chains keyed by
-// standing query, and the subscription hub. It is its own struct so KB
-// itself holds no mutex — the aboxMemo pattern.
+// delta store's watcher stream with one maintained fixpoint for every
+// datalog standing query, the chains (each a query's answer predicate in
+// that fixpoint) keyed by query text, and the subscription hub. It is
+// its own struct so KB itself holds no mutex — the aboxMemo pattern.
 //
-// Chains are keyed by query text alone, NOT by epoch: a maintained chain
-// deliberately spans epochs (advancing it IS the maintenance), and every
-// answer returns the epoch it is exact for.
+// Chains are keyed by query text alone, NOT by epoch: the maintained
+// fixpoint deliberately spans epochs (advancing it IS the maintenance),
+// and every answer returns the epoch it is exact for.
 type incMemo struct {
 	mu  sync.Mutex
 	mgr *inc.Manager
@@ -64,12 +66,12 @@ func (kb *KB) Incremental() bool {
 // maintenance is disabled).
 type IncrementalStats struct {
 	Enabled       bool   `json:"enabled"`
-	Epoch         uint64 `json:"epoch"`         // epoch all chains are advanced to
+	Epoch         uint64 `json:"epoch"`         // epoch the maintained fixpoint is advanced to
 	Batches       uint64 `json:"batches"`       // committed batches applied
-	Triples       uint64 `json:"triples"`       // triples translated into assertions
+	Triples       uint64 `json:"triples"`       // triples translated into facts
 	Attributes    uint64 `json:"attributes"`    // literal-object triples skipped
-	Chains        int    `json:"chains"`        // registered maintained chains
-	Rebuilds      uint64 `json:"rebuilds"`      // chains rebuilt after an apply error
+	Chains        int    `json:"chains"`        // datalog queries on the maintained fixpoint
+	Rebuilds      uint64 `json:"rebuilds"`      // fixpoint rebuilds after an apply error
 	Subscriptions int    `json:"subscriptions"` // live standing queries
 	Deltas        uint64 `json:"deltas"`        // answer deltas published
 	EvalErrors    uint64 `json:"eval_errors"`   // standing-query evaluation failures

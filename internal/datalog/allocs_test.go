@@ -15,10 +15,10 @@ import "testing"
 // break the bound.
 func TestAnswerMaintainedAllocs(t *testing.T) {
 	progs, facts := standingFixture(t, 2)
-	states := standingStates(t, progs, facts)
+	st, _ := standingState(t, progs, facts)
+	db := st.DB()
 	const perDisjunct = 48
 	for i, prog := range progs {
-		db := states[i].DB()
 		ans, err := AnswerMaintained(prog, db)
 		if err != nil {
 			t.Fatal(err)

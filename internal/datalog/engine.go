@@ -52,6 +52,9 @@ func (a Atom) String() string {
 	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
 }
 
+// equal reports whether a and b are the same atom, term for term.
+func (a Atom) equal(b Atom) bool { return a.Pred == b.Pred && slices.Equal(a.Args, b.Args) }
+
 // Rule is Head :- Body. Every head variable must occur in the body
 // (range restriction).
 type Rule struct {
@@ -65,6 +68,11 @@ func (r Rule) String() string {
 		parts[i] = a.String()
 	}
 	return r.Head.String() + " :- " + strings.Join(parts, ", ")
+}
+
+// equal reports whether r and o are the same rule, term for term.
+func (r Rule) equal(o Rule) bool {
+	return r.Head.equal(o.Head) && slices.EqualFunc(r.Body, o.Body, Atom.equal)
 }
 
 // Validate checks range restriction and non-empty body.
@@ -88,14 +96,15 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// Tuple is a fact's argument list.
-type Tuple []string
+// Tuple is a fact's argument list. It is an alias, so a sorted answer
+// ([]Tuple) is already the [][]string rows every pipeline returns.
+type Tuple = []string
 
-// hash is the dedup key of answerSet (query-answer dedup): a 64-bit
+// tupleHash is the dedup key of answerSet (query-answer dedup): a 64-bit
 // FNV-1a over the elements with a length prefix per element (so
 // ("ab","c") and ("a","bc") differ). Relations use interned-ID keys
 // instead; collisions here are resolved by answerSet's equality chains.
-func (t Tuple) hash() uint64 {
+func tupleHash(t Tuple) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -113,19 +122,6 @@ func (t Tuple) hash() uint64 {
 		}
 	}
 	return h
-}
-
-// equal reports elementwise equality.
-func (t Tuple) equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if t[i] != u[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // interner assigns small dense IDs to constant strings, so tuple dedup
@@ -239,7 +235,7 @@ func (r *Relation) find(t Tuple) int {
 		return -1
 	}
 	for i := r.seen[k] - 1; i >= 0; i = r.chain[i] {
-		if r.arity <= 2 || r.tuples[i].equal(t) {
+		if r.arity <= 2 || slices.Equal(r.tuples[i], t) {
 			return i
 		}
 	}
@@ -257,7 +253,7 @@ func (r *Relation) Add(t Tuple) bool {
 	k, _ := r.key(t, true)
 	head := r.seen[k] - 1
 	for i := head; i >= 0; i = r.chain[i] {
-		if r.arity <= 2 || r.tuples[i].equal(t) {
+		if r.arity <= 2 || slices.Equal(r.tuples[i], t) {
 			return false
 		}
 	}

@@ -43,13 +43,16 @@ type State struct {
 
 // NewState materializes the program over the base facts. The result is
 // byte-equivalent to loading the facts into a fresh Database and
-// running Evaluate (the from-scratch oracle).
+// running Evaluate (the from-scratch oracle). A rule given more than
+// once is compiled once, so the union of programs that share their
+// hierarchy rules costs no more than its distinct rules.
 func NewState(rules []Rule, base []Fact, lim Limits) (*State, error) {
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
 	}
+	rules = distinctRules(rules)
 	s := &State{fire: compileRules(rules), derive: compileDerivations(rules), edb: NewDatabase(), db: NewDatabase()}
 	delta := map[string][]Tuple{}
 	for _, f := range base {
@@ -61,6 +64,21 @@ func NewState(rules []Rule, base []Fact, lim Limits) (*State, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// distinctRules returns rules without repeats, each kept at its first
+// place.
+func distinctRules(rules []Rule) []Rule {
+	byHead := map[string][]Rule{}
+	out := make([]Rule, 0, len(rules))
+	for _, r := range rules {
+		if slices.ContainsFunc(byHead[r.Head.Pred], r.equal) {
+			continue
+		}
+		byHead[r.Head.Pred] = append(byHead[r.Head.Pred], r)
+		out = append(out, r)
+	}
+	return out
 }
 
 // DB exposes the maintained fixpoint. Callers must treat it as
@@ -154,14 +172,14 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 	return st, nil
 }
 
-// Answers returns the AnswerPred relation — the residual UCQ's answers,
-// for a state built from Program.AnswerRules — sorted in the canonical
-// row order, as a fresh slice (nil when there are none). The relation
-// itself is never sorted: its key, chain and index arrays refer to
-// tuples by position, and a slice handed out earlier must not change
-// under its holder.
-func (s *State) Answers() []Tuple {
-	r := s.db.Lookup(AnswerPred)
+// Answers returns the relation of answer predicate pred — the residual
+// UCQ's answers, for a state built from Program.AnswerRules(pred) —
+// sorted in the canonical row order, as a fresh slice (nil when there
+// are none). The relation itself is never sorted: its key, chain and
+// index arrays refer to tuples by position, and a slice handed out
+// earlier must not change under its holder.
+func (s *State) Answers(pred string) []Tuple {
+	r := s.db.Lookup(pred)
 	if r == nil || r.Len() == 0 {
 		return nil
 	}

@@ -290,38 +290,44 @@ func TestLazyIndexMatchesRebuilt(t *testing.T) {
 	}
 }
 
-// TestStandingAnswersMatchAnswerMaintained: a State built from a
-// program's AnswerRules holds, in its AnswerPred relation, exactly what
-// AnswerMaintained joins from the same fixpoint, after NewState and
-// after every Apply batch (batch 2 deletes at least half the base, so
-// DRed overdeletes answers that other derivations must restore). The
-// programs are the kernel tests' random recursive rules; the residual
-// disjuncts have self-joins, existential variables, now and then a head
-// variable no atom binds, and every fifth program a 0-ary (boolean)
-// head.
+// TestStandingAnswersMatchAnswerMaintained: a State built from the
+// AnswerRules of two programs over the same rules holds, in each
+// program's answer relation, exactly what AnswerMaintained joins for
+// that program from the shared fixpoint, after NewState and after every
+// Apply batch (batch 2 deletes at least half the base, so DRed
+// overdeletes answers that other derivations must restore). The rules
+// are the kernel tests' random recursive ones; the residual disjuncts
+// have self-joins, existential variables, now and then a head variable
+// no atom binds, and every fifth seed a 0-ary (boolean) head.
 func TestStandingAnswersMatchAnswerMaintained(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		g := kernelGen{rng: rand.New(rand.NewSource(int64(seed))), nInd: 3 + seed%4}
-		prog := &Program{Rules: g.rules()}
-		arity := 1 + g.rng.Intn(3)
-		if seed%5 == 0 {
-			arity = 0
-		}
-		for i := 1 + g.rng.Intn(5); i > 0; i-- {
-			d := g.disjunct()
-			vs := bodyVars(residualBody(d))
-			for range arity {
-				v := g.pick(vs...)
-				if g.rng.Intn(10) == 0 {
-					v = "v" // bound by no atom: the answer's cell is ""
-				}
-				d.Head = append(d.Head, v)
+		shared := g.rules()
+		var progs []*Program
+		var rules []Rule
+		for pi := 0; pi < 2; pi++ {
+			prog := &Program{Rules: shared}
+			arity := 1 + g.rng.Intn(3)
+			if seed%5 == 0 {
+				arity = 0
 			}
-			prog.Residual = append(prog.Residual, d)
-		}
-		rules, err := prog.AnswerRules()
-		if err != nil {
-			t.Fatal(err)
+			for i := 1 + g.rng.Intn(5); i > 0; i-- {
+				d := g.disjunct()
+				vs := bodyVars(residualBody(d))
+				for range arity {
+					v := g.pick(vs...)
+					if g.rng.Intn(10) == 0 {
+						v = "v" // bound by no atom: the answer's cell is ""
+					}
+					d.Head = append(d.Head, v)
+				}
+				prog.Residual = append(prog.Residual, d)
+			}
+			r, err := prog.AnswerRules(fmt.Sprintf("%s%d", AnswerPrefix, pi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, rules = append(progs, prog), append(rules, r...)
 		}
 		base := g.facts(5 + g.rng.Intn(20))
 		st, err := NewState(rules, base, Limits{})
@@ -330,12 +336,14 @@ func TestStandingAnswersMatchAnswerMaintained(t *testing.T) {
 		}
 		check := func(step string) {
 			t.Helper()
-			want, err := AnswerMaintained(prog, st.DB())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := st.Answers(); tuplesString(got) != tuplesString(want) {
-				t.Fatalf("seed %d %s: %v\n got: %s\nwant: %s", seed, step, prog.Residual, tuplesString(got), tuplesString(want))
+			for pi, prog := range progs {
+				want, err := AnswerMaintained(prog, st.DB())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Answers(fmt.Sprintf("%s%d", AnswerPrefix, pi)); tuplesString(got) != tuplesString(want) {
+					t.Fatalf("seed %d %s, program %d: %v\n got: %s\nwant: %s", seed, step, pi, prog.Residual, tuplesString(got), tuplesString(want))
+				}
 			}
 		}
 		check("NewState")
@@ -362,28 +370,56 @@ func TestStandingAnswersMatchAnswerMaintained(t *testing.T) {
 	}
 }
 
-// TestAnswerRulesRejects: the answer predicate is reserved, and the
-// disjuncts of one union share their head arity.
+// TestAnswerRulesRejects: answer predicates carry the reserved prefix,
+// no program uses it, and the disjuncts of one union share their head
+// arity.
 func TestAnswerRulesRejects(t *testing.T) {
+	const pred = AnswerPrefix + "0"
+	if _, err := (&Program{}).AnswerRules("answers"); err == nil {
+		t.Error("an answer predicate without the prefix was accepted")
+	}
 	clash := &Program{Rules: []Rule{{
-		Head: Atom{Pred: AnswerPred, Args: []Term{V("x")}},
+		Head: Atom{Pred: AnswerPrefix + "1", Args: []Term{V("x")}},
 		Body: []Atom{{Pred: "A", Args: []Term{V("x")}}},
 	}}}
-	if _, err := clash.AnswerRules(); err == nil {
-		t.Error("a rule deriving the answer predicate was accepted")
+	if _, err := clash.AnswerRules(pred); err == nil {
+		t.Error("a rule deriving a reserved predicate was accepted")
 	}
 	d := cq.MustParse("q(x) :- A(x)")
-	d.Atoms[0].Pred = AnswerPred
-	if _, err := (&Program{Residual: []*cq.Query{d}}).AnswerRules(); err == nil {
+	d.Atoms[0].Pred = pred
+	if _, err := (&Program{Residual: []*cq.Query{d}}).AnswerRules(pred); err == nil {
 		t.Error("a disjunct over the answer predicate was accepted")
 	}
 	mixed := &Program{Residual: []*cq.Query{cq.MustParse("q(x) :- A(x)"), cq.MustParse("q(x, y) :- R(x, y)")}}
-	if _, err := mixed.AnswerRules(); err == nil {
+	if _, err := mixed.AnswerRules(pred); err == nil {
 		t.Error("disjuncts of different head arity were accepted")
 	}
 	ok := &Program{Residual: []*cq.Query{{Head: []string{"x"}}, cq.MustParse("q(x) :- A(x)")}}
-	rules, err := ok.AnswerRules()
+	rules, err := ok.AnswerRules(pred)
 	if err != nil || len(rules) != 1 {
 		t.Errorf("empty-body disjunct: %d rules, %v; want the other disjunct's rule alone", len(rules), err)
+	}
+}
+
+// TestNewStateDropsRepeatedRules: a rule given twice is compiled once,
+// and the fixpoint is the one of the distinct rules.
+func TestNewStateDropsRepeatedRules(t *testing.T) {
+	g := kernelGen{rng: rand.New(rand.NewSource(1)), nInd: 4}
+	rules := g.rules()
+	base := g.facts(20)
+	once, err := NewState(rules, base, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := NewState(append(slices.Clone(rules), rules...), base, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(twice.fire) != len(once.fire) || len(twice.derive) != len(once.derive) {
+		t.Errorf("repeated rules compiled to %d/%d plans, distinct ones to %d/%d",
+			len(twice.fire), len(twice.derive), len(once.fire), len(once.derive))
+	}
+	if got, want := dump(twice.DB()), dump(once.DB()); got != want {
+		t.Errorf("fixpoint over repeated rules\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -313,9 +313,9 @@ func (s *answerSet) add(t Tuple) {
 	if s.last == nil {
 		s.last = map[uint64]int32{}
 	}
-	h := t.hash()
+	h := tupleHash(t)
 	for i := s.last[h] - 1; i >= 0; i = s.chain[i] {
-		if s.tuples[i].equal(t) {
+		if slices.Equal(s.tuples[i], t) {
 			return
 		}
 	}

@@ -2,6 +2,8 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"ogpa/internal/cq"
@@ -30,27 +32,33 @@ func (p *Program) Size() int {
 	return n
 }
 
-// AnswerPred is the reserved predicate of AnswerRules: the residual
-// UCQ's answers.
-const AnswerPred = "q·"
+// AnswerPrefix is reserved for answer predicates: AnswerRules names
+// its answer relation with it, and no program may use it.
+const AnswerPrefix = "q·"
 
 // AnswerRules returns the program's rules plus one rule per residual
-// disjunct, AnswerPred(head) :- body. Every disjunct shares that head,
-// so the relation's dedup forms the union: in the fixpoint of these
-// rules AnswerPred holds exactly AnswerMaintained's answers, and a
-// State built from them maintains the answers with everything else. A
-// disjunct with an empty body matches nothing and gets no rule; a head
-// variable its body does not bind is the constant "", as
-// AnswerMaintained leaves it. The rules are rejected if the program
-// already uses AnswerPred or its disjuncts disagree on the head arity.
-func (p *Program) AnswerRules() ([]Rule, error) {
+// disjunct, pred(head) :- body, where pred is an answer predicate
+// (AnswerPrefix followed by a name of the caller's). Every disjunct
+// shares that head, so the relation's dedup forms the union: in the
+// fixpoint of these rules pred holds exactly AnswerMaintained's
+// answers, and a State built from them maintains the answers with
+// everything else. Programs with distinct answer predicates can share
+// one State. A disjunct with an empty body matches nothing and gets no
+// rule; a head variable its body does not bind is the constant "", as
+// AnswerMaintained leaves it. The rules are rejected if pred lacks the
+// prefix, the program uses a predicate with it, or its disjuncts
+// disagree on the head arity.
+func (p *Program) AnswerRules(pred string) ([]Rule, error) {
+	if !strings.HasPrefix(pred, AnswerPrefix) {
+		return nil, fmt.Errorf("datalog: answer predicate %s lacks the prefix %s", pred, AnswerPrefix)
+	}
 	for _, r := range p.Rules {
-		uses := r.Head.Pred == AnswerPred
+		uses := strings.HasPrefix(r.Head.Pred, AnswerPrefix)
 		for _, a := range r.Body {
-			uses = uses || a.Pred == AnswerPred
+			uses = uses || strings.HasPrefix(a.Pred, AnswerPrefix)
 		}
 		if uses {
-			return nil, fmt.Errorf("datalog: rule %s uses the reserved answer predicate %s", r, AnswerPred)
+			return nil, fmt.Errorf("datalog: rule %s uses the reserved prefix %s", r, AnswerPrefix)
 		}
 	}
 	out := append(make([]Rule, 0, len(p.Rules)+len(p.Residual)), p.Rules...)
@@ -58,8 +66,8 @@ func (p *Program) AnswerRules() ([]Rule, error) {
 	for _, d := range p.Residual {
 		body := disjunctBody(d)
 		for _, a := range body {
-			if a.Pred == AnswerPred {
-				return nil, fmt.Errorf("datalog: disjunct %s uses the reserved answer predicate %s", d, AnswerPred)
+			if strings.HasPrefix(a.Pred, AnswerPrefix) {
+				return nil, fmt.Errorf("datalog: disjunct %s uses the reserved prefix %s", d, AnswerPrefix)
 			}
 		}
 		if len(body) == 0 {
@@ -75,7 +83,7 @@ func (p *Program) AnswerRules() ([]Rule, error) {
 				bound[t.Name] = true
 			}
 		}
-		head := Atom{Pred: AnswerPred, Args: make([]Term, len(d.Head))}
+		head := Atom{Pred: pred, Args: make([]Term, len(d.Head))}
 		for i, v := range d.Head {
 			head.Args[i] = V(v)
 			if !bound[v] {
@@ -184,6 +192,7 @@ func Rewrite(q *cq.Query, t *dllite.TBox, lim perfectref.Limits) (*Program, erro
 	for i := range keep {
 		keep[i] = true
 	}
+	atomMap := hierMap(t)
 	for i, qi := range u.Queries {
 		if !keep[i] {
 			continue
@@ -198,7 +207,7 @@ func Rewrite(q *cq.Query, t *dllite.TBox, lim perfectref.Limits) (*Program, erro
 			if qi.Size() == qj.Size() && j > i {
 				continue
 			}
-			if subsumesHier(qj, qi, t) {
+			if perfectref.SubsumesBy(qj, qi, atomMap) {
 				keep[i] = false
 				break
 			}
@@ -224,87 +233,31 @@ func Rewrite(q *cq.Query, t *dllite.TBox, lim perfectref.Limits) (*Program, erro
 	return prog, nil
 }
 
-// subsumesHier reports a homomorphism from small into big that fixes
-// distinguished variables, where an atom p(x̄) of small may map onto an
-// atom p'(x̄) of big whenever p' ⊑* p (the closed IDB extension of p'
-// is contained in p's).
-func subsumesHier(small, big *cq.Query, t *dllite.TBox) bool {
-	conceptOK := func(smallPred, bigPred string) bool {
-		for _, s := range t.SubClassClosure(smallPred) {
-			if s == bigPred {
-				return true
+// hierMap is the atom map of hierarchy-aware pruning: an atom p(x̄) of
+// the smaller disjunct may map onto an atom p'(x̄) of the bigger one
+// whenever p' ⊑* p (the closed IDB extension of p' is contained in p's),
+// with a role's arguments swapped when p' is an inverse subrole.
+func hierMap(t *dllite.TBox) perfectref.AtomMap {
+	return func(a, b cq.Atom) (pairs [2][2]string, n int) {
+		switch {
+		case a.IsRole != b.IsRole:
+		case !a.IsRole:
+			if slices.Contains(t.SubClassClosure(a.Pred), b.Pred) {
+				return [2][2]string{{a.X, b.X}}, 1
 			}
-		}
-		return false
-	}
-	roleOK := func(smallPred, bigPred string) (bool, bool) { // (ok, flipped)
-		for _, s := range t.SubRoleClosure(dllite.Role{Name: smallPred}) {
-			if s.Name == bigPred {
-				return true, s.Inv
-			}
-		}
-		return false, false
-	}
-	sigma := map[string]string{}
-	var match func(i int) bool
-	bind := func(x, y string) (ok, added bool) {
-		if small.IsDistinguished(x) {
-			return x == y && big.IsDistinguished(y), false
-		}
-		if sx, ok := sigma[x]; ok {
-			return sx == y, false
-		}
-		sigma[x] = y
-		return true, true
-	}
-	match = func(i int) bool {
-		if i == len(small.Atoms) {
-			return true
-		}
-		ga := small.Atoms[i]
-		for _, gb := range big.Atoms {
-			if ga.IsRole != gb.IsRole {
-				continue
-			}
-			var pairs [][2]string
-			if !ga.IsRole {
-				if !conceptOK(ga.Pred, gb.Pred) {
+		default:
+			for _, s := range t.SubRoleClosure(dllite.Role{Name: a.Pred}) {
+				if s.Name != b.Pred {
 					continue
 				}
-				pairs = [][2]string{{ga.X, gb.X}}
-			} else {
-				ok, flipped := roleOK(ga.Pred, gb.Pred)
-				if !ok {
-					continue
+				if s.Inv {
+					return [2][2]string{{a.X, b.Y}, {a.Y, b.X}}, 2
 				}
-				if !flipped {
-					pairs = [][2]string{{ga.X, gb.X}, {ga.Y, gb.Y}}
-				} else {
-					pairs = [][2]string{{ga.X, gb.Y}, {ga.Y, gb.X}}
-				}
-			}
-			var added []string
-			ok := true
-			for _, p := range pairs {
-				okp, addedp := bind(p[0], p[1])
-				if addedp {
-					added = append(added, p[0])
-				}
-				if !okp {
-					ok = false
-					break
-				}
-			}
-			if ok && match(i+1) {
-				return true
-			}
-			for _, x := range added {
-				delete(sigma, x)
+				return [2][2]string{{a.X, b.X}, {a.Y, b.Y}}, 2
 			}
 		}
-		return false
+		return pairs, 0
 	}
-	return match(0)
 }
 
 // LoadABox populates a database with the EDB facts of an ABox.

@@ -95,7 +95,7 @@ type op struct {
 type state struct {
 	epoch  uint64
 	base   *graph.Graph
-	ops    []op // immutable view: the writer never mutates ops[:len(ops)]
+	ops    []op // immutable view: writers only append past len(ops)
 	nameFn func(string) string
 
 	once sync.Once
@@ -296,10 +296,12 @@ func (s *Store) apply(r io.Reader, del bool) (int, error) {
 			return 0, fmt.Errorf("delta: store lost durability: %w", err)
 		}
 	}
+	// An amortised append: writers serialise under the gate and always
+	// extend the newest state, whose ops is the longest view of its
+	// backing array, so the slots written here lie past the end of every
+	// published view. Compact cuts its suffix to full capacity, so the
+	// first append after it moves to a fresh array.
 	ops := append(cur.ops, batch...)
-	// Full slice expression: future appends by later writers must go to a
-	// fresh backing array rather than scribbling past this state's view.
-	ops = ops[:len(ops):len(ops)]
 	next := &state{epoch: cur.epoch + 1, base: cur.base, ops: ops, nameFn: s.nameFn}
 	s.cur.Store(next)
 	// Deliver to watchers while still holding the gate: this is what makes

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -254,4 +255,66 @@ func TestStoreConcurrentWritersAndReaders(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSnapshotOpsSurviveLaterCommits: commits append to the op log in
+// place, so every published view must keep exactly the ops it had while
+// later commits and compactions land. Readers copy the ops of the
+// snapshots they take and check them again after thousands more
+// commits; run under -race, a write into a slot a published view reads
+// is also reported.
+func TestSnapshotOpsSurviveLaterCommits(t *testing.T) {
+	s := NewStore(baseGraph(), Config{CompactThreshold: 64})
+	defer s.Close()
+	type held struct {
+		sn  Snapshot
+		ops []op
+	}
+	var mu sync.Mutex
+	var kept []held
+	stop := make(chan struct{})
+	var readWG sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn := s.Snapshot()
+				h := held{sn: sn, ops: slices.Clone(sn.st.ops)}
+				mu.Lock()
+				kept = append(kept, h)
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < 3000; i++ {
+		name := fmt.Sprintf("v%d", i%50)
+		body := strings.NewReader(name + " a Student .\n" + name + " takesCourse c" + fmt.Sprint(i%7) + " .")
+		var err error
+		if i%3 == 2 {
+			_, err = s.DeleteTriples(body)
+		} else {
+			_, err = s.InsertTriples(body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readWG.Wait()
+	s.WaitIdle()
+	if s.Compactions() == 0 {
+		t.Fatal("no compaction ran")
+	}
+	for _, h := range kept {
+		if !slices.Equal(h.sn.st.ops, h.ops) {
+			t.Fatalf("epoch %d: ops changed after publication", h.sn.Epoch())
+		}
+	}
+	t.Logf("%d snapshots checked across %d compactions", len(kept), s.Compactions())
 }

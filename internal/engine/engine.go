@@ -1151,12 +1151,15 @@ func (m *matcher) buildArcs() {
 
 // supported reports whether candidate v of a.u has a partner across a's
 // edge: the first neighbour its probes reach that is in a.far's pool and
-// passes pairwiseOK ends the walk.
+// passes pairwiseOK ends the walk. Across a self-loop (a.u == a.far) the
+// partner is v itself: a neighbour w ≠ v would map the loop's one vertex
+// to two.
 func (m *matcher) supported(a arc, v graph.VID) bool {
 	far := m.sc.inCand[a.far]
+	loop := a.u == a.far
 	for _, pr := range m.edgeProbes[a.edge] {
 		for _, h := range m.probeHalves(pr, v, a.fromSide) {
-			if !far.Has(uint32(h.To)) {
+			if loop && h.To != v || !far.Has(uint32(h.To)) {
 				continue
 			}
 			if a.fromSide && m.pairwiseOK(a.edge, v, h.To) || !a.fromSide && m.pairwiseOK(a.edge, h.To, v) {

@@ -41,9 +41,12 @@ func oracleArcs(m *matcher) []oracleArc {
 // bruteSupported reports whether v, a candidate of a.u, has a partner in
 // far across a's edge: some w in far joined to v by a data edge that one
 // of the edge's probes asks for, found by scanning v's whole row, with
-// the pair passing pairwiseOK.
+// the pair passing pairwiseOK. Across a self-loop the only partner is v.
 func bruteSupported(m *matcher, a oracleArc, v graph.VID, far []graph.VID) bool {
 	for _, w := range far {
+		if a.u == a.far && w != v {
+			continue
+		}
 		from, to := v, w
 		if !a.fromSide {
 			from, to = w, v
@@ -183,5 +186,38 @@ func TestRefinementReachesFixpoint(t *testing.T) {
 	t.Logf("%d plans, %d needing more than two oracle sweeps, %d of them with a self-loop", plans, cascades, loopCascades)
 	if cascades < 100 || loopCascades < 30 {
 		t.Fatalf("%d plans needed more than two oracle sweeps, %d with a self-loop: too few to test the worklist", cascades, loopCascades)
+	}
+}
+
+// TestSelfLoopSupport: across a self-loop only the candidate itself is a
+// partner. Over a -p-> b, b -p-> b the pattern of q(x) :- p(x, x) keeps b
+// alone: a reaches a pooled vertex carrying the loop, but carries none.
+func TestSelfLoopSupport(t *testing.T) {
+	b := graph.NewBuilder(nil)
+	b.AddEdge("a", "p", "b")
+	b.AddEdge("b", "p", "b")
+	g := b.Freeze()
+	p := core.FromCQ(cq.MustParse("q(x) :- p(x, x)"))
+	pl, err := Prepare(p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []string
+	for _, v := range pl.CandidatePool(0) {
+		pool = append(pool, g.Name(v))
+	}
+	if fmt.Sprint(pool) != "[b]" {
+		t.Errorf("pool = %v, want [b]", pool)
+	}
+	ans, _, err := pl.Run(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, a := range ans.Answers() {
+		rows = append(rows, []string{g.Name(a[0])})
+	}
+	if fmt.Sprint(rows) != "[[b]]" {
+		t.Errorf("answers = %v, want [[b]]", rows)
 	}
 }

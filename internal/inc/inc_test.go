@@ -64,49 +64,67 @@ func randTripleBatch(rng *rand.Rand, cur *dllite.ABox, heavy bool) (body string,
 }
 
 // TestManagerChainsMatchOracle is the manager-level slice of the
-// 100-seed incremental-vs-recompute sweep: a datalog chain riding the
-// manager's watcher must agree byte-for-byte with from-scratch
-// evaluation over the store's reconstructed ABox after every committed
-// batch, including deletion-heavy ones.
+// 100-seed incremental-vs-recompute sweep: several standing queries share
+// the manager's one fixpoint — one of them registered twice, one only
+// after the third batch — and each chain must agree byte-for-byte with
+// from-scratch evaluation of its own program over the store's
+// reconstructed ABox after every committed batch, including
+// deletion-heavy ones.
 func TestManagerChainsMatchOracle(t *testing.T) {
 	for seed := 0; seed < 100; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			tb, abox, q := testkb.RandomKB(rng)
-
-			prog, err := datalog.Rewrite(q, tb, perfectref.Limits{})
-			if err != nil {
-				t.Fatalf("Rewrite: %v", err)
+			rewrite := func(q *cq.Query) *datalog.Program {
+				t.Helper()
+				prog, err := datalog.Rewrite(q, tb, perfectref.Limits{})
+				if err != nil {
+					t.Fatalf("Rewrite %s: %v", q, err)
+				}
+				return prog
 			}
+			early := []*datalog.Program{rewrite(q), rewrite(testkb.RandomQuery(rng)), rewrite(testkb.RandomQuery(rng))}
+			early = append(early, early[0])
+			late := rewrite(testkb.RandomQuery(rng))
 
 			s := liveStore(abox)
 			defer s.Close()
 			m := NewManager(s, nil)
 			defer m.Close()
 
-			dc, err := m.RegisterDatalog(prog, datalog.Limits{})
-			if err != nil {
-				t.Fatalf("RegisterDatalog: %v", err)
+			var progs []*datalog.Program
+			var chains []*DatalogChain
+			register := func(prog *datalog.Program) {
+				t.Helper()
+				c, err := m.RegisterDatalog(prog, datalog.Limits{})
+				if err != nil {
+					t.Fatalf("RegisterDatalog: %v", err)
+				}
+				progs, chains = append(progs, prog), append(chains, c)
+			}
+			for _, prog := range early {
+				register(prog)
 			}
 
 			check := func(step string) {
 				t.Helper()
 				cur := oracleABox(s)
-
-				got, epoch, err := dc.Answer()
-				if err != nil {
-					t.Fatalf("%s: datalog chain: %v", step, err)
-				}
-				if epoch != s.Epoch() {
-					t.Fatalf("%s: datalog answered at epoch %d, store at %d", step, epoch, s.Epoch())
-				}
-				want, err := datalog.Answer(prog, datalog.LoadABox(cur), datalog.Limits{})
-				if err != nil {
-					t.Fatalf("%s: datalog oracle: %v", step, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s: datalog\nmaintained: %v\noracle:     %v", step, got, want)
+				for i, c := range chains {
+					got, epoch, err := c.Answer()
+					if err != nil {
+						t.Fatalf("%s: chain %d: %v", step, i, err)
+					}
+					if epoch != s.Epoch() {
+						t.Fatalf("%s: chain %d answered at epoch %d, store at %d", step, i, epoch, s.Epoch())
+					}
+					want, err := datalog.Answer(progs[i], datalog.LoadABox(cur), datalog.Limits{})
+					if err != nil {
+						t.Fatalf("%s: chain %d oracle: %v", step, i, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: chain %d\nmaintained: %v\noracle:     %v", step, i, got, want)
+					}
 				}
 			}
 			check("initial")
@@ -114,32 +132,34 @@ func TestManagerChainsMatchOracle(t *testing.T) {
 			for bi := 0; bi < 6; bi++ {
 				heavy := bi%3 == 2
 				body, del := randTripleBatch(rng, oracleABox(s), heavy)
-				if body == "" {
-					continue
-				}
 				var err error
-				if del {
+				switch {
+				case body == "":
+				case del:
 					_, err = s.DeleteTriples(strings.NewReader(body))
-				} else {
+				default:
 					_, err = s.InsertTriples(strings.NewReader(body))
 				}
 				if err != nil {
 					t.Fatalf("batch %d: %v", bi, err)
 				}
+				if bi == 2 {
+					register(late)
+				}
 				check(fmt.Sprintf("batch %d (del=%v)", bi, del))
 			}
 
 			st := m.Stats()
-			if st.Epoch != s.Epoch() || st.Chains != 1 {
-				t.Fatalf("stats = %+v, store epoch %d", st, s.Epoch())
+			if st.Epoch != s.Epoch() || st.Chains != len(chains) {
+				t.Fatalf("stats = %+v, store epoch %d, %d chains", st, s.Epoch(), len(chains))
 			}
 		})
 	}
 }
 
 // TestManagerLateRegistration: a chain registered after batches have
-// committed must initialize from the advanced mirror, not the
-// registration-time base graph.
+// committed must initialize from the snapshot of the newest applied
+// batch, not the registration-time base graph.
 func TestManagerLateRegistration(t *testing.T) {
 	abox := &dllite.ABox{}
 	abox.AddConcept("A", "x1")
@@ -179,20 +199,23 @@ func TestManagerLateRegistration(t *testing.T) {
 	}
 }
 
-// TestManagerErrorIsolationAndRebuild: a chain whose apply blows its
-// limit breaks alone — its sibling keeps answering — and recovers by
-// rebuilding from the mirror once evaluation is possible again.
+// TestManagerErrorIsolationAndRebuild: a registration that blows its
+// limit fails alone — the fixpoint it would have replaced keeps
+// answering the earlier chain at the store's epoch — and a fixpoint
+// whose apply failed is rebuilt from the pinned snapshot on its next use.
 func TestManagerErrorIsolationAndRebuild(t *testing.T) {
 	tb := dllite.NewTBox([]dllite.ConceptInclusion{
 		{Sub: dllite.Atomic("A"), Sup: dllite.Atomic("B")},
 	}, nil)
 	abox := &dllite.ABox{}
 	abox.AddConcept("A", "x0")
-
-	q := cq.MustParse("q(x) :- B(x)")
-	prog, err := datalog.Rewrite(q, tb, perfectref.Limits{})
-	if err != nil {
-		t.Fatal(err)
+	rewrite := func(q string) *datalog.Program {
+		t.Helper()
+		prog, err := datalog.Rewrite(cq.MustParse(q), tb, perfectref.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
 
 	s := liveStore(abox)
@@ -200,51 +223,62 @@ func TestManagerErrorIsolationAndRebuild(t *testing.T) {
 	m := NewManager(s, nil)
 	defer m.Close()
 
-	// tight enough to break once the store holds ~10 individuals (each
-	// A(x) derives B(x), c·A(x), c·B(x) under the rewriting).
-	tight, err := m.RegisterDatalog(prog, datalog.Limits{MaxFacts: 16})
+	loose, err := m.RegisterDatalog(rewrite("q(x) :- B(x)"), datalog.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := m.RegisterDatalog(prog, datalog.Limits{})
-	if err != nil {
-		t.Fatal(err)
+	insert := func(from, to int) {
+		t.Helper()
+		var lines []string
+		for i := from; i <= to; i++ {
+			lines = append(lines, fmt.Sprintf("x%d a A .", i))
+		}
+		if _, err := s.InsertTriples(strings.NewReader(strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answers := func(want int) {
+		t.Helper()
+		out, epoch, err := loose.Answer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != want || epoch != s.Epoch() {
+			t.Fatalf("answered %d rows at epoch %d, want %d at the store's %d", len(out), epoch, want, s.Epoch())
+		}
 	}
 
-	var lines []string
-	for i := 1; i <= 10; i++ {
-		lines = append(lines, fmt.Sprintf("x%d a A .", i))
+	// Eleven individuals derive B, c·A and c·B facts each: far past 16.
+	insert(1, 10)
+	m.gate.mu.Lock()
+	before := m.state
+	m.gate.mu.Unlock()
+	if _, err := m.RegisterDatalog(rewrite("q(x) :- A(x)"), datalog.Limits{MaxFacts: 16}); err == nil {
+		t.Fatal("registration past its MaxFacts limit succeeded")
 	}
-	if _, err := s.InsertTriples(strings.NewReader(strings.Join(lines, "\n"))); err != nil {
-		t.Fatal(err)
+	m.gate.mu.Lock()
+	kept := m.state == before
+	m.gate.mu.Unlock()
+	if !kept {
+		t.Fatal("a failed registration replaced the fixpoint")
+	}
+	answers(11)
+	if st := m.Stats(); st.Chains != 1 {
+		t.Fatalf("stats = %+v, want the one registered chain", st)
 	}
 
-	if _, _, err := tight.Answer(); err == nil {
-		t.Fatal("tight chain answered past its MaxFacts limit")
+	// A broken fixpoint skips later batches and is rebuilt from the
+	// snapshot pinned at the newest one.
+	m.gate.mu.Lock()
+	m.broken = true
+	m.gate.mu.Unlock()
+	insert(11, 12)
+	answers(13)
+	if st := m.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("stats = %+v, want one recorded rebuild", st)
 	}
-	out, _, err := loose.Answer()
-	if err != nil {
-		t.Fatalf("sibling chain broken by tight chain's failure: %v", err)
-	}
-	if len(out) != 11 {
-		t.Fatalf("sibling answers = %d rows, want 11", len(out))
-	}
-
-	// Shrink the store below the limit: the broken chain rebuilds from
-	// the mirror and recovers.
-	if _, err := s.DeleteTriples(strings.NewReader(strings.Join(lines, "\n"))); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err = tight.Answer()
-	if err != nil {
-		t.Fatalf("tight chain did not recover after shrink: %v", err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("recovered answers = %v, want [x0]", out)
-	}
-	if st := m.Stats(); st.Rebuilds == 0 {
-		t.Fatalf("stats = %+v, want a recorded rebuild", st)
-	}
+	insert(13, 13)
+	answers(14)
 }
 
 // TestManagerConcurrent hammers one manager with concurrent writers and

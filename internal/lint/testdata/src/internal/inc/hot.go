@@ -16,8 +16,8 @@ type assertion struct {
 	ind     string
 }
 
-// mirror is the sanctioned shape for the manager's ABox mirror:
-// struct-keyed sets and integer-keyed chain tables.
+// mirror is the sanctioned shape for per-batch state in this package:
+// struct-keyed sets and integer-keyed tables.
 type mirror struct {
 	concepts map[assertion]bool
 	byDepth  map[int]int

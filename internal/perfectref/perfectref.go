@@ -328,56 +328,86 @@ func isoEqual(a, b *cq.Query) bool {
 	return match(0)
 }
 
+// AtomMap decides whether atom a of the smaller query may map onto atom
+// b of the bigger one in a subsumption test: it returns the n variable
+// pairs (a variable of a, its image in b) the mapping binds, n = 0 when
+// a may not map onto b.
+type AtomMap func(a, b cq.Atom) (pairs [2][2]string, n int)
+
+// samePred is Subsumes' atom map: the same predicate, argument for
+// argument.
+func samePred(a, b cq.Atom) (pairs [2][2]string, n int) {
+	switch {
+	case a.Pred != b.Pred || a.IsRole != b.IsRole:
+		return pairs, 0
+	case !a.IsRole:
+		return [2][2]string{{a.X, b.X}}, 1
+	default:
+		return [2][2]string{{a.X, b.X}, {a.Y, b.Y}}, 2
+	}
+}
+
 // Subsumes reports whether there is a homomorphism from small into big that
 // fixes distinguished variables: then big is a redundant disjunct whenever
 // small is also in the UCQ.
-func Subsumes(small, big *cq.Query) bool {
-	// Index big's atoms by predicate for candidate lookup.
-	sigma := make(map[string]string)
-	var match func(i int) bool
-	bind := func(x, y string) (ok, added bool) {
-		if small.IsDistinguished(x) {
-			return x == y && big.IsDistinguished(y), false
-		}
-		if sx, ok := sigma[x]; ok {
-			return sx == y, false
-		}
-		sigma[x] = y
-		return true, true
+func Subsumes(small, big *cq.Query) bool { return SubsumesBy(small, big, samePred) }
+
+// SubsumesBy reports whether there is a homomorphism from small into big
+// that fixes distinguished variables, each atom of small mapped onto an
+// atom of big as m allows.
+func SubsumesBy(small, big *cq.Query, m AtomMap) bool {
+	h := homSearch{small: small, big: big, m: m, sigma: map[string]string{}}
+	return h.match(0)
+}
+
+// homSearch is SubsumesBy's backtracking state: sigma maps the
+// existential variables of small bound so far.
+type homSearch struct {
+	small, big *cq.Query
+	m          AtomMap
+	sigma      map[string]string
+}
+
+// match maps small's atoms from i on, undoing its own bindings on every
+// branch that fails.
+func (h *homSearch) match(i int) bool {
+	if i == len(h.small.Atoms) {
+		return true
 	}
-	match = func(i int) bool {
-		if i == len(small.Atoms) {
+	for _, b := range h.big.Atoms {
+		pairs, n := h.m(h.small.Atoms[i], b)
+		var added [2]string
+		k, ok := 0, n > 0
+		for _, p := range pairs[:n] {
+			bound, isNew := h.bind(p[0], p[1])
+			if isNew {
+				added[k] = p[0]
+				k++
+			}
+			if !bound {
+				ok = false
+				break
+			}
+		}
+		if ok && h.match(i+1) {
 			return true
 		}
-		ga := small.Atoms[i]
-		for _, gb := range big.Atoms {
-			if ga.Pred != gb.Pred || ga.IsRole != gb.IsRole {
-				continue
-			}
-			var added []string
-			ok := true
-			pairs := [][2]string{{ga.X, gb.X}}
-			if ga.IsRole {
-				pairs = append(pairs, [2]string{ga.Y, gb.Y})
-			}
-			for _, p := range pairs {
-				okp, addedp := bind(p[0], p[1])
-				if addedp {
-					added = append(added, p[0])
-				}
-				if !okp {
-					ok = false
-					break
-				}
-			}
-			if ok && match(i+1) {
-				return true
-			}
-			for _, x := range added {
-				delete(sigma, x)
-			}
+		for _, x := range added[:k] {
+			delete(h.sigma, x)
 		}
-		return false
 	}
-	return match(0)
+	return false
+}
+
+// bind maps x to y, reporting whether that agrees with the bindings so
+// far and whether it added one.
+func (h *homSearch) bind(x, y string) (ok, added bool) {
+	if h.small.IsDistinguished(x) {
+		return x == y && h.big.IsDistinguished(y), false
+	}
+	if sx, ok := h.sigma[x]; ok {
+		return sx == y, false
+	}
+	h.sigma[x] = y
+	return true, true
 }

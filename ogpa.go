@@ -705,11 +705,10 @@ func MinimizeQuery(query string) (string, error) {
 // sorted in core.SortRows order, as rows (empty, never nil, like every
 // pipeline's).
 func datalogRows(tuples []datalog.Tuple) [][]string {
-	rows := make([][]string, len(tuples))
-	for i, t := range tuples {
-		rows[i] = t
+	if tuples == nil {
+		return [][]string{}
 	}
-	return rows
+	return tuples
 }
 
 // saturateRows answers q by chasing abox (the saturation baseline) and

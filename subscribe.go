@@ -227,8 +227,8 @@ func (h *subHub) run(w *delta.Watcher, mgr *inc.Manager) {
 			return
 		}
 		// Advance even when no datalog chain will answer this round
-		// (only saturate subscriptions, or none): the manager's mirror
-		// and queue then follow every batch instead of piling up.
+		// (only saturate subscriptions, or none): the manager's pinned
+		// snapshot and queue then follow every batch instead of piling up.
 		if _, err := mgr.Advance(); err != nil {
 			h.closeAll()
 			return
@@ -337,11 +337,13 @@ func (h *subHub) counters() (int, uint64, uint64) {
 
 // Subscribe registers a standing query on BaselineDatalog or
 // BaselineSaturate (the OGP pipeline has no standing form). A datalog
-// subscription rides a maintained fixpoint shared by every subscription
-// to the same query text; a saturate subscription re-chases one pinned
-// snapshot per committed batch group, so its answers and epoch always
-// come from the same version. Each maintained fixpoint and each live
-// saturate subscription holds one of maxIncChains slots. The first Next
+// subscription reads its answers from the manager's one maintained
+// fixpoint, which holds every datalog query text's rules and answers;
+// subscriptions to the same text share its chain. A saturate
+// subscription re-chases one pinned snapshot per committed batch
+// group, so its answers and epoch always come from the same version.
+// Each datalog query text and each live saturate subscription holds one
+// of maxIncChains slots. The first Next
 // delivers the full current answer set as Added rows at the
 // subscription epoch; every subsequent delta is the exact change since
 // the previous delivery. Requires EnableIncremental.
