@@ -35,3 +35,31 @@ func TestAnswerMaintainedAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStateApplyAllocs: maintaining the standing queries' shared
+// fixpoint under a 64-fact batch, deleted (DRed) and then inserted
+// back, allocates a few times per fact: the overestimate is a list of
+// the fixpoint's own tuples, marked in place, and no second database
+// is built or kept for the asserted base or the overestimate.
+func TestStateApplyAllocs(t *testing.T) {
+	progs, facts := standingFixture(t, 2)
+	st, _ := standingState(t, progs, facts)
+	batch := facts[len(facts)/2 : len(facts)/2+64]
+	size := st.Size()
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := st.Apply(nil, batch, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Apply(batch, nil, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st.Size() != size {
+		t.Fatalf("delete and re-insert left %d facts, want %d", st.Size(), size)
+	}
+	const perFact = 8
+	t.Logf("%.0f allocs per delete and re-insert of %d facts (bound %d)", allocs, len(batch), perFact*len(batch))
+	if allocs > float64(perFact*len(batch)) {
+		t.Errorf("%.0f allocs per delete and re-insert of %d facts, want at most %d per fact", allocs, len(batch), perFact)
+	}
+}

@@ -71,7 +71,7 @@ func TestEvaluateTransitiveClosure(t *testing.T) {
 	if err := Evaluate(rules, db, Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Lookup("path").Len(); got != 6 {
+	if got := db.Lookup("path", 2).Len(); got != 6 {
 		t.Fatalf("path has %d tuples, want 6", got)
 	}
 	// Query with a constant.
@@ -286,4 +286,84 @@ func randomKB(rng *rand.Rand) (*dllite.TBox, *dllite.ABox, *cq.Query) {
 	}
 	q := cq.MustParse("q(x) :- " + strings.Join(atoms, ", "))
 	return tb, abox, q
+}
+
+// TestNameClash: a concept and a role with the same name are two
+// predicates, and data facts over the rewriting's Reserved names are
+// never loaded. Both the one-shot baseline and a maintained State answer
+// as if the clashing facts were absent or about distinct predicates;
+// keying relations by name alone panics on the first role fact.
+func TestNameClash(t *testing.T) {
+	tb, err := dllite.ParseTBox(strings.NewReader("PhD SubClassOf Student\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abox := &dllite.ABox{}
+	abox.AddConcept("PhD", "ann")
+	abox.AddConcept("Student", "bob")
+	abox.AddRole("Student", "ann", "bob")
+	abox.AddRole(AnswerPrefix+"0", "x1", "x2")
+	abox.AddConcept(AnswerPrefix+"1", "x3")
+	abox.AddConcept(conceptPrefix+"Student", "x4")
+	abox.AddRole(rolePrefix+"Student", "x5", "x6")
+	queries := []struct{ query, want string }{
+		{"q(x, y) :- Student(x, y)", "[[ann bob]]"},
+		{"q(x) :- Student(x)", "[[ann] [bob]]"},
+	}
+	var rules []Rule
+	for i, tc := range queries {
+		prog, err := Rewrite(cq.MustParse(tc.query), tb, perfectref.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Answer(prog, LoadABox(abox), Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("Answer(%s) = %v, want %s", tc.query, got, tc.want)
+		}
+		r, err := prog.AnswerRules(fmt.Sprintf("%s%d", AnswerPrefix, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules = append(rules, r...)
+	}
+
+	var base []Fact
+	for _, c := range abox.Concepts {
+		if !Reserved(c.Concept) {
+			base = append(base, Fact{Pred: c.Concept, Args: Tuple{c.Ind}})
+		}
+	}
+	for _, r := range abox.Roles {
+		if !Reserved(r.Role) {
+			base = append(base, Fact{Pred: r.Role, Args: Tuple{r.Sub, r.Obj}})
+		}
+	}
+	if len(base) != 3 {
+		t.Fatalf("%d data facts kept, want 3: %v", len(base), base)
+	}
+	st, err := NewState(rules, base, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		for i := range queries {
+			if got := fmt.Sprint(st.Answers(fmt.Sprintf("%s%d", AnswerPrefix, i))); got != want[i] {
+				t.Errorf("%s: %s answers %s, want %s", step, queries[i].query, got, want[i])
+			}
+		}
+	}
+	check("NewState", queries[0].want, queries[1].want)
+	role := []Fact{{Pred: "Student", Args: Tuple{"ann", "bob"}}}
+	if _, err := st.Apply(nil, role, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	check("role deleted", "[]", queries[1].want)
+	if _, err := st.Apply(role, []Fact{{Pred: "Student", Args: Tuple{"bob"}}}, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	check("role back, concept deleted", queries[0].want, "[[ann]]")
 }

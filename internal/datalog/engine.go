@@ -126,26 +126,8 @@ func tupleHash(t Tuple) uint64 {
 
 // interner assigns small dense IDs to constant strings, so tuple dedup
 // keys are integers instead of allocated joined strings. IDs start at 1;
-// 0 is "never seen".
-type interner struct {
-	ids map[string]uint32
-}
-
-func newInterner() *interner { return &interner{ids: map[string]uint32{}} }
-
-// id interns s, assigning a fresh ID on first sight.
-func (in *interner) id(s string) uint32 {
-	if v, ok := in.ids[s]; ok {
-		return v
-	}
-	v := uint32(len(in.ids) + 1)
-	in.ids[s] = v
-	return v
-}
-
-// peek looks s up without interning (membership probes on Remove and
-// Contains must not grow the table).
-func (in *interner) peek(s string) uint32 { return in.ids[s] }
+// a constant the map lacks has never been seen.
+type interner map[string]uint32
 
 // Relation stores the extension of one predicate. Dedup runs over
 // interned-ID keys: for arity ≤ 2 (every DL-Lite predicate) the key is
@@ -154,27 +136,31 @@ func (in *interner) peek(s string) uint32 { return in.ids[s] }
 // chain array, so inserting a fact costs one map entry and zero slice
 // allocations.
 //
+// Every tuple has a mark byte, zero when it is added, that the relation
+// moves with it but never reads: a State keeps DRed's marks there.
+//
 // Positional hash indexes (argument value → tuple indexes) are lazy:
 // position i's is built from tuples the first time a join probes it
 // (position) and maintained by Add and Remove from then on. A relation
-// no join probes — a base relation behind a copy rule, the asserted
-// base, DRed's overestimate — never builds one. Because a probe may
-// build an index, joins over one Database must not run concurrently.
+// no join probes — a base relation behind a copy rule — never builds
+// one. Because a probe may build an index, joins over one Database must
+// not run concurrently.
 type Relation struct {
 	arity  int
-	in     *interner // shared across the Database's relations
+	in     interner // shared across the Database's relations
 	tuples []Tuple
 	keys   []uint64           // parallel to tuples: the interned dedup key
 	chain  []int              // parallel to tuples: previous index with same key, or -1
+	marks  []uint8            // parallel to tuples: the user's mark byte
 	seen   map[uint64]int     // key → last tuple index with that key, +1 (0 = absent)
 	index  []map[string][]int // per position: value → tuple indexes; nil until first probed
 }
 
 // NewRelation creates an empty stand-alone relation of the given arity.
 // Relations inside a Database share the database's interner instead.
-func NewRelation(arity int) *Relation { return newRelation(arity, newInterner()) }
+func NewRelation(arity int) *Relation { return newRelation(arity, interner{}) }
 
-func newRelation(arity int, in *interner) *Relation {
+func newRelation(arity int, in interner) *Relation {
 	return &Relation{arity: arity, in: in, seen: map[uint64]int{}, index: make([]map[string][]int, arity)}
 }
 
@@ -194,32 +180,23 @@ func (r *Relation) position(i int) map[string][]int {
 // key computes t's dedup key. With intern=false, unseen constants make
 // the key unresolvable and ok=false (the tuple cannot be present).
 func (r *Relation) key(t Tuple, intern bool) (uint64, bool) {
-	ids := r.in.ids
-	if len(t) <= 2 {
-		var key uint64
-		for _, v := range t {
-			id, ok := ids[v]
-			if !ok {
-				if !intern {
-					return 0, false
-				}
-				id = uint32(len(ids) + 1)
-				ids[v] = id
-			}
-			key = key<<32 | uint64(id)
-		}
-		return key, true
-	}
 	const prime64 = 1099511628211
-	key := uint64(14695981039346656037)
+	var key uint64
+	if len(t) > 2 {
+		key = 14695981039346656037
+	}
 	for _, v := range t {
-		id, ok := ids[v]
+		id, ok := r.in[v]
 		if !ok {
 			if !intern {
 				return 0, false
 			}
-			id = uint32(len(ids) + 1)
-			ids[v] = id
+			id = uint32(len(r.in) + 1)
+			r.in[v] = id
+		}
+		if len(t) <= 2 {
+			key = key<<32 | uint64(id)
+			continue
 		}
 		for s := 0; s < 32; s += 8 {
 			key = (key ^ uint64(id>>s&0xff)) * prime64
@@ -247,6 +224,13 @@ func (r *Relation) Contains(t Tuple) bool { return len(t) == r.arity && r.find(t
 
 // Add inserts a tuple, reporting whether it was new.
 func (r *Relation) Add(t Tuple) bool {
+	_, added := r.add(t)
+	return added
+}
+
+// add inserts t unless an equal tuple is present, returning the index t
+// is stored at and whether it was new. A new tuple's mark is zero.
+func (r *Relation) add(t Tuple) (int, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("datalog: arity mismatch: %v into arity-%d relation", t, r.arity))
 	}
@@ -254,7 +238,7 @@ func (r *Relation) Add(t Tuple) bool {
 	head := r.seen[k] - 1
 	for i := head; i >= 0; i = r.chain[i] {
 		if r.arity <= 2 || slices.Equal(r.tuples[i], t) {
-			return false
+			return i, false
 		}
 	}
 	idx := len(r.tuples)
@@ -262,39 +246,24 @@ func (r *Relation) Add(t Tuple) bool {
 	r.tuples = append(r.tuples, t)
 	r.keys = append(r.keys, k)
 	r.chain = append(r.chain, head)
+	r.marks = append(r.marks, 0)
 	for i, m := range r.index {
 		if m != nil {
 			m[t[i]] = append(m[t[i]], idx)
 		}
 	}
-	return true
+	return idx, true
 }
 
-// unlink removes idx from its key's chain in seen/chain.
-func (r *Relation) unlink(idx int) {
-	k := r.keys[idx]
-	if r.seen[k]-1 == idx {
-		if next := r.chain[idx]; next < 0 {
+// repoint makes the reference to index from in key k's chain (the head
+// in seen, or a chain link) refer to index to instead; to < 0 drops from.
+func (r *Relation) repoint(k uint64, from, to int) {
+	if r.seen[k]-1 == from {
+		if to < 0 {
 			delete(r.seen, k)
 		} else {
-			r.seen[k] = next + 1
+			r.seen[k] = to + 1
 		}
-		return
-	}
-	for i := r.seen[k] - 1; i >= 0; i = r.chain[i] {
-		if r.chain[i] == idx {
-			r.chain[i] = r.chain[idx]
-			return
-		}
-	}
-}
-
-// relink repoints references to index from (after the swap in Remove) to
-// index to, in the chain for the moved tuple's key.
-func (r *Relation) relink(from, to int) {
-	k := r.keys[to]
-	if r.seen[k]-1 == from {
-		r.seen[k] = to + 1
 		return
 	}
 	for i := r.seen[k] - 1; i >= 0; i = r.chain[i] {
@@ -306,9 +275,9 @@ func (r *Relation) relink(from, to int) {
 }
 
 // Remove deletes a tuple, reporting whether it was present. The last
-// tuple is swapped into the vacated slot, so removal is O(arity ×
-// index-bucket length) and the key and built positional indexes stay
-// exact.
+// tuple is swapped into the vacated slot with its key and mark, so
+// removal is O(arity × index-bucket length) and the key and built
+// positional indexes stay exact.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
@@ -317,21 +286,14 @@ func (r *Relation) Remove(t Tuple) bool {
 	if idx < 0 {
 		return false
 	}
-	removeFrom := func(list []int, v int) []int {
-		for i, x := range list {
-			if x == v {
-				list[i] = list[len(list)-1]
-				return list[:len(list)-1]
-			}
-		}
-		return list
-	}
-	r.unlink(idx)
+	r.repoint(r.keys[idx], idx, r.chain[idx])
 	for i, m := range r.index {
 		if m == nil {
 			continue
 		}
-		if l := removeFrom(m[t[i]], idx); len(l) == 0 {
+		l := m[t[i]]
+		l[slices.Index(l, idx)] = l[len(l)-1]
+		if l = l[:len(l)-1]; len(l) == 0 {
 			delete(m, t[i])
 		} else {
 			m[t[i]] = l
@@ -343,18 +305,18 @@ func (r *Relation) Remove(t Tuple) bool {
 		r.tuples[idx] = moved
 		r.keys[idx] = r.keys[last]
 		r.chain[idx] = r.chain[last]
-		r.relink(last, idx)
+		r.marks[idx] = r.marks[last]
+		r.repoint(r.keys[idx], last, idx)
 		for i, m := range r.index {
-			for j, ti := range m[moved[i]] { // a nil m has no lists
-				if ti == last {
-					m[moved[i]][j] = idx
-				}
+			if l := m[moved[i]]; l != nil { // a nil m has no lists
+				l[slices.Index(l, last)] = idx
 			}
 		}
 	}
 	r.tuples = r.tuples[:last]
 	r.keys = r.keys[:last]
 	r.chain = r.chain[:last]
+	r.marks = r.marks[:last]
 	return true
 }
 
@@ -364,31 +326,41 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // Tuples exposes the stored tuples (not to be mutated).
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// Database maps predicate names to relations. All relations share one
-// constant interner, so a constant is interned once no matter how many
-// predicates mention it.
+// Database maps predicates to relations. A predicate is a name at one
+// arity: a concept and a role with the same name are two predicates, as
+// a vertex label and an edge label are in the graph. All relations
+// share one constant interner, so a constant is interned once no matter
+// how many predicates mention it.
 type Database struct {
-	rels map[string]*Relation
-	in   *interner
+	rels map[predKey]*Relation
+	in   interner
+}
+
+// predKey names one predicate: pred at arity.
+type predKey struct {
+	pred  string
+	arity int
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{rels: map[string]*Relation{}, in: newInterner()}
+	return &Database{rels: map[predKey]*Relation{}, in: interner{}}
 }
 
-// Relation returns the relation for pred, creating it with the given arity.
+// Relation returns the relation of pred at the given arity, creating it
+// empty.
 func (db *Database) Relation(pred string, arity int) *Relation {
-	if r, ok := db.rels[pred]; ok {
+	k := predKey{pred, arity}
+	if r, ok := db.rels[k]; ok {
 		return r
 	}
 	r := newRelation(arity, db.in)
-	db.rels[pred] = r
+	db.rels[k] = r
 	return r
 }
 
-// Lookup returns the relation for pred, or nil.
-func (db *Database) Lookup(pred string) *Relation { return db.rels[pred] }
+// Lookup returns the relation of pred at the given arity, or nil.
+func (db *Database) Lookup(pred string, arity int) *Relation { return db.rels[predKey{pred, arity}] }
 
 // AddFact inserts pred(args...).
 func (db *Database) AddFact(pred string, args ...string) bool {
@@ -403,27 +375,8 @@ func (db *Database) Add(pred string, t Tuple) bool {
 // Remove deletes a tuple from pred's relation, reporting whether it was
 // present.
 func (db *Database) Remove(pred string, t Tuple) bool {
-	r := db.rels[pred]
+	r := db.Lookup(pred, len(t))
 	return r != nil && r.Remove(t)
-}
-
-// Contains reports whether pred(t) is a fact.
-func (db *Database) Contains(pred string, t Tuple) bool {
-	r := db.rels[pred]
-	return r != nil && r.Contains(t)
-}
-
-// Clone deep-copies the database (tuples are shared; they are immutable
-// by convention).
-func (db *Database) Clone() *Database {
-	out := NewDatabase()
-	for pred, r := range db.rels {
-		nr := out.Relation(pred, r.arity)
-		for _, t := range r.tuples {
-			nr.Add(t)
-		}
-	}
-	return out
 }
 
 // Size reports the total number of facts.
@@ -447,17 +400,26 @@ var ErrLimit = errors.New("datalog: evaluation limit exceeded")
 // Evaluate runs semi-naive fixpoint evaluation of the program over db,
 // adding derived facts in place.
 func Evaluate(rules []Rule, db *Database, lim Limits) error {
+	if err := validate(rules); err != nil {
+		return err
+	}
+	// Round 0: all EDB facts are "new". A delta list may mix arities; a
+	// plan's seed skips tuples of another arity.
+	delta := map[string][]Tuple{}
+	for k, rel := range db.rels {
+		delta[k.pred] = append(delta[k.pred], rel.tuples...)
+	}
+	return propagate(compileRules(rules), db, delta, lim)
+}
+
+// validate checks every rule.
+func validate(rules []Rule) error {
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return err
 		}
 	}
-	// Round 0: all EDB facts are "new".
-	delta := map[string][]Tuple{}
-	for pred, rel := range db.rels {
-		delta[pred] = append([]Tuple(nil), rel.Tuples()...)
-	}
-	return propagate(compileRules(rules), db, delta, lim)
+	return nil
 }
 
 // propagate runs the semi-naive loop seeded with delta (facts assumed

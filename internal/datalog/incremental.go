@@ -34,12 +34,19 @@ type ApplyStats struct {
 // sound for recursive programs, where per-tuple support counting is not
 // (mutually-supporting cycles keep counts positive after their base
 // support vanishes).
+//
+// The fixpoint is the only store: a base fact is a tuple whose mark
+// (Relation) says asserted, and DRed's overestimate is the tuples an
+// Apply marks overdeleted, listed as it finds them.
 type State struct {
 	fire   []*plan   // each rule once per body position, that atom the seed
 	derive []*plan   // each rule with its head as the seed (one-step rederivation)
-	edb    *Database // asserted base facts
-	db     *Database // maintained fixpoint: base ∪ derived
+	db     *Database // maintained fixpoint: base ∪ derived, base tuples marked asserted
 }
+
+// DRed's bits in a fixpoint tuple's mark: a base fact is asserted, and
+// a fact in the running Apply's overestimate overdeleted.
+const asserted, overdeleted uint8 = 1, 2
 
 // NewState materializes the program over the base facts. The result is
 // byte-equivalent to loading the facts into a fresh Database and
@@ -47,16 +54,14 @@ type State struct {
 // once is compiled once, so the union of programs that share their
 // hierarchy rules costs no more than its distinct rules.
 func NewState(rules []Rule, base []Fact, lim Limits) (*State, error) {
-	for _, r := range rules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(rules); err != nil {
+		return nil, err
 	}
 	rules = distinctRules(rules)
-	s := &State{fire: compileRules(rules), derive: compileDerivations(rules), edb: NewDatabase(), db: NewDatabase()}
+	s := &State{fire: compileRules(rules), derive: compileDerivations(rules), db: NewDatabase()}
 	delta := map[string][]Tuple{}
 	for _, f := range base {
-		if s.edb.Add(f.Pred, f.Args) && s.db.Add(f.Pred, f.Args) {
+		if s.assert(f) {
 			delta[f.Pred] = append(delta[f.Pred], f.Args)
 		}
 	}
@@ -64,6 +69,24 @@ func NewState(rules []Rule, base []Fact, lim Limits) (*State, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// assert puts f in the fixpoint marked asserted, reporting whether it
+// was absent before (neither asserted nor derived).
+func (s *State) assert(f Fact) bool {
+	r := s.db.Relation(f.Pred, len(f.Args))
+	i, added := r.add(f.Args)
+	r.marks[i] |= asserted
+	return added
+}
+
+// locate returns pred(t)'s relation and index in the fixpoint, or a
+// negative index when it is absent.
+func (s *State) locate(pred string, t Tuple) (*Relation, int) {
+	if r := s.db.Lookup(pred, len(t)); r != nil {
+		return r, r.find(t)
+	}
+	return nil, -1
 }
 
 // distinctRules returns rules without repeats, each kept at its first
@@ -97,33 +120,31 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 	// DRed phase 1: overestimate. Seed with the deleted base facts that
 	// lose their assertion, then close under "derivable through an
 	// overdeleted fact", joining the rest of each body over the still
-	// intact pre-deletion fixpoint. Facts still asserted in the base are
-	// self-supported and never enter the overestimate.
-	over := NewDatabase()
-	var work []Fact
+	// intact pre-deletion fixpoint. Facts still asserted are
+	// self-supported and never enter the overestimate. over lists the
+	// fixpoint's own tuples marked overdeleted; its unvisited suffix is
+	// the worklist.
+	var over []Fact
 	for _, f := range del {
-		if s.edb.Remove(f.Pred, f.Args) && s.db.Contains(f.Pred, f.Args) {
-			if over.Add(f.Pred, f.Args) {
-				work = append(work, f)
-			}
+		if r, i := s.locate(f.Pred, f.Args); i >= 0 && r.marks[i]&asserted != 0 {
+			r.marks[i] = overdeleted
+			over = append(over, Fact{Pred: f.Pred, Args: r.tuples[i]})
 		}
 	}
 	overestimate := func(p *plan) error {
-		h := p.headTuple()
-		if s.edb.Contains(p.pred, h) || !s.db.Contains(p.pred, h) || over.Contains(p.pred, h) {
+		r, i := s.locate(p.pred, p.headTuple())
+		if i < 0 || r.marks[i] != 0 { // absent, asserted or already overdeleted
 			return nil
 		}
-		t := slices.Clone(h)
-		over.Add(p.pred, t)
-		work = append(work, Fact{Pred: p.pred, Args: t})
+		r.marks[i] = overdeleted
+		over = append(over, Fact{Pred: p.pred, Args: r.tuples[i]})
 		return nil
 	}
-	for len(work) > 0 {
+	for next := 0; next < len(over); next++ {
 		if !lim.Deadline.IsZero() && time.Now().After(lim.Deadline) {
 			return st, ErrLimit
 		}
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
+		f := over[next]
 		for _, p := range s.fire {
 			if p.seed.pred != f.Pred {
 				continue
@@ -134,34 +155,31 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 		}
 	}
 
-	// DRed phase 2: physically remove the overestimate.
-	for pred, rel := range over.rels {
-		for _, t := range rel.Tuples() {
-			s.db.Remove(pred, t)
-			st.Overdeleted++
-		}
+	// DRed phase 2: physically remove the overestimate, marks and all.
+	for _, f := range over {
+		s.db.Remove(f.Pred, f.Args)
 	}
+	st.Overdeleted = len(over)
 	sizeAfterRemoval := s.db.Size()
 
 	// DRed phase 3: rederive. An overdeleted fact that is one-step
 	// derivable from the surviving database goes back in and seeds the
 	// delta; propagation below restores everything downstream of it.
 	delta := map[string][]Tuple{}
-	for pred, rel := range over.rels {
-		for _, t := range rel.Tuples() {
-			if ok, err := s.derivableOneStep(pred, t); err != nil {
-				return st, err
-			} else if ok && s.db.Add(pred, t) {
-				delta[pred] = append(delta[pred], t)
-				st.Rederived++
-			}
+	for _, f := range over {
+		if ok, err := s.derivableOneStep(f.Pred, f.Args); err != nil {
+			return st, err
+		} else if ok && s.db.Add(f.Pred, f.Args) {
+			delta[f.Pred] = append(delta[f.Pred], f.Args)
+			st.Rederived++
 		}
 	}
 
 	// Insertions: new base facts join the delta, and the semi-naive
-	// fixpoint just continues from them.
+	// fixpoint just continues from them. A fact already derived (or put
+	// back above) only gains its asserted mark.
 	for _, f := range ins {
-		if s.edb.Add(f.Pred, f.Args) && s.db.Add(f.Pred, f.Args) {
+		if s.assert(f) {
 			delta[f.Pred] = append(delta[f.Pred], f.Args)
 		}
 	}
@@ -179,7 +197,10 @@ func (s *State) Apply(ins, del []Fact, lim Limits) (ApplyStats, error) {
 // index arrays refer to tuples by position, and a slice handed out
 // earlier must not change under its holder.
 func (s *State) Answers(pred string) []Tuple {
-	r := s.db.Lookup(pred)
+	var r *Relation
+	if i := slices.IndexFunc(s.derive, func(p *plan) bool { return p.pred == pred }); i >= 0 {
+		r = s.db.Lookup(pred, len(s.derive[i].head))
+	}
 	if r == nil || r.Len() == 0 {
 		return nil
 	}

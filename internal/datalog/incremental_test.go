@@ -15,9 +15,9 @@ import (
 // byte-equivalence form the incremental state is checked against.
 func dump(db *Database) string {
 	var lines []string
-	for pred, rel := range db.rels {
+	for k, rel := range db.rels {
 		for _, t := range rel.Tuples() {
-			lines = append(lines, pred+"("+strings.Join(t, ",")+")")
+			lines = append(lines, k.pred+"("+strings.Join(t, ",")+")")
 		}
 	}
 	sort.Strings(lines)
@@ -198,6 +198,47 @@ func TestStateDeleteAll(t *testing.T) {
 	}
 	if st.Size() != 0 {
 		t.Fatalf("after delete-all size = %d, want 0 (stats %+v, left: %s)", st.Size(), stats, dump(st.DB()))
+	}
+}
+
+// TestStateAssertedAndDerived: a fact with two supports, its assertion
+// and a derivation, survives losing either one alone and goes with the
+// second; a fact deleted and re-inserted in one batch stays asserted,
+// also when DRed has already put it back as derived, so losing its
+// derivation later keeps it. After every batch the fixpoint equals the
+// from-scratch oracle over the current base.
+func TestStateAssertedAndDerived(t *testing.T) {
+	unary := func(head, body string) Rule {
+		return Rule{Head: Atom{Pred: head, Args: []Term{V("x")}}, Body: []Atom{{Pred: body, Args: []Term{V("x")}}}}
+	}
+	rules := []Rule{unary("B", "A"), unary("C", "B")}
+	a, b := Fact{Pred: "A", Args: Tuple{"i"}}, Fact{Pred: "B", Args: Tuple{"i"}}
+	base := []Fact{a, b}
+	st, err := NewState(rules, base, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name     string
+		ins, del []Fact
+		base     []Fact // asserted after the batch
+	}{
+		{"B loses its assertion", nil, []Fact{b}, []Fact{a}},
+		{"B asserted again", []Fact{b}, nil, []Fact{a, b}},
+		{"B loses its derivation", nil, []Fact{a}, []Fact{b}},
+		{"B loses both", nil, []Fact{b}, nil},
+		{"both back", []Fact{a, b}, nil, []Fact{a, b}},
+		{"B deleted and re-inserted", []Fact{b}, []Fact{b}, []Fact{a, b}},
+		{"then B loses its derivation", nil, []Fact{a}, []Fact{b}},
+		{"B deleted and re-inserted underived", []Fact{b}, []Fact{b}, []Fact{b}},
+		{"B deleted", nil, []Fact{b}, nil},
+	} {
+		if _, err := st.Apply(step.ins, step.del, Limits{}); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got, want := dump(st.DB()), dump(oracle(t, rules, step.base)); got != want {
+			t.Fatalf("%s:\n got: %s\nwant: %s", step.name, got, want)
+		}
 	}
 }
 

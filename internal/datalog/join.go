@@ -171,8 +171,8 @@ func queryPlan(head []string, body []Atom) *plan {
 // from emit ends the run.
 func (p *plan) run(db *Database, t Tuple, emit func(*plan) error) (bool, error) {
 	for i := range p.atoms {
-		r := db.Lookup(p.atoms[i].pred)
-		if r == nil || r.arity != len(p.atoms[i].args) {
+		r := db.Lookup(p.atoms[i].pred, len(p.atoms[i].args))
+		if r == nil {
 			return false, nil
 		}
 		p.rels[i] = r

@@ -22,7 +22,7 @@ func naiveJoin(body []Atom, db *Database, bind map[string]string, emit func(map[
 		emit(bind)
 		return
 	}
-	rel := db.Lookup(body[0].Pred)
+	rel := db.Lookup(body[0].Pred, len(body[0].Args))
 	if rel == nil {
 		return
 	}
@@ -380,7 +380,8 @@ func TestKernelFixpointMatchesNaive(t *testing.T) {
 			}
 		}
 
-		for pred, rel := range st.DB().rels {
+		for k, rel := range st.DB().rels {
+			pred := k.pred
 			for _, tup := range rel.Tuples() {
 				got, err := st.derivableOneStep(pred, tup)
 				if err != nil {

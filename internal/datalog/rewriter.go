@@ -109,8 +109,19 @@ func disjunctBody(d *cq.Query) []Atom {
 }
 
 // cPred and rPred name the IDB predicates for a concept/role.
-func cPred(a string) string { return "c·" + a }
-func rPred(p string) string { return "r·" + p }
+func cPred(a string) string { return conceptPrefix + a }
+func rPred(p string) string { return rolePrefix + p }
+
+// The prefixes of the hierarchy-closure predicates.
+const conceptPrefix, rolePrefix = "c·", "r·"
+
+// Reserved reports whether pred carries a prefix the rewriting names
+// its own predicates with (AnswerPrefix, conceptPrefix, rolePrefix). A
+// data fact under such a name would join the rewriting's own relation,
+// so every loader of data facts skips it.
+func Reserved(pred string) bool {
+	return strings.HasPrefix(pred, AnswerPrefix) || strings.HasPrefix(pred, conceptPrefix) || strings.HasPrefix(pred, rolePrefix)
+}
 
 // HierarchyRules compiles the datalog-expressible inclusions (I1–I3, I8,
 // I9) into closure rules: c_A and r_P hold the hierarchy-saturated
@@ -260,14 +271,19 @@ func hierMap(t *dllite.TBox) perfectref.AtomMap {
 	}
 }
 
-// LoadABox populates a database with the EDB facts of an ABox.
+// LoadABox populates a database with the EDB facts of an ABox,
+// skipping assertions over Reserved predicates.
 func LoadABox(a *dllite.ABox) *Database {
 	db := NewDatabase()
 	for _, ca := range a.Concepts {
-		db.AddFact(ca.Concept, ca.Ind)
+		if !Reserved(ca.Concept) {
+			db.AddFact(ca.Concept, ca.Ind)
+		}
 	}
 	for _, ra := range a.Roles {
-		db.AddFact(ra.Role, ra.Sub, ra.Obj)
+		if !Reserved(ra.Role) {
+			db.AddFact(ra.Role, ra.Sub, ra.Obj)
+		}
 	}
 	return db
 }

@@ -87,13 +87,6 @@ func (w *Watcher) Poll() []Batch {
 	return bs
 }
 
-// Ready exposes the wake-up channel for use in select loops; a receive
-// means the queue may be non-empty (edge-triggered — always Poll after).
-func (w *Watcher) Ready() <-chan struct{} {
-	//lint:ignore locksafety ready is assigned once at construction and never reassigned; no lock needed to hand out the receive end
-	return w.ready
-}
-
 // Wait blocks until at least one batch is pending and drains the queue.
 // It returns ErrClosed after the watcher (or its store) is closed and
 // every already-delivered batch has been drained.

@@ -92,16 +92,15 @@ func (b *Builder) SetAttr(vertex, name string, value Value) {
 // The Builder must not be used after Freeze.
 func (b *Builder) Freeze() *Graph {
 	g := &Graph{
-		Symbols:   b.symbols,
-		names:     b.names,
-		byName:    b.byName,
-		labels:    b.labels,
-		out:       b.out,
-		in:        b.in,
-		attrs:     b.attrs,
-		byLabel:   make(map[symbols.ID][]VID),
-		labelFreq: make(map[symbols.ID]int),
-		edgeFreq:  make(map[symbols.ID]int),
+		Symbols:  b.symbols,
+		names:    b.names,
+		byName:   b.byName,
+		labels:   b.labels,
+		out:      b.out,
+		in:       b.in,
+		attrs:    b.attrs,
+		byLabel:  make(map[symbols.ID][]VID),
+		edgeFreq: make(map[symbols.ID]int),
 	}
 
 	dedupHalves := func(hs []Half) []Half {
@@ -152,7 +151,6 @@ func (b *Builder) Freeze() *Graph {
 		g.labels[v] = ls[:w]
 		for _, l := range g.labels[v] {
 			g.byLabel[l] = append(g.byLabel[l], VID(v))
-			g.labelFreq[l]++
 		}
 	}
 

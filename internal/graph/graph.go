@@ -128,16 +128,14 @@ type Graph struct {
 	// canonical (Builder- or Compacted-built) graphs.
 	extraByName map[symbols.ID]VID
 
-	labels  [][]symbols.ID // sorted label set per vertex
-	out     [][]Half       // sorted by (Label, To)
-	in      [][]Half       // sorted by (Label, To)
-	attrs   []([]Attr)     // sorted by Name; nil for most vertices
-	byLabel map[symbols.ID][]VID
+	labels  [][]symbols.ID       // sorted label set per vertex
+	out     [][]Half             // sorted by (Label, To)
+	in      [][]Half             // sorted by (Label, To)
+	attrs   []([]Attr)           // sorted by Name; nil for most vertices
+	byLabel map[symbols.ID][]VID // label → its vertices; never an empty list, so len is a count
 
 	numEdges int
-	// labelFreq counts vertices per label; edgeFreq counts edges per label.
-	labelFreq map[symbols.ID]int
-	edgeFreq  map[symbols.ID]int
+	edgeFreq map[symbols.ID]int // edges per label
 }
 
 // NumVertices reports |V|.
@@ -299,13 +297,13 @@ func (g *Graph) Attribute(v VID, a symbols.ID) (Value, bool) {
 func (g *Graph) Attributes(v VID) []Attr { return g.attrs[v] }
 
 // LabelFrequency reports how many vertices carry label l.
-func (g *Graph) LabelFrequency(l symbols.ID) int { return g.labelFreq[l] }
+func (g *Graph) LabelFrequency(l symbols.ID) int { return len(g.byLabel[l]) }
 
 // EdgeLabelFrequency reports how many edges carry label l.
 func (g *Graph) EdgeLabelFrequency(l symbols.ID) int { return g.edgeFreq[l] }
 
 // DistinctVertexLabels reports |Σ_V| of the graph.
-func (g *Graph) DistinctVertexLabels() int { return len(g.labelFreq) }
+func (g *Graph) DistinctVertexLabels() int { return len(g.byLabel) }
 
 // DistinctEdgeLabels reports |Σ_E| of the graph.
 func (g *Graph) DistinctEdgeLabels() int { return len(g.edgeFreq) }

@@ -226,9 +226,6 @@ func (o *Overlay) RemoveAttr(v VID, name symbols.ID, value Value) {
 	p.attrs[name] = attrPatch{deleted: true}
 }
 
-// Dirty reports how many vertices carry pending patches (debug/stats).
-func (o *Overlay) Dirty() int { return len(o.patches) }
-
 // Freeze derives the patched frozen Graph. The overlay must not be used
 // afterwards. When nothing was changed, the base itself is returned.
 func (o *Overlay) Freeze() *Graph {
@@ -317,10 +314,6 @@ func (o *Overlay) Freeze() *Graph {
 	for l, vs := range b.byLabel {
 		g.byLabel[l] = vs
 	}
-	g.labelFreq = make(map[symbols.ID]int, len(b.labelFreq))
-	for l, c := range b.labelFreq {
-		g.labelFreq[l] = c
-	}
 	touched := make(map[symbols.ID]bool, len(labelAdd)+len(labelDel))
 	for l := range labelAdd {
 		touched[l] = true
@@ -332,11 +325,9 @@ func (o *Overlay) Freeze() *Graph {
 		bucket := mergeBucket(b.byLabel[l], labelAdd[l], labelDel[l])
 		if len(bucket) == 0 {
 			delete(g.byLabel, l)
-			delete(g.labelFreq, l)
 			continue
 		}
 		g.byLabel[l] = bucket
-		g.labelFreq[l] = len(bucket)
 	}
 
 	g.edgeFreq = make(map[symbols.ID]int, len(b.edgeFreq))
@@ -475,17 +466,16 @@ func (g *Graph) vertexBySym(id symbols.ID) (VID, bool) {
 func (g *Graph) Compacted() *Graph {
 	n := len(g.names)
 	ng := &Graph{
-		Symbols:   g.Symbols,
-		names:     append([]symbols.ID(nil), g.names...),
-		byName:    make(map[symbols.ID]VID, n),
-		labels:    make([][]symbols.ID, n),
-		out:       make([][]Half, n),
-		in:        make([][]Half, n),
-		attrs:     make([][]Attr, n),
-		byLabel:   make(map[symbols.ID][]VID, len(g.byLabel)),
-		labelFreq: make(map[symbols.ID]int, len(g.labelFreq)),
-		edgeFreq:  make(map[symbols.ID]int, len(g.edgeFreq)),
-		numEdges:  g.numEdges,
+		Symbols:  g.Symbols,
+		names:    append([]symbols.ID(nil), g.names...),
+		byName:   make(map[symbols.ID]VID, n),
+		labels:   make([][]symbols.ID, n),
+		out:      make([][]Half, n),
+		in:       make([][]Half, n),
+		attrs:    make([][]Attr, n),
+		byLabel:  make(map[symbols.ID][]VID, len(g.byLabel)),
+		edgeFreq: make(map[symbols.ID]int, len(g.edgeFreq)),
+		numEdges: g.numEdges,
 	}
 	for v, id := range ng.names {
 		ng.byName[id] = VID(v)
@@ -528,7 +518,6 @@ func (g *Graph) Compacted() *Graph {
 	for v := 0; v < n; v++ {
 		for _, l := range ng.labels[v] {
 			ng.byLabel[l] = append(ng.byLabel[l], VID(v))
-			ng.labelFreq[l]++
 		}
 		for _, h := range ng.out[v] {
 			ng.edgeFreq[h.Label]++

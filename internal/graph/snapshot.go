@@ -38,7 +38,7 @@ func (g *Graph) Arrays() Arrays {
 // the symbol table they reference. The arrays must already be canonical —
 // labels and adjacency sorted and deduplicated, attrs sorted by name —
 // which holds for anything produced by Arrays() on a frozen graph; the
-// derived indexes (byName, byLabel, labelFreq, edgeFreq) are rebuilt here.
+// derived indexes (byName, byLabel, edgeFreq) are rebuilt here.
 // Basic shape violations (length mismatches, out-of-range IDs or VIDs)
 // return an error so a corrupted snapshot fails loudly instead of
 // producing a graph that panics mid-query.
@@ -56,17 +56,16 @@ func FromArrays(tbl *symbols.Table, a Arrays) (*Graph, error) {
 		return nil
 	}
 	g := &Graph{
-		Symbols:   tbl,
-		names:     a.Names,
-		byName:    make(map[symbols.ID]VID, n),
-		labels:    a.Labels,
-		out:       a.Out,
-		in:        a.In,
-		attrs:     a.Attrs,
-		byLabel:   make(map[symbols.ID][]VID),
-		labelFreq: make(map[symbols.ID]int),
-		edgeFreq:  make(map[symbols.ID]int),
-		numEdges:  a.NumEdges,
+		Symbols:  tbl,
+		names:    a.Names,
+		byName:   make(map[symbols.ID]VID, n),
+		labels:   a.Labels,
+		out:      a.Out,
+		in:       a.In,
+		attrs:    a.Attrs,
+		byLabel:  make(map[symbols.ID][]VID),
+		edgeFreq: make(map[symbols.ID]int),
+		numEdges: a.NumEdges,
 	}
 	edges := 0
 	for v := 0; v < n; v++ {
@@ -79,7 +78,6 @@ func FromArrays(tbl *symbols.Table, a Arrays) (*Graph, error) {
 				return nil, err
 			}
 			g.byLabel[l] = append(g.byLabel[l], VID(v))
-			g.labelFreq[l]++
 		}
 		for _, h := range a.Out[v] {
 			if err := checkID(h.Label, "edge label"); err != nil {

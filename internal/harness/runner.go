@@ -58,9 +58,6 @@ type Result struct {
 	Unsolved    bool // hit a limit: charged the time limit, as in the paper
 }
 
-// Total reports rewrite + evaluation time.
-func (r Result) Total() time.Duration { return r.RewriteTime + r.EvalTime }
-
 // Runner executes methods with the paper's limits.
 type Runner struct {
 	RewriteTimeout time.Duration // paper: 10 min; scaled default 2 s

@@ -161,16 +161,22 @@ func (m *Manager) advanceLocked() error {
 // same type-aware mapping rdf.ApplyTriple uses: rdf:type triples become
 // concept facts, resource-object triples role facts, and literal-object
 // triples are attributes, which no ABox-based reasoning pipeline
-// consumes — they are counted and skipped.
+// consumes — they are counted and skipped. Facts over datalog.Reserved
+// predicates are skipped too.
 func (m *Manager) translate(b delta.Batch) (ins, del []datalog.Fact) {
 	fs := make([]datalog.Fact, 0, len(b.Triples))
+	add := func(f datalog.Fact) {
+		if !datalog.Reserved(f.Pred) {
+			fs = append(fs, f)
+		}
+	}
 	for _, t := range b.Triples {
 		m.stats.Triples++
 		switch {
 		case t.Predicate == rdf.TypePredicate && t.Kind == rdf.ObjectIRI:
-			fs = append(fs, datalog.Fact{Pred: m.nameFn(t.Object), Args: datalog.Tuple{m.nameFn(t.Subject)}})
+			add(datalog.Fact{Pred: m.nameFn(t.Object), Args: datalog.Tuple{m.nameFn(t.Subject)}})
 		case t.Kind == rdf.ObjectIRI:
-			fs = append(fs, datalog.Fact{Pred: m.nameFn(t.Predicate), Args: datalog.Tuple{m.nameFn(t.Subject), m.nameFn(t.Object)}})
+			add(datalog.Fact{Pred: m.nameFn(t.Predicate), Args: datalog.Tuple{m.nameFn(t.Subject), m.nameFn(t.Object)}})
 		default:
 			m.stats.Attributes++
 		}
@@ -182,17 +188,21 @@ func (m *Manager) translate(b delta.Batch) (ins, del []datalog.Fact) {
 }
 
 // graphFacts lists a snapshot graph's labels and edges as the base
-// facts a fixpoint is built over.
+// facts a fixpoint is built over, skipping datalog.Reserved predicates.
 func graphFacts(g *graph.Graph) []datalog.Fact {
 	var fs []datalog.Fact
 	for v := 0; v < g.NumVertices(); v++ {
 		vid := graph.VID(v)
 		ind := g.Name(vid)
 		for _, l := range g.Labels(vid) {
-			fs = append(fs, datalog.Fact{Pred: g.Symbols.Name(l), Args: datalog.Tuple{ind}})
+			if p := g.Symbols.Name(l); !datalog.Reserved(p) {
+				fs = append(fs, datalog.Fact{Pred: p, Args: datalog.Tuple{ind}})
+			}
 		}
 		for _, h := range g.Out(vid) {
-			fs = append(fs, datalog.Fact{Pred: g.Symbols.Name(h.Label), Args: datalog.Tuple{ind, g.Name(h.To)}})
+			if p := g.Symbols.Name(h.Label); !datalog.Reserved(p) {
+				fs = append(fs, datalog.Fact{Pred: p, Args: datalog.Tuple{ind, g.Name(h.To)}})
+			}
 		}
 	}
 	return fs

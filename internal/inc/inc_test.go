@@ -157,6 +157,79 @@ func TestManagerChainsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestManagerNameClash: committed triples whose predicate is a concept
+// name used as a role, or one of the rewriting's reserved names (an
+// answer predicate, a hierarchy closure), neither crash the manager nor
+// leak into any chain's answers: after inserting and then deleting them
+// every chain answers as the cold oracle does, which keys relations by
+// name and arity and skips reserved names.
+func TestManagerNameClash(t *testing.T) {
+	abox := &dllite.ABox{}
+	abox.AddConcept("PhD", "ann")
+	abox.AddConcept("Student", "bob")
+	tb := dllite.NewTBox([]dllite.ConceptInclusion{
+		{Sub: dllite.Atomic("PhD"), Sup: dllite.Atomic("Student")},
+	}, nil)
+	s := liveStore(abox)
+	defer s.Close()
+	m := NewManager(s, nil)
+	defer m.Close()
+
+	var progs []*datalog.Program
+	var chains []*DatalogChain
+	for _, q := range []string{"q(x) :- Student(x)", "q(x, y) :- Student(x, y)"} {
+		prog, err := datalog.Rewrite(cq.MustParse(q), tb, perfectref.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := m.RegisterDatalog(prog, datalog.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, chains = append(progs, prog), append(chains, c)
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		cur := oracleABox(s)
+		for i, c := range chains {
+			got, _, err := c.Answer()
+			if err != nil {
+				t.Fatalf("%s: chain %d: %v", step, i, err)
+			}
+			oracle, err := datalog.Answer(progs[i], datalog.LoadABox(cur), datalog.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(oracle) || fmt.Sprint(got) != want[i] {
+				t.Fatalf("%s: chain %d answers %v, oracle %v, want %s", step, i, got, oracle, want[i])
+			}
+		}
+	}
+	check("initial", "[[ann] [bob]]", "[]")
+
+	body := strings.Join([]string{
+		"ann Student bob .",
+		"x1 " + datalog.AnswerPrefix + "0 x2 .",
+		"x3 a " + datalog.AnswerPrefix + "0 .",
+		"x4 a c·Student .",
+		"x5 r·Student x6 .",
+	}, "\n")
+	if _, err := s.InsertTriples(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	check("inserted", "[[ann] [bob]]", "[[ann bob]]")
+	if _, err := s.DeleteTriples(strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	check("deleted", "[[ann] [bob]]", "[]")
+	if st := m.Stats(); st.Rebuilds != 0 {
+		t.Errorf("%d fixpoint rebuilds, want 0", st.Rebuilds)
+	}
+}
+
 // TestManagerLateRegistration: a chain registered after batches have
 // committed must initialize from the snapshot of the newest applied
 // batch, not the registration-time base graph.

@@ -126,6 +126,43 @@ func testSubscribeLifecycle(t *testing.T, body, baseline string) {
 	}
 }
 
+// TestSubscribeSurvivesNameClash: inserting a triple whose predicate is
+// a concept name used as a role, or a name the datalog rewriting
+// reserves for itself, on a live -subscribe handler neither ends the
+// subscription hub nor a later POST /subscribe that rebuilds the shared
+// fixpoint over it: /stats, polls and new subscriptions keep answering.
+func TestSubscribeSurvivesNameClash(t *testing.T) {
+	kb, h := subKB(t, Config{})
+	resp := subscribe(t, h, `{"query":"q(x) :- Student(x)"}`)
+	if d := poll(t, h, resp.ID); len(d.Added) != 2 {
+		t.Fatalf("initial delta = %+v", d)
+	}
+	if rec := do(t, h, "POST", "/insert", "Ann Student Bob .\nx1 q·0 x2 .\nx3 a q·0 ."); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, h, "POST", "/insert", "Carl a Student ."); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d: %s", rec.Code, rec.Body)
+	}
+	if d := poll(t, h, resp.ID); len(d.Added) != 1 || d.Added[0][0] != "Carl" || len(d.Removed) != 0 || d.Epoch != kb.Epoch() {
+		t.Fatalf("delta after the clashing insert = %+v (epoch %d)", d, kb.Epoch())
+	}
+
+	role := subscribe(t, h, `{"query":"q(x, y) :- Student(x, y)"}`)
+	if d := poll(t, h, role.ID); fmt.Sprint(d.Added) != "[[Ann Bob]]" {
+		t.Fatalf("role subscription's initial delta = %+v", d)
+	}
+
+	var st StatsResponse
+	if rec := do(t, h, "GET", "/stats", ""); rec.Code != http.StatusOK {
+		t.Fatalf("stats status %d", rec.Code)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Incremental == nil || st.Incremental.Subscriptions != 2 || st.Incremental.EvalErrors != 0 || st.Incremental.Epoch != kb.Epoch() {
+		t.Fatalf("stats incremental = %+v (epoch %d)", st.Incremental, kb.Epoch())
+	}
+}
+
 func TestSubscribeEndpointValidation(t *testing.T) {
 	_, h := subKB(t, Config{})
 	for _, tc := range []struct {

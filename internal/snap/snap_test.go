@@ -76,7 +76,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	student := got.Symbols.Lookup("Student")
 	if got.LabelFrequency(student) != 1 || len(got.VerticesByLabel(student)) != 1 {
-		t.Fatal("byLabel/labelFreq indexes not rebuilt")
+		t.Fatal("byLabel index not rebuilt")
 	}
 	if got.NumEdges() != g.NumEdges() {
 		t.Fatalf("|E| = %d, want %d", got.NumEdges(), g.NumEdges())

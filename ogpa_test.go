@@ -1,6 +1,7 @@
 package ogpa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,33 @@ func TestAllBaselinesAgree(t *testing.T) {
 	}
 	if _, err := kb.AnswerBaseline("nope", query, Options{}); err == nil {
 		t.Fatal("unknown baseline should error")
+	}
+}
+
+// TestDatalogBaselineNameClash: a concept and a role with the same
+// name are two predicates, as a vertex label and an edge label are in
+// the graph, so the datalog baseline answers a query over the role as
+// GenOGP+OMatch does instead of failing on the concept's arity.
+func TestDatalogBaselineNameClash(t *testing.T) {
+	kb, err := NewKB(strings.NewReader(exampleOntology), strings.NewReader("PhD(ann)\nStudent(bob)\nStudent(ann, bob)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"q(x, y) :- Student(x, y)", "q(x) :- Student(x)"} {
+		want, err := kb.Answer(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := kb.AnswerBaseline(BaselineDatalog, query, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s: datalog %v, GenOGP+OMatch %v", query, got.Rows, want.Rows)
+		}
+	}
+	if ans, err := kb.AnswerBaseline(BaselineDatalog, "q(x, y) :- Student(x, y)", Options{}); err != nil || fmt.Sprint(ans.Rows) != "[[ann bob]]" {
+		t.Errorf("datalog baseline over the role: %v, %v; want [[ann bob]]", ans, err)
 	}
 }
 

@@ -363,9 +363,11 @@ func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscr
 		return nil, fmt.Errorf("ogpa: baseline %q has no standing form for subscriptions", b)
 	}
 
-	kb.inc.mu.Lock()
-	s, err := kb.newSubscriptionLocked(b, query, q, prog, opt)
-	kb.inc.mu.Unlock()
+	s, err := func() (*Subscription, error) {
+		kb.inc.mu.Lock()
+		defer kb.inc.mu.Unlock()
+		return kb.newSubscriptionLocked(b, query, q, prog, opt)
+	}()
 	if err != nil {
 		return nil, err
 	}
