@@ -17,12 +17,16 @@
 //
 // Snapshot.Graph materializes the merged graph lazily and memoizes it per
 // epoch (sync.Once), so repeated queries against one epoch pay the merge
-// once; the result is a plain *graph.Graph sharing per-vertex storage with
-// the base for untouched vertices (graph.Overlay), which keeps the
-// engine's inner loops monomorphic. A background compactor folds the
-// overlay into a fresh canonical CSR base once the log crosses a size
-// threshold, restoring flat-arena adjacency without changing content (the
-// epoch is preserved — cached plans keyed by epoch stay valid).
+// once. The merge starts from the newest epoch whose graph is already
+// built over the same base and applies only the ops logged after it, so
+// the first read after a commit costs about one batch, however long the
+// overlay. The result is a plain *graph.Graph sharing per-vertex storage
+// with the graph it started from for untouched vertices (graph.Overlay),
+// which keeps the engine's inner loops monomorphic. A background
+// compactor folds the overlay into a fresh canonical CSR base once the
+// log crosses a size threshold, restoring flat-arena adjacency without
+// changing content (the epoch is preserved — cached plans keyed by epoch
+// stay valid).
 //
 // Triple bodies are routed through internal/rdf's type-aware mapping, so
 // rdf:type triples become label mutations, resource-object triples edge
@@ -93,29 +97,55 @@ type op struct {
 // is fixed at publish time except the memoized materialization, which is
 // write-once under the sync.Once.
 type state struct {
-	epoch  uint64
-	base   *graph.Graph
-	ops    []op // immutable view: writers only append past len(ops)
-	nameFn func(string) string
+	epoch uint64
+	base  *graph.Graph
+	ops   []op // immutable view: writers only append past len(ops)
+	store *Store
 
 	once sync.Once
 	g    *graph.Graph
 }
 
+// newState returns a state over base. One with no ops is built already:
+// its graph is the base itself, so its once is spent here.
+func (s *Store) newState(epoch uint64, base *graph.Graph, ops []op) *state {
+	st := &state{epoch: epoch, base: base, ops: ops, store: s}
+	if len(ops) == 0 {
+		st.g = base
+		st.once.Do(func() {})
+	}
+	return st
+}
+
 // graphNow materializes base+ops, memoized per state so every reader of
-// this epoch shares one merge.
+// this epoch shares one merge. The merge starts from the store's newest
+// built state when it shares this state's base and holds no more ops: the
+// log under one base is append-only, so that state's ops are a prefix of
+// these, and applying the rest over its graph gives what applying all of
+// them over the base would (vertices are still appended in order of first
+// use, so VIDs agree). Otherwise — an epoch read after a newer one was
+// built, or over a base a compaction has since replaced — it starts from
+// the base.
 func (st *state) graphNow() *graph.Graph {
 	st.once.Do(func() {
-		if len(st.ops) == 0 {
-			st.g = st.base
-			return
+		built := &st.store.built
+		from, done := st.base, 0
+		if b := built.Load(); b.base == st.base && len(b.ops) <= len(st.ops) {
+			from, done = b.g, len(b.ops)
 		}
-		ov := graph.NewOverlay(st.base)
+		ov := graph.NewOverlay(from)
 		m := overlayMutator{ov: ov}
-		for _, o := range st.ops {
-			rdf.ApplyTriple(m, o.t, o.del, st.nameFn)
+		for _, o := range st.ops[done:] {
+			rdf.ApplyTriple(m, o.t, o.del, st.store.nameFn)
 		}
 		st.g = ov.Freeze()
+		// Move the pointer forward: never to fewer ops, and never off
+		// the base of the last rebase.
+		for b := built.Load(); b.base == st.base && len(b.ops) < len(st.ops); b = built.Load() {
+			if built.CompareAndSwap(b, st) {
+				break
+			}
+		}
 	})
 	return st.g
 }
@@ -149,6 +179,12 @@ type Store struct {
 	// is what guarantees publish-order, gap-free delivery. Guarded by
 	// gate.mu.
 	watchers []*Watcher
+
+	// built is the newest state with a materialized graph over the base
+	// of the last rebase; graphNow starts from it. It pins that one
+	// graph. A rebase moves it to the new base itself, so no graph over
+	// an older base stays reachable from here.
+	built atomic.Pointer[state]
 }
 
 // NewStore wraps base in a mutable store. The base's symbol table is
@@ -202,9 +238,16 @@ func newStore(base *graph.Graph, baseEpoch uint64, records []snap.Record, cfg Co
 			ops = append(ops, op{del: rec.Del, t: t})
 		}
 	}
-	ops = ops[:len(ops):len(ops)]
-	s.cur.Store(&state{epoch: epoch, base: base, ops: ops, nameFn: cfg.Name})
+	s.rebase(baseEpoch, base, epoch, ops[:len(ops):len(ops)])
 	return s, nil
+}
+
+// rebase publishes a state at epoch over a new base, with ops logged over
+// it, and moves built to the base itself (the state at baseEpoch). Called
+// at construction and, under the writer gate, by Compact and Checkpoint.
+func (s *Store) rebase(baseEpoch uint64, base *graph.Graph, epoch uint64, ops []op) {
+	s.built.Store(s.newState(baseEpoch, base, nil))
+	s.cur.Store(s.newState(epoch, base, ops))
 }
 
 // Snapshot is an immutable read view of the store at one epoch.
@@ -302,7 +345,7 @@ func (s *Store) apply(r io.Reader, del bool) (int, error) {
 	// published view. Compact cuts its suffix to full capacity, so the
 	// first append after it moves to a fresh array.
 	ops := append(cur.ops, batch...)
-	next := &state{epoch: cur.epoch + 1, base: cur.base, ops: ops, nameFn: s.nameFn}
+	next := s.newState(cur.epoch+1, cur.base, ops)
 	s.cur.Store(next)
 	// Deliver to watchers while still holding the gate: this is what makes
 	// delivery order equal publish order, with no gaps or interleavings.
@@ -383,7 +426,7 @@ func (s *Store) Compact() {
 		// holds exactly the writes that landed during the fold.
 		rest := cur.ops[len(st.ops):]
 		rest = rest[:len(rest):len(rest)]
-		s.cur.Store(&state{epoch: cur.epoch, base: folded, ops: rest, nameFn: s.nameFn})
+		s.rebase(st.epoch, folded, cur.epoch, rest)
 		s.compactions.Add(1)
 		s.gate.mu.Unlock()
 		return
@@ -435,7 +478,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 		// the file's current end.
 		return 0, err
 	}
-	s.cur.Store(&state{epoch: cur.epoch, base: base, nameFn: s.nameFn})
+	s.rebase(cur.epoch, base, cur.epoch, nil)
 	s.compactions.Add(1)
 	s.lastCheckpoint.Store(cur.epoch)
 	s.checkpointErr.Store(nil)

@@ -131,7 +131,7 @@ type Graph struct {
 	labels  [][]symbols.ID       // sorted label set per vertex
 	out     [][]Half             // sorted by (Label, To)
 	in      [][]Half             // sorted by (Label, To)
-	attrs   []([]Attr)           // sorted by Name; nil for most vertices
+	attrs   []([]Attr)           // sorted by Name; nil for most vertices, none past its end
 	byLabel map[symbols.ID][]VID // label → its vertices; never an empty list, so len is a count
 
 	numEdges int
@@ -277,7 +277,7 @@ func (g *Graph) LabelBits(l symbols.ID, s *bitset.Set) {
 
 // Attribute returns the value of attribute a on v.
 func (g *Graph) Attribute(v VID, a symbols.ID) (Value, bool) {
-	as := g.attrs[v]
+	as := g.Attributes(v)
 	lo, hi := 0, len(as)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -293,8 +293,15 @@ func (g *Graph) Attribute(v VID, a symbols.ID) (Value, bool) {
 	return Value{}, false
 }
 
-// Attributes returns the attribute tuple of v, sorted by name.
-func (g *Graph) Attributes(v VID) []Attr { return g.attrs[v] }
+// Attributes returns the attribute tuple of v, sorted by name. A graph
+// derived by Overlay.Freeze shares its base's attrs when no patch touches
+// an attribute, so vertices appended since lie past the array's end.
+func (g *Graph) Attributes(v VID) []Attr {
+	if int(v) < len(g.attrs) {
+		return g.attrs[v]
+	}
+	return nil
+}
 
 // LabelFrequency reports how many vertices carry label l.
 func (g *Graph) LabelFrequency(l symbols.ID) int { return len(g.byLabel[l]) }

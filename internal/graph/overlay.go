@@ -10,7 +10,8 @@ import (
 // insertions/deletions, attribute updates — against a frozen base Graph,
 // and derives a new frozen Graph with Freeze. The derived graph shares the
 // base's per-vertex storage for every untouched vertex (the top-level
-// slice headers are copied, O(|V|) pointer moves, not O(|E|) data); only
+// slice headers are copied, O(|V|) pointer moves, not O(|E|) data, and
+// the attrs array is shared outright unless a patch touches one); only
 // dirty vertices get freshly merged sorted slices, and only touched
 // byLabel buckets are rebuilt. That keeps derivation cost proportional to
 // the patch, while the result is a plain *Graph the engine's monomorphic
@@ -233,8 +234,7 @@ func (o *Overlay) Freeze() *Graph {
 		return o.base
 	}
 	b := o.base
-	nBase := b.NumVertices()
-	n := nBase + len(o.newNames)
+	n := b.NumVertices() + len(o.newNames)
 
 	g := &Graph{Symbols: b.Symbols}
 
@@ -260,11 +260,19 @@ func (o *Overlay) Freeze() *Graph {
 	g.labels = make([][]symbols.ID, n)
 	g.out = make([][]Half, n)
 	g.in = make([][]Half, n)
-	g.attrs = make([][]Attr, n)
 	copy(g.labels, b.labels)
 	copy(g.out, b.out)
 	copy(g.in, b.in)
-	copy(g.attrs, b.attrs)
+	// Attributes are rarely patched: share the base's array unless some
+	// patch touches one (new vertices past its end have none).
+	g.attrs = b.attrs
+	for _, p := range o.patches {
+		if len(p.attrs) > 0 {
+			g.attrs = make([][]Attr, n)
+			copy(g.attrs, b.attrs)
+			break
+		}
+	}
 
 	// Per-label membership deltas drive the byLabel bucket rebuild; edge
 	// count deltas drive numEdges/edgeFreq.
@@ -275,7 +283,7 @@ func (o *Overlay) Freeze() *Graph {
 
 	for v, p := range o.patches {
 		if len(p.addLabels) > 0 || len(p.delLabels) > 0 {
-			g.labels[v] = mergeLabels(baseOrNil(b.labels, v, nBase), p.addLabels, p.delLabels)
+			g.labels[v] = mergeLabels(baseOrNil(b.labels, v), p.addLabels, p.delLabels)
 			for l := range p.addLabels {
 				labelAdd[l] = append(labelAdd[l], v)
 			}
@@ -289,7 +297,7 @@ func (o *Overlay) Freeze() *Graph {
 			}
 		}
 		if len(p.addOut) > 0 || len(p.delOut) > 0 {
-			g.out[v] = mergeHalves(baseOrNilH(b.out, v, nBase), p.addOut, p.delOut)
+			g.out[v] = mergeHalves(baseOrNil(b.out, v), p.addOut, p.delOut)
 			for h := range p.addOut {
 				edgeDelta[h.Label]++
 				edgeCount++
@@ -300,10 +308,10 @@ func (o *Overlay) Freeze() *Graph {
 			}
 		}
 		if len(p.addIn) > 0 || len(p.delIn) > 0 {
-			g.in[v] = mergeHalves(baseOrNilH(b.in, v, nBase), p.addIn, p.delIn)
+			g.in[v] = mergeHalves(baseOrNil(b.in, v), p.addIn, p.delIn)
 		}
 		if len(p.attrs) > 0 {
-			g.attrs[v] = mergeAttrs(baseOrNilA(b.attrs, v, nBase), p.attrs)
+			g.attrs[v] = mergeAttrs(b.Attributes(v), p.attrs)
 		}
 	}
 	g.numEdges = edgeCount
@@ -349,22 +357,10 @@ func (o *Overlay) Freeze() *Graph {
 	return g
 }
 
-func baseOrNil(s [][]symbols.ID, v VID, nBase int) []symbols.ID {
-	if int(v) < nBase {
-		return s[v]
-	}
-	return nil
-}
-
-func baseOrNilH(s [][]Half, v VID, nBase int) []Half {
-	if int(v) < nBase {
-		return s[v]
-	}
-	return nil
-}
-
-func baseOrNilA(s [][]Attr, v VID, nBase int) []Attr {
-	if int(v) < nBase {
+// baseOrNil returns v's entry of a base per-vertex array, or nil for a
+// vertex past its end (one the overlay created).
+func baseOrNil[T any](s [][]T, v VID) []T {
+	if int(v) < len(s) {
 		return s[v]
 	}
 	return nil
@@ -486,7 +482,7 @@ func (g *Graph) Compacted() *Graph {
 		totLabels += len(g.labels[v])
 		totOut += len(g.out[v])
 		totIn += len(g.in[v])
-		totAttrs += len(g.attrs[v])
+		totAttrs += len(g.Attributes(VID(v)))
 	}
 	labelArena := make([]symbols.ID, 0, totLabels)
 	outArena := make([]Half, 0, totOut)
@@ -508,7 +504,7 @@ func (g *Graph) Compacted() *Graph {
 			inArena = append(inArena, hs...)
 			ng.in[v] = inArena[start:len(inArena):len(inArena)]
 		}
-		if as := g.attrs[v]; len(as) > 0 {
+		if as := g.Attributes(VID(v)); len(as) > 0 {
 			start := len(attrArena)
 			attrArena = append(attrArena, as...)
 			ng.attrs[v] = attrArena[start:len(attrArena):len(attrArena)]

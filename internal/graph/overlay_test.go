@@ -342,3 +342,41 @@ func TestOverlayRandomEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeSharesUntouchedAttrs: a derivation whose patches touch no
+// attribute shares its base's attrs array, so the vertices it appends lie
+// past that array's end and have none; a later derivation that sets one
+// on such a vertex, and compaction, still see the right tuples.
+func TestFreezeSharesUntouchedAttrs(t *testing.T) {
+	b := NewBuilder(nil)
+	b.AddLabel("ann", "Student")
+	b.SetAttr("ann", "age", Int(30))
+	base := b.Freeze()
+	age := base.Symbols.Intern("age")
+
+	ov := NewOverlay(base)
+	bob := ov.Vertex("bob")
+	ov.AddLabel(bob, base.Symbols.Intern("Student"))
+	g1 := ov.Freeze()
+	if len(g1.attrs) != len(base.attrs) || &g1.attrs[0] != &base.attrs[0] {
+		t.Fatal("a derivation that touches no attribute copied the attrs array")
+	}
+	if _, ok := g1.Attribute(bob, age); ok || g1.Attributes(bob) != nil {
+		t.Fatal("a vertex past the shared attrs array has attributes")
+	}
+
+	ov = NewOverlay(g1)
+	ov.SetAttr(bob, age, Int(40))
+	g2 := ov.Freeze()
+	if v, ok := g2.Attribute(bob, age); !ok || v != Int(40) {
+		t.Fatalf("bob's age = %v, %v after setting it", v, ok)
+	}
+	if v, ok := g2.Attribute(0, age); !ok || v != Int(30) {
+		t.Fatalf("ann's age = %v, %v", v, ok)
+	}
+	for _, g := range []*Graph{g1, g2} {
+		if got, want := dumpGraph(g.Compacted()), dumpGraph(g); got != want {
+			t.Fatalf("compaction changed the graph:\n%s\nwant\n%s", got, want)
+		}
+	}
+}
