@@ -115,13 +115,23 @@ func rPred(p string) string { return rolePrefix + p }
 // The prefixes of the hierarchy-closure predicates.
 const conceptPrefix, rolePrefix = "c·", "r·"
 
-// Reserved reports whether pred carries a prefix the rewriting names
-// its own predicates with (AnswerPrefix, conceptPrefix, rolePrefix). A
-// data fact under such a name would join the rewriting's own relation,
-// so every loader of data facts skips it.
-func Reserved(pred string) bool {
-	return strings.HasPrefix(pred, AnswerPrefix) || strings.HasPrefix(pred, conceptPrefix) || strings.HasPrefix(pred, rolePrefix)
+// EDB names the relation that holds the data facts over pred. The
+// rewriting names its own predicates with AnswerPrefix, conceptPrefix
+// and rolePrefix; a data name that starts with one of them, or with
+// edbEscape, gets edbEscape in front, so no data fact joins one of the
+// rewriting's relations and no two data names share one. Every other
+// name is its own relation. Every loader of data facts and every rule
+// body over data goes through EDB.
+func EDB(pred string) string {
+	for _, p := range [...]string{AnswerPrefix, conceptPrefix, rolePrefix, edbEscape} {
+		if strings.HasPrefix(pred, p) {
+			return edbEscape + pred
+		}
+	}
+	return pred
 }
+
+const edbEscape = "d·"
 
 // HierarchyRules compiles the datalog-expressible inclusions (I1–I3, I8,
 // I9) into closure rules: c_A and r_P hold the hierarchy-saturated
@@ -131,13 +141,13 @@ func HierarchyRules(t *dllite.TBox, concepts, roles map[string]bool) []Rule {
 	for a := range concepts {
 		rules = append(rules, Rule{
 			Head: Atom{Pred: cPred(a), Args: []Term{V("x")}},
-			Body: []Atom{{Pred: a, Args: []Term{V("x")}}},
+			Body: []Atom{{Pred: EDB(a), Args: []Term{V("x")}}},
 		})
 	}
 	for p := range roles {
 		rules = append(rules, Rule{
 			Head: Atom{Pred: rPred(p), Args: []Term{V("x"), V("y")}},
-			Body: []Atom{{Pred: p, Args: []Term{V("x"), V("y")}}},
+			Body: []Atom{{Pred: EDB(p), Args: []Term{V("x"), V("y")}}},
 		})
 	}
 	for _, ci := range t.CIs {
@@ -271,19 +281,14 @@ func hierMap(t *dllite.TBox) perfectref.AtomMap {
 	}
 }
 
-// LoadABox populates a database with the EDB facts of an ABox,
-// skipping assertions over Reserved predicates.
+// LoadABox populates a database with the EDB facts of an ABox.
 func LoadABox(a *dllite.ABox) *Database {
 	db := NewDatabase()
 	for _, ca := range a.Concepts {
-		if !Reserved(ca.Concept) {
-			db.AddFact(ca.Concept, ca.Ind)
-		}
+		db.AddFact(EDB(ca.Concept), ca.Ind)
 	}
 	for _, ra := range a.Roles {
-		if !Reserved(ra.Role) {
-			db.AddFact(ra.Role, ra.Sub, ra.Obj)
-		}
+		db.AddFact(EDB(ra.Role), ra.Sub, ra.Obj)
 	}
 	return db
 }

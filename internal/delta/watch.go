@@ -23,7 +23,7 @@ type Batch struct {
 // under the store's writer gate, so a watcher sees every batch exactly
 // once, in publish order, with consecutive epochs and no gaps. Batches
 // queue until drained; a watcher that stops draining grows its queue,
-// so consumers must Poll/Wait promptly or Close.
+// so consumers must Poll promptly or Close.
 type Watcher struct {
 	store *Store
 	ready chan struct{} // 1-buffered edge trigger: queue went non-empty
@@ -37,7 +37,7 @@ type Watcher struct {
 // snapshot at registration: the first delivered batch is exactly epoch
 // snap.Epoch()+1, so a consumer can initialize from snap and apply
 // batches with no gap and no overlap. On a closed store the watcher is
-// already closed (Wait returns ErrClosed once the queue is drained).
+// already closed (Await returns ErrClosed).
 func (s *Store) Watch() (*Watcher, Snapshot) {
 	w := &Watcher{store: s, ready: make(chan struct{}, 1)}
 	s.gate.mu.Lock()
@@ -87,25 +87,28 @@ func (w *Watcher) Poll() []Batch {
 	return bs
 }
 
-// Wait blocks until at least one batch is pending and drains the queue.
-// It returns ErrClosed after the watcher (or its store) is closed and
-// every already-delivered batch has been drained.
-func (w *Watcher) Wait(ctx context.Context) ([]Batch, error) {
-	for {
-		if bs := w.Poll(); len(bs) > 0 {
-			return bs, nil
-		}
-		w.mu.Lock()
-		closed := w.closed
-		w.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-w.ready:
-		}
+// Await blocks until a batch is pending or a push (or a close) has
+// happened since the previous Await returned, and leaves every batch
+// queued: the consumer drains with Poll, under whatever lock orders its
+// applies. A batch another Poll drained first still ends the wait, so
+// the caller re-checks what it waits for after every return. Await
+// returns ErrClosed once the watcher (or its store) is closed and its
+// queue is empty.
+func (w *Watcher) Await(ctx context.Context) error {
+	w.mu.Lock()
+	pending, closed := len(w.queue) > 0, w.closed
+	w.mu.Unlock()
+	switch {
+	case pending:
+		return nil
+	case closed:
+		return ErrClosed
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-w.ready:
+		return nil
 	}
 }
 

@@ -40,11 +40,10 @@ func TestWatchOrderingConcurrent(t *testing.T) {
 	epoch := sn.Epoch()
 	got := 0
 	for got < want {
-		bs, err := w.Wait(ctx)
-		if err != nil {
-			t.Fatalf("Wait after %d batches: %v", got, err)
+		if err := w.Await(ctx); err != nil {
+			t.Fatalf("Await after %d batches: %v", got, err)
 		}
-		for _, b := range bs {
+		for _, b := range w.Poll() {
 			if b.Epoch != epoch+1 {
 				t.Fatalf("epoch gap: got %d after %d", b.Epoch, epoch)
 			}
@@ -139,29 +138,39 @@ func TestWatchDeletionBatches(t *testing.T) {
 	}
 }
 
-// TestWatchCloseSemantics: pending batches stay drainable after store
-// close; Wait then reports ErrClosed. A watcher registered on a closed
-// store is born closed.
+// TestWatchCloseSemantics: Await returns ctx's error while nothing is
+// pending, leaves pending batches queued, and they stay drainable after
+// store close; Await then reports ErrClosed.
+// A watcher registered on a closed store is born closed.
 func TestWatchCloseSemantics(t *testing.T) {
 	s := NewStore(baseGraph(), Config{CompactThreshold: -1})
 	w, _ := s.Watch()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.Await(cancelled); err != context.Canceled {
+		t.Fatalf("Await with nothing pending and ctx done: %v, want context.Canceled", err)
+	}
 	insert(t, s, "carl a Student .")
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	ctx := context.Background()
-	bs, err := w.Wait(ctx)
-	if err != nil || len(bs) != 1 {
-		t.Fatalf("Wait after close: %v batches, err %v; want 1, nil", len(bs), err)
+	for i := 0; i < 2; i++ {
+		if err := w.Await(ctx); err != nil {
+			t.Fatalf("Await %d after close: %v, want nil", i, err)
+		}
 	}
-	if _, err := w.Wait(ctx); err != ErrClosed {
-		t.Fatalf("second Wait after close: %v, want ErrClosed", err)
+	if bs := w.Poll(); len(bs) != 1 {
+		t.Fatalf("Poll after close drained %d batches, want 1", len(bs))
+	}
+	if err := w.Await(ctx); err != ErrClosed {
+		t.Fatalf("Await after the drain: %v, want ErrClosed", err)
 	}
 
 	w2, _ := s.Watch()
-	if _, err := w2.Wait(ctx); err != ErrClosed {
-		t.Fatalf("Wait on watcher of closed store: %v, want ErrClosed", err)
+	if err := w2.Await(ctx); err != ErrClosed {
+		t.Fatalf("Await on watcher of closed store: %v, want ErrClosed", err)
 	}
 }
 

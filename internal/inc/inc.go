@@ -13,12 +13,14 @@
 // State keeps once; each adds its residual UCQ as answer rules under an
 // answer predicate of its own. A DatalogChain is a handle: the manager
 // plus that predicate. Chains are advanced lazily: every Answer call
-// (and every explicit Advance) first drains the watcher under the
+// (and every Advance or Wait) first drains the watcher under the
 // manager's lock and applies each pending batch, translated once from
 // triples to datalog facts, to the fixpoint, then copies the chain's
 // answer relation and returns the epoch it is valid at. Lazy
 // advancement means an idle manager costs nothing but the watcher's
 // queued batches, and every answer is exact for the epoch it reports.
+// Wait blocks until the epoch moves, for a subscription hub that
+// re-reads its chains on every commit.
 //
 // Registration rebuilds the fixpoint over the union from the pinned
 // snapshot; one that fails (limit exceeded, malformed rule) leaves the
@@ -32,6 +34,7 @@
 package inc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -65,6 +68,7 @@ type Stats struct {
 // applied epoch, never a half-advanced one.
 type Manager struct {
 	nameFn func(string) string
+	w      *delta.Watcher
 
 	// gate serializes advancement, registration and chain evaluation
 	// (the delta.Store gate idiom); every field below is guarded by
@@ -72,8 +76,8 @@ type Manager struct {
 	gate struct {
 		mu sync.Mutex
 	}
-	w      *delta.Watcher
 	snap   delta.Snapshot // the store at the epoch the fixpoint holds
+	waited uint64         // the epoch the previous Wait returned
 	closed bool
 
 	rules  []datalog.Rule // every registered program's rules and answer rules
@@ -92,7 +96,7 @@ func NewManager(store *delta.Store, nameFn func(string) string) *Manager {
 		nameFn = func(s string) string { return s }
 	}
 	w, sn := store.Watch()
-	return &Manager{nameFn: nameFn, w: w, snap: sn}
+	return &Manager{nameFn: nameFn, w: w, snap: sn, waited: sn.Epoch()}
 }
 
 // Close unregisters the watcher. Registered chains keep answering at
@@ -125,14 +129,46 @@ func (m *Manager) Stats() Stats {
 }
 
 // Advance drains all pending batches and applies them to the fixpoint,
-// returning the resulting epoch. Callers normally never need this —
-// every Answer advances implicitly — but a subscription hub calls it
-// once per wake-up before evaluating its standing queries.
+// returning the resulting epoch. Callers normally never need this:
+// every Answer advances implicitly.
 func (m *Manager) Advance() (uint64, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
 	err := m.advanceLocked()
 	return m.snap.Epoch(), err
+}
+
+// Wait blocks until the manager's epoch has moved since the previous
+// Wait returned, applies every pending batch as Advance does, and
+// returns the epoch. A batch that an Answer or a registration applied
+// in between moves the epoch too: the caller's reads from before are
+// stale either way. Wait waits on the watcher without draining it, so
+// batches are only drained under the gate and apply in publish order
+// while Answer calls advance concurrently. It returns ErrClosed once
+// the store or the manager is closed and every committed batch is
+// applied, and ctx's error if ctx ends first. It serves one consumer,
+// a subscription hub that re-reads its chains after every return.
+func (m *Manager) Wait(ctx context.Context) (uint64, error) {
+	for {
+		m.gate.mu.Lock()
+		err := m.advanceLocked()
+		epoch := m.snap.Epoch()
+		moved := epoch != m.waited
+		m.waited = epoch
+		m.gate.mu.Unlock()
+		switch {
+		case err != nil:
+			return epoch, err
+		case moved:
+			return epoch, nil
+		}
+		if err := m.w.Await(ctx); err != nil {
+			if errors.Is(err, delta.ErrClosed) {
+				err = ErrClosed
+			}
+			return epoch, err
+		}
+	}
 }
 
 // advanceLocked drains the watcher and applies each batch in publish
@@ -161,22 +197,17 @@ func (m *Manager) advanceLocked() error {
 // same type-aware mapping rdf.ApplyTriple uses: rdf:type triples become
 // concept facts, resource-object triples role facts, and literal-object
 // triples are attributes, which no ABox-based reasoning pipeline
-// consumes — they are counted and skipped. Facts over datalog.Reserved
-// predicates are skipped too.
+// consumes — they are counted and skipped. Predicates are named through
+// datalog.EDB, as the rewriting's rule bodies read them.
 func (m *Manager) translate(b delta.Batch) (ins, del []datalog.Fact) {
 	fs := make([]datalog.Fact, 0, len(b.Triples))
-	add := func(f datalog.Fact) {
-		if !datalog.Reserved(f.Pred) {
-			fs = append(fs, f)
-		}
-	}
 	for _, t := range b.Triples {
 		m.stats.Triples++
 		switch {
 		case t.Predicate == rdf.TypePredicate && t.Kind == rdf.ObjectIRI:
-			add(datalog.Fact{Pred: m.nameFn(t.Object), Args: datalog.Tuple{m.nameFn(t.Subject)}})
+			fs = append(fs, datalog.Fact{Pred: datalog.EDB(m.nameFn(t.Object)), Args: datalog.Tuple{m.nameFn(t.Subject)}})
 		case t.Kind == rdf.ObjectIRI:
-			add(datalog.Fact{Pred: m.nameFn(t.Predicate), Args: datalog.Tuple{m.nameFn(t.Subject), m.nameFn(t.Object)}})
+			fs = append(fs, datalog.Fact{Pred: datalog.EDB(m.nameFn(t.Predicate)), Args: datalog.Tuple{m.nameFn(t.Subject), m.nameFn(t.Object)}})
 		default:
 			m.stats.Attributes++
 		}
@@ -188,21 +219,17 @@ func (m *Manager) translate(b delta.Batch) (ins, del []datalog.Fact) {
 }
 
 // graphFacts lists a snapshot graph's labels and edges as the base
-// facts a fixpoint is built over, skipping datalog.Reserved predicates.
+// facts a fixpoint is built over, named through datalog.EDB.
 func graphFacts(g *graph.Graph) []datalog.Fact {
 	var fs []datalog.Fact
 	for v := 0; v < g.NumVertices(); v++ {
 		vid := graph.VID(v)
 		ind := g.Name(vid)
 		for _, l := range g.Labels(vid) {
-			if p := g.Symbols.Name(l); !datalog.Reserved(p) {
-				fs = append(fs, datalog.Fact{Pred: p, Args: datalog.Tuple{ind}})
-			}
+			fs = append(fs, datalog.Fact{Pred: datalog.EDB(g.Symbols.Name(l)), Args: datalog.Tuple{ind}})
 		}
 		for _, h := range g.Out(vid) {
-			if p := g.Symbols.Name(h.Label); !datalog.Reserved(p) {
-				fs = append(fs, datalog.Fact{Pred: p, Args: datalog.Tuple{ind, g.Name(h.To)}})
-			}
+			fs = append(fs, datalog.Fact{Pred: datalog.EDB(g.Symbols.Name(h.Label)), Args: datalog.Tuple{ind, g.Name(h.To)}})
 		}
 	}
 	return fs

@@ -1,11 +1,13 @@
 package inc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ogpa/internal/cq"
 	"ogpa/internal/datalog"
@@ -158,11 +160,12 @@ func TestManagerChainsMatchOracle(t *testing.T) {
 }
 
 // TestManagerNameClash: committed triples whose predicate is a concept
-// name used as a role, or one of the rewriting's reserved names (an
-// answer predicate, a hierarchy closure), neither crash the manager nor
-// leak into any chain's answers: after inserting and then deleting them
+// name used as a role, or named like one of the rewriting's own
+// predicates (an answer predicate, a hierarchy closure), neither crash
+// the manager nor leak into another chain's answers, and a chain over
+// such a name answers its facts: after inserting and then deleting them
 // every chain answers as the cold oracle does, which keys relations by
-// name and arity and skips reserved names.
+// name and arity and loads data through datalog.EDB.
 func TestManagerNameClash(t *testing.T) {
 	abox := &dllite.ABox{}
 	abox.AddConcept("PhD", "ann")
@@ -177,7 +180,7 @@ func TestManagerNameClash(t *testing.T) {
 
 	var progs []*datalog.Program
 	var chains []*DatalogChain
-	for _, q := range []string{"q(x) :- Student(x)", "q(x, y) :- Student(x, y)"} {
+	for _, q := range []string{"q(x) :- Student(x)", "q(x, y) :- Student(x, y)", "q(x) :- c·Student(x)"} {
 		prog, err := datalog.Rewrite(cq.MustParse(q), tb, perfectref.Limits{})
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +208,7 @@ func TestManagerNameClash(t *testing.T) {
 			}
 		}
 	}
-	check("initial", "[[ann] [bob]]", "[]")
+	check("initial", "[[ann] [bob]]", "[]", "[]")
 
 	body := strings.Join([]string{
 		"ann Student bob .",
@@ -220,11 +223,11 @@ func TestManagerNameClash(t *testing.T) {
 	if _, err := m.Advance(); err != nil {
 		t.Fatal(err)
 	}
-	check("inserted", "[[ann] [bob]]", "[[ann bob]]")
+	check("inserted", "[[ann] [bob]]", "[[ann bob]]", "[[x4]]")
 	if _, err := s.DeleteTriples(strings.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
-	check("deleted", "[[ann] [bob]]", "[]")
+	check("deleted", "[[ann] [bob]]", "[]", "[]")
 	if st := m.Stats(); st.Rebuilds != 0 {
 		t.Errorf("%d fixpoint rebuilds, want 0", st.Rebuilds)
 	}
@@ -417,5 +420,148 @@ func TestManagerConcurrent(t *testing.T) {
 	if epoch != s.Epoch() || len(out) != writers*perWriter {
 		t.Fatalf("final: %d rows at epoch %d, want %d rows at %d",
 			len(out), epoch, writers*perWriter, s.Epoch())
+	}
+}
+
+// TestManagerWait: Wait returns once per move of the manager's epoch,
+// also a move an Answer made first; it applies batches in publish
+// order while Answer calls run concurrently (run under -race); and it
+// returns ErrClosed once the store is closed and every batch applied.
+func TestManagerWait(t *testing.T) {
+	tb := dllite.NewTBox([]dllite.ConceptInclusion{
+		{Sub: dllite.Atomic("A"), Sup: dllite.Atomic("B")},
+	}, nil)
+	abox := &dllite.ABox{}
+	abox.AddConcept("A", "w0")
+	prog, err := datalog.Rewrite(cq.MustParse("q(x) :- B(x)"), tb, perfectref.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := liveStore(abox)
+	m := NewManager(s, nil)
+	defer m.Close()
+	dc, err := m.RegisterDatalog(prog, datalog.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	e0 := s.Epoch()
+
+	// Nothing committed: Wait blocks until ctx ends.
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	if _, err := m.Wait(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Wait with nothing committed = %v, want DeadlineExceeded", err)
+	}
+	cancel()
+
+	// The writer's batches, in publish order: batch k inserts w<k>, and
+	// every third batch deletes the individual the one before inserted.
+	// rows[k] is the answer count at epoch e0+k.
+	const batches = 120
+	var bodies []string
+	var dels []bool
+	rows := []int{1}
+	for k := 1; len(bodies) < batches; k++ {
+		bodies, dels = append(bodies, fmt.Sprintf("w%d a A .", k)), append(dels, false)
+		rows = append(rows, rows[len(rows)-1]+1)
+		if k%3 == 0 {
+			bodies, dels = append(bodies, fmt.Sprintf("w%d a A .", k-1)), append(dels, true)
+			rows = append(rows, rows[len(rows)-1]-1)
+		}
+	}
+	commit := func(i int) {
+		t.Helper()
+		var err error
+		if dels[i] {
+			_, err = s.DeleteTriples(strings.NewReader(bodies[i]))
+		} else {
+			_, err = s.InsertTriples(strings.NewReader(bodies[i]))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A batch an Answer applied first still ends the next Wait.
+	commit(0)
+	if e, err := m.Wait(bg); err != nil || e != e0+1 {
+		t.Fatalf("Wait after one commit = %d, %v; want epoch %d", e, err, e0+1)
+	}
+	commit(1)
+	if _, e, err := dc.Answer(); err != nil || e != e0+2 {
+		t.Fatalf("Answer = epoch %d, %v; want %d", e, err, e0+2)
+	}
+	ctx, cancel = context.WithTimeout(bg, 10*time.Second)
+	if e, err := m.Wait(ctx); err != nil || e != e0+2 {
+		t.Fatalf("Wait after an Answer applied the batch = %d, %v; want epoch %d", e, err, e0+2)
+	}
+	cancel()
+
+	var wg sync.WaitGroup
+	check := func(who string, out []datalog.Tuple, e uint64) {
+		if k := int(e - e0); k >= len(rows) || len(out) != rows[k] {
+			t.Errorf("%s: %d rows at epoch %d, want the count at batch %d of %d", who, len(out), e, k, len(rows)-1)
+		}
+	}
+	waited := make(chan error, 1)
+	wg.Add(1)
+	go func() { // the hub's loop
+		defer wg.Done()
+		last := e0 + 2
+		for {
+			e, err := m.Wait(bg)
+			if err != nil {
+				if e != s.Epoch() {
+					t.Errorf("Wait ended at epoch %d, store at %d", e, s.Epoch())
+				}
+				waited <- err
+				return
+			}
+			if e <= last {
+				t.Errorf("Wait returned epoch %d after %d", e, last)
+			}
+			last = e
+			out, e, err := dc.Answer()
+			if err != nil {
+				t.Error(err)
+			}
+			check("waiter", out, e)
+		}
+	}()
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				out, e, err := dc.Answer()
+				if err != nil {
+					t.Error(err)
+				}
+				check("reader", out, e)
+			}
+		}()
+	}
+	for i := 2; i < len(bodies); i++ {
+		commit(i)
+	}
+	close(stop)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := <-waited; err != ErrClosed {
+		t.Fatalf("Wait after store close = %v, want ErrClosed", err)
+	}
+	if m.Epoch() != e0+uint64(len(bodies)) {
+		t.Fatalf("manager at epoch %d, want %d", m.Epoch(), e0+uint64(len(bodies)))
+	}
+	if _, err := m.Wait(bg); err != ErrClosed {
+		t.Fatalf("Wait on a closed store = %v, want ErrClosed", err)
 	}
 }

@@ -11,18 +11,19 @@
 //	GET  /consistency  negative-inclusion check
 //
 // With Config.Subscriptions (`ogpaserver -subscribe`) the handler also
-// serves standing queries:
+// serves standing queries, each read from the KB's one maintained
+// datalog fixpoint (started by the first POST /subscribe):
 //
 //	POST   /subscribe              register a standing query
 //	GET    /subscribe/{id}/poll    long-poll the next answer delta
 //	GET    /subscribe/{id}/events  stream answer deltas (SSE)
 //	DELETE /subscribe/{id}         unsubscribe
 //
-// The mutation endpoints require a KB with live data enabled
-// (ogpa.KB.EnableLiveData; `ogpaserver -live`); against a read-only KB
-// they answer 403. Each accepted batch bumps the store epoch, which is
-// part of every plan-cache key, so cached plans never serve answers from
-// a superseded version.
+// The mutation and standing-query endpoints require a KB with live data
+// enabled (ogpa.KB.EnableLiveData; `ogpaserver -live`); against a
+// read-only KB they answer 403. Each accepted batch bumps the store
+// epoch, which is part of every plan-cache key, so cached plans never
+// serve answers from a superseded version.
 package server
 
 import (
@@ -119,9 +120,9 @@ type StatsResponse struct {
 	WALBytes            int64  `json:"walBytes,omitempty"`
 	LastCheckpointEpoch uint64 `json:"lastCheckpointEpoch,omitempty"`
 	CheckpointError     string `json:"checkpointError,omitempty"`
-	// Standing-query counters: absent unless the KB serves subscriptions
-	// (`ogpaserver -subscribe`, or any embedder calling
-	// ogpa.KB.EnableIncremental).
+	// Standing-query counters: absent until the KB's first subscription
+	// (POST /subscribe under `ogpaserver -subscribe`, or an embedder's
+	// ogpa.KB.Subscribe).
 	Incremental *ogpa.IncrementalStats `json:"incremental,omitempty"`
 }
 
@@ -201,12 +202,11 @@ type Config struct {
 
 	// Subscriptions registers the standing-query endpoints (POST
 	// /subscribe, GET /subscribe/{id}/poll, GET /subscribe/{id}/events,
-	// DELETE /subscribe/{id}) and, on a live KB, calls
-	// ogpa.KB.EnableIncremental: datalog subscriptions then ride
-	// maintained fixpoints, saturate subscriptions re-chase per batch.
-	// /query, /consistency and every other one-shot endpoint keep
-	// running cold. Against a read-only KB the endpoints answer 403, like
-	// the mutation endpoints.
+	// DELETE /subscribe/{id}). Every subscription reads the KB's one
+	// maintained datalog fixpoint, which the first POST /subscribe
+	// starts; /query, /consistency and every other one-shot endpoint
+	// keep running cold. Against a read-only KB the endpoints answer
+	// 403, like the mutation endpoints.
 	Subscriptions bool
 
 	// SubscriptionMaxRows caps every subscription's answer-set size;
@@ -259,13 +259,6 @@ func Handler(kb *ogpa.KB) http.Handler { return HandlerWithConfig(kb, Config{}) 
 // snapshot's vertices.
 func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	kb.Graph().Symbols.Freeze()
-	if cfg.Subscriptions && kb.Live() && !kb.Incremental() {
-		// A KB that cannot take maintained state here is a
-		// construction-time misconfiguration.
-		if err := kb.EnableIncremental(); err != nil {
-			panic(fmt.Sprintf("server: %v", err))
-		}
-	}
 	m := &metrics{}
 	cache := newLRU(cfg.planCacheSize()) // nil (inert) when caching is disabled
 	fingerprint := kb.Fingerprint()      // constant per handler; part of every cache key
@@ -389,12 +382,6 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 	})
 
 	mutate := func(w http.ResponseWriter, r *http.Request, del bool) {
-		if !kb.Live() {
-			m.recordError()
-			writeError(w, http.StatusForbidden,
-				fmt.Errorf("knowledge base is read-only: start the server with live data enabled"))
-			return
-		}
 		start := time.Now()
 		var n int
 		var err error
@@ -416,8 +403,8 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			TookMs:      float64(time.Since(start).Microseconds()) / 1000,
 		})
 	}
-	mux.HandleFunc("POST /insert", func(w http.ResponseWriter, r *http.Request) { mutate(w, r, false) })
-	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) { mutate(w, r, true) })
+	mux.HandleFunc("POST /insert", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) { mutate(w, r, false) }))
+	mux.HandleFunc("POST /delete", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) { mutate(w, r, true) }))
 
 	mux.HandleFunc("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		if !kb.Durable() {
@@ -505,6 +492,20 @@ func consistencyHandler(check func() ([]string, error), m *metrics) http.Handler
 			return
 		}
 		writeJSON(w, ConsistencyResponse{Consistent: len(vs) == 0, Violations: vs})
+	}
+}
+
+// liveOnly guards an endpoint that needs live data (the mutation and
+// standing-query endpoints): on a read-only KB it answers 403.
+func liveOnly(kb *ogpa.KB, m *metrics, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !kb.Live() {
+			m.recordError()
+			writeError(w, http.StatusForbidden,
+				fmt.Errorf("knowledge base is read-only: start the server with live data enabled"))
+			return
+		}
+		h(w, r)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 
 // SubscribeRequest is the body of POST /subscribe.
 type SubscribeRequest struct {
-	Query    string `json:"query"`
-	Baseline string `json:"baseline,omitempty"` // "datalog" (default) or "saturate"
+	Query string `json:"query"`
 	// MaxRows caps this subscription's answer-set size; exceeding it
 	// fails the subscription closed. 0 takes the server's configured
 	// cap (Config.SubscriptionMaxRows), which also clamps larger asks.
@@ -24,10 +23,9 @@ type SubscribeRequest struct {
 
 // SubscribeResponse is the body of a successful POST /subscribe.
 type SubscribeResponse struct {
-	ID       uint64   `json:"id"`
-	Query    string   `json:"query"`
-	Baseline string   `json:"baseline"`
-	Vars     []string `json:"vars"`
+	ID    uint64   `json:"id"`
+	Query string   `json:"query"`
+	Vars  []string `json:"vars"`
 }
 
 // UnsubscribeResponse is the body of a successful DELETE /subscribe/{id}.
@@ -48,19 +46,9 @@ const defaultPollTimeout = 30 * time.Second
 //	GET    /subscribe/{id}/events  stream answer deltas as SSE
 //	DELETE /subscribe/{id}         unsubscribe
 //
-// All four answer 403 until the KB runs with incremental maintenance
-// (live data + EnableIncremental; `ogpaserver -live -subscribe`).
+// All four answer 403 on a read-only KB, like the mutation endpoints;
+// the first POST /subscribe starts the KB's incremental maintenance.
 func registerSubscribeRoutes(mux *http.ServeMux, kb *ogpa.KB, cfg Config, m *metrics) {
-	needInc := func(w http.ResponseWriter) bool {
-		if kb.Incremental() {
-			return true
-		}
-		m.recordError()
-		writeError(w, http.StatusForbidden,
-			fmt.Errorf("subscriptions need incremental maintenance: start the server with -live -subscribe"))
-		return false
-	}
-
 	// resolve looks the path's subscription up; a miss is 404 (the id
 	// never existed, was unsubscribed, or failed closed and was culled).
 	resolve := func(w http.ResponseWriter, r *http.Request) (*ogpa.Subscription, bool) {
@@ -79,40 +67,25 @@ func registerSubscribeRoutes(mux *http.ServeMux, kb *ogpa.KB, cfg Config, m *met
 		return s, true
 	}
 
-	mux.HandleFunc("POST /subscribe", func(w http.ResponseWriter, r *http.Request) {
-		if !needInc(w) {
-			return
-		}
+	mux.HandleFunc("POST /subscribe", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decode[SubscribeRequest](w, r, m)
 		if !ok {
 			return
-		}
-		b := ogpa.BaselineDatalog
-		if req.Baseline != "" {
-			b = ogpa.Baseline(req.Baseline)
 		}
 		maxRows := req.MaxRows
 		if cfg.SubscriptionMaxRows > 0 && (maxRows == 0 || maxRows > cfg.SubscriptionMaxRows) {
 			maxRows = cfg.SubscriptionMaxRows
 		}
-		sub, err := kb.Subscribe(b, req.Query, ogpa.SubscribeOptions{MaxRows: maxRows})
+		sub, err := kb.Subscribe(req.Query, ogpa.SubscribeOptions{MaxRows: maxRows})
 		if err != nil {
 			m.recordError()
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, SubscribeResponse{
-			ID:       sub.ID(),
-			Query:    sub.Query(),
-			Baseline: string(sub.Baseline()),
-			Vars:     sub.Vars(),
-		})
-	})
+		writeJSON(w, SubscribeResponse{ID: sub.ID(), Query: sub.Query(), Vars: sub.Vars()})
+	}))
 
-	mux.HandleFunc("GET /subscribe/{id}/poll", func(w http.ResponseWriter, r *http.Request) {
-		if !needInc(w) {
-			return
-		}
+	mux.HandleFunc("GET /subscribe/{id}/poll", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) {
 		sub, ok := resolve(w, r)
 		if !ok {
 			return
@@ -146,12 +119,9 @@ func registerSubscribeRoutes(mux *http.ServeMux, kb *ogpa.KB, cfg Config, m *met
 			m.recordError()
 			writeError(w, http.StatusInternalServerError, err)
 		}
-	})
+	}))
 
-	mux.HandleFunc("GET /subscribe/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		if !needInc(w) {
-			return
-		}
+	mux.HandleFunc("GET /subscribe/{id}/events", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) {
 		sub, ok := resolve(w, r)
 		if !ok {
 			return
@@ -190,19 +160,16 @@ func registerSubscribeRoutes(mux *http.ServeMux, kb *ogpa.KB, cfg Config, m *met
 			_, _ = fmt.Fprintf(w, "event: delta\ndata: %s\n\n", body)
 			fl.Flush()
 		}
-	})
+	}))
 
-	mux.HandleFunc("DELETE /subscribe/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !needInc(w) {
-			return
-		}
+	mux.HandleFunc("DELETE /subscribe/{id}", liveOnly(kb, m, func(w http.ResponseWriter, r *http.Request) {
 		sub, ok := resolve(w, r)
 		if !ok {
 			return
 		}
 		sub.Close()
 		writeJSON(w, UnsubscribeResponse{ID: sub.ID(), Closed: true})
-	})
+	}))
 }
 
 // jsonString renders one string as a JSON literal for SSE data lines.

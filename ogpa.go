@@ -72,7 +72,7 @@ type KB struct {
 
 	store *delta.Store // nil while read-only
 	live  aboxMemo     // per-epoch ABox view of the live graph
-	inc   incMemo      // standing queries and their datalog chains (EnableIncremental)
+	inc   subHub       // standing queries on one maintained fixpoint (started by Subscribe)
 }
 
 // queryView is the one pinned read view a query runs against: the graph

@@ -1,6 +1,7 @@
 package ogpa
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,6 +91,38 @@ func TestAllBaselinesAgree(t *testing.T) {
 	}
 	if _, err := kb.AnswerBaseline("nope", query, Options{}); err == nil {
 		t.Fatal("unknown baseline should error")
+	}
+
+	// A data predicate named like one of the datalog rewriting's own (c·A
+	// holds A's closure under the TBox) is data like any other: every
+	// pipeline, and a subscription, answer it from its own facts only,
+	// and its facts stay out of Student's closure.
+	clash, err := NewKB(strings.NewReader(exampleOntology), strings.NewReader("PhD(ann)\nc·Student(x4)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enableLive(t, clash).Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, tc := range []struct{ query, want string }{
+		{"q(x) :- c·Student(x)", "[[x4]]"},
+		{"q(x) :- Student(x)", "[[ann]]"},
+	} {
+		if ans, err := clash.Answer(tc.query); err != nil || fmt.Sprint(ans.Rows) != tc.want {
+			t.Fatalf("GenOGP+OMatch: %s answers %v, %v; want %s", tc.query, ans, err, tc.want)
+		}
+		for _, b := range []Baseline{BaselineUCQ, BaselineUCQOpt, BaselineDatalog, BaselineSaturate} {
+			if ans, err := clash.AnswerBaseline(b, tc.query, Options{}); err != nil || fmt.Sprint(ans.Rows) != tc.want {
+				t.Fatalf("%s: %s answers %v, %v; want %s", b, tc.query, ans, err, tc.want)
+			}
+		}
+		sub, err := clash.Subscribe(tc.query, SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := sub.Next(ctx); err != nil || fmt.Sprint(d.Added) != tc.want || len(d.Removed) != 0 {
+			t.Fatalf("subscription: %s delivers %+v, %v; want %s added", tc.query, d, err, tc.want)
+		}
 	}
 }
 

@@ -8,16 +8,16 @@ import (
 	"sync"
 
 	"ogpa/internal/cq"
-	"ogpa/internal/daf"
 	"ogpa/internal/datalog"
 	"ogpa/internal/delta"
 	"ogpa/internal/inc"
 	"ogpa/internal/perfectref"
-	"ogpa/internal/saturate"
+	"ogpa/internal/rdf"
 )
 
 // ErrSubscriptionClosed reports Next on a subscription whose pending
-// delta has been drained after it (or its KB) was closed.
+// delta has been drained after it (or its KB) was closed, and
+// Subscribe on a KB whose subscriptions were closed with it.
 var ErrSubscriptionClosed = errors.New("ogpa: subscription closed")
 
 // AnswerDelta is one epoch-tagged change to a standing query's answer
@@ -39,22 +39,20 @@ type SubscribeOptions struct {
 	MaxRows int
 }
 
-// Subscription is one standing query: the hub re-evaluates it on every
-// committed epoch — a datalog subscription over its maintained
-// fixpoint, a saturate subscription by a cold chase of one pinned
-// snapshot — and Next streams the answer deltas. Deltas coalesce while
-// the consumer lags — Next always returns one delta from the last
-// delivered answer set straight to the newest evaluated one, so a slow
-// consumer costs memory proportional to the answer set, never to the
-// number of missed epochs.
+// Subscription is one standing query: the hub re-reads its answers
+// from the KB's one maintained datalog fixpoint on every committed
+// epoch, and Next streams the answer deltas. Deltas coalesce while the
+// consumer lags — Next always returns one delta from the last delivered
+// answer set straight to the newest evaluated one, so a slow consumer
+// costs memory proportional to the answer set, never to the number of
+// missed epochs.
 type Subscription struct {
-	id       uint64
-	query    string
-	baseline Baseline
-	vars     []string
-	hub      *subHub
-	eval     func() ([][]string, uint64, error)
-	maxRows  int
+	id      uint64
+	query   string
+	vars    []string
+	hub     *subHub
+	chain   *inc.DatalogChain
+	maxRows int
 
 	notify chan struct{} // 1-buffered edge trigger
 
@@ -76,32 +74,33 @@ func (s *Subscription) ID() uint64 { return s.id }
 // Query returns the standing query's source text.
 func (s *Subscription) Query() string { return s.query }
 
-// Baseline returns the pipeline the standing query runs on.
-func (s *Subscription) Baseline() Baseline { return s.baseline }
-
 // Vars names the distinguished variables of every delta row.
 func (s *Subscription) Vars() []string { return append([]string(nil), s.vars...) }
 
-// refresh re-evaluates the standing query and records the newest rows;
-// it reports whether the consumer now has something to collect. Called
-// by the hub (one goroutine) and once at Subscribe time.
-func (s *Subscription) refresh() bool {
-	rows, epoch, err := s.eval()
+// refresh re-reads the standing query's answers and records the
+// newest rows. It reports whether the consumer now has something to
+// collect, and whether this call failed the subscription; a failed or
+// closed subscription is skipped. Called by the hub (one goroutine) and
+// once at Subscribe time.
+func (s *Subscription) refresh() (changed, failed bool) {
+	s.st.mu.Lock()
+	skip := s.st.closed || s.st.err != nil
+	s.st.mu.Unlock()
+	if skip {
+		return false, false
+	}
+	tuples, epoch, err := s.chain.Answer()
+	rows := datalogRows(tuples)
 	if err == nil && s.maxRows > 0 && len(rows) > s.maxRows {
 		err = fmt.Errorf("ogpa: subscription %d: answer set has %d rows, limit %d", s.id, len(rows), s.maxRows)
 	}
 	s.st.mu.Lock()
-	if s.st.closed {
-		s.st.mu.Unlock()
-		return false
-	}
-	changed := false
-	if err != nil {
-		if s.st.err == nil {
-			s.st.err = err
-			changed = true
-		}
-	} else if epoch >= s.st.epoch {
+	switch {
+	case s.st.closed || s.st.err != nil:
+	case err != nil:
+		s.st.err = err
+		changed, failed = true, true
+	case epoch >= s.st.epoch:
 		changed = !rowsEqual(rows, s.st.delivered)
 		s.st.current, s.st.epoch = rows, epoch
 	}
@@ -109,7 +108,7 @@ func (s *Subscription) refresh() bool {
 	if changed {
 		s.signal()
 	}
-	return changed
+	return changed, failed
 }
 
 func (s *Subscription) signal() {
@@ -123,14 +122,15 @@ func (s *Subscription) signal() {
 // the last delivery and returns the coalesced delta, tagged with the
 // epoch it is exact for. After Close (or KB close) it drains the final
 // pending delta, then returns ErrSubscriptionClosed. A sticky
-// evaluation error is returned forever once delivered.
+// evaluation error is returned forever once delivered; its first
+// delivery unregisters the subscription.
 func (s *Subscription) Next(ctx context.Context) (AnswerDelta, error) {
 	for {
 		s.st.mu.Lock()
 		if s.st.err != nil {
 			err := s.st.err
 			s.st.mu.Unlock()
-			s.hub.forgetFailed(s.id)
+			s.hub.remove(s.id)
 			return AnswerDelta{}, err
 		}
 		if !rowsEqual(s.st.current, s.st.delivered) {
@@ -195,41 +195,43 @@ func diffRows(old, cur [][]string) AnswerDelta {
 	return d
 }
 
-// subHub owns a KB's standing queries: one goroutine watches the delta
-// store, advances the maintenance manager and re-evaluates every
-// subscription per committed batch group. Evaluation failures are
-// isolated per subscription (the failed one fails closed; siblings keep
-// streaming).
+// maxIncChains bounds the standing-query work one KB carries: each
+// distinct query text adds its answer rules to the one maintained
+// fixpoint, and a rebuild of the union, for the KB's lifetime. Past the
+// cap Subscribe refuses a new text, so an adversarial subscriber cannot
+// grow memory or per-batch work without bound.
+const maxIncChains = 64
+
+// subHub owns a KB's standing queries: an inc.Manager on the delta
+// store's one watcher, keeping one datalog fixpoint maintained for every
+// standing query; the chains (each a query's answer predicate in that
+// fixpoint) keyed by query text; and the subscriptions. The first
+// Subscribe of a live KB starts the manager and the hub's goroutine,
+// which waits on the manager for committed batches and re-reads every
+// subscription. Evaluation failures are isolated per subscription (the
+// failed one fails closed; siblings keep streaming). It is its own
+// struct so KB itself holds no mutex — the aboxMemo pattern.
+//
+// Chains are keyed by query text alone, NOT by epoch: the maintained
+// fixpoint deliberately spans epochs (advancing it IS the maintenance),
+// and every answer returns the epoch it is exact for.
 type subHub struct {
 	mu       sync.Mutex
-	subs     map[uint64]*Subscription // live: re-evaluated per batch
-	failed   map[uint64]*Subscription // failed closed, cause not yet delivered
+	mgr      *inc.Manager // nil until the first Subscribe
+	dl       map[string]*inc.DatalogChain
+	subs     map[uint64]*Subscription // live, and failed until Next delivers the cause
+	closed   bool                     // the store closed; the goroutine has exited
 	nextID   uint64
 	deltas   uint64 // answer deltas made collectable
 	evalErrs uint64 // standing-query evaluation failures
 }
 
-// newSubHub starts the hub's watch loop. The loop exits when the KB's
-// store closes (Watcher.Wait returns ErrClosed) or mgr is closed,
-// failing every remaining subscription closed.
-func newSubHub(kb *KB, mgr *inc.Manager) *subHub {
-	h := &subHub{subs: map[uint64]*Subscription{}, failed: map[uint64]*Subscription{}}
-	w, _ := kb.store.Watch()
-	go h.run(w, mgr)
-	return h
-}
-
-func (h *subHub) run(w *delta.Watcher, mgr *inc.Manager) {
-	ctx := context.Background()
+// run re-reads every subscription each time the manager's epoch moves.
+// It exits when the KB's store closes (Wait returns ErrClosed), failing
+// every remaining subscription closed.
+func (h *subHub) run(mgr *inc.Manager) {
 	for {
-		if _, err := w.Wait(ctx); err != nil {
-			h.closeAll()
-			return
-		}
-		// Advance even when no datalog chain will answer this round
-		// (only saturate subscriptions, or none): the manager's pinned
-		// snapshot and queue then follow every batch instead of piling up.
-		if _, err := mgr.Advance(); err != nil {
+		if _, err := mgr.Wait(context.Background()); err != nil {
 			h.closeAll()
 			return
 		}
@@ -241,24 +243,20 @@ func (h *subHub) run(w *delta.Watcher, mgr *inc.Manager) {
 
 // refreshOne re-evaluates one subscription and books the counters.
 func (h *subHub) refreshOne(s *Subscription) {
-	changed := s.refresh()
-	h.mu.Lock()
-	if changed {
-		h.deltas++
+	changed, failed := s.refresh()
+	if !changed {
+		return
 	}
-	s.st.mu.Lock()
-	failed := s.st.err != nil
-	s.st.mu.Unlock()
+	h.mu.Lock()
+	h.deltas++
 	if failed {
 		h.evalErrs++
-		delete(h.subs, s.id)
-		h.failed[s.id] = s // stays resolvable until Next hands out the cause
 	}
 	h.mu.Unlock()
 }
 
-// snapshotSubs copies the live subscription set so evaluation runs
-// without holding the hub lock.
+// snapshotSubs copies the subscription set so evaluation runs without
+// holding the hub lock.
 func (h *subHub) snapshotSubs() []*Subscription {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -272,109 +270,90 @@ func (h *subHub) snapshotSubs() []*Subscription {
 func (h *subHub) remove(id uint64) {
 	h.mu.Lock()
 	delete(h.subs, id)
-	delete(h.failed, id)
 	h.mu.Unlock()
-}
-
-// forgetFailed drops a failed subscription from lookup once its cause
-// has been delivered.
-func (h *subHub) forgetFailed(id uint64) {
-	h.mu.Lock()
-	delete(h.failed, id)
-	h.mu.Unlock()
-}
-
-// get resolves a subscription by id: a live one, or a failed one whose
-// cause no Next has delivered yet (so a poll racing the hub's eviction
-// still reports why the subscription failed).
-func (h *subHub) get(id uint64) (*Subscription, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.subs[id]
-	if !ok {
-		s, ok = h.failed[id]
-	}
-	return s, ok
 }
 
 func (h *subHub) closeAll() {
 	h.mu.Lock()
-	subs := make([]*Subscription, 0, len(h.subs))
-	for _, s := range h.subs {
-		subs = append(subs, s)
-	}
-	h.subs = map[uint64]*Subscription{}
-	h.failed = map[uint64]*Subscription{}
+	subs := h.subs
+	h.subs, h.closed = map[uint64]*Subscription{}, true
 	h.mu.Unlock()
 	for _, s := range subs {
 		s.markClosed()
 	}
 }
 
-// saturateCount reports how many live subscriptions run on the
-// saturation baseline; each holds one slot of the maxIncChains budget.
-func (h *subHub) saturateCount() int {
+// add registers a subscription to query, whose rewriting is prog: it
+// starts the manager and the hub's goroutine on the KB's first
+// Subscribe, charges the budget for a new query text and registers its
+// program on the maintained fixpoint. All of it runs under h.mu, so
+// concurrent Subscribes start one manager and cannot overrun
+// maxIncChains.
+func (h *subHub) add(store *delta.Store, query string, head []string, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for _, s := range h.subs {
-		if s.baseline == BaselineSaturate {
-			n++
+	if h.closed {
+		return nil, ErrSubscriptionClosed
+	}
+	if h.mgr == nil {
+		h.mgr = inc.NewManager(store, rdf.LocalName)
+		h.dl = map[string]*inc.DatalogChain{}
+		h.subs = map[uint64]*Subscription{}
+		go h.run(h.mgr)
+	}
+	c := h.dl[query]
+	if c == nil {
+		if len(h.dl) >= maxIncChains {
+			return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d query texts)", maxIncChains)
 		}
+		var err error
+		if c, err = h.mgr.RegisterDatalog(prog, datalog.Limits{}); err != nil {
+			return nil, err
+		}
+		h.dl[query] = c
 	}
-	return n
+	h.nextID++
+	s := &Subscription{
+		id:      h.nextID,
+		query:   query,
+		vars:    append([]string(nil), head...),
+		hub:     h,
+		chain:   c,
+		maxRows: opt.MaxRows,
+		notify:  make(chan struct{}, 1),
+	}
+	h.subs[s.id] = s
+	return s, nil
 }
 
-// counters reports (live subscriptions, deltas published, eval errors).
-func (h *subHub) counters() (int, uint64, uint64) {
-	if h == nil {
-		return 0, 0, 0
+// Subscribe registers a standing query on a live KB. It reads its
+// answers from the KB's one maintained datalog fixpoint, which holds
+// every standing query text's rules and answers; subscriptions to the
+// same text share its chain. The first Subscribe starts that
+// maintenance; each distinct query text holds one of maxIncChains
+// slots for the KB's lifetime. The first Next delivers the full current
+// answer set as Added rows at the subscription epoch; every subsequent
+// delta is the exact change since the previous delivery.
+func (kb *KB) Subscribe(query string, opt SubscribeOptions) (*Subscription, error) {
+	if kb.store == nil {
+		return nil, fmt.Errorf("ogpa: subscriptions need live data (call EnableLiveData first)")
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs), h.deltas, h.evalErrs
-}
-
-// Subscribe registers a standing query on BaselineDatalog or
-// BaselineSaturate (the OGP pipeline has no standing form). A datalog
-// subscription reads its answers from the manager's one maintained
-// fixpoint, which holds every datalog query text's rules and answers;
-// subscriptions to the same text share its chain. A saturate
-// subscription re-chases one pinned snapshot per committed batch
-// group, so its answers and epoch always come from the same version.
-// Each datalog query text and each live saturate subscription holds one
-// of maxIncChains slots. The first Next
-// delivers the full current answer set as Added rows at the
-// subscription epoch; every subsequent delta is the exact change since
-// the previous delivery. Requires EnableIncremental.
-func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscription, error) {
 	q, err := cq.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	var prog *datalog.Program
-	switch b {
-	case BaselineDatalog:
-		if prog, err = datalog.Rewrite(q, kb.tbox, perfectref.Limits{}); err != nil {
-			return nil, err
-		}
-	case BaselineSaturate:
-	default:
-		return nil, fmt.Errorf("ogpa: baseline %q has no standing form for subscriptions", b)
+	prog, err := datalog.Rewrite(q, kb.tbox, perfectref.Limits{})
+	if err != nil {
+		return nil, err
 	}
-
-	s, err := func() (*Subscription, error) {
-		kb.inc.mu.Lock()
-		defer kb.inc.mu.Unlock()
-		return kb.newSubscriptionLocked(b, query, q, prog, opt)
-	}()
+	s, err := kb.inc.add(kb.store, query, q.Head, prog, opt)
 	if err != nil {
 		return nil, err
 	}
 
 	// Seed: evaluate now so the first Next returns the full current
 	// answer set without waiting for a write.
-	s.hub.refreshOne(s)
+	kb.inc.refreshOne(s)
 	s.st.mu.Lock()
 	err = s.st.err
 	s.st.mu.Unlock()
@@ -385,68 +364,51 @@ func (kb *KB) Subscribe(b Baseline, query string, opt SubscribeOptions) (*Subscr
 	return s, nil
 }
 
-// newSubscriptionLocked charges the standing-query budget, resolves the
-// evaluator and registers the subscription with the hub. Called under
-// kb.inc.mu, so concurrent Subscribes cannot overrun maxIncChains.
-func (kb *KB) newSubscriptionLocked(b Baseline, query string, q *cq.Query, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
-	hub := kb.inc.hub
-	if hub == nil {
-		return nil, fmt.Errorf("ogpa: subscriptions need incremental maintenance (call EnableIncremental first)")
-	}
-	c := kb.inc.dl[query]
-	if (b == BaselineSaturate || c == nil) && len(kb.inc.dl)+hub.saturateCount() >= maxIncChains {
-		return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d slots)", maxIncChains)
-	}
-	var eval func() ([][]string, uint64, error)
-	if b == BaselineDatalog {
-		if c == nil {
-			var err error
-			if c, err = kb.inc.mgr.RegisterDatalog(prog, datalog.Limits{}); err != nil {
-				return nil, err
-			}
-			kb.inc.dl[query] = c
-		}
-		eval = func() ([][]string, uint64, error) {
-			tuples, epoch, err := c.Answer()
-			if err != nil {
-				return nil, epoch, err
-			}
-			return datalogRows(tuples), epoch, nil
-		}
-	} else {
-		eval = func() ([][]string, uint64, error) {
-			sn := kb.store.Snapshot() // one version for both the ABox and the epoch
-			rows, err := kb.saturateRows(kb.live.get(sn), q, saturate.Limits{}, daf.Options{})
-			return rows, sn.Epoch(), err
-		}
-	}
-
-	hub.mu.Lock()
-	defer hub.mu.Unlock()
-	hub.nextID++
-	s := &Subscription{
-		id:       hub.nextID,
-		query:    query,
-		baseline: b,
-		vars:     append([]string(nil), q.Head...),
-		hub:      hub,
-		eval:     eval,
-		maxRows:  opt.MaxRows,
-		notify:   make(chan struct{}, 1),
-	}
-	hub.subs[s.id] = s
-	return s, nil
-}
-
 // SubscriptionByID resolves a live subscription, or a failed one whose
 // cause Next has not delivered yet (the serving tier's poll/unsubscribe
 // handlers look subscriptions up per request).
 func (kb *KB) SubscriptionByID(id uint64) (*Subscription, bool) {
 	kb.inc.mu.Lock()
-	hub := kb.inc.hub
-	kb.inc.mu.Unlock()
-	if hub == nil {
-		return nil, false
+	defer kb.inc.mu.Unlock()
+	s, ok := kb.inc.subs[id]
+	return s, ok
+}
+
+// IncrementalStats mirrors the maintenance subsystem's counters for the
+// serving tier's /stats surface (zero value until the first Subscribe).
+type IncrementalStats struct {
+	Enabled       bool   `json:"enabled"`
+	Epoch         uint64 `json:"epoch"`         // epoch the maintained fixpoint is advanced to
+	Batches       uint64 `json:"batches"`       // committed batches applied
+	Triples       uint64 `json:"triples"`       // triples translated into facts
+	Attributes    uint64 `json:"attributes"`    // literal-object triples skipped
+	Chains        int    `json:"chains"`        // datalog queries on the maintained fixpoint
+	Rebuilds      uint64 `json:"rebuilds"`      // fixpoint rebuilds after an apply error
+	Subscriptions int    `json:"subscriptions"` // standing queries, failed ones until their cause is delivered
+	Deltas        uint64 `json:"deltas"`        // answer deltas published
+	EvalErrors    uint64 `json:"eval_errors"`   // standing-query evaluation failures
+}
+
+// IncrementalStats reports the maintenance counters.
+func (kb *KB) IncrementalStats() IncrementalStats {
+	h := &kb.inc
+	h.mu.Lock()
+	mgr, subs, deltas, evalErrs := h.mgr, len(h.subs), h.deltas, h.evalErrs
+	h.mu.Unlock()
+	if mgr == nil {
+		return IncrementalStats{}
 	}
-	return hub.get(id)
+	st := mgr.Stats() // outside h.mu: it waits for the manager's gate
+	return IncrementalStats{
+		Enabled:       true,
+		Epoch:         st.Epoch,
+		Batches:       st.Batches,
+		Triples:       st.Triples,
+		Attributes:    st.Attributes,
+		Chains:        st.Chains,
+		Rebuilds:      st.Rebuilds,
+		Subscriptions: subs,
+		Deltas:        deltas,
+		EvalErrors:    evalErrs,
+	}
 }
