@@ -33,8 +33,8 @@ func main() {
 		live          = flag.Bool("live", false, "enable ABox mutations via POST /insert and /delete")
 		compactThresh = flag.Int("compact-threshold", 0, "overlay ops before background compaction (0 = default, negative = never; needs -live)")
 		dataDir       = flag.String("data-dir", "", "durable live data: snapshot + WAL directory (implies -live; recovers existing state, -data only seeds the first run)")
-		subscribe     = flag.Bool("subscribe", false, "serve standing queries (POST /subscribe, long-poll + SSE delta streams); every subscription reads one incrementally maintained datalog fixpoint, started by the first POST /subscribe and shared by up to 64 distinct query texts; one-shot requests stay cold; needs -live or -data-dir")
-		subMaxRows    = flag.Int("subscribe-max-rows", 0, "cap every subscription's answer-set size (0 = uncapped); a breach fails that subscription closed")
+		subscribe     = flag.Bool("subscribe", false, "serve standing queries (POST /subscribe, long-poll + SSE delta streams); every subscription reads one incrementally maintained datalog fixpoint, started by the first POST /subscribe and shared by up to 64 live query texts; one-shot requests stay cold; needs -live or -data-dir")
+		subMaxRows    = flag.Int("subscribe-max-rows", 0, "cap every subscription's answer-set size (0 = uncapped), checked whenever its answers are read; a breach fails that subscription closed")
 	)
 	flag.Parse()
 	if *ontologyPath == "" || *dataPath == "" {

@@ -22,21 +22,12 @@ func enableLive(t testing.TB, kb *KB) *KB {
 	return kb
 }
 
-// caughtUp waits until sub has evaluated the store's current epoch.
-func caughtUp(ctx context.Context, t *testing.T, kb *KB, sub *Subscription) {
-	t.Helper()
-	for {
-		sub.st.mu.Lock()
-		done := sub.st.epoch == kb.Epoch()
-		sub.st.mu.Unlock()
-		if done {
-			return
-		}
-		if ctx.Err() != nil {
-			t.Fatalf("subscription never evaluated the store's epoch %d", kb.Epoch())
-		}
-		time.Sleep(time.Millisecond)
-	}
+// doneCtx is a context that has already ended: Next with it reads the
+// answers once and never blocks.
+func doneCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 // tripleLines renders assertion deltas as an N-Triples body.
@@ -56,9 +47,10 @@ func tripleLines(cs []dllite.ConceptAssertion, rs []dllite.RoleAssertion) string
 // delta stream, and after every live batch (including deletion-heavy
 // ones) the folded set at the store's epoch must equal the cold answers
 // of a fresh KB built from the live store's current ABox view, on the
-// datalog, saturation and GenOGP+OMatch pipelines. Each step waits at
-// most 2 s for the subscription to catch up, so a broken path fails the
-// seed quickly instead of stalling the run.
+// datalog, saturation and GenOGP+OMatch pipelines. Each step reads
+// with a done context: the commit has advanced the fixpoint, so the
+// read returns the batch's delta, or context.Canceled when the answers
+// did not change, and never blocks.
 func TestIncrementalMatchesColdSweep(t *testing.T) {
 	for seed := 0; seed < 100; seed++ {
 		seed := seed
@@ -78,21 +70,14 @@ func TestIncrementalMatchesColdSweep(t *testing.T) {
 
 			check := func(step string) {
 				t.Helper()
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				caughtUp(ctx, t, kb, sub)
-				sub.st.mu.Lock()
-				pending := !rowsEqual(sub.st.current, sub.st.delivered) || sub.st.err != nil
-				sub.st.mu.Unlock()
-				if pending {
-					d, err := sub.Next(ctx)
-					if err != nil {
-						t.Fatalf("%s: Next: %v", step, err)
-					}
+				switch d, err := sub.Next(doneCtx()); {
+				case err == nil:
 					if d.Epoch != kb.Epoch() {
 						t.Fatalf("%s: delta at epoch %d, store at %d", step, d.Epoch, kb.Epoch())
 					}
 					applyDelta(fold, d)
+				case err != context.Canceled:
+					t.Fatalf("%s: Next: %v", step, err)
 				}
 				cold := FromParts(tb, kb.ABox())
 				for _, b := range []Baseline{BaselineDatalog, BaselineSaturate, ""} {
@@ -196,8 +181,8 @@ func TestSubscribeStartsMaintenance(t *testing.T) {
 		t.Fatalf("initial delta = %+v, %v; want Ann, Bob, Carl, Dana at epoch %d", d, err, kb.Epoch())
 	}
 
-	// Closing the KB ends the hub: Next reports closure, and a later
-	// Subscribe is refused instead of waiting on a hub that is gone.
+	// Closing the KB closes its subscriptions: Next reports closure
+	// without reading, and a later Subscribe is refused.
 	if err := kb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -279,41 +264,49 @@ func TestSubscribeDeltas(t *testing.T) {
 		}
 		applyDelta(set, d)
 
-		// An insert and a delete land back to back; folding the stream
-		// must converge on the post-both answer set (the hub may hand
-		// them out as one coalesced delta or two, depending on when it
-		// wakes relative to the writes).
+		// An insert and a delete land back to back; Next reads after
+		// both, so they arrive as one coalesced delta.
 		if _, err := kb.InsertTriples(strings.NewReader("Dana a Student .")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := kb.DeleteTriples(strings.NewReader("Carl a Student .")); err != nil {
 			t.Fatal(err)
 		}
-		for set["Carl"] || !set["Dana"] {
-			d, err = sub.Next(ctx)
-			if err != nil {
-				t.Fatalf("draining insert+delete pair: %v (set %v)", err, set)
-			}
-			applyDelta(set, d)
+		d, err = sub.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if fmt.Sprint(d.Added, d.Removed) != "[[Dana]] [[Carl]]" || d.Epoch != kb.Epoch() {
+			t.Fatalf("delta of the insert+delete pair = %+v, store at epoch %d", d, kb.Epoch())
+		}
+		applyDelta(set, d)
 		if len(set) != 3 {
 			t.Fatalf("set after insert+delete pair = %v", set)
 		}
 
-		// A write that does not change the answers publishes nothing;
-		// the following relevant write is delivered normally.
+		// A Next that is already waiting wakes on the commit. A write
+		// that does not change the answers publishes nothing, so it
+		// waits on through it; the following relevant write is
+		// delivered normally.
+		woke := make(chan error, 1)
+		go func() {
+			d, err := sub.Next(ctx)
+			if err == nil && (len(d.Added) != 1 || d.Added[0][0] != "Eve") {
+				err = fmt.Errorf("delta after irrelevant write = %+v", d)
+			}
+			woke <- err
+		}()
+		// Let Next start waiting. Should the commits land first, Next
+		// reads them without waiting, and the step passes all the same.
+		time.Sleep(10 * time.Millisecond)
 		if _, err := kb.InsertTriples(strings.NewReader("Lab1 a Room .")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := kb.InsertTriples(strings.NewReader("Eve a PhD .")); err != nil {
 			t.Fatal(err)
 		}
-		d, err = sub.Next(ctx)
-		if err != nil {
+		if err := <-woke; err != nil {
 			t.Fatal(err)
-		}
-		if len(d.Added) != 1 || d.Added[0][0] != "Eve" {
-			t.Fatalf("delta after irrelevant write = %+v", d)
 		}
 
 		// Unsubscribe: Next reports closure; the hub forgets the id.
@@ -331,8 +324,8 @@ func TestSubscribeDeltas(t *testing.T) {
 // ["a" "b,c"] are different rows with the same comma-joined cells.
 // Replacing one by the other must publish a delta that removes the one
 // and adds the other, never an empty one; the folded stream must equal
-// the cold answer. Next is called only once the subscription has
-// evaluated the store's epoch, so both writes land in one delta.
+// the cold answer. Next reads after both writes, so they land in one
+// delta.
 func TestSubscribeCommaCells(t *testing.T) {
 	setKey := func(row []string) string { return fmt.Sprintf("%q", row) }
 	fold := func(set map[string]bool, d AnswerDelta) {
@@ -370,7 +363,6 @@ func TestSubscribeCommaCells(t *testing.T) {
 		set := map[string]bool{}
 		next := func() {
 			t.Helper()
-			caughtUp(ctx, t, kb, sub)
 			d, err := sub.Next(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -409,8 +401,10 @@ func TestSubscribeCommaCells(t *testing.T) {
 }
 
 // TestSubscribeMaxRows: blowing the per-subscription row cap fails the
-// subscription closed without touching its sibling. The failed id keeps
-// resolving until Next delivers its cause, and is gone after.
+// subscription closed without touching its sibling. The cap is checked
+// when Next reads: the id keeps resolving until Next delivers the cause,
+// and is gone after. A Subscribe whose first read breaches the cap
+// fails.
 func TestSubscribeMaxRows(t *testing.T) {
 	kb := enableLive(t, exampleKB(t))
 	defer kb.Close()
@@ -435,18 +429,6 @@ func TestSubscribeMaxRows(t *testing.T) {
 	if _, err := kb.InsertTriples(strings.NewReader("S1 a Student .\nS2 a Student .")); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		capped.st.mu.Lock()
-		failed := capped.st.err != nil
-		capped.st.mu.Unlock()
-		if failed {
-			break
-		}
-		if ctx.Err() != nil {
-			t.Fatal("the capped subscription never failed")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	if s, ok := kb.SubscriptionByID(capped.ID()); !ok || s != capped {
 		t.Fatal("failed subscription not resolvable before its cause was delivered")
 	}
@@ -467,11 +449,70 @@ func TestSubscribeMaxRows(t *testing.T) {
 	if st.EvalErrors != 1 || st.Subscriptions != 1 {
 		t.Fatalf("stats after cap failure = %+v", st)
 	}
+	if _, err := kb.Subscribe("q(x) :- Student(x)", SubscribeOptions{MaxRows: 3}); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("Subscribe past the cap = %v, want row-limit failure", err)
+	}
+	if st := kb.IncrementalStats(); st.EvalErrors != 2 || st.Subscriptions != 1 {
+		t.Fatalf("stats after a refused Subscribe = %+v", st)
+	}
+}
+
+// TestSubscribeReadsOnDemand counts the work instead of timing it: a
+// commit only advances the fixpoint and wakes the subscriptions, and a
+// subscription's answers are read and diffed when its Next runs. Of four
+// subscriptions whose answers every batch changes, only one is read
+// after each commit, so the delivered deltas are that one's N+1; an
+// unread one then delivers all N batches as one coalesced delta. Next
+// with a done context reads without blocking: the commit's delta, or
+// context.Canceled when nothing changed.
+func TestSubscribeReadsOnDemand(t *testing.T) {
+	kb := enableLive(t, exampleKB(t))
+	defer kb.Close()
+	var subs []*Subscription
+	for _, q := range []string{"q(x) :- Student(x)", "q(x) :- PhD(x)", "q(x) :- takesCourse(x, y)", "q(x) :- advisorOf(y, x)"} {
+		s, err := kb.Subscribe(q, SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		subs = append(subs, s)
+	}
+	if d, err := subs[0].Next(doneCtx()); err != nil || len(d.Added) != 2 {
+		t.Fatalf("initial delta = %+v, %v", d, err)
+	}
+	const batches = 5
+	for i := 0; i < batches; i++ {
+		if _, err := kb.InsertTriples(strings.NewReader(fmt.Sprintf("p%d a PhD .", i))); err != nil {
+			t.Fatal(err)
+		}
+		d, err := subs[0].Next(doneCtx())
+		if err != nil || d.Epoch != kb.Epoch() || fmt.Sprint(d.Added) != fmt.Sprintf("[[p%d]]", i) {
+			t.Fatalf("delta of batch %d = %+v, %v; want [[p%d]] at epoch %d", i, d, err, i, kb.Epoch())
+		}
+	}
+	if _, err := kb.InsertTriples(strings.NewReader("Lab1 a Room .")); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := subs[0].Next(doneCtx()); err != context.Canceled {
+		t.Fatalf("Next after a commit that changes nothing = %+v, %v; want context.Canceled", d, err)
+	}
+	if st := kb.IncrementalStats(); st.Deltas != batches+1 {
+		t.Fatalf("%d deltas delivered, want %d: the unread subscriptions were read", st.Deltas, batches+1)
+	}
+	if d, err := subs[1].Next(doneCtx()); err != nil || len(d.Added) != batches+1 || d.Epoch != kb.Epoch() {
+		t.Fatalf("coalesced delta of an unread subscription = %+v, %v; want Ann and %d more at epoch %d", d, err, batches, kb.Epoch())
+	}
+	if st := kb.IncrementalStats(); st.Deltas != batches+2 {
+		t.Fatalf("%d deltas delivered, want %d", st.Deltas, batches+2)
+	}
 }
 
 // TestSubscribeConcurrentWrites replays a subscription's delta stream
 // against concurrent writers (run under -race): folding every delta in
-// order must reproduce exactly the final answer set.
+// order must reproduce exactly the final answer set. Beside them a
+// churner subscribes to a second text, reads it and closes it again, so
+// registrations and retirements race the commits' advances and the
+// followed subscription's reads.
 func TestSubscribeConcurrentWrites(t *testing.T) {
 	t.Run(string(BaselineDatalog), func(t *testing.T) {
 		kb := enableLive(t, exampleKB(t))
@@ -504,6 +545,21 @@ func TestSubscribeConcurrentWrites(t *testing.T) {
 				}
 			}(i)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				s, err := kb.Subscribe("q(x) :- PhD(x)", SubscribeOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d, err := s.Next(doneCtx()); err != nil || len(d.Added) == 0 {
+					t.Errorf("churned subscription %d: %+v, %v", j, d, err)
+				}
+				s.Close()
+			}
+		}()
 
 		set := map[string]bool{}
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -547,26 +603,54 @@ func TestSubscribeConcurrentWrites(t *testing.T) {
 	})
 }
 
-// TestSubscribeBudget: every distinct query text holds one of the
+// TestSubscribeBudget: every live query text holds one of the
 // maxIncChains slots. A full budget refuses a new text, and a
-// subscription to a maintained text still shares its chain.
+// subscription to a maintained text still shares its chain. Closing the
+// last subscription on a text retires its chain and frees its slot.
 func TestSubscribeBudget(t *testing.T) {
 	kb := enableLive(t, exampleKB(t))
 	defer kb.Close()
 
+	var subs []*Subscription
 	for i := 0; i < maxIncChains; i++ {
-		if _, err := kb.Subscribe(fmt.Sprintf("q(x%d) :- Student(x%d)", i, i), SubscribeOptions{}); err != nil {
+		s, err := kb.Subscribe(fmt.Sprintf("q(x%d) :- Student(x%d)", i, i), SubscribeOptions{})
+		if err != nil {
 			t.Fatalf("query text %d of %d: %v", i+1, maxIncChains, err)
 		}
+		subs = append(subs, s)
 	}
 	if _, err := kb.Subscribe("q(y) :- Student(y)", SubscribeOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "budget exhausted") {
 		t.Fatalf("Subscribe of a new text past the cap = %v, want the budget error", err)
 	}
-	if _, err := kb.Subscribe("q(x0) :- Student(x0)", SubscribeOptions{}); err != nil {
+	shared, err := kb.Subscribe("q(x0) :- Student(x0)", SubscribeOptions{})
+	if err != nil {
 		t.Fatalf("subscription sharing a maintained chain: %v", err)
 	}
 	if st := kb.IncrementalStats(); st.Chains != maxIncChains || st.Subscriptions != maxIncChains+1 {
 		t.Fatalf("stats = %+v, want %d chains and %d subscriptions", st, maxIncChains, maxIncChains+1)
+	}
+
+	// The shared text keeps its chain until its second subscription
+	// closes too.
+	for _, s := range subs {
+		s.Close()
+	}
+	if st := kb.IncrementalStats(); st.Chains != 1 || st.Subscriptions != 1 {
+		t.Fatalf("stats after closing all but one = %+v, want 1 chain and 1 subscription", st)
+	}
+	if d, err := shared.Next(doneCtx()); err != nil || len(d.Added) != 2 {
+		t.Fatalf("the shared chain after its sibling closed: %+v, %v", d, err)
+	}
+	shared.Close()
+	s, err := kb.Subscribe("q(y) :- Student(y)", SubscribeOptions{})
+	if err != nil {
+		t.Fatalf("Subscribe of a new text once every slot is free: %v", err)
+	}
+	if d, err := s.Next(doneCtx()); err != nil || len(d.Added) != 2 {
+		t.Fatalf("initial delta after retirement = %+v, %v", d, err)
+	}
+	if st := kb.IncrementalStats(); st.Chains != 1 || st.Subscriptions != 1 {
+		t.Fatalf("stats after the new text = %+v, want 1 chain and 1 subscription", st)
 	}
 }

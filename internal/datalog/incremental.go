@@ -209,6 +209,21 @@ func (s *State) Answers(pred string) []Tuple {
 	return out
 }
 
+// Retire drops answer predicate pred — the plans of the rules that
+// derive it and its relation — for a state built from
+// Program.AnswerRules(pred) among other rules. No rule reads an answer
+// predicate, so the rest of the fixpoint stands as it is.
+func (s *State) Retire(pred string) {
+	for _, p := range s.derive {
+		if p.pred == pred {
+			delete(s.db.rels, predKey{pred, len(p.head)})
+		}
+	}
+	derives := func(p *plan) bool { return p.pred == pred }
+	s.fire = slices.DeleteFunc(s.fire, derives)
+	s.derive = slices.DeleteFunc(s.derive, derives)
+}
+
 // derivableOneStep reports whether some rule derives pred(t) from the
 // current database in a single step.
 func (s *State) derivableOneStep(pred string, t Tuple) (bool, error) {

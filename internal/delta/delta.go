@@ -522,15 +522,8 @@ func (s *Store) Close() error {
 	// either a mutation commits (and any compactor it spawned is in the
 	// WaitGroup) strictly before this, or it observes closed and bails.
 	s.gate.closed = true
-	watchers := s.watchers
-	s.watchers = nil
+	s.watchers = nil // nothing commits after this; queued batches stay drainable
 	s.gate.mu.Unlock()
-
-	// Watchers learn about the shutdown after draining what was already
-	// delivered: Wait returns pending batches first, then ErrClosed.
-	for _, w := range watchers {
-		w.markClosed()
-	}
 
 	s.bg.Wait()
 	if s.wal != nil {

@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"context"
 	"sync"
 
 	"ogpa/internal/rdf"
@@ -26,90 +25,43 @@ type Batch struct {
 // so consumers must Poll promptly or Close.
 type Watcher struct {
 	store *Store
-	ready chan struct{} // 1-buffered edge trigger: queue went non-empty
 
-	mu     sync.Mutex
-	queue  []Batch
-	closed bool
+	mu    sync.Mutex
+	queue []Batch
 }
 
 // Watch registers a new watcher and returns it together with the
 // snapshot at registration: the first delivered batch is exactly epoch
 // snap.Epoch()+1, so a consumer can initialize from snap and apply
-// batches with no gap and no overlap. On a closed store the watcher is
-// already closed (Await returns ErrClosed).
+// batches with no gap and no overlap. A closed store commits nothing,
+// so its watcher is never registered and never receives a batch.
 func (s *Store) Watch() (*Watcher, Snapshot) {
-	w := &Watcher{store: s, ready: make(chan struct{}, 1)}
+	w := &Watcher{store: s}
 	s.gate.mu.Lock()
 	sn := Snapshot{st: s.cur.Load()}
-	if s.gate.closed {
-		w.closed = true
-	} else {
+	if !s.gate.closed {
 		s.watchers = append(s.watchers, w)
 	}
 	s.gate.mu.Unlock()
 	return w, sn
 }
 
-// push appends a batch; called under the store's writer gate.
+// push appends a batch; called under the store's writer gate, so it
+// never reaches a watcher after Close has unregistered it.
 func (w *Watcher) push(b Batch) {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return
-	}
 	w.queue = append(w.queue, b)
 	w.mu.Unlock()
-	select {
-	case w.ready <- struct{}{}:
-	default:
-	}
 }
 
-// markClosed flips the watcher to closed and wakes any waiter. Pending
-// batches stay drainable.
-func (w *Watcher) markClosed() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-	select {
-	case w.ready <- struct{}{}:
-	default:
-	}
-}
-
-// Poll drains and returns all pending batches without blocking.
+// Poll drains and returns all pending batches without blocking. Batches
+// delivered before the store closed stay drainable after it.
 func (w *Watcher) Poll() []Batch {
 	w.mu.Lock()
 	bs := w.queue
 	w.queue = nil
 	w.mu.Unlock()
 	return bs
-}
-
-// Await blocks until a batch is pending or a push (or a close) has
-// happened since the previous Await returned, and leaves every batch
-// queued: the consumer drains with Poll, under whatever lock orders its
-// applies. A batch another Poll drained first still ends the wait, so
-// the caller re-checks what it waits for after every return. Await
-// returns ErrClosed once the watcher (or its store) is closed and its
-// queue is empty.
-func (w *Watcher) Await(ctx context.Context) error {
-	w.mu.Lock()
-	pending, closed := len(w.queue) > 0, w.closed
-	w.mu.Unlock()
-	switch {
-	case pending:
-		return nil
-	case closed:
-		return ErrClosed
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-w.ready:
-		return nil
-	}
 }
 
 // Close unregisters the watcher and drops any pending batches.
@@ -124,11 +76,6 @@ func (w *Watcher) Close() {
 	}
 	s.gate.mu.Unlock()
 	w.mu.Lock()
-	w.closed = true
 	w.queue = nil
 	w.mu.Unlock()
-	select {
-	case w.ready <- struct{}{}:
-	default:
-	}
 }

@@ -1,8 +1,9 @@
 package delta
 
 import (
-	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,14 +36,14 @@ func TestWatchOrderingConcurrent(t *testing.T) {
 	}
 
 	want := writers * perWriter
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	deadline := time.Now().Add(30 * time.Second)
 	epoch := sn.Epoch()
 	got := 0
 	for got < want {
-		if err := w.Await(ctx); err != nil {
-			t.Fatalf("Await after %d batches: %v", got, err)
+		if time.Now().After(deadline) {
+			t.Fatalf("drained %d of %d batches", got, want)
 		}
+		runtime.Gosched()
 		for _, b := range w.Poll() {
 			if b.Epoch != epoch+1 {
 				t.Fatalf("epoch gap: got %d after %d", b.Epoch, epoch)
@@ -138,40 +139,34 @@ func TestWatchDeletionBatches(t *testing.T) {
 	}
 }
 
-// TestWatchCloseSemantics: Await returns ctx's error while nothing is
-// pending, leaves pending batches queued, and they stay drainable after
-// store close; Await then reports ErrClosed.
-// A watcher registered on a closed store is born closed.
+// TestWatchCloseSemantics: batches committed before the store closed
+// stay queued and drain once through Poll after close; nothing commits
+// after close. A watcher registered on a closed store receives nothing.
 func TestWatchCloseSemantics(t *testing.T) {
 	s := NewStore(baseGraph(), Config{CompactThreshold: -1})
 	w, _ := s.Watch()
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := w.Await(cancelled); err != context.Canceled {
-		t.Fatalf("Await with nothing pending and ctx done: %v, want context.Canceled", err)
+	if bs := w.Poll(); len(bs) != 0 {
+		t.Fatalf("Poll with nothing committed drained %d batches", len(bs))
 	}
 	insert(t, s, "carl a Student .")
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if err := w.Await(ctx); err != nil {
-			t.Fatalf("Await %d after close: %v, want nil", i, err)
-		}
+	if _, err := s.InsertTriples(strings.NewReader("dana a Student .")); err != ErrClosed {
+		t.Fatalf("insert after close: %v, want ErrClosed", err)
 	}
-	if bs := w.Poll(); len(bs) != 1 {
-		t.Fatalf("Poll after close drained %d batches, want 1", len(bs))
+	if bs := w.Poll(); len(bs) != 1 || bs[0].Epoch != s.Epoch() {
+		t.Fatalf("Poll after close drained %d batches, want the one at epoch %d", len(bs), s.Epoch())
 	}
-	if err := w.Await(ctx); err != ErrClosed {
-		t.Fatalf("Await after the drain: %v, want ErrClosed", err)
+	if bs := w.Poll(); len(bs) != 0 {
+		t.Fatalf("second Poll after close drained %d batches, want 0", len(bs))
 	}
 
-	w2, _ := s.Watch()
-	if err := w2.Await(ctx); err != ErrClosed {
-		t.Fatalf("Await on watcher of closed store: %v, want ErrClosed", err)
+	w2, sn := s.Watch()
+	if bs := w2.Poll(); len(bs) != 0 || sn.Epoch() != s.Epoch() {
+		t.Fatalf("watcher of a closed store: %d batches, snapshot at epoch %d of %d", len(bs), sn.Epoch(), s.Epoch())
 	}
+	w2.Close()
 }
 
 // TestWatchUnsubscribe: a closed watcher stops receiving without

@@ -12,20 +12,20 @@
 // The programs share the TBox's hierarchy-closure rules, which the
 // State keeps once; each adds its residual UCQ as answer rules under an
 // answer predicate of its own. A DatalogChain is a handle: the manager
-// plus that predicate. Chains are advanced lazily: every Answer call
-// (and every Advance or Wait) first drains the watcher under the
-// manager's lock and applies each pending batch, translated once from
-// triples to datalog facts, to the fixpoint, then copies the chain's
-// answer relation and returns the epoch it is valid at. Lazy
-// advancement means an idle manager costs nothing but the watcher's
-// queued batches, and every answer is exact for the epoch it reports.
-// Wait blocks until the epoch moves, for a subscription hub that
-// re-reads its chains on every commit.
+// plus that predicate. Every Answer call (and every Advance) first
+// drains the watcher under the manager's lock and applies each pending
+// batch, translated once from triples to datalog facts, to the
+// fixpoint; Answer then copies the chain's answer relation and returns
+// the epoch it is valid at, so every answer is exact for the epoch it
+// reports. A writer that calls Advance after each commit keeps the
+// watcher's queue short while no one reads.
 //
 // Registration rebuilds the fixpoint over the union from the pinned
 // snapshot; one that fails (limit exceeded, malformed rule) leaves the
-// existing fixpoint untouched. A batch whose apply fails marks the
-// fixpoint broken, and the next Answer rebuilds it from the pinned
+// existing fixpoint untouched. Retire drops a chain: its answer rules
+// stop firing and its answer relation is freed, and the next rebuild
+// leaves out the rest of its program. A batch whose apply fails marks
+// the fixpoint broken, and the next Answer rebuilds it from the pinned
 // snapshot.
 //
 // This package is on the internsafety hot-path list: it keeps no map
@@ -34,7 +34,6 @@
 package inc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -50,13 +49,16 @@ import (
 // ErrClosed reports use of a closed manager.
 var ErrClosed = errors.New("inc: manager closed")
 
+// errRetired reports Answer on a retired chain.
+var errRetired = errors.New("inc: chain retired")
+
 // Stats counts the manager's maintenance work, for /stats surfaces.
 type Stats struct {
 	Epoch      uint64 `json:"epoch"`       // epoch the fixpoint is advanced to
 	Batches    uint64 `json:"batches"`     // committed batches applied
 	Triples    uint64 `json:"triples"`     // triples translated into facts
 	Attributes uint64 `json:"attributes"`  // literal-object triples skipped
-	Chains     int    `json:"chains"`      // registered chains
+	Chains     int    `json:"chains"`      // live chains: registered, not retired
 	Rebuilds   uint64 `json:"rebuilds"`    // fixpoint rebuilds after an apply error
 	DatalogIns uint64 `json:"datalog_ins"` // facts added across datalog applies
 	DatalogDel uint64 `json:"datalog_del"` // facts overdeleted across datalog applies
@@ -77,13 +79,12 @@ type Manager struct {
 		mu sync.Mutex
 	}
 	snap   delta.Snapshot // the store at the epoch the fixpoint holds
-	waited uint64         // the epoch the previous Wait returned
 	closed bool
 
-	rules  []datalog.Rule // every registered program's rules and answer rules
-	state  *datalog.State // fixpoint of rules over snap; nil before the first registration
-	broken bool           // an apply failed; the next Answer rebuilds from snap
-	chains int
+	chains []*DatalogChain // live chains, in registration order
+	preds  int             // answer predicates named so far; a number is never reused
+	state  *datalog.State  // fixpoint of the live chains' rules over snap; nil while none is live
+	broken bool            // an apply failed; the next Answer rebuilds from snap
 	stats  Stats
 }
 
@@ -96,7 +97,7 @@ func NewManager(store *delta.Store, nameFn func(string) string) *Manager {
 		nameFn = func(s string) string { return s }
 	}
 	w, sn := store.Watch()
-	return &Manager{nameFn: nameFn, w: w, snap: sn, waited: sn.Epoch()}
+	return &Manager{nameFn: nameFn, w: w, snap: sn}
 }
 
 // Close unregisters the watcher. Registered chains keep answering at
@@ -124,51 +125,19 @@ func (m *Manager) Stats() Stats {
 	defer m.gate.mu.Unlock()
 	st := m.stats
 	st.Epoch = m.snap.Epoch()
-	st.Chains = m.chains
+	st.Chains = len(m.chains)
 	return st
 }
 
 // Advance drains all pending batches and applies them to the fixpoint,
-// returning the resulting epoch. Callers normally never need this:
-// every Answer advances implicitly.
+// returning the resulting epoch. Every Answer advances implicitly; a
+// writer calls Advance after its commit so that batches do not queue,
+// each pinning its snapshot, while no one reads.
 func (m *Manager) Advance() (uint64, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
 	err := m.advanceLocked()
 	return m.snap.Epoch(), err
-}
-
-// Wait blocks until the manager's epoch has moved since the previous
-// Wait returned, applies every pending batch as Advance does, and
-// returns the epoch. A batch that an Answer or a registration applied
-// in between moves the epoch too: the caller's reads from before are
-// stale either way. Wait waits on the watcher without draining it, so
-// batches are only drained under the gate and apply in publish order
-// while Answer calls advance concurrently. It returns ErrClosed once
-// the store or the manager is closed and every committed batch is
-// applied, and ctx's error if ctx ends first. It serves one consumer,
-// a subscription hub that re-reads its chains after every return.
-func (m *Manager) Wait(ctx context.Context) (uint64, error) {
-	for {
-		m.gate.mu.Lock()
-		err := m.advanceLocked()
-		epoch := m.snap.Epoch()
-		moved := epoch != m.waited
-		m.waited = epoch
-		m.gate.mu.Unlock()
-		switch {
-		case err != nil:
-			return epoch, err
-		case moved:
-			return epoch, nil
-		}
-		if err := m.w.Await(ctx); err != nil {
-			if errors.Is(err, delta.ErrClosed) {
-				err = ErrClosed
-			}
-			return epoch, err
-		}
-	}
 }
 
 // advanceLocked drains the watcher and applies each batch in publish
@@ -235,8 +204,14 @@ func graphFacts(g *graph.Graph) []datalog.Fact {
 	return fs
 }
 
-// build materializes rules over the pinned snapshot.
-func (m *Manager) build(rules []datalog.Rule, lim datalog.Limits) (*datalog.State, error) {
+// build materializes the live chains' rules, and extra, over the
+// pinned snapshot.
+func (m *Manager) build(extra []datalog.Rule, lim datalog.Limits) (*datalog.State, error) {
+	var rules []datalog.Rule
+	for _, c := range m.chains {
+		rules = append(rules, c.rules...)
+	}
+	rules = append(rules, extra...)
 	return datalog.NewState(rules, graphFacts(m.snap.Graph()), lim)
 }
 
@@ -246,8 +221,9 @@ func (m *Manager) build(rules []datalog.Rule, lim datalog.Limits) (*datalog.Stat
 // maintain the answers with every other fact, so Answer only copies and
 // sorts them.
 type DatalogChain struct {
-	m    *Manager
-	pred string
+	m     *Manager
+	pred  string
+	rules []datalog.Rule // the program's rules and its answer rules
 }
 
 // RegisterDatalog adds prog to the maintained fixpoint, after draining
@@ -258,7 +234,7 @@ type DatalogChain struct {
 func (m *Manager) RegisterDatalog(prog *datalog.Program, lim datalog.Limits) (*DatalogChain, error) {
 	m.gate.mu.Lock()
 	defer m.gate.mu.Unlock()
-	pred := datalog.AnswerPrefix + strconv.Itoa(m.chains)
+	pred := datalog.AnswerPrefix + strconv.Itoa(m.preds)
 	rules, err := prog.AnswerRules(pred)
 	if err != nil {
 		return nil, err
@@ -266,14 +242,35 @@ func (m *Manager) RegisterDatalog(prog *datalog.Program, lim datalog.Limits) (*D
 	if err := m.advanceLocked(); err != nil {
 		return nil, err
 	}
-	union := slices.Concat(m.rules, rules)
-	state, err := m.build(union, lim)
+	state, err := m.build(rules, lim)
 	if err != nil {
 		return nil, err
 	}
-	m.rules, m.state, m.broken = union, state, false
-	m.chains++
-	return &DatalogChain{m: m, pred: pred}, nil
+	c := &DatalogChain{m: m, pred: pred, rules: rules}
+	m.chains, m.state, m.broken = append(m.chains, c), state, false
+	m.preds++
+	return c, nil
+}
+
+// Retire drops the chain from the maintained fixpoint: its answer rules
+// stop firing and its answer relation is freed. No rule reads an answer
+// predicate, so nothing else is recomputed; the rest of its program
+// leaves the fixpoint at the next rebuild, and the whole fixpoint goes
+// with the last live chain. Answer on a retired chain fails.
+// Idempotent.
+func (c *DatalogChain) Retire() {
+	m := c.m
+	m.gate.mu.Lock()
+	defer m.gate.mu.Unlock()
+	i := slices.Index(m.chains, c)
+	switch {
+	case i < 0:
+	case len(m.chains) == 1:
+		m.chains, m.state = nil, nil
+	default:
+		m.chains = slices.Delete(m.chains, i, i+1)
+		m.state.Retire(c.pred)
+	}
 }
 
 // Answer advances to the newest epoch and returns the residual UCQ's
@@ -287,8 +284,11 @@ func (c *DatalogChain) Answer() ([]datalog.Tuple, uint64, error) {
 	if err := m.advanceLocked(); err != nil && !errors.Is(err, ErrClosed) {
 		return nil, m.snap.Epoch(), err
 	}
+	if !slices.Contains(m.chains, c) {
+		return nil, m.snap.Epoch(), errRetired
+	}
 	if m.broken {
-		state, err := m.build(m.rules, datalog.Limits{})
+		state, err := m.build(nil, datalog.Limits{})
 		if err != nil {
 			return nil, m.snap.Epoch(), fmt.Errorf("inc: fixpoint rebuild at epoch %d: %w", m.snap.Epoch(), err)
 		}

@@ -1,13 +1,11 @@
 package inc
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ogpa/internal/cq"
 	"ogpa/internal/datalog"
@@ -423,11 +421,12 @@ func TestManagerConcurrent(t *testing.T) {
 	}
 }
 
-// TestManagerWait: Wait returns once per move of the manager's epoch,
-// also a move an Answer made first; it applies batches in publish
-// order while Answer calls run concurrently (run under -race); and it
-// returns ErrClosed once the store is closed and every batch applied.
-func TestManagerWait(t *testing.T) {
+// TestManagerAdvanceInOrder: Advance, the writer's path after every
+// commit, applies batches in publish order while another Advance loop
+// and two Answer loops run concurrently (run under -race): every answer
+// holds exactly the row count of the epoch it reports, and Advance never
+// returns an epoch older than the writer's own commit.
+func TestManagerAdvanceInOrder(t *testing.T) {
 	tb := dllite.NewTBox([]dllite.ConceptInclusion{
 		{Sub: dllite.Atomic("A"), Sup: dllite.Atomic("B")},
 	}, nil)
@@ -444,15 +443,7 @@ func TestManagerWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := context.Background()
 	e0 := s.Epoch()
-
-	// Nothing committed: Wait blocks until ctx ends.
-	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
-	if _, err := m.Wait(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("Wait with nothing committed = %v, want DeadlineExceeded", err)
-	}
-	cancel()
 
 	// The writer's batches, in publish order: batch k inserts w<k>, and
 	// every third batch deletes the individual the one before inserted.
@@ -469,33 +460,6 @@ func TestManagerWait(t *testing.T) {
 			rows = append(rows, rows[len(rows)-1]-1)
 		}
 	}
-	commit := func(i int) {
-		t.Helper()
-		var err error
-		if dels[i] {
-			_, err = s.DeleteTriples(strings.NewReader(bodies[i]))
-		} else {
-			_, err = s.InsertTriples(strings.NewReader(bodies[i]))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A batch an Answer applied first still ends the next Wait.
-	commit(0)
-	if e, err := m.Wait(bg); err != nil || e != e0+1 {
-		t.Fatalf("Wait after one commit = %d, %v; want epoch %d", e, err, e0+1)
-	}
-	commit(1)
-	if _, e, err := dc.Answer(); err != nil || e != e0+2 {
-		t.Fatalf("Answer = epoch %d, %v; want %d", e, err, e0+2)
-	}
-	ctx, cancel = context.WithTimeout(bg, 10*time.Second)
-	if e, err := m.Wait(ctx); err != nil || e != e0+2 {
-		t.Fatalf("Wait after an Answer applied the batch = %d, %v; want epoch %d", e, err, e0+2)
-	}
-	cancel()
 
 	var wg sync.WaitGroup
 	check := func(who string, out []datalog.Tuple, e uint64) {
@@ -503,33 +467,8 @@ func TestManagerWait(t *testing.T) {
 			t.Errorf("%s: %d rows at epoch %d, want the count at batch %d of %d", who, len(out), e, k, len(rows)-1)
 		}
 	}
-	waited := make(chan error, 1)
-	wg.Add(1)
-	go func() { // the hub's loop
-		defer wg.Done()
-		last := e0 + 2
-		for {
-			e, err := m.Wait(bg)
-			if err != nil {
-				if e != s.Epoch() {
-					t.Errorf("Wait ended at epoch %d, store at %d", e, s.Epoch())
-				}
-				waited <- err
-				return
-			}
-			if e <= last {
-				t.Errorf("Wait returned epoch %d after %d", e, last)
-			}
-			last = e
-			out, e, err := dc.Answer()
-			if err != nil {
-				t.Error(err)
-			}
-			check("waiter", out, e)
-		}
-	}()
 	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
+	loop := func(step func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -539,29 +478,124 @@ func TestManagerWait(t *testing.T) {
 					return
 				default:
 				}
-				out, e, err := dc.Answer()
-				if err != nil {
-					t.Error(err)
-				}
-				check("reader", out, e)
+				step()
 			}
 		}()
 	}
-	for i := 2; i < len(bodies); i++ {
-		commit(i)
+	last := e0
+	loop(func() { // a second writer's advances
+		e, err := m.Advance()
+		if err != nil || e < last {
+			t.Errorf("Advance = %d, %v after %d", e, err, last)
+		}
+		last = e
+	})
+	for r := 0; r < 2; r++ {
+		loop(func() {
+			out, e, err := dc.Answer()
+			if err != nil {
+				t.Error(err)
+			}
+			check("reader", out, e)
+		})
+	}
+	for i := range bodies {
+		var err error
+		if dels[i] {
+			_, err = s.DeleteTriples(strings.NewReader(bodies[i]))
+		} else {
+			_, err = s.InsertTriples(strings.NewReader(bodies[i]))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, err := m.Advance(); err != nil || e < e0+uint64(i)+1 {
+			t.Fatalf("Advance after commit %d = %d, %v; want at least epoch %d", i, e, err, e0+uint64(i)+1)
+		}
+		out, e, err := dc.Answer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("writer", out, e)
 	}
 	close(stop)
+	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	if err := <-waited; err != ErrClosed {
-		t.Fatalf("Wait after store close = %v, want ErrClosed", err)
+	if e, err := m.Advance(); err != nil || e != e0+uint64(len(bodies)) {
+		t.Fatalf("Advance on a closed store = %d, %v; want epoch %d", e, err, e0+uint64(len(bodies)))
 	}
-	if m.Epoch() != e0+uint64(len(bodies)) {
-		t.Fatalf("manager at epoch %d, want %d", m.Epoch(), e0+uint64(len(bodies)))
+}
+
+// TestManagerRetire: a retired chain's answer rules stop firing and its
+// answer relation is gone — a batch that would derive into it leaves it
+// absent — while a sibling chain keeps answering. Answer predicate
+// numbers are never reused, Stats counts live chains, and retiring the
+// last chain drops the fixpoint.
+func TestManagerRetire(t *testing.T) {
+	tb := dllite.NewTBox([]dllite.ConceptInclusion{
+		{Sub: dllite.Atomic("A"), Sup: dllite.Atomic("B")},
+	}, nil)
+	abox := &dllite.ABox{}
+	abox.AddConcept("A", "x0")
+	rewrite := func(q string) *datalog.Program {
+		t.Helper()
+		prog, err := datalog.Rewrite(cq.MustParse(q), tb, perfectref.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
-	if _, err := m.Wait(bg); err != ErrClosed {
-		t.Fatalf("Wait on a closed store = %v, want ErrClosed", err)
+	s := liveStore(abox)
+	defer s.Close()
+	m := NewManager(s, nil)
+	defer m.Close()
+	retired, err := m.RegisterDatalog(rewrite("q(x) :- A(x)"), datalog.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := m.RegisterDatalog(rewrite("q(x) :- B(x)"), datalog.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired.Retire()
+	retired.Retire()
+	if _, err := s.InsertTriples(strings.NewReader("x1 a A .")); err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err := kept.Answer(); err != nil || len(out) != 2 {
+		t.Fatalf("sibling chain = %v, %v; want x0 and x1", out, err)
+	}
+	m.gate.mu.Lock()
+	r := m.state.DB().Lookup(retired.pred, 1)
+	m.gate.mu.Unlock()
+	if r != nil {
+		t.Fatalf("retired predicate %s holds %v after a batch that matches its query", retired.pred, r.Tuples())
+	}
+	if _, _, err := retired.Answer(); err == nil {
+		t.Fatal("Answer on a retired chain succeeded")
+	}
+	if st := m.Stats(); st.Chains != 1 {
+		t.Fatalf("stats = %+v, want one live chain", st)
+	}
+
+	again, err := m.RegisterDatalog(rewrite("q(x) :- A(x)"), datalog.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.pred == retired.pred || again.pred == kept.pred {
+		t.Fatalf("answer predicate %s reused (retired %s, live %s)", again.pred, retired.pred, kept.pred)
+	}
+	if out, _, err := again.Answer(); err != nil || len(out) != 2 {
+		t.Fatalf("re-registered chain = %v, %v; want x0 and x1", out, err)
+	}
+	kept.Retire()
+	again.Retire()
+	m.gate.mu.Lock()
+	dropped := m.state == nil
+	m.gate.mu.Unlock()
+	if st := m.Stats(); st.Chains != 0 || !dropped {
+		t.Fatalf("stats = %+v, fixpoint dropped %v; want no live chain and no fixpoint", st, dropped)
 	}
 }

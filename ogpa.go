@@ -236,20 +236,26 @@ var errReadOnly = fmt.Errorf("ogpa: KB is read-only (call EnableLiveData first)"
 
 // InsertTriples applies an N-Triples body as insertions, atomically
 // under one new epoch. Returns the number of triples applied.
-func (kb *KB) InsertTriples(r io.Reader) (int, error) {
-	if kb.store == nil {
-		return 0, errReadOnly
-	}
-	return kb.store.InsertTriples(r)
-}
+func (kb *KB) InsertTriples(r io.Reader) (int, error) { return kb.mutate(r, false) }
 
 // DeleteTriples applies an N-Triples body as deletions, atomically
 // under one new epoch. Deleting an absent triple is a no-op.
-func (kb *KB) DeleteTriples(r io.Reader) (int, error) {
+func (kb *KB) DeleteTriples(r io.Reader) (int, error) { return kb.mutate(r, true) }
+
+// mutate commits one batch and advances the standing queries past it.
+func (kb *KB) mutate(r io.Reader, del bool) (int, error) {
 	if kb.store == nil {
 		return 0, errReadOnly
 	}
-	return kb.store.DeleteTriples(r)
+	apply := kb.store.InsertTriples
+	if del {
+		apply = kb.store.DeleteTriples
+	}
+	n, err := apply(r)
+	if err == nil {
+		kb.inc.committed()
+	}
+	return n, err
 }
 
 // Epoch reports the store's current version (0 on a read-only KB; a

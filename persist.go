@@ -139,13 +139,15 @@ func (kb *KB) Checkpoint() (uint64, error) {
 // Close shuts a live KB down deterministically: mutations start failing,
 // the background compactor finishes and exits, and the WAL handle is
 // closed (every committed batch is already fsync'd, so nothing is
-// flushed or lost). No-op on a read-only KB; idempotent. Queries against
-// snapshots already taken keep working.
+// flushed or lost), and every subscription closes. No-op on a read-only
+// KB; idempotent. Queries against snapshots already taken keep working.
 func (kb *KB) Close() error {
 	if kb.store == nil {
 		return nil
 	}
-	return kb.store.Close()
+	err := kb.store.Close()
+	kb.inc.close()
+	return err
 }
 
 // PersistenceStats describes the durable state of a KB.

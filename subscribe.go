@@ -15,9 +15,8 @@ import (
 	"ogpa/internal/rdf"
 )
 
-// ErrSubscriptionClosed reports Next on a subscription whose pending
-// delta has been drained after it (or its KB) was closed, and
-// Subscribe on a KB whose subscriptions were closed with it.
+// ErrSubscriptionClosed reports Next on a subscription after it (or
+// its KB) was closed, and Subscribe on a closed KB.
 var ErrSubscriptionClosed = errors.New("ogpa: subscription closed")
 
 // AnswerDelta is one epoch-tagged change to a standing query's answer
@@ -32,20 +31,23 @@ type AnswerDelta struct {
 
 // SubscribeOptions bounds one standing query.
 type SubscribeOptions struct {
-	// MaxRows caps the standing query's answer-set size. When an epoch's
-	// evaluation exceeds it the subscription fails closed (Next returns
-	// the error) rather than silently truncating a delta — a truncated
-	// delta could never be composed correctly. 0 means unbounded.
+	// MaxRows caps the standing query's answer-set size. It is checked
+	// whenever the answers are read — at Subscribe, which fails, and at
+	// each Next, which fails the subscription closed rather than
+	// silently truncating a delta (a truncated delta could never be
+	// composed correctly). An epoch that no Next reads fails nothing.
+	// 0 means unbounded.
 	MaxRows int
 }
 
-// Subscription is one standing query: the hub re-reads its answers
-// from the KB's one maintained datalog fixpoint on every committed
-// epoch, and Next streams the answer deltas. Deltas coalesce while the
-// consumer lags — Next always returns one delta from the last delivered
-// answer set straight to the newest evaluated one, so a slow consumer
-// costs memory proportional to the answer set, never to the number of
-// missed epochs.
+// Subscription is one standing query. Next reads its answers from the
+// KB's one maintained datalog fixpoint, which every commit advances,
+// and returns the change since the previous delivery. Deltas coalesce
+// while the consumer lags — Next always returns one delta from the
+// last delivered answer set straight to the newest epoch's, so a slow
+// consumer costs memory proportional to the answer set, never to the
+// number of missed epochs, and an unread subscription costs nothing per
+// commit.
 type Subscription struct {
 	id      uint64
 	query   string
@@ -54,16 +56,14 @@ type Subscription struct {
 	chain   *inc.DatalogChain
 	maxRows int
 
-	notify chan struct{} // 1-buffered edge trigger
+	notify chan struct{} // 1-buffered edge trigger, signalled by every commit
 
 	// st is the mutable delivery state, guarded by st.mu (everything
 	// above is immutable after Subscribe).
 	st struct {
 		mu        sync.Mutex
-		current   [][]string // newest evaluated rows (sorted)
-		epoch     uint64     // epoch current is exact for
-		delivered [][]string // rows as of the last Next delivery
-		err       error      // sticky evaluation/limit failure
+		delivered [][]string // rows as of the last delivery
+		err       error      // sticky evaluation/limit failure, delivered
 		closed    bool
 	}
 }
@@ -77,40 +77,6 @@ func (s *Subscription) Query() string { return s.query }
 // Vars names the distinguished variables of every delta row.
 func (s *Subscription) Vars() []string { return append([]string(nil), s.vars...) }
 
-// refresh re-reads the standing query's answers and records the
-// newest rows. It reports whether the consumer now has something to
-// collect, and whether this call failed the subscription; a failed or
-// closed subscription is skipped. Called by the hub (one goroutine) and
-// once at Subscribe time.
-func (s *Subscription) refresh() (changed, failed bool) {
-	s.st.mu.Lock()
-	skip := s.st.closed || s.st.err != nil
-	s.st.mu.Unlock()
-	if skip {
-		return false, false
-	}
-	tuples, epoch, err := s.chain.Answer()
-	rows := datalogRows(tuples)
-	if err == nil && s.maxRows > 0 && len(rows) > s.maxRows {
-		err = fmt.Errorf("ogpa: subscription %d: answer set has %d rows, limit %d", s.id, len(rows), s.maxRows)
-	}
-	s.st.mu.Lock()
-	switch {
-	case s.st.closed || s.st.err != nil:
-	case err != nil:
-		s.st.err = err
-		changed, failed = true, true
-	case epoch >= s.st.epoch:
-		changed = !rowsEqual(rows, s.st.delivered)
-		s.st.current, s.st.epoch = rows, epoch
-	}
-	s.st.mu.Unlock()
-	if changed {
-		s.signal()
-	}
-	return changed, failed
-}
-
 func (s *Subscription) signal() {
 	select {
 	case s.notify <- struct{}{}:
@@ -118,33 +84,19 @@ func (s *Subscription) signal() {
 	}
 }
 
-// Next blocks until the standing query's answer set has changed since
-// the last delivery and returns the coalesced delta, tagged with the
-// epoch it is exact for. After Close (or KB close) it drains the final
-// pending delta, then returns ErrSubscriptionClosed. A sticky
-// evaluation error is returned forever once delivered; its first
-// delivery unregisters the subscription.
+// Next returns the coalesced delta from the last delivered answer set
+// to the newest epoch's, tagged with that epoch, blocking until a
+// commit changes the answers when nothing has changed. With a done ctx
+// it is a non-blocking read: the pending delta, or ctx's error when
+// there is none. After Close (or KB close) it returns
+// ErrSubscriptionClosed without reading. An evaluation or MaxRows
+// failure is returned forever once found; finding it unregisters the
+// subscription.
 func (s *Subscription) Next(ctx context.Context) (AnswerDelta, error) {
 	for {
-		s.st.mu.Lock()
-		if s.st.err != nil {
-			err := s.st.err
-			s.st.mu.Unlock()
-			s.hub.remove(s.id)
-			return AnswerDelta{}, err
+		if d, ok, err := s.read(); ok || err != nil {
+			return d, err
 		}
-		if !rowsEqual(s.st.current, s.st.delivered) {
-			d := diffRows(s.st.delivered, s.st.current)
-			d.Epoch = s.st.epoch
-			s.st.delivered = s.st.current
-			s.st.mu.Unlock()
-			return d, nil
-		}
-		if s.st.closed {
-			s.st.mu.Unlock()
-			return AnswerDelta{}, ErrSubscriptionClosed
-		}
-		s.st.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return AnswerDelta{}, ctx.Err()
@@ -153,11 +105,50 @@ func (s *Subscription) Next(ctx context.Context) (AnswerDelta, error) {
 	}
 }
 
-// Close unsubscribes. Pending deltas stay drainable; Next then reports
-// ErrSubscriptionClosed. Idempotent.
+// read delivers the change since the last delivery, if there is one.
+// It holds st.mu throughout, so two concurrent Next calls never deliver
+// one change twice.
+func (s *Subscription) read() (d AnswerDelta, ok bool, err error) {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	switch {
+	case s.st.err != nil:
+		return d, false, s.st.err
+	case s.st.closed:
+		return d, false, ErrSubscriptionClosed
+	}
+	rows, epoch, err := s.answer()
+	if err != nil {
+		s.st.err = err
+		s.hub.remove(s, true)
+		return d, false, err
+	}
+	if rowsEqual(rows, s.st.delivered) {
+		return d, false, nil
+	}
+	d = diffRows(s.st.delivered, rows)
+	d.Epoch = epoch
+	s.st.delivered = rows
+	s.hub.delivered()
+	return d, true, nil
+}
+
+// answer reads the standing query's answers from the maintained
+// fixpoint and the epoch they are exact for, failing past MaxRows.
+func (s *Subscription) answer() ([][]string, uint64, error) {
+	tuples, epoch, err := s.chain.Answer()
+	if err == nil && s.maxRows > 0 && len(tuples) > s.maxRows {
+		err = fmt.Errorf("ogpa: subscription %d: answer set has %d rows, limit %d", s.id, len(tuples), s.maxRows)
+	}
+	return datalogRows(tuples), epoch, err
+}
+
+// Close unsubscribes; Next then reports ErrSubscriptionClosed. The last
+// subscription on a query text takes its chain off the maintained
+// fixpoint. Idempotent.
 func (s *Subscription) Close() {
-	s.hub.remove(s.id)
-	s.markClosed()
+	s.markClosed() // first, so no Next reads the chain once it is retired
+	s.hub.remove(s, false)
 }
 
 func (s *Subscription) markClosed() {
@@ -195,22 +186,23 @@ func diffRows(old, cur [][]string) AnswerDelta {
 	return d
 }
 
-// maxIncChains bounds the standing-query work one KB carries: each
-// distinct query text adds its answer rules to the one maintained
-// fixpoint, and a rebuild of the union, for the KB's lifetime. Past the
-// cap Subscribe refuses a new text, so an adversarial subscriber cannot
-// grow memory or per-batch work without bound.
+// maxIncChains bounds the standing-query work one KB carries: each live
+// query text adds its answer rules to the one maintained fixpoint,
+// maintained on every commit, and to each rebuild of the union. Past
+// the cap Subscribe refuses a new text until a live one's last
+// subscription closes, so an adversarial subscriber cannot grow memory
+// or per-commit work without bound.
 const maxIncChains = 64
 
 // subHub owns a KB's standing queries: an inc.Manager on the delta
 // store's one watcher, keeping one datalog fixpoint maintained for every
-// standing query; the chains (each a query's answer predicate in that
-// fixpoint) keyed by query text; and the subscriptions. The first
-// Subscribe of a live KB starts the manager and the hub's goroutine,
-// which waits on the manager for committed batches and re-reads every
-// subscription. Evaluation failures are isolated per subscription (the
-// failed one fails closed; siblings keep streaming). It is its own
-// struct so KB itself holds no mutex — the aboxMemo pattern.
+// standing query; the live query texts, each with its chain (the
+// query's answer predicate in that fixpoint); and the subscriptions.
+// The first Subscribe of a live KB starts the manager; every commit
+// advances it and wakes the subscriptions, which read their answers in
+// Next. Evaluation failures are isolated per subscription (the failed
+// one fails closed; siblings keep streaming). It is its own struct so
+// KB itself holds no mutex — the aboxMemo pattern.
 //
 // Chains are keyed by query text alone, NOT by epoch: the maintained
 // fixpoint deliberately spans epochs (advancing it IS the maintenance),
@@ -218,65 +210,74 @@ const maxIncChains = 64
 type subHub struct {
 	mu       sync.Mutex
 	mgr      *inc.Manager // nil until the first Subscribe
-	dl       map[string]*inc.DatalogChain
-	subs     map[uint64]*Subscription // live, and failed until Next delivers the cause
-	closed   bool                     // the store closed; the goroutine has exited
+	texts    map[string]*standing
+	subs     map[uint64]*Subscription // live subscriptions
+	closed   bool                     // the KB closed
 	nextID   uint64
-	deltas   uint64 // answer deltas made collectable
+	deltas   uint64 // answer deltas delivered
 	evalErrs uint64 // standing-query evaluation failures
 }
 
-// run re-reads every subscription each time the manager's epoch moves.
-// It exits when the KB's store closes (Wait returns ErrClosed), failing
-// every remaining subscription closed.
-func (h *subHub) run(mgr *inc.Manager) {
-	for {
-		if _, err := mgr.Wait(context.Background()); err != nil {
-			h.closeAll()
-			return
-		}
-		for _, s := range h.snapshotSubs() {
-			h.refreshOne(s)
-		}
-	}
+// standing is one live query text: its chain and the number of live
+// subscriptions that read it.
+type standing struct {
+	chain *inc.DatalogChain
+	subs  int
 }
 
-// refreshOne re-evaluates one subscription and books the counters.
-func (h *subHub) refreshOne(s *Subscription) {
-	changed, failed := s.refresh()
-	if !changed {
+// committed follows every successful commit of the KB's store. It
+// advances the fixpoint here so that the watcher's queue, in which each
+// batch pins a snapshot, does not grow while no one polls; the advance
+// runs outside h.mu, so Subscribe and lookups never wait on it. Then it
+// wakes every subscription, whose Next reads the answers.
+func (h *subHub) committed() {
+	h.mu.Lock()
+	mgr := h.mgr
+	h.mu.Unlock()
+	if mgr == nil {
 		return
 	}
+	//lint:ignore droppederr the manager is never closed, and a failed apply marks the fixpoint broken for the next Answer to rebuild and report
+	_, _ = mgr.Advance()
+	h.mu.Lock()
+	for _, s := range h.subs {
+		s.signal()
+	}
+	h.mu.Unlock()
+}
+
+// delivered books one delivered answer delta.
+func (h *subHub) delivered() {
 	h.mu.Lock()
 	h.deltas++
+	h.mu.Unlock()
+}
+
+// remove unregisters s, booking an evaluation failure if it failed.
+// When s was the last live subscription on its query text, the text's
+// chain is retired and its budget slot freed.
+func (h *subHub) remove(s *Subscription, failed bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if failed {
 		h.evalErrs++
 	}
-	h.mu.Unlock()
-}
-
-// snapshotSubs copies the subscription set so evaluation runs without
-// holding the hub lock.
-func (h *subHub) snapshotSubs() []*Subscription {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]*Subscription, 0, len(h.subs))
-	for _, s := range h.subs {
-		out = append(out, s)
+	if h.subs[s.id] != s {
+		return
 	}
-	return out
+	delete(h.subs, s.id)
+	t := h.texts[s.query]
+	if t.subs--; t.subs == 0 {
+		delete(h.texts, s.query)
+		t.chain.Retire()
+	}
 }
 
-func (h *subHub) remove(id uint64) {
-	h.mu.Lock()
-	delete(h.subs, id)
-	h.mu.Unlock()
-}
-
-func (h *subHub) closeAll() {
+// close ends every subscription with the KB.
+func (h *subHub) close() {
 	h.mu.Lock()
 	subs := h.subs
-	h.subs, h.closed = map[uint64]*Subscription{}, true
+	h.subs, h.closed = nil, true
 	h.mu.Unlock()
 	for _, s := range subs {
 		s.markClosed()
@@ -284,11 +285,10 @@ func (h *subHub) closeAll() {
 }
 
 // add registers a subscription to query, whose rewriting is prog: it
-// starts the manager and the hub's goroutine on the KB's first
-// Subscribe, charges the budget for a new query text and registers its
-// program on the maintained fixpoint. All of it runs under h.mu, so
-// concurrent Subscribes start one manager and cannot overrun
-// maxIncChains.
+// starts the manager on the KB's first Subscribe, charges the budget
+// for a new query text and registers its program on the maintained
+// fixpoint. All of it runs under h.mu, so concurrent Subscribes start
+// one manager and cannot overrun maxIncChains.
 func (h *subHub) add(store *delta.Store, query string, head []string, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -297,28 +297,29 @@ func (h *subHub) add(store *delta.Store, query string, head []string, prog *data
 	}
 	if h.mgr == nil {
 		h.mgr = inc.NewManager(store, rdf.LocalName)
-		h.dl = map[string]*inc.DatalogChain{}
+		h.texts = map[string]*standing{}
 		h.subs = map[uint64]*Subscription{}
-		go h.run(h.mgr)
 	}
-	c := h.dl[query]
-	if c == nil {
-		if len(h.dl) >= maxIncChains {
-			return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d query texts)", maxIncChains)
+	t := h.texts[query]
+	if t == nil {
+		if len(h.texts) >= maxIncChains {
+			return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d live query texts)", maxIncChains)
 		}
-		var err error
-		if c, err = h.mgr.RegisterDatalog(prog, datalog.Limits{}); err != nil {
+		c, err := h.mgr.RegisterDatalog(prog, datalog.Limits{})
+		if err != nil {
 			return nil, err
 		}
-		h.dl[query] = c
+		t = &standing{chain: c}
+		h.texts[query] = t
 	}
+	t.subs++
 	h.nextID++
 	s := &Subscription{
 		id:      h.nextID,
 		query:   query,
 		vars:    append([]string(nil), head...),
 		hub:     h,
-		chain:   c,
+		chain:   t.chain,
 		maxRows: opt.MaxRows,
 		notify:  make(chan struct{}, 1),
 	}
@@ -328,12 +329,13 @@ func (h *subHub) add(store *delta.Store, query string, head []string, prog *data
 
 // Subscribe registers a standing query on a live KB. It reads its
 // answers from the KB's one maintained datalog fixpoint, which holds
-// every standing query text's rules and answers; subscriptions to the
-// same text share its chain. The first Subscribe starts that
-// maintenance; each distinct query text holds one of maxIncChains
-// slots for the KB's lifetime. The first Next delivers the full current
-// answer set as Added rows at the subscription epoch; every subsequent
-// delta is the exact change since the previous delivery.
+// every live standing query text's rules and answers; subscriptions to
+// the same text share its chain. The first Subscribe starts that
+// maintenance; each live query text holds one of maxIncChains slots
+// until its last subscription closes. Subscribe reads the answers once
+// and fails past opt.MaxRows. The first Next delivers the full answer
+// set as Added rows at the epoch it reads; every subsequent delta is
+// the exact change since the previous delivery.
 func (kb *KB) Subscribe(query string, opt SubscribeOptions) (*Subscription, error) {
 	if kb.store == nil {
 		return nil, fmt.Errorf("ogpa: subscriptions need live data (call EnableLiveData first)")
@@ -350,23 +352,15 @@ func (kb *KB) Subscribe(query string, opt SubscribeOptions) (*Subscription, erro
 	if err != nil {
 		return nil, err
 	}
-
-	// Seed: evaluate now so the first Next returns the full current
-	// answer set without waiting for a write.
-	kb.inc.refreshOne(s)
-	s.st.mu.Lock()
-	err = s.st.err
-	s.st.mu.Unlock()
-	if err != nil {
-		s.Close()
+	if _, _, err := s.answer(); err != nil {
+		kb.inc.remove(s, true)
 		return nil, err
 	}
 	return s, nil
 }
 
-// SubscriptionByID resolves a live subscription, or a failed one whose
-// cause Next has not delivered yet (the serving tier's poll/unsubscribe
-// handlers look subscriptions up per request).
+// SubscriptionByID resolves a live subscription (the serving tier's
+// poll/unsubscribe handlers look subscriptions up per request).
 func (kb *KB) SubscriptionByID(id uint64) (*Subscription, bool) {
 	kb.inc.mu.Lock()
 	defer kb.inc.mu.Unlock()
@@ -382,10 +376,10 @@ type IncrementalStats struct {
 	Batches       uint64 `json:"batches"`       // committed batches applied
 	Triples       uint64 `json:"triples"`       // triples translated into facts
 	Attributes    uint64 `json:"attributes"`    // literal-object triples skipped
-	Chains        int    `json:"chains"`        // datalog queries on the maintained fixpoint
+	Chains        int    `json:"chains"`        // live query texts on the maintained fixpoint
 	Rebuilds      uint64 `json:"rebuilds"`      // fixpoint rebuilds after an apply error
-	Subscriptions int    `json:"subscriptions"` // standing queries, failed ones until their cause is delivered
-	Deltas        uint64 `json:"deltas"`        // answer deltas published
+	Subscriptions int    `json:"subscriptions"` // live standing queries
+	Deltas        uint64 `json:"deltas"`        // answer deltas delivered by Next
 	EvalErrors    uint64 `json:"eval_errors"`   // standing-query evaluation failures
 }
 
