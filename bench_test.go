@@ -237,9 +237,8 @@ func BenchmarkFig4cd_DBpedia(b *testing.B) {
 	benchAnswer(b, harness.MethodOMatch, e.dbp, e.dbpQ12)
 }
 
-// BenchmarkAblations quantifies the design choices DESIGN.md calls out:
-// the adaptive matching order (vs static BFS), partial-BDD early rejection
-// and existential completion.
+// BenchmarkAblations quantifies the adaptive matching order against
+// static BFS (the paper's OMatch_BFS).
 func BenchmarkAblations(b *testing.B) {
 	e := benchSetup()
 	qs := e.queries[8]
@@ -261,18 +260,6 @@ func BenchmarkAblations(b *testing.B) {
 					v.run(q)
 				}
 			}
-		})
-	}
-	// The matcher-level switches need direct match.Options access.
-	for _, v := range []struct {
-		name string
-		opts match.Options
-	}{
-		{"noEarlyReject", match.Options{DisableEarlyReject: true}},
-		{"noExistentialCompletion", match.Options{DisableExistentialCompletion: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			benchMatchVariant(b, e, qs, v.opts)
 		})
 	}
 }
@@ -309,28 +296,6 @@ func BenchmarkPrepare(b *testing.B) {
 
 // preparedSink keeps BenchmarkPrepare's result live.
 var preparedSink *match.Prepared
-
-func benchMatchVariant(b *testing.B, e *benchEnv, qs []*cq.Query, mo match.Options) {
-	g := e.lubm.Graph()
-	patterns := make([]*core.Pattern, 0, len(qs))
-	for _, q := range qs {
-		res, err := rewrite.Generate(q, e.lubm.TBox)
-		if err != nil {
-			b.Fatal(err)
-		}
-		patterns = append(patterns, res.Pattern)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range patterns {
-			mo.Limits = match.Limits{Deadline: time.Now().Add(time.Second), MaxResults: 100000}
-			_, _, err := match.Match(p, g, mo)
-			if err != nil {
-				continue // timeouts count as work done
-			}
-		}
-	}
-}
 
 func itoa(n int) string {
 	if n == 0 {

@@ -8,7 +8,6 @@ import (
 
 	"ogpa/internal/datalog"
 	"ogpa/internal/delta"
-	"ogpa/internal/dllite"
 	"ogpa/internal/inc"
 	"ogpa/internal/perfectref"
 )
@@ -94,7 +93,7 @@ func (f *incFixture) benchFullRecompute(w *benchWorkload) func(*testing.B) {
 				b.Fatal(err)
 			}
 			id += 8
-			db := datalog.LoadABox(dllite.ABoxFromGraph(s.Snapshot().Graph()))
+			db := datalog.LoadGraph(s.Snapshot().Graph())
 			if _, err := datalog.Answer(f.prog, db, datalog.Limits{}); err != nil {
 				b.Fatal(err)
 			}

@@ -337,11 +337,11 @@ func TestSubscribeCommaCells(t *testing.T) {
 		}
 	}
 	// The unit first, on rows in cell order (["a" "b,c"] before
-	// ["a,b" "c"]): sets that differ in one of the two rows are not
-	// equal, and their diff removes and adds just that row.
+	// ["a,b" "c"]): equal sets diff to nothing, and sets that differ in
+	// one of the two rows diff to removing and adding just that row.
 	ab, bc, z := []string{"a,b", "c"}, []string{"a", "b,c"}, []string{"z", "z"}
-	if !rowsEqual([][]string{bc, ab}, [][]string{bc, ab}) || rowsEqual([][]string{bc, z}, [][]string{ab, z}) {
-		t.Fatal("rowsEqual: rows with one joined key compared as one row")
+	if d := diffRows([][]string{bc, ab}, [][]string{bc, ab}); d.Added != nil || d.Removed != nil {
+		t.Fatalf("diffRows of equal sets = %+v, want empty", d)
 	}
 	if d := diffRows([][]string{bc, z}, [][]string{ab, z}); fmt.Sprintf("%q %q", d.Removed, d.Added) != fmt.Sprintf("%q %q", [][]string{bc}, [][]string{ab}) {
 		t.Fatalf("diffRows(%q, %q) = %+v", [][]string{bc, z}, [][]string{ab, z}, d)

@@ -8,6 +8,7 @@ import (
 
 	"ogpa/internal/cq"
 	"ogpa/internal/dllite"
+	"ogpa/internal/graph"
 	"ogpa/internal/perfectref"
 )
 
@@ -289,6 +290,43 @@ func LoadABox(a *dllite.ABox) *Database {
 	}
 	for _, ra := range a.Roles {
 		db.AddFact(EDB(ra.Role), ra.Sub, ra.Obj)
+	}
+	return db
+}
+
+// GraphFacts lists a graph's labels and edges as EDB facts named
+// through EDB: the one translation from the type-aware graph to the
+// extensional database, shared by the maintained fixpoint and the cold
+// baseline (LoadGraph). Attributes have no datalog counterpart. Every
+// fact's arguments are cut from one backing array, capped so that no
+// append to one reaches another's.
+func GraphFacts(g *graph.Graph) []Fact {
+	labels := 0
+	for v := range g.NumVertices() {
+		labels += len(g.Labels(graph.VID(v)))
+	}
+	fs := make([]Fact, 0, labels+g.NumEdges())
+	args := make([]string, 0, labels+2*g.NumEdges())
+	for v := range g.NumVertices() {
+		vid := graph.VID(v)
+		ind := g.Name(vid)
+		for _, l := range g.Labels(vid) {
+			args = append(args, ind)
+			fs = append(fs, Fact{Pred: EDB(g.Symbols.Name(l)), Args: args[len(args)-1 : len(args) : len(args)]})
+		}
+		for _, h := range g.Out(vid) {
+			args = append(args, ind, g.Name(h.To))
+			fs = append(fs, Fact{Pred: EDB(g.Symbols.Name(h.Label)), Args: args[len(args)-2 : len(args) : len(args)]})
+		}
+	}
+	return fs
+}
+
+// LoadGraph populates a database with the EDB facts of a graph.
+func LoadGraph(g *graph.Graph) *Database {
+	db := NewDatabase()
+	for _, f := range GraphFacts(g) {
+		db.Add(f.Pred, f.Args)
 	}
 	return db
 }

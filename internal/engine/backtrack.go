@@ -340,7 +340,7 @@ func (rt *runtime) allRemainingExistential() bool {
 // runtime.
 func (rt *runtime) try(u int, v graph.VID, depth int) error {
 	ok := rt.assign(u, v)
-	if ok && v != core.Omitted && !rt.m.opts.DisableEarlyReject {
+	if ok && v != core.Omitted {
 		// Structural DAG edges whose child was mapped earlier than this
 		// parent (possible under forced orders) are covered by the edge
 		// conditions, which assign() just checked. Early rejection via
@@ -366,7 +366,7 @@ func (rt *runtime) rec(depth int) error {
 	// Existential completion: once every distinguished vertex is assigned,
 	// the answer tuple is fixed — find one completion and stop, instead of
 	// enumerating the cross product of existential witnesses.
-	if depth > 0 && !m.opts.DisableExistentialCompletion && rt.allRemainingExistential() {
+	if depth > 0 && rt.allRemainingExistential() {
 		found, err := rt.exists(depth)
 		if err != nil {
 			return err
@@ -428,7 +428,7 @@ func (rt *runtime) exists(depth int) (bool, error) {
 // inside exists so the hot path does not allocate one per node.
 func (rt *runtime) tryExists(u int, v graph.VID, depth int) (bool, error) {
 	ok := rt.assign(u, v)
-	if ok && v != core.Omitted && !rt.m.opts.DisableEarlyReject {
+	if ok && v != core.Omitted {
 		ok = !rt.earlyReject(u)
 	}
 	var found bool

@@ -87,10 +87,6 @@ type Options struct {
 	// Answers are merged in item order, so results are identical to
 	// sequential.
 	Workers int
-
-	// Ablation switches (benchmarking only; both default to enabled).
-	DisableEarlyReject           bool // skip partial-BDD pruning during backtracking
-	DisableExistentialCompletion bool // enumerate existential witnesses exhaustively
 }
 
 // Stats reports work done by one Prepare + Run.

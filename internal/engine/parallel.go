@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -69,11 +70,25 @@ func (rg *resultGate) record(a core.Answer) {
 	rg.mu.Unlock()
 }
 
+// protect runs f and turns a panic in it into an error, so that a fault
+// in one evaluation (a compiled atom, a disjunct's build) fails the Run
+// it belongs to instead of the process. enumerate runs its body under
+// it, and fanOut every pool item.
+func protect(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: panic during enumeration: %v", r)
+		}
+	}()
+	return f()
+}
+
 // enumerate runs body under one budget built from opts.Limits and maps
 // the engine's sentinels the same way for every kind of run: st (the
 // build-phase statistics) gains the steps, atom evaluations and time of
 // the enumeration; a run that stopped early reports Truncated; context
-// cancellation and truncation at MaxResults are successful runs.
+// cancellation and truncation at MaxResults are successful runs; a
+// panic in body is the run's error.
 func enumerate(opts Options, st Stats, body func(out *core.AnswerSet, bud *budget) error) (*core.AnswerSet, Stats, error) {
 	out := core.NewAnswerSet()
 	bud := &budget{
@@ -87,7 +102,7 @@ func enumerate(opts Options, st Stats, body func(out *core.AnswerSet, bud *budge
 		return out, st, nil
 	}
 	start := time.Now()
-	err := body(out, bud)
+	err := protect(func() error { return body(out, bud) })
 	st.EnumNanos = time.Since(start).Nanoseconds()
 	st.Steps += bud.steps.Load()
 	st.AtomEvals += bud.atomEvals.Load()
@@ -205,8 +220,9 @@ type worker struct {
 // its goroutine: a goroutine claims items in increasing order, so an
 // answer it drops already sits in one of its lower items. Budget
 // (MaxSteps/deadline/ctx) and, under MaxResults, one gate are shared. A
-// goroutine's reused runtime is flushed when it retires. It returns the
-// first error in item order that is not errStopped.
+// goroutine's reused runtime is flushed when it retires. An item that
+// panics fails with that panic as its error. It returns the first error
+// in item order that is not errStopped.
 func fanOut(out *core.AnswerSet, n, workers int, bud *budget, limit int, run func(w *worker, i int) error) error {
 	var gate *resultGate
 	if limit > 0 {
@@ -232,7 +248,7 @@ func fanOut(out *core.AnswerSet, n, workers int, bud *budget, limit int, run fun
 					break
 				}
 				lo := int32(wk.set.Len())
-				errs[i] = run(wk, i)
+				errs[i] = protect(func() error { return run(wk, i) })
 				spans[i] = span{int32(w), lo, int32(wk.set.Len())}
 				if errs[i] != nil {
 					// Real limit errors cancel every goroutine; errStopped

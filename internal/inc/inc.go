@@ -42,7 +42,6 @@ import (
 
 	"ogpa/internal/datalog"
 	"ogpa/internal/delta"
-	"ogpa/internal/graph"
 	"ogpa/internal/rdf"
 )
 
@@ -187,23 +186,6 @@ func (m *Manager) translate(b delta.Batch) (ins, del []datalog.Fact) {
 	return fs, nil
 }
 
-// graphFacts lists a snapshot graph's labels and edges as the base
-// facts a fixpoint is built over, named through datalog.EDB.
-func graphFacts(g *graph.Graph) []datalog.Fact {
-	var fs []datalog.Fact
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := graph.VID(v)
-		ind := g.Name(vid)
-		for _, l := range g.Labels(vid) {
-			fs = append(fs, datalog.Fact{Pred: datalog.EDB(g.Symbols.Name(l)), Args: datalog.Tuple{ind}})
-		}
-		for _, h := range g.Out(vid) {
-			fs = append(fs, datalog.Fact{Pred: datalog.EDB(g.Symbols.Name(h.Label)), Args: datalog.Tuple{ind, g.Name(h.To)}})
-		}
-	}
-	return fs
-}
-
 // build materializes the live chains' rules, and extra, over the
 // pinned snapshot.
 func (m *Manager) build(extra []datalog.Rule, lim datalog.Limits) (*datalog.State, error) {
@@ -212,7 +194,7 @@ func (m *Manager) build(extra []datalog.Rule, lim datalog.Limits) (*datalog.Stat
 		rules = append(rules, c.rules...)
 	}
 	rules = append(rules, extra...)
-	return datalog.NewState(rules, graphFacts(m.snap.Graph()), lim)
+	return datalog.NewState(rules, datalog.GraphFacts(m.snap.Graph()), lim)
 }
 
 // DatalogChain is one standing query's view of the manager's fixpoint:

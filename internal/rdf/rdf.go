@@ -253,22 +253,11 @@ func LocalName(iri string) string {
 	return iri
 }
 
-// TransformOptions controls the type-aware transformation.
-type TransformOptions struct {
-	// UseLocalNames maps IRIs to their local names before interning, which
-	// keeps vertex/edge labels aligned with ontology symbols.
-	UseLocalNames bool
-}
-
 // Transform applies the type-aware transformation to the triples read from r,
-// adding them to the builder b.
-func Transform(r io.Reader, b *graph.Builder, opt TransformOptions) (int, error) {
-	name := func(s string) string {
-		if opt.UseLocalNames {
-			return LocalName(s)
-		}
-		return s
-	}
+// adding them to the builder b. name rewrites IRIs (identity when nil), as
+// in AddTriple; LocalName keeps vertex and edge labels aligned with
+// ontology symbols. It returns the number of triples read.
+func Transform(r io.Reader, b *graph.Builder, name func(string) string) (int, error) {
 	n := 0
 	err := ParseTriples(r, func(t Triple) error {
 		n++

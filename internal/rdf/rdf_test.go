@@ -117,7 +117,7 @@ func TestTransform(t *testing.T) {
 <http://ex.org/c1> <http://ex.org/o#year> "2023"^^xsd:integer .
 `
 	b := graph.NewBuilder(nil)
-	n, err := Transform(strings.NewReader(src), b, TransformOptions{UseLocalNames: true})
+	n, err := Transform(strings.NewReader(src), b, LocalName)
 	if err != nil || n != 3 {
 		t.Fatalf("Transform = %d, %v", n, err)
 	}

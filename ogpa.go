@@ -24,7 +24,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ogpa/internal/core"
@@ -60,6 +59,10 @@ type Options struct {
 }
 
 // KB is a loaded knowledge base: a DL-Lite_R TBox plus a data graph.
+// The graph (the type-aware transformation of the ABox) is the KB's one
+// copy of its data: the ABox-based baselines and the consistency check
+// read an ABox or an EDB rebuilt from the pinned snapshot graph on every
+// call.
 //
 // A KB is read-only until EnableLiveData is called; after that, ABox
 // mutations (InsertTriples / DeleteTriples) are accepted and every
@@ -67,11 +70,9 @@ type Options struct {
 // current epoch, so a query never observes a half-applied batch.
 type KB struct {
 	tbox *dllite.TBox
-	abox *dllite.ABox
 	g    *graph.Graph // load-time graph; the base of store when live
 
 	store *delta.Store // nil while read-only
-	live  aboxMemo     // per-epoch ABox view of the live graph
 	inc   subHub       // standing queries on one maintained fixpoint (started by Subscribe)
 }
 
@@ -93,28 +94,6 @@ func (kb *KB) view() queryView {
 	return queryView{g: sn.Graph(), epoch: sn.Epoch()}
 }
 
-// aboxMemo caches the ABox reconstruction of a live snapshot per epoch,
-// so the ABox-based baselines (datalog, saturate) and the consistency
-// checker do not rebuild assertion lists on every call at the same
-// version. It is its own struct so KB itself holds no mutex.
-type aboxMemo struct {
-	mu    sync.Mutex
-	epoch uint64
-	abox  *dllite.ABox
-}
-
-// get returns the ABox for sn's epoch, rebuilding it under mu only when
-// the epoch moved.
-func (m *aboxMemo) get(sn delta.Snapshot) *dllite.ABox {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.abox == nil || m.epoch != sn.Epoch() {
-		m.abox = dllite.ABoxFromGraph(sn.Graph())
-		m.epoch = sn.Epoch()
-	}
-	return m.abox
-}
-
 // NewKB builds a KB from an ontology (the SubClassOf/SubPropertyOf text
 // format) and data (assertion lines like "PhD(ann)" / "advisorOf(bob, ann)").
 func NewKB(ontology, data io.Reader) (*KB, error) {
@@ -130,33 +109,19 @@ func NewKB(ontology, data io.Reader) (*KB, error) {
 }
 
 // NewKBFromTriples builds a KB from the ontology text format and an
-// N-Triples data stream (rdf:type triples become labels, IRIs are shortened
+// N-Triples data stream under the type-aware transformation (rdf:type
+// triples become labels, literal objects attributes, IRIs are shortened
 // to local names).
 func NewKBFromTriples(ontology, triples io.Reader) (*KB, error) {
 	t, err := dllite.ParseTBox(ontology)
 	if err != nil {
 		return nil, err
 	}
-	a := &dllite.ABox{}
-	err = rdf.ParseTriples(triples, func(tr rdf.Triple) error {
-		switch {
-		case tr.Predicate == rdf.TypePredicate && tr.Kind == rdf.ObjectIRI:
-			a.AddConcept(rdf.LocalName(tr.Object), rdf.LocalName(tr.Subject))
-		case tr.Kind == rdf.ObjectIRI:
-			a.AddRole(rdf.LocalName(tr.Predicate), rdf.LocalName(tr.Subject), rdf.LocalName(tr.Object))
-		case tr.Kind == rdf.ObjectInt:
-			a.AddAttr(rdf.LocalName(tr.Subject), rdf.LocalName(tr.Predicate), graph.Int(tr.Int))
-		case tr.Kind == rdf.ObjectFloat:
-			a.AddAttr(rdf.LocalName(tr.Subject), rdf.LocalName(tr.Predicate), graph.Float(tr.Float))
-		default:
-			a.AddAttr(rdf.LocalName(tr.Subject), rdf.LocalName(tr.Predicate), graph.String(tr.Object))
-		}
-		return nil
-	})
-	if err != nil {
+	b := graph.NewBuilder(nil)
+	if _, err := rdf.Transform(triples, b, rdf.LocalName); err != nil {
 		return nil, err
 	}
-	return FromParts(t, a), nil
+	return &KB{tbox: t, g: b.Freeze()}, nil
 }
 
 // OpenKB loads ontology and data files by path.
@@ -177,17 +142,19 @@ func OpenKB(ontologyPath, dataPath string) (*KB, error) {
 	return NewKB(of, df)
 }
 
-// FromParts wraps an existing TBox and ABox.
+// FromParts builds a KB from an existing TBox and ABox. The KB keeps the
+// ABox's graph, not the ABox.
 func FromParts(t *dllite.TBox, a *dllite.ABox) *KB {
-	return &KB{tbox: t, abox: a, g: a.Graph(nil)}
+	return &KB{tbox: t, g: a.Graph(nil)}
 }
 
 // TBox exposes the ontology.
 func (kb *KB) TBox() *dllite.TBox { return kb.tbox }
 
-// ABox exposes the dataset as loaded; on a live KB it reflects the
-// current epoch (reconstructed from the snapshot graph, memoized).
-func (kb *KB) ABox() *dllite.ABox { return kb.aboxNow() }
+// ABox rebuilds the dataset from the current snapshot graph on every
+// call: its distinct assertions, with one value per attribute, so a
+// read-only and a live KB over the same data return the same ABox.
+func (kb *KB) ABox() *dllite.ABox { return dllite.ABoxFromGraph(kb.graphNow()) }
 
 // Graph exposes the data graph (type-aware transformation of the ABox).
 // On a live KB it is the current epoch's immutable snapshot.
@@ -201,14 +168,6 @@ func (kb *KB) graphNow() *graph.Graph {
 		return kb.store.Snapshot().Graph()
 	}
 	return kb.g
-}
-
-// aboxNow resolves the ABox the same way (memoized per epoch when live).
-func (kb *KB) aboxNow() *dllite.ABox {
-	if kb.store != nil {
-		return kb.live.get(kb.store.Snapshot())
-	}
-	return kb.abox
 }
 
 // EnableLiveData switches the KB into mutable-store mode: the load-time
@@ -301,22 +260,27 @@ func (kb *KB) WaitIdle() {
 	}
 }
 
-// Stats summarizes the KB. On a live KB everything reported comes from
-// one snapshot, so the assertion, graph and epoch figures are mutually
-// consistent even while writers commit (aboxNow+graphNow would each take
-// their own view and could straddle an epoch bump — the torn read the
-// snapshotonce analyzer exists to reject).
+// Stats summarizes the KB. |D| counts the graph's assertions (labels,
+// edges and attributes: distinct assertions, one value per attribute),
+// so it builds nothing. On a live KB everything reported comes from one
+// snapshot, so the assertion, graph and epoch figures are mutually
+// consistent even while writers commit.
 func (kb *KB) Stats() string {
-	describe := func(a *dllite.ABox, g *graph.Graph) string {
-		return fmt.Sprintf("|D|=%d assertions, |V|=%d, |E|=%d, |O|=%d axioms",
-			a.Size(), g.NumVertices(), g.NumEdges(), kb.tbox.Size())
+	if kb.store == nil {
+		return kb.describe(kb.g)
 	}
-	if kb.store != nil {
-		sn := kb.store.Snapshot()
-		return describe(kb.live.get(sn), sn.Graph()) +
-			fmt.Sprintf(", live epoch=%d overlay=%d", sn.Epoch(), sn.OverlayOps())
+	sn := kb.store.Snapshot()
+	return kb.describe(sn.Graph()) + fmt.Sprintf(", live epoch=%d overlay=%d", sn.Epoch(), sn.OverlayOps())
+}
+
+// describe is Stats' summary of one graph.
+func (kb *KB) describe(g *graph.Graph) string {
+	d := g.NumEdges()
+	for v := range g.NumVertices() {
+		d += len(g.Labels(graph.VID(v))) + len(g.Attributes(graph.VID(v)))
 	}
-	return describe(kb.abox, kb.g)
+	return fmt.Sprintf("|D|=%d assertions, |V|=%d, |E|=%d, |O|=%d axioms",
+		d, g.NumVertices(), g.NumEdges(), kb.tbox.Size())
 }
 
 // Fingerprint returns a stable FNV-1a hash of the ontology's positive
@@ -636,6 +600,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 	if err != nil {
 		return nil, err
 	}
+	g := kb.graphNow() // pin: the baseline's input is this snapshot's graph
 	switch b {
 	case BaselineDatalog:
 		prog, err := datalog.Rewrite(q, kb.tbox, perfectref.Limits{Timeout: opt.Timeout})
@@ -646,7 +611,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if opt.Timeout > 0 {
 			dlim.Deadline = time.Now().Add(opt.Timeout)
 		}
-		tuples, err := datalog.Answer(prog, datalog.LoadABox(kb.aboxNow()), dlim)
+		tuples, err := datalog.Answer(prog, datalog.LoadGraph(g), dlim)
 		if err != nil {
 			return nil, err
 		}
@@ -660,7 +625,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		if opt.Timeout > 0 {
 			slim.Deadline = time.Now().Add(opt.Timeout)
 		}
-		rows, err := kb.saturateRows(kb.aboxNow(), q, slim, matchOptions(opt))
+		rows, err := kb.saturateRows(dllite.ABoxFromGraph(g), q, slim, matchOptions(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -684,9 +649,12 @@ func (kb *KB) AnswerSPARQL(src string, opt Options) (*Answers, error) {
 // CheckConsistency verifies the KB against the ontology's negative
 // inclusions (DisjointWith / DisjointPropertyWith statements). It returns
 // human-readable violations; an empty slice means consistent. It runs
-// cold over the current snapshot on every call.
+// cold over an ABox rebuilt from the current snapshot graph on every call.
 func (kb *KB) CheckConsistency() ([]string, error) {
-	vs, err := saturate.CheckConsistency(kb.tbox, kb.aboxNow(), saturate.Limits{})
+	if len(kb.tbox.NegCIs) == 0 && len(kb.tbox.NegRIs) == 0 {
+		return []string{}, nil // nothing to violate, so no ABox to build
+	}
+	vs, err := saturate.CheckConsistency(kb.tbox, kb.ABox(), saturate.Limits{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,14 @@ package ogpa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ogpa/internal/core"
+	"ogpa/internal/dllite"
+	"ogpa/internal/graph"
 )
 
 const exampleOntology = `
@@ -42,6 +45,114 @@ func TestKBStats(t *testing.T) {
 	if kb.TBox().Size() != 3 || kb.ABox().Size() != 4 || kb.Graph().NumVertices() == 0 {
 		t.Fatal("accessors broken")
 	}
+}
+
+// TestKBModesAgree: the data graph is a KB's one copy of its data, so a
+// read-only KB and a live one, before and after a commit, report the
+// same |D| and the same ABox — distinct assertions, one value per
+// attribute, though the data repeats a triple and sets an attribute
+// twice — and the datalog and saturation baselines and the consistency
+// check, which read the ABox or EDB rebuilt from the graph, agree with
+// GenOGP+OMatch on each of them.
+func TestKBModesAgree(t *testing.T) {
+	const ontology = exampleOntology + "Student DisjointWith Course\n"
+	const data = `Ann a PhD .
+Ann a PhD .
+Eve a Student .
+Eve a Course .
+Prof advisorOf Bob .
+Bob takesCourse DB101 .
+Bob takesCourse DB101 .
+Ann age "30" .
+Ann age "31" .
+`
+	const batch = `Cy a PhD .
+Cy a Course .
+Prof advisorOf Bob .
+Ann age "32" .
+`
+	load := func(data string) *KB {
+		t.Helper()
+		kb, err := NewKBFromTriples(strings.NewReader(ontology), strings.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kb
+	}
+	live := enableLive(t, load(data))
+	defer live.Close()
+	check := func(step string, ro *KB, wantD int) {
+		t.Helper()
+		roStats, liveStats := ro.Stats(), live.Stats()
+		if want := fmt.Sprintf("|D|=%d assertions", wantD); !strings.HasPrefix(roStats, want) {
+			t.Fatalf("%s: read-only Stats = %q, want %s", step, roStats, want)
+		}
+		if !strings.HasPrefix(liveStats, roStats+", live") {
+			t.Fatalf("%s: live Stats = %q, read-only %q", step, liveStats, roStats)
+		}
+		roABox, liveABox := aboxLines(ro.ABox()), aboxLines(live.ABox())
+		if len(roABox) != wantD || fmt.Sprint(roABox) != fmt.Sprint(liveABox) {
+			t.Fatalf("%s: ABox read-only %v, live %v; want %d assertions", step, roABox, liveABox, wantD)
+		}
+		for _, kb := range []*KB{ro, live} {
+			for _, query := range []string{
+				`q(x) :- Student(x)`,
+				`q(x, y) :- takesCourse(x, y)`,
+				`q(x) :- advisorOf(y, x), takesCourse(x, z)`,
+			} {
+				want, err := kb.Answer(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range []Baseline{BaselineDatalog, BaselineSaturate} {
+					got, err := kb.AnswerBaseline(b, query, Options{})
+					if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+						t.Fatalf("%s: %s on %s: %v, %v; GenOGP+OMatch %v", step, b, query, got, err, want.Rows)
+					}
+				}
+			}
+			// Student and Course are disjoint: the check's witnesses are
+			// the individuals that are both.
+			both, err := kb.Answer(`q(x) :- Student(x), Course(x)`)
+			if err != nil || both.Len() == 0 {
+				t.Fatalf("%s: Student and Course: %v, %v; want a violation", step, both, err)
+			}
+			vs, err := kb.CheckConsistency()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var witnesses [][]string
+			for _, v := range vs {
+				_, w, _ := strings.Cut(v, " violated by ")
+				witnesses = append(witnesses, []string{w})
+			}
+			core.SortRows(witnesses)
+			if fmt.Sprint(witnesses) != fmt.Sprint(both.Rows) {
+				t.Fatalf("%s: CheckConsistency %v, GenOGP+OMatch %v", step, vs, both.Rows)
+			}
+		}
+	}
+	check("loaded", load(data), 6)
+	if _, err := live.InsertTriples(strings.NewReader(batch)); err != nil {
+		t.Fatal(err)
+	}
+	check("committed", load(data+batch), 8)
+}
+
+// aboxLines renders an ABox's assertions, sorted.
+func aboxLines(a *dllite.ABox) []string {
+	var ls []string
+	for _, c := range a.Concepts {
+		ls = append(ls, c.Concept+"("+c.Ind+")")
+	}
+	for _, r := range a.Roles {
+		ls = append(ls, r.Role+"("+r.Sub+", "+r.Obj+")")
+	}
+	for _, at := range a.Attrs {
+		ls = append(ls, at.Ind+"."+at.Name+"="+at.Value.String2())
+	}
+	slices.Sort(ls)
+	return ls
 }
 
 func TestAnswerRunningExample(t *testing.T) {
@@ -220,6 +331,9 @@ func TestNewKBFromTriples(t *testing.T) {
 	triples := `<http://ex.org/Ann> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/onto#PhD> .
 <http://ex.org/Prof> <http://ex.org/onto#advisorOf> <http://ex.org/Ann> .
 <http://ex.org/Ann> <http://ex.org/onto#age> "30"^^xsd:integer .
+<http://ex.org/Ann> <http://ex.org/onto#gpa> "3.5"^^xsd:decimal .
+<http://ex.org/Ann> <http://ex.org/onto#name> "Ann Lee" .
+<http://ex.org/Ann> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/onto#PhD> .
 `
 	kb, err := NewKBFromTriples(strings.NewReader(exampleOntology), strings.NewReader(triples))
 	if err != nil {
@@ -231,6 +345,22 @@ func TestNewKBFromTriples(t *testing.T) {
 	}
 	if ans.Len() != 1 || ans.Rows[0][0] != "Ann" {
 		t.Fatalf("answers = %v", ans.Rows)
+	}
+	// The repeated triple is one assertion; each literal is an attribute
+	// of its kind under the predicate's local name.
+	if s := kb.Stats(); !strings.HasPrefix(s, "|D|=5 assertions, |V|=2, |E|=1") {
+		t.Fatalf("Stats = %q", s)
+	}
+	g := kb.Graph()
+	ann := g.VertexByName("Ann")
+	for attr, want := range map[string]graph.Value{
+		"age":  graph.Int(30),
+		"gpa":  graph.Float(3.5),
+		"name": graph.String("Ann Lee"),
+	} {
+		if got, ok := g.Attribute(ann, g.Symbols.Lookup(attr)); !ok || got != want {
+			t.Errorf("Ann.%s = %v (%t), want %v", attr, got, ok, want)
+		}
 	}
 }
 

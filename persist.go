@@ -49,8 +49,8 @@ func (kb *KB) SaveSnapshot(path string) error {
 
 // OpenKBSnapshot loads a KB from the ontology text format and a binary
 // snapshot written by SaveSnapshot (or by a durable KB's checkpointer).
-// The graph comes back without re-parsing or re-interning anything; the
-// ABox view the baseline pipelines need is reconstructed from the graph.
+// The graph comes back without re-parsing or re-interning anything, and
+// it is all the KB keeps of its data.
 func OpenKBSnapshot(ontologyPath, snapshotPath string) (*KB, error) {
 	of, err := os.Open(ontologyPath)
 	if err != nil {
@@ -65,7 +65,7 @@ func OpenKBSnapshot(ontologyPath, snapshotPath string) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KB{tbox: t, abox: dllite.ABoxFromGraph(g), g: g}, nil
+	return &KB{tbox: t, g: g}, nil
 }
 
 // EnableDurableLiveData is EnableLiveData plus crash safety: mutations

@@ -123,10 +123,9 @@ func (s *Subscription) read() (d AnswerDelta, ok bool, err error) {
 		s.hub.remove(s, true)
 		return d, false, err
 	}
-	if rowsEqual(rows, s.st.delivered) {
+	if d = diffRows(s.st.delivered, rows); d.Added == nil && d.Removed == nil {
 		return d, false, nil
 	}
-	d = diffRows(s.st.delivered, rows)
 	d.Epoch = epoch
 	s.st.delivered = rows
 	s.hub.delivered()
@@ -158,13 +157,8 @@ func (s *Subscription) markClosed() {
 	s.signal()
 }
 
-// rowsEqual reports whether two row sets sorted by core.SortRows hold
-// the same rows.
-func rowsEqual(a, b [][]string) bool {
-	return slices.EqualFunc(a, b, slices.Equal)
-}
-
-// diffRows merge-diffs two row sets sorted by core.SortRows into a delta.
+// diffRows merge-diffs two row sets sorted by core.SortRows into a delta,
+// which holds no rows (nil Added and Removed) when the sets are equal.
 func diffRows(old, cur [][]string) AnswerDelta {
 	var d AnswerDelta
 	i, j := 0, 0
@@ -202,7 +196,7 @@ const maxIncChains = 64
 // advances it and wakes the subscriptions, which read their answers in
 // Next. Evaluation failures are isolated per subscription (the failed
 // one fails closed; siblings keep streaming). It is its own struct so
-// KB itself holds no mutex — the aboxMemo pattern.
+// KB itself holds no mutex.
 //
 // Chains are keyed by query text alone, NOT by epoch: the maintained
 // fixpoint deliberately spans epochs (advancing it IS the maintenance),
