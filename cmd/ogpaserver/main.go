@@ -76,7 +76,9 @@ func main() {
 	if *subscribe {
 		log.Printf("standing-query subscriptions enabled (max rows %d)", *subMaxRows)
 	}
-	srv := &http.Server{Addr: *addr, Handler: server.HandlerWithConfig(kb, cfg)}
+	// ReadHeaderTimeout drops clients that never finish their headers. No
+	// WriteTimeout: it would cut subscription streams and long polls.
+	srv := &http.Server{Addr: *addr, Handler: server.HandlerWithConfig(kb, cfg), ReadHeaderTimeout: 10 * time.Second}
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests and flush
 	// any profiles; a plain log.Fatal would lose the CPU profile tail.

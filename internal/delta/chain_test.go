@@ -87,9 +87,8 @@ func nTriples(t *testing.T, ts []rdf.Triple) *bytes.Buffer {
 // every epoch had before graphs were built from the newest built one.
 func replay(base *graph.Graph, ops []op) *graph.Graph {
 	ov := graph.NewOverlay(base)
-	m := overlayMutator{ov: ov}
 	for _, o := range ops {
-		rdf.ApplyTriple(m, o.t, o.del, nil)
+		rdf.ApplyTriple(ov, o.t, o.del, nil)
 	}
 	return ov.Freeze()
 }

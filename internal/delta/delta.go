@@ -15,18 +15,19 @@
 //     returned view is immutable forever, no matter how many writes land
 //     afterwards.
 //
-// Snapshot.Graph materializes the merged graph lazily and memoizes it per
-// epoch (sync.Once), so repeated queries against one epoch pay the merge
-// once. The merge starts from the newest epoch whose graph is already
-// built over the same base and applies only the ops logged after it, so
-// the first read after a commit costs about one batch, however long the
-// overlay. The result is a plain *graph.Graph sharing per-vertex storage
-// with the graph it started from for untouched vertices (graph.Overlay),
-// which keeps the engine's inner loops monomorphic. A background
-// compactor folds the overlay into a fresh canonical CSR base once the
-// log crosses a size threshold, restoring flat-arena adjacency without
-// changing content (the epoch is preserved — cached plans keyed by epoch
-// stay valid).
+// Snapshot.Graph materializes the epoch's graph lazily and memoizes it
+// per epoch (sync.Once), so repeated queries against one epoch pay for it
+// once. It starts from the newest epoch whose graph is already built over
+// the same base and applies only the ops logged after it, so the first
+// read after a commit costs about one batch, however long the overlay.
+// The ops are applied through rdf.ApplyTriple straight to a graph.Overlay,
+// a copy-on-write derivation that clones each row it changes and shares
+// every untouched one with the graph it started from; the result is a
+// plain *graph.Graph, which keeps the engine's inner loops monomorphic.
+// A background compactor folds the overlay into a fresh canonical CSR
+// base once the log crosses a size threshold, restoring flat-arena
+// adjacency without changing content (the epoch is preserved — cached
+// plans keyed by epoch stay valid).
 //
 // Triple bodies are routed through internal/rdf's type-aware mapping, so
 // rdf:type triples become label mutations, resource-object triples edge
@@ -58,8 +59,11 @@ import (
 	"ogpa/internal/graph"
 	"ogpa/internal/rdf"
 	"ogpa/internal/snap"
-	"ogpa/internal/symbols"
 )
+
+// The Overlay takes triples' names itself: graphNow applies ops to it
+// with no adapter.
+var _ rdf.Mutator = (*graph.Overlay)(nil)
 
 // DefaultCompactThreshold is the overlay size (in ops) that triggers
 // background compaction when Config.CompactThreshold is zero.
@@ -118,7 +122,7 @@ func (s *Store) newState(epoch uint64, base *graph.Graph, ops []op) *state {
 }
 
 // graphNow materializes base+ops, memoized per state so every reader of
-// this epoch shares one merge. The merge starts from the store's newest
+// this epoch shares one derivation. It starts from the store's newest
 // built state when it shares this state's base and holds no more ops: the
 // log under one base is append-only, so that state's ops are a prefix of
 // these, and applying the rest over its graph gives what applying all of
@@ -134,9 +138,8 @@ func (st *state) graphNow() *graph.Graph {
 			from, done = b.g, len(b.ops)
 		}
 		ov := graph.NewOverlay(from)
-		m := overlayMutator{ov: ov}
 		for _, o := range st.ops[done:] {
-			rdf.ApplyTriple(m, o.t, o.del, st.store.nameFn)
+			rdf.ApplyTriple(ov, o.t, o.del, st.store.nameFn)
 		}
 		st.g = ov.Freeze()
 		// Move the pointer forward: never to fewer ops, and never off
@@ -564,53 +567,4 @@ func (s *Store) CheckpointErr() error {
 		return *p
 	}
 	return nil
-}
-
-// overlayMutator adapts graph.Overlay's ID-based mutation API to the
-// string-based rdf.Mutator sink. Inserts intern names (the table is
-// thawed); deletes only look names up — deleting a triple that mentions an
-// unknown name is a no-op and must not grow the symbol table.
-type overlayMutator struct {
-	ov *graph.Overlay
-}
-
-func (m overlayMutator) AddLabel(vertex, label string) {
-	m.ov.AddLabel(m.ov.Vertex(vertex), m.ov.Base().Symbols.Intern(label))
-}
-
-func (m overlayMutator) RemoveLabel(vertex, label string) {
-	v := m.ov.LookupVertex(vertex)
-	l := m.ov.Base().Symbols.Lookup(label)
-	if v == graph.NoVID || l == symbols.None {
-		return
-	}
-	m.ov.RemoveLabel(v, l)
-}
-
-func (m overlayMutator) AddEdge(from, label, to string) {
-	l := m.ov.Base().Symbols.Intern(label)
-	m.ov.AddEdge(m.ov.Vertex(from), l, m.ov.Vertex(to))
-}
-
-func (m overlayMutator) RemoveEdge(from, label, to string) {
-	f := m.ov.LookupVertex(from)
-	t := m.ov.LookupVertex(to)
-	l := m.ov.Base().Symbols.Lookup(label)
-	if f == graph.NoVID || t == graph.NoVID || l == symbols.None {
-		return
-	}
-	m.ov.RemoveEdge(f, l, t)
-}
-
-func (m overlayMutator) SetAttr(vertex, name string, value graph.Value) {
-	m.ov.SetAttr(m.ov.Vertex(vertex), m.ov.Base().Symbols.Intern(name), value)
-}
-
-func (m overlayMutator) RemoveAttr(vertex, name string, value graph.Value) {
-	v := m.ov.LookupVertex(vertex)
-	a := m.ov.Base().Symbols.Lookup(name)
-	if v == graph.NoVID || a == symbols.None {
-		return
-	}
-	m.ov.RemoveAttr(v, a, value)
 }

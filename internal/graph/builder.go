@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ogpa/internal/symbols"
 )
@@ -107,12 +108,7 @@ func (b *Builder) Freeze() *Graph {
 		if len(hs) == 0 {
 			return hs
 		}
-		sort.Slice(hs, func(i, j int) bool {
-			if hs[i].Label != hs[j].Label {
-				return hs[i].Label < hs[j].Label
-			}
-			return hs[i].To < hs[j].To
-		})
+		slices.SortFunc(hs, cmpHalf)
 		w := 1
 		for i := 1; i < len(hs); i++ {
 			if hs[i] != hs[w-1] {
@@ -140,7 +136,7 @@ func (b *Builder) Freeze() *Graph {
 		if len(ls) == 0 {
 			continue
 		}
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		w := 1
 		for i := 1; i < len(ls); i++ {
 			if ls[i] != ls[w-1] {
@@ -158,8 +154,9 @@ func (b *Builder) Freeze() *Graph {
 		if len(as) == 0 {
 			continue
 		}
-		sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
-		// Last write wins for duplicate attribute names.
+		// Last write wins for duplicate attribute names: the sort is
+		// stable, so a name's writes stay in order and the last is kept.
+		slices.SortStableFunc(as, func(a, b Attr) int { return cmp.Compare(a.Name, b.Name) })
 		w := 0
 		for i := 0; i < len(as); i++ {
 			if i+1 < len(as) && as[i+1].Name == as[i].Name {

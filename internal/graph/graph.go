@@ -122,10 +122,10 @@ type Graph struct {
 
 	names  []symbols.ID // external vertex names (IRIs / constants), interned
 	byName map[symbols.ID]VID
-	// extraByName indexes vertices appended by an Overlay derivation; the
-	// shared byName map of the base cannot be grown (readers hold it
-	// lock-free), so derived graphs carry their additions here. Nil on
-	// canonical (Builder- or Compacted-built) graphs.
+	// extraByName indexes vertices appended by Overlay derivations; the
+	// byName map shared with the canonical graph they started from cannot
+	// be grown (readers hold it lock-free), so derived graphs carry their
+	// additions here. Nil on canonical (Builder- or Compacted-built) graphs.
 	extraByName map[symbols.ID]VID
 
 	labels  [][]symbols.ID       // sorted label set per vertex
@@ -294,8 +294,8 @@ func (g *Graph) Attribute(v VID, a symbols.ID) (Value, bool) {
 }
 
 // Attributes returns the attribute tuple of v, sorted by name. A graph
-// derived by Overlay.Freeze shares its base's attrs when no patch touches
-// an attribute, so vertices appended since lie past the array's end.
+// derived by an Overlay shares its start graph's attrs array when no
+// attribute changed, so vertices appended since lie past the array's end.
 func (g *Graph) Attributes(v VID) []Attr {
 	if int(v) < len(g.attrs) {
 		return g.attrs[v]

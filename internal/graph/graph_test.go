@@ -124,14 +124,22 @@ func TestAttributes(t *testing.T) {
 	}
 }
 
+// TestAttrLastWriteWins: of repeated writes to one attribute, Freeze
+// keeps the last, also on a vertex with enough attribute writes (13 or
+// more) that an unstable sort would reorder them.
 func TestAttrLastWriteWins(t *testing.T) {
-	b := NewBuilder(nil)
-	b.SetAttr("v", "a", Int(1))
-	b.SetAttr("v", "a", Int(2))
-	g := b.Freeze()
-	got, ok := g.Attribute(g.VertexByName("v"), g.Symbols.Lookup("a"))
-	if !ok || got.Int != 2 {
-		t.Fatalf("Attribute = %v, %v; want 2", got, ok)
+	for _, others := range []int{0, 12} {
+		b := NewBuilder(nil)
+		b.SetAttr("v", "a", Int(1))
+		for i := 0; i < others; i++ {
+			b.SetAttr("v", fmt.Sprint("b", i), Int(int64(i)))
+		}
+		b.SetAttr("v", "a", Int(2))
+		g := b.Freeze()
+		got, ok := g.Attribute(g.VertexByName("v"), g.Symbols.Lookup("a"))
+		if !ok || got.Int != 2 {
+			t.Fatalf("%d writes: Attribute = %v, %v; want 2", others+2, got, ok)
+		}
 	}
 }
 

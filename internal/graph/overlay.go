@@ -1,445 +1,291 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"ogpa/internal/symbols"
 )
 
-// Overlay accumulates ABox-level mutations — new vertices, label and edge
-// insertions/deletions, attribute updates — against a frozen base Graph,
-// and derives a new frozen Graph with Freeze. The derived graph shares the
-// base's per-vertex storage for every untouched vertex (the top-level
-// slice headers are copied, O(|V|) pointer moves, not O(|E|) data, and
-// the attrs array is shared outright unless a patch touches one); only
-// dirty vertices get freshly merged sorted slices, and only touched
-// byLabel buckets are rebuilt. That keeps derivation cost proportional to
-// the patch, while the result is a plain *Graph the engine's monomorphic
-// inner loops consume with zero indirection.
+// Overlay derives a new frozen Graph from a frozen start graph by writing
+// through: it applies ABox-level mutations — new vertices, label and edge
+// insertions and deletions, attribute updates — to a copy-on-write copy
+// of the start graph, and Freeze publishes that copy. At the first change
+// the copy takes its own header arrays (labels, out, in: O(|V|) pointer
+// moves, not O(|E|) data) and label and edge-frequency maps; the names
+// array and name index are copied only when a vertex is added, and the
+// attrs array only when an attribute changes. The first time a vertex's
+// row (labels, out, in or attrs) or a label's vertex bucket changes, the
+// derivation clones it; later changes edit the clone in place with a
+// sorted insert or delete. Reads inside the derivation therefore see the
+// current state, so adding and removing need no cancellation bookkeeping,
+// and the cost of a derivation is proportional to the rows it touches.
+// The result is a plain *Graph the engine's monomorphic inner loops
+// consume with zero indirection.
 //
-// VIDs are stable: base vertices keep their VID, new vertices are appended
-// at VIDs >= base.NumVertices(). Vertices are never removed — deleting
-// every triple that mentions a vertex merely leaves it isolated — so VIDs
-// remain valid across any chain of derivations and compactions.
+// Nothing reachable from the start graph is ever written, including the
+// spare capacity of its rows and header arrays, so any number of
+// derivations may run from one start graph at the same time.
 //
-// An Overlay is a single-goroutine builder, like Builder; the Graph it
-// freezes is immutable and safe to share.
+// VIDs are stable: start-graph vertices keep their VID, new vertices are
+// appended at VIDs >= the start graph's NumVertices. Vertices are never
+// removed — deleting every triple that mentions a vertex merely leaves it
+// isolated — so VIDs remain valid across any chain of derivations and
+// compactions.
+//
+// Overlay implements rdf.Mutator: it takes names, as triples carry them.
+// Insertions intern names into the start graph's symbol table, which must
+// be thawed (symbols.Table.Thaw) or still unfrozen; deletions only look
+// names up, so deleting a triple that mentions an unknown name is a no-op
+// and does not grow the table. An Overlay is a single-goroutine builder,
+// like Builder; the Graph it freezes is immutable and safe to share.
 type Overlay struct {
-	base *Graph
+	from *Graph
+	g    *Graph // the graph under construction; nil until the first change
 
-	newNames  []symbols.ID // overlay-created vertices; index i has VID base.NumVertices()+i
-	newByName map[symbols.ID]VID
-
-	patches map[VID]*vertexPatch
+	rows      map[VID]rowSet      // rows of g this derivation has cloned
+	buckets   map[symbols.ID]bool // byLabel buckets of g it has cloned
+	ownsNames bool                // g.names and g.extraByName are its own
+	ownsAttrs bool                // g.attrs is its own
 }
 
-// vertexPatch is the pending mutation set of one dirty vertex, maintained
-// so that adds never duplicate base content and adds/dels are disjoint:
-// effective = (base − dels) ∪ adds.
-type vertexPatch struct {
-	addLabels map[symbols.ID]bool
-	delLabels map[symbols.ID]bool
-	addOut    map[Half]bool
-	delOut    map[Half]bool
-	addIn     map[Half]bool
-	delIn     map[Half]bool
-	attrs     map[symbols.ID]attrPatch
-}
+// rowSet flags a vertex's rows: labels, out, in and attrs.
+type rowSet uint8
 
-// attrPatch records the effective state of one attribute relative to base:
-// either a new value or a deletion.
-type attrPatch struct {
-	deleted bool
-	value   Value
-}
+const (
+	labelsRow rowSet = 1 << iota
+	outRow
+	inRow
+	attrsRow
+)
 
-// NewOverlay returns an empty overlay over base. If new vertex names will
-// be interned (any insert of a previously unseen IRI), base.Symbols must
-// be thawed (symbols.Table.Thaw) or still unfrozen.
-func NewOverlay(base *Graph) *Overlay {
-	return &Overlay{
-		base:      base,
-		newByName: make(map[symbols.ID]VID),
-		patches:   make(map[VID]*vertexPatch),
+// headerSlack is the room for new vertices the copied header arrays
+// leave, so that a batch adding a few vertices does not copy them twice.
+const headerSlack = 64
+
+// NewOverlay returns an empty derivation from the frozen graph from.
+func NewOverlay(from *Graph) *Overlay { return &Overlay{from: from} }
+
+// cur is the graph as the derivation has changed it so far.
+func (o *Overlay) cur() *Graph {
+	if o.g != nil {
+		return o.g
 	}
+	return o.from
 }
 
-// Base returns the graph the overlay patches.
-func (o *Overlay) Base() *Graph { return o.base }
+// begin takes the copy-on-write copy of the start graph at the first
+// change and returns it.
+func (o *Overlay) begin() *Graph {
+	if o.g == nil {
+		g := *o.from
+		g.labels = withSlack(g.labels)
+		g.out = withSlack(g.out)
+		g.in = withSlack(g.in)
+		g.byLabel = maps.Clone(g.byLabel)
+		g.edgeFreq = maps.Clone(g.edgeFreq)
+		o.g = &g
+		o.rows = make(map[VID]rowSet)
+		o.buckets = make(map[symbols.ID]bool)
+	}
+	return o.g
+}
 
-// NumVertices reports |V| of the graph Freeze would produce.
-func (o *Overlay) NumVertices() int { return o.base.NumVertices() + len(o.newNames) }
+func withSlack[T any](s []T) []T { return append(make([]T, 0, len(s)+headerSlack), s...) }
 
-// Vertex resolves name to a VID, creating an overlay vertex on first
-// sight. Names are interned into the base's symbol table.
-func (o *Overlay) Vertex(name string) VID {
-	id := o.base.Symbols.Intern(name)
-	if v, ok := o.base.vertexBySym(id); ok {
+// row returns v's row of kind k in rows for writing: the derivation's own
+// clone, taken the first time it writes that row, with room for one more
+// element.
+func row[T any](o *Overlay, v VID, k rowSet, rows [][]T) []T {
+	r := rows[v]
+	if o.rows[v]&k == 0 {
+		o.rows[v] |= k
+		r = append(make([]T, 0, len(r)+1), r...)
+	}
+	return r
+}
+
+// vertex resolves name to a VID, interning it and appending a vertex on
+// first sight.
+func (o *Overlay) vertex(name string) VID {
+	id := o.from.Symbols.Intern(name)
+	if v, ok := o.cur().vertexBySym(id); ok {
 		return v
 	}
-	if v, ok := o.newByName[id]; ok {
-		return v
+	g := o.begin()
+	if !o.ownsNames {
+		o.ownsNames = true
+		g.names = withSlack(g.names)
+		extra := make(map[symbols.ID]VID, len(g.extraByName)+1)
+		maps.Copy(extra, g.extraByName)
+		g.extraByName = extra
 	}
-	v := VID(o.NumVertices())
-	o.newByName[id] = v
-	o.newNames = append(o.newNames, id)
+	v := VID(len(g.names))
+	g.names = append(g.names, id)
+	g.extraByName[id] = v
+	g.labels = append(g.labels, nil)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	return v
 }
 
-// LookupVertex resolves name without creating anything; NoVID when absent.
-func (o *Overlay) LookupVertex(name string) VID {
-	id := o.base.Symbols.Lookup(name)
-	if id == symbols.None {
-		return NoVID
-	}
-	if v, ok := o.base.vertexBySym(id); ok {
-		return v
-	}
-	if v, ok := o.newByName[id]; ok {
+// lookup resolves name without creating anything; NoVID when absent.
+func (o *Overlay) lookup(name string) VID {
+	if v, ok := o.cur().vertexBySym(o.from.Symbols.Lookup(name)); ok {
 		return v
 	}
 	return NoVID
 }
 
-func (o *Overlay) patch(v VID) *vertexPatch {
-	p, ok := o.patches[v]
+// AddLabel attaches label to vertex (no-op if already present).
+func (o *Overlay) AddLabel(vertex, label string) {
+	v := o.vertex(vertex)
+	l := o.from.Symbols.Intern(label)
+	i, ok := slices.BinarySearch(o.cur().labels[v], l)
+	if ok {
+		return
+	}
+	g := o.begin()
+	g.labels[v] = slices.Insert(row(o, v, labelsRow, g.labels), i, l)
+	b := o.bucket(l)
+	j, _ := slices.BinarySearch(b, v)
+	g.byLabel[l] = slices.Insert(b, j, v)
+}
+
+// RemoveLabel detaches label from vertex (no-op if absent).
+func (o *Overlay) RemoveLabel(vertex, label string) {
+	v, l := o.lookup(vertex), o.from.Symbols.Lookup(label)
+	if v == NoVID {
+		return
+	}
+	i, ok := slices.BinarySearch(o.cur().labels[v], l)
 	if !ok {
-		p = &vertexPatch{}
-		o.patches[v] = p
-	}
-	return p
-}
-
-func (o *Overlay) baseHasLabel(v VID, l symbols.ID) bool {
-	return int(v) < o.base.NumVertices() && o.base.HasLabel(v, l)
-}
-
-func (o *Overlay) baseHasEdge(from VID, l symbols.ID, to VID) bool {
-	return int(from) < o.base.NumVertices() && int(to) < o.base.NumVertices() &&
-		o.base.HasEdge(from, l, to)
-}
-
-// AddLabel attaches label l to v (no-op if already present).
-func (o *Overlay) AddLabel(v VID, l symbols.ID) {
-	p := o.patch(v)
-	if p.delLabels[l] {
-		delete(p.delLabels, l)
 		return
 	}
-	if o.baseHasLabel(v, l) {
-		return
-	}
-	if p.addLabels == nil {
-		p.addLabels = make(map[symbols.ID]bool)
-	}
-	p.addLabels[l] = true
-}
-
-// RemoveLabel detaches label l from v (no-op if absent).
-func (o *Overlay) RemoveLabel(v VID, l symbols.ID) {
-	p := o.patch(v)
-	if p.addLabels[l] {
-		delete(p.addLabels, l)
-		return
-	}
-	if !o.baseHasLabel(v, l) {
-		return
-	}
-	if p.delLabels == nil {
-		p.delLabels = make(map[symbols.ID]bool)
-	}
-	p.delLabels[l] = true
-}
-
-// AddEdge inserts the edge (from, l, to) (no-op if already present).
-func (o *Overlay) AddEdge(from VID, l symbols.ID, to VID) {
-	pf, pt := o.patch(from), o.patch(to)
-	oh, ih := Half{Label: l, To: to}, Half{Label: l, To: from}
-	if pf.delOut[oh] {
-		delete(pf.delOut, oh)
-		delete(pt.delIn, ih)
-		return
-	}
-	if o.baseHasEdge(from, l, to) || pf.addOut[oh] {
-		return
-	}
-	if pf.addOut == nil {
-		pf.addOut = make(map[Half]bool)
-	}
-	pf.addOut[oh] = true
-	if pt.addIn == nil {
-		pt.addIn = make(map[Half]bool)
-	}
-	pt.addIn[ih] = true
-}
-
-// RemoveEdge deletes the edge (from, l, to) (no-op if absent).
-func (o *Overlay) RemoveEdge(from VID, l symbols.ID, to VID) {
-	pf, pt := o.patch(from), o.patch(to)
-	oh, ih := Half{Label: l, To: to}, Half{Label: l, To: from}
-	if pf.addOut[oh] {
-		delete(pf.addOut, oh)
-		delete(pt.addIn, ih)
-		return
-	}
-	if !o.baseHasEdge(from, l, to) {
-		return
-	}
-	if pf.delOut == nil {
-		pf.delOut = make(map[Half]bool)
-	}
-	pf.delOut[oh] = true
-	if pt.delIn == nil {
-		pt.delIn = make(map[Half]bool)
-	}
-	pt.delIn[ih] = true
-}
-
-// SetAttr sets attribute name=value on v (last write wins).
-func (o *Overlay) SetAttr(v VID, name symbols.ID, value Value) {
-	p := o.patch(v)
-	if p.attrs == nil {
-		p.attrs = make(map[symbols.ID]attrPatch)
-	}
-	p.attrs[name] = attrPatch{value: value}
-}
-
-// RemoveAttr deletes attribute name from v only if its current effective
-// value equals value — triple deletion removes the asserted triple, not
-// whatever value happens to be stored. No-op otherwise.
-func (o *Overlay) RemoveAttr(v VID, name symbols.ID, value Value) {
-	p := o.patch(v)
-	cur, ok := p.attrs[name]
-	if !ok {
-		if int(v) < o.base.NumVertices() {
-			if bv, has := o.base.Attribute(v, name); has {
-				cur = attrPatch{value: bv}
-				ok = true
-			}
-		}
-	}
-	if !ok || cur.deleted || cur.value != value {
-		return
-	}
-	if p.attrs == nil {
-		p.attrs = make(map[symbols.ID]attrPatch)
-	}
-	p.attrs[name] = attrPatch{deleted: true}
-}
-
-// Freeze derives the patched frozen Graph. The overlay must not be used
-// afterwards. When nothing was changed, the base itself is returned.
-func (o *Overlay) Freeze() *Graph {
-	if len(o.patches) == 0 && len(o.newNames) == 0 {
-		return o.base
-	}
-	b := o.base
-	n := b.NumVertices() + len(o.newNames)
-
-	g := &Graph{Symbols: b.Symbols}
-
-	if len(o.newNames) == 0 {
-		g.names = b.names
-		g.byName = b.byName
-		g.extraByName = b.extraByName
+	g := o.begin()
+	g.labels[v] = slices.Delete(row(o, v, labelsRow, g.labels), i, i+1)
+	b := o.bucket(l)
+	j, _ := slices.BinarySearch(b, v)
+	if b = slices.Delete(b, j, j+1); len(b) == 0 {
+		delete(g.byLabel, l)
 	} else {
-		g.names = make([]symbols.ID, 0, n)
-		g.names = append(g.names, b.names...)
-		g.names = append(g.names, o.newNames...)
-		g.byName = b.byName
-		extra := make(map[symbols.ID]VID, len(b.extraByName)+len(o.newByName))
-		for id, v := range b.extraByName {
-			extra[id] = v
-		}
-		for id, v := range o.newByName {
-			extra[id] = v
-		}
-		g.extraByName = extra
+		g.byLabel[l] = b
 	}
+}
 
-	g.labels = make([][]symbols.ID, n)
-	g.out = make([][]Half, n)
-	g.in = make([][]Half, n)
-	copy(g.labels, b.labels)
-	copy(g.out, b.out)
-	copy(g.in, b.in)
-	// Attributes are rarely patched: share the base's array unless some
-	// patch touches one (new vertices past its end have none).
-	g.attrs = b.attrs
-	for _, p := range o.patches {
-		if len(p.attrs) > 0 {
-			g.attrs = make([][]Attr, n)
-			copy(g.attrs, b.attrs)
-			break
-		}
+// bucket returns l's vertex bucket for writing, cloned the first time.
+func (o *Overlay) bucket(l symbols.ID) []VID {
+	b := o.g.byLabel[l]
+	if !o.buckets[l] {
+		o.buckets[l] = true
+		b = append(make([]VID, 0, len(b)+1), b...)
 	}
+	return b
+}
 
-	// Per-label membership deltas drive the byLabel bucket rebuild; edge
-	// count deltas drive numEdges/edgeFreq.
-	labelAdd := make(map[symbols.ID][]VID)
-	labelDel := make(map[symbols.ID]map[VID]bool)
-	edgeDelta := make(map[symbols.ID]int)
-	edgeCount := b.numEdges
+func cmpHalf(a, b Half) int {
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
+}
 
-	for v, p := range o.patches {
-		if len(p.addLabels) > 0 || len(p.delLabels) > 0 {
-			g.labels[v] = mergeLabels(baseOrNil(b.labels, v), p.addLabels, p.delLabels)
-			for l := range p.addLabels {
-				labelAdd[l] = append(labelAdd[l], v)
-			}
-			for l := range p.delLabels {
-				m := labelDel[l]
-				if m == nil {
-					m = make(map[VID]bool)
-					labelDel[l] = m
-				}
-				m[v] = true
-			}
-		}
-		if len(p.addOut) > 0 || len(p.delOut) > 0 {
-			g.out[v] = mergeHalves(baseOrNil(b.out, v), p.addOut, p.delOut)
-			for h := range p.addOut {
-				edgeDelta[h.Label]++
-				edgeCount++
-			}
-			for h := range p.delOut {
-				edgeDelta[h.Label]--
-				edgeCount--
-			}
-		}
-		if len(p.addIn) > 0 || len(p.delIn) > 0 {
-			g.in[v] = mergeHalves(baseOrNil(b.in, v), p.addIn, p.delIn)
-		}
-		if len(p.attrs) > 0 {
-			g.attrs[v] = mergeAttrs(b.Attributes(v), p.attrs)
-		}
+// AddEdge inserts the edge (from, label, to) (no-op if already present).
+func (o *Overlay) AddEdge(from, label, to string) {
+	l := o.from.Symbols.Intern(label)
+	f, t := o.vertex(from), o.vertex(to)
+	i, ok := slices.BinarySearchFunc(o.cur().out[f], Half{l, t}, cmpHalf)
+	if ok {
+		return
 	}
-	g.numEdges = edgeCount
+	g := o.begin()
+	g.out[f] = slices.Insert(row(o, f, outRow, g.out), i, Half{l, t})
+	j, _ := slices.BinarySearchFunc(g.in[t], Half{l, f}, cmpHalf)
+	g.in[t] = slices.Insert(row(o, t, inRow, g.in), j, Half{l, f})
+	g.numEdges++
+	g.edgeFreq[l]++
+}
 
-	// Copy map headers (O(distinct labels)), then rebuild only touched
-	// buckets; untouched buckets share the base's backing arrays.
-	g.byLabel = make(map[symbols.ID][]VID, len(b.byLabel))
-	for l, vs := range b.byLabel {
-		g.byLabel[l] = vs
+// RemoveEdge deletes the edge (from, label, to) (no-op if absent).
+func (o *Overlay) RemoveEdge(from, label, to string) {
+	f, t, l := o.lookup(from), o.lookup(to), o.from.Symbols.Lookup(label)
+	if f == NoVID || t == NoVID {
+		return
 	}
-	touched := make(map[symbols.ID]bool, len(labelAdd)+len(labelDel))
-	for l := range labelAdd {
-		touched[l] = true
+	i, ok := slices.BinarySearchFunc(o.cur().out[f], Half{l, t}, cmpHalf)
+	if !ok {
+		return
 	}
-	for l := range labelDel {
-		touched[l] = true
+	g := o.begin()
+	g.out[f] = slices.Delete(row(o, f, outRow, g.out), i, i+1)
+	j, _ := slices.BinarySearchFunc(g.in[t], Half{l, f}, cmpHalf)
+	g.in[t] = slices.Delete(row(o, t, inRow, g.in), j, j+1)
+	g.numEdges--
+	if g.edgeFreq[l]--; g.edgeFreq[l] == 0 {
+		delete(g.edgeFreq, l)
 	}
-	for l := range touched {
-		bucket := mergeBucket(b.byLabel[l], labelAdd[l], labelDel[l])
-		if len(bucket) == 0 {
-			delete(g.byLabel, l)
-			continue
-		}
-		g.byLabel[l] = bucket
-	}
+}
 
-	g.edgeFreq = make(map[symbols.ID]int, len(b.edgeFreq))
-	for l, c := range b.edgeFreq {
-		g.edgeFreq[l] = c
+// SetAttr sets attribute name=value on vertex (last write wins).
+func (o *Overlay) SetAttr(vertex, name string, value Value) {
+	v := o.vertex(vertex)
+	a := o.from.Symbols.Intern(name)
+	as := o.cur().Attributes(v)
+	i, ok := slices.BinarySearchFunc(as, a, cmpAttrName)
+	if ok && as[i].Value == value {
+		return
 	}
-	for l, d := range edgeDelta {
-		c := g.edgeFreq[l] + d
-		if c <= 0 {
-			delete(g.edgeFreq, l)
-			continue
-		}
-		g.edgeFreq[l] = c
+	r := o.attrRow(v)
+	if ok {
+		r[i].Value = value
+	} else {
+		r = slices.Insert(r, i, Attr{Name: a, Value: value})
 	}
+	o.g.attrs[v] = r
+}
 
-	o.patches = nil
-	o.newNames = nil
-	o.newByName = nil
+// RemoveAttr deletes attribute name from vertex only if its current value
+// equals value — triple deletion removes the asserted triple, not whatever
+// value happens to be stored. No-op otherwise.
+func (o *Overlay) RemoveAttr(vertex, name string, value Value) {
+	v := o.lookup(vertex)
+	if v == NoVID {
+		return
+	}
+	as := o.cur().Attributes(v)
+	i, ok := slices.BinarySearchFunc(as, o.from.Symbols.Lookup(name), cmpAttrName)
+	if !ok || as[i].Value != value {
+		return
+	}
+	r := o.attrRow(v)
+	o.g.attrs[v] = slices.Delete(r, i, i+1)
+}
+
+func cmpAttrName(a Attr, name symbols.ID) int { return cmp.Compare(a.Name, name) }
+
+// attrRow returns v's attribute row for writing. The attrs array is
+// copied at the first attribute change (until then the derivation shares
+// the start graph's, which may end before vertices added since) and
+// extended to cover v.
+func (o *Overlay) attrRow(v VID) []Attr {
+	g := o.begin()
+	if !o.ownsAttrs {
+		o.ownsAttrs = true
+		g.attrs = append(make([][]Attr, 0, len(g.names)), g.attrs...)
+	}
+	if int(v) >= len(g.attrs) {
+		g.attrs = append(g.attrs, make([][]Attr, int(v)+1-len(g.attrs))...)
+	}
+	return row(o, v, attrsRow, g.attrs)
+}
+
+// Freeze returns the derived graph: the start graph itself when nothing
+// changed. The overlay must not be used afterwards.
+func (o *Overlay) Freeze() *Graph {
+	g := o.cur()
+	*o = Overlay{}
 	return g
-}
-
-// baseOrNil returns v's entry of a base per-vertex array, or nil for a
-// vertex past its end (one the overlay created).
-func baseOrNil[T any](s [][]T, v VID) []T {
-	if int(v) < len(s) {
-		return s[v]
-	}
-	return nil
-}
-
-func mergeLabels(base []symbols.ID, adds, dels map[symbols.ID]bool) []symbols.ID {
-	out := make([]symbols.ID, 0, len(base)+len(adds))
-	for _, l := range base {
-		if !dels[l] {
-			out = append(out, l)
-		}
-	}
-	for l := range adds {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func mergeHalves(base []Half, adds, dels map[Half]bool) []Half {
-	out := make([]Half, 0, len(base)+len(adds))
-	for _, h := range base {
-		if !dels[h] {
-			out = append(out, h)
-		}
-	}
-	for h := range adds {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
-func mergeAttrs(base []Attr, patch map[symbols.ID]attrPatch) []Attr {
-	out := make([]Attr, 0, len(base)+len(patch))
-	for _, a := range base {
-		p, ok := patch[a.Name]
-		if !ok {
-			out = append(out, a)
-		} else if !p.deleted {
-			out = append(out, Attr{Name: a.Name, Value: p.value})
-		}
-	}
-	for name, p := range patch {
-		if p.deleted {
-			continue
-		}
-		if _, ok := findAttr(base, name); ok {
-			continue // rewritten in place above
-		}
-		out = append(out, Attr{Name: name, Value: p.value})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func findAttr(as []Attr, name symbols.ID) (Value, bool) {
-	i := sort.Search(len(as), func(i int) bool { return as[i].Name >= name })
-	if i < len(as) && as[i].Name == name {
-		return as[i].Value, true
-	}
-	return Value{}, false
-}
-
-func mergeBucket(base, adds []VID, dels map[VID]bool) []VID {
-	out := make([]VID, 0, len(base)+len(adds))
-	for _, v := range base {
-		if !dels[v] {
-			out = append(out, v)
-		}
-	}
-	out = append(out, adds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // vertexBySym resolves an interned name ID to a VID, consulting the

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ogpa/internal/symbols"
@@ -76,27 +79,20 @@ func TestOverlayAddAndRemove(t *testing.T) {
 
 	ov := NewOverlay(base)
 	// New vertex with a label and an edge to an existing vertex.
-	carl := ov.Vertex("carl")
-	if int(carl) < base.NumVertices() {
-		t.Fatalf("new vertex got base VID %d", carl)
-	}
-	student := base.Symbols.Intern("Student")
-	ov.AddLabel(carl, student)
-	advisorOf := base.Symbols.Intern("advisorOf")
-	bob := base.VertexByName("bob")
-	ov.AddEdge(bob, advisorOf, carl)
+	ov.AddLabel("carl", "Student")
+	ov.AddEdge("bob", "advisorOf", "carl")
 	// Remove an existing label and edge.
-	ann := base.VertexByName("ann")
-	phd := base.Symbols.Lookup("PhD")
-	ov.RemoveLabel(ann, phd)
-	course1 := base.VertexByName("course1")
-	takes := base.Symbols.Lookup("takesCourse")
-	ov.RemoveEdge(ann, takes, course1)
+	ov.RemoveLabel("ann", "PhD")
+	ov.RemoveEdge("ann", "takesCourse", "course1")
 	// Attribute update and a value-conditional delete that must not fire.
+	ov.SetAttr("course1", "year", Int(2024))
+	ov.RemoveAttr("ann", "name", String("NotAnn")) // wrong value: keep
+	student := base.Symbols.Lookup("Student")
+	advisorOf := base.Symbols.Lookup("advisorOf")
+	phd := base.Symbols.Lookup("PhD")
+	takes := base.Symbols.Lookup("takesCourse")
 	year := base.Symbols.Lookup("year")
-	ov.SetAttr(course1, year, Int(2024))
 	nameAttr := base.Symbols.Lookup("name")
-	ov.RemoveAttr(ann, nameAttr, String("NotAnn")) // wrong value: keep
 
 	g := ov.Freeze()
 
@@ -104,8 +100,8 @@ func TestOverlayAddAndRemove(t *testing.T) {
 		t.Fatal("Freeze mutated the base graph")
 	}
 	carl2 := g.VertexByName("carl")
-	if carl2 != carl {
-		t.Fatalf("carl VID = %d, want %d", carl2, carl)
+	if carl2 != VID(base.NumVertices()) {
+		t.Fatalf("new vertex carl got VID %d, want the first one past the base's %d", carl2, base.NumVertices())
 	}
 	if !g.HasLabel(carl2, student) {
 		t.Fatal("carl should be Student")
@@ -138,15 +134,12 @@ func TestOverlayAddThenRemoveCancels(t *testing.T) {
 	base := buildSample(t)
 	base.Symbols.Thaw()
 	ov := NewOverlay(base)
-	ann := base.VertexByName("ann")
-	l := base.Symbols.Intern("Visitor")
-	ov.AddLabel(ann, l)
-	ov.RemoveLabel(ann, l)
-	bob := base.VertexByName("bob")
-	e := base.Symbols.Intern("knows")
-	ov.AddEdge(ann, e, bob)
-	ov.RemoveEdge(ann, e, bob)
+	ov.AddLabel("ann", "Visitor")
+	ov.RemoveLabel("ann", "Visitor")
+	ov.AddEdge("ann", "knows", "bob")
+	ov.RemoveEdge("ann", "knows", "bob")
 	g := ov.Freeze()
+	l, e := base.Symbols.Lookup("Visitor"), base.Symbols.Lookup("knows")
 	if g.HasLabel(g.VertexByName("ann"), l) {
 		t.Fatal("canceled label survived")
 	}
@@ -162,9 +155,9 @@ func TestCompactedEquivalence(t *testing.T) {
 	base := buildSample(t)
 	base.Symbols.Thaw()
 	ov := NewOverlay(base)
-	ov.AddLabel(ov.Vertex("carl"), base.Symbols.Intern("Student"))
-	ov.AddEdge(ov.Vertex("carl"), base.Symbols.Intern("takesCourse"), base.VertexByName("course1"))
-	ov.RemoveLabel(base.VertexByName("ann"), base.Symbols.Lookup("PhD"))
+	ov.AddLabel("carl", "Student")
+	ov.AddEdge("carl", "takesCourse", "course1")
+	ov.RemoveLabel("ann", "PhD")
 	g := ov.Freeze()
 	c := g.Compacted()
 	if dumpGraph(c) != dumpGraph(g) {
@@ -199,6 +192,16 @@ func (s *shadowModel) touch(v string) {
 		s.seen[v] = true
 		s.order = append(s.order, v)
 	}
+}
+
+func (s *shadowModel) clone() *shadowModel {
+	c := newShadow()
+	maps.Copy(c.labels, s.labels)
+	maps.Copy(c.edges, s.edges)
+	maps.Copy(c.attrs, s.attrs)
+	maps.Copy(c.seen, s.seen)
+	c.order = slices.Clone(s.order)
+	return c
 }
 
 // build replays the shadow into a fresh canonical graph. Every vertex
@@ -285,48 +288,35 @@ func TestOverlayRandomEquivalence(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0:
 					v, l := verts[rng.Intn(len(verts))], labels[rng.Intn(len(labels))]
-					ov.AddLabel(ov.Vertex(v), base.Symbols.Intern(l))
+					ov.AddLabel(v, l)
 					sh.touch(v)
 					sh.labels[[2]string{v, l}] = true
 				case 1:
 					v, l := verts[rng.Intn(len(verts))], labels[rng.Intn(len(labels))]
-					if vid := ov.LookupVertex(v); vid != NoVID {
-						if id := base.Symbols.Lookup(l); id != symbols.None {
-							ov.RemoveLabel(vid, id)
-							delete(sh.labels, [2]string{v, l})
-						}
-					}
+					ov.RemoveLabel(v, l)
+					delete(sh.labels, [2]string{v, l})
 				case 2:
 					f, e, to := verts[rng.Intn(len(verts))], elabels[rng.Intn(len(elabels))], verts[rng.Intn(len(verts))]
-					ov.AddEdge(ov.Vertex(f), base.Symbols.Intern(e), ov.Vertex(to))
+					ov.AddEdge(f, e, to)
 					sh.touch(f)
 					sh.touch(to)
 					sh.edges[[3]string{f, e, to}] = true
 				case 3:
 					f, e, to := verts[rng.Intn(len(verts))], elabels[rng.Intn(len(elabels))], verts[rng.Intn(len(verts))]
-					fv, tv := ov.LookupVertex(f), ov.LookupVertex(to)
-					if fv != NoVID && tv != NoVID {
-						if id := base.Symbols.Lookup(e); id != symbols.None {
-							ov.RemoveEdge(fv, id, tv)
-							delete(sh.edges, [3]string{f, e, to})
-						}
-					}
+					ov.RemoveEdge(f, e, to)
+					delete(sh.edges, [3]string{f, e, to})
 				case 4:
 					v, a := verts[rng.Intn(len(verts))], attrs[rng.Intn(len(attrs))]
 					val := Int(int64(rng.Intn(5)))
-					ov.SetAttr(ov.Vertex(v), base.Symbols.Intern(a), val)
+					ov.SetAttr(v, a, val)
 					sh.touch(v)
 					sh.attrs[[2]string{v, a}] = val
 				default:
 					v, a := verts[rng.Intn(len(verts))], attrs[rng.Intn(len(attrs))]
 					val := Int(int64(rng.Intn(5)))
-					if vid := ov.LookupVertex(v); vid != NoVID {
-						if id := base.Symbols.Lookup(a); id != symbols.None {
-							ov.RemoveAttr(vid, id, val)
-							if sh.attrs[[2]string{v, a}] == val {
-								delete(sh.attrs, [2]string{v, a})
-							}
-						}
+					ov.RemoveAttr(v, a, val)
+					if sh.attrs[[2]string{v, a}] == val {
+						delete(sh.attrs, [2]string{v, a})
 					}
 				}
 			}
@@ -355,9 +345,9 @@ func TestFreezeSharesUntouchedAttrs(t *testing.T) {
 	age := base.Symbols.Intern("age")
 
 	ov := NewOverlay(base)
-	bob := ov.Vertex("bob")
-	ov.AddLabel(bob, base.Symbols.Intern("Student"))
+	ov.AddLabel("bob", "Student")
 	g1 := ov.Freeze()
+	bob := g1.VertexByName("bob")
 	if len(g1.attrs) != len(base.attrs) || &g1.attrs[0] != &base.attrs[0] {
 		t.Fatal("a derivation that touches no attribute copied the attrs array")
 	}
@@ -366,7 +356,7 @@ func TestFreezeSharesUntouchedAttrs(t *testing.T) {
 	}
 
 	ov = NewOverlay(g1)
-	ov.SetAttr(bob, age, Int(40))
+	ov.SetAttr("bob", "age", Int(40))
 	g2 := ov.Freeze()
 	if v, ok := g2.Attribute(bob, age); !ok || v != Int(40) {
 		t.Fatalf("bob's age = %v, %v after setting it", v, ok)
@@ -377,6 +367,91 @@ func TestFreezeSharesUntouchedAttrs(t *testing.T) {
 	for _, g := range []*Graph{g1, g2} {
 		if got, want := dumpGraph(g.Compacted()), dumpGraph(g); got != want {
 			t.Fatalf("compaction changed the graph:\n%s\nwant\n%s", got, want)
+		}
+	}
+}
+
+// TestOverlayConcurrentDerivations: two derivations from one Builder-made
+// start graph, whose rows and header arrays have spare capacity, run at
+// the same time. On vertices a and b each adds its own label, edges and
+// attribute, which sort past the end of the start graph's rows and so
+// fill the same spare slots were they appended in place; on c and d each
+// overwrites and deletes start-graph content; each adds a vertex. Each
+// must equal a rebuild of its own script alone, and the start graph must
+// not change.
+func TestOverlayConcurrentDerivations(t *testing.T) {
+	b := NewBuilder(nil)
+	sh := newShadow()
+	for _, v := range []string{"a", "b", "c", "d", "e"} {
+		sh.touch(v)
+		b.Vertex(v)
+	}
+	for j := 0; j < 3; j++ {
+		l, p, x := fmt.Sprint("B", j), fmt.Sprint("q", j), fmt.Sprint("y", j)
+		for _, v := range []string{"a", "b", "c", "d", "e"} {
+			b.AddLabel(v, l)
+			b.SetAttr(v, x, Int(int64(j)))
+			sh.labels[[2]string{v, l}] = true
+			sh.attrs[[2]string{v, x}] = Int(int64(j))
+		}
+		for _, e := range [][2]string{{"a", "b"}, {"b", "a"}, {"c", "d"}} {
+			b.AddEdge(e[0], p, e[1])
+			sh.edges[[3]string{e[0], p, e[1]}] = true
+		}
+	}
+	start := b.Freeze()
+	if cap(start.names) == len(start.names) || cap(start.labels) == len(start.labels) ||
+		cap(start.labels[0]) == len(start.labels[0]) || cap(start.out[0]) == len(start.out[0]) ||
+		cap(start.in[0]) == len(start.in[0]) || cap(start.attrs[0]) == len(start.attrs[0]) {
+		t.Fatal("the start graph has no spare capacity for a derivation to write into")
+	}
+	start.Symbols.Thaw()
+	before := dumpGraph(start)
+
+	// script applies derivation k's writes to ov and to its shadow.
+	script := func(k int, ov *Overlay, sh *shadowModel) {
+		l, p, x, n := fmt.Sprint("L", k), fmt.Sprint("p", k), fmt.Sprint("x", k), fmt.Sprint("n", k)
+		for _, e := range [][2]string{{"a", "b"}, {"b", "a"}} {
+			ov.AddLabel(e[0], l)
+			ov.AddEdge(e[0], p, e[1])
+			ov.SetAttr(e[0], x, Int(int64(k)))
+			sh.labels[[2]string{e[0], l}] = true
+			sh.edges[[3]string{e[0], p, e[1]}] = true
+			sh.attrs[[2]string{e[0], x}] = Int(int64(k))
+		}
+		ov.SetAttr("c", "y0", Int(int64(10+k)))
+		ov.RemoveAttr("d", "y2", Int(2))
+		ov.RemoveLabel("c", fmt.Sprint("B", k))
+		ov.RemoveEdge("c", fmt.Sprint("q", k), "d")
+		ov.AddEdge("d", p, n)
+		sh.attrs[[2]string{"c", "y0"}] = Int(int64(10 + k))
+		delete(sh.attrs, [2]string{"d", "y2"})
+		delete(sh.labels, [2]string{"c", fmt.Sprint("B", k)})
+		delete(sh.edges, [3]string{"c", fmt.Sprint("q", k), "d"})
+		sh.touch(n)
+		sh.edges[[3]string{"d", p, n}] = true
+	}
+	for round := 0; round < 20; round++ {
+		var got [2]*Graph
+		shadows := [2]*shadowModel{sh.clone(), sh.clone()}
+		var wg sync.WaitGroup
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ov := NewOverlay(start)
+				script(k, ov, shadows[k])
+				got[k] = ov.Freeze()
+			}()
+		}
+		wg.Wait()
+		for k, g := range got {
+			if d, want := dumpGraph(g), dumpGraph(shadows[k].build(start.Symbols)); d != want {
+				t.Fatalf("round %d: derivation %d sees another's writes:\n%s\nwant\n%s", round, k, d, want)
+			}
+		}
+		if dumpGraph(start) != before {
+			t.Fatalf("round %d: the derivations wrote into their start graph", round)
 		}
 	}
 }

@@ -23,8 +23,8 @@ type Arrays struct {
 
 // Arrays exposes the frozen storage of g. The returned slices alias g and
 // must be treated as read-only. g must be canonical (built by a Builder,
-// FromArrays or Compacted): a graph derived by Overlay.Freeze may share a
-// shorter attrs array with its base, which FromArrays would reject.
+// FromArrays or Compacted): a graph derived by an Overlay may share a
+// shorter attrs array with its start graph, which FromArrays would reject.
 func (g *Graph) Arrays() Arrays {
 	return Arrays{
 		Names:    g.names,

@@ -291,7 +291,8 @@ func AddTriple(b *graph.Builder, t Triple, name func(string) string) {
 // Mutator is a sink for live ABox mutations under the same type-aware
 // mapping AddTriple applies at load time: rdf:type triples touch vertex
 // labels, resource-object triples touch edges, literal-object triples
-// touch attributes. internal/delta's overlay store implements it; Builder
+// touch attributes. graph.Overlay implements it, so internal/delta
+// applies each epoch's ops to the derivation directly; Builder
 // intentionally does not (loads are insert-only).
 type Mutator interface {
 	AddLabel(vertex, label string)

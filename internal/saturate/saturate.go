@@ -44,11 +44,21 @@ type edgeFact struct {
 	from, to string
 }
 
+type labelFact struct {
+	ind, label string
+}
+
+// store holds the chase's facts. Each label and role also lists its
+// holders in the order they were added, so an inclusion visits only its
+// own holders, in an order fixed by the input: a chase names its nulls
+// the same way on every run.
 type store struct {
-	labels    map[string]map[string]bool // individual → labels
+	labelSeen map[labelFact]bool
+	edgeSeen  map[edgeFact]bool
+	byLabel   map[string][]string   // label → individuals
+	byRole    map[string][]edgeFact // role → edges
 	out       map[string][]edgeFact
 	in        map[string][]edgeFact
-	edgeSeen  map[edgeFact]bool
 	depth     map[string]int // null depth; absent = 0 (named individual)
 	nullCount int
 	facts     int
@@ -56,24 +66,23 @@ type store struct {
 
 func newStore() *store {
 	return &store{
-		labels:   map[string]map[string]bool{},
-		out:      map[string][]edgeFact{},
-		in:       map[string][]edgeFact{},
-		edgeSeen: map[edgeFact]bool{},
-		depth:    map[string]int{},
+		labelSeen: map[labelFact]bool{},
+		edgeSeen:  map[edgeFact]bool{},
+		byLabel:   map[string][]string{},
+		byRole:    map[string][]edgeFact{},
+		out:       map[string][]edgeFact{},
+		in:        map[string][]edgeFact{},
+		depth:     map[string]int{},
 	}
 }
 
 func (s *store) addLabel(ind, label string) bool {
-	ls := s.labels[ind]
-	if ls == nil {
-		ls = map[string]bool{}
-		s.labels[ind] = ls
-	}
-	if ls[label] {
+	f := labelFact{ind, label}
+	if s.labelSeen[f] {
 		return false
 	}
-	ls[label] = true
+	s.labelSeen[f] = true
+	s.byLabel[label] = append(s.byLabel[label], ind)
 	s.facts++
 	return true
 }
@@ -84,6 +93,7 @@ func (s *store) addEdge(role, from, to string) bool {
 		return false
 	}
 	s.edgeSeen[e] = true
+	s.byRole[role] = append(s.byRole[role], e)
 	s.out[from] = append(s.out[from], e)
 	s.in[to] = append(s.in[to], e)
 	s.facts++
@@ -95,6 +105,29 @@ func (s *store) fresh(d int) string {
 	n := fmt.Sprintf("%s%d", NullPrefix, s.nullCount)
 	s.depth[n] = d
 	return n
+}
+
+// holders lists the individuals an inclusion's left-hand side c applies
+// to, each once: the carriers of a concept name, or the subjects (objects,
+// for an inverse role) of c's role.
+func (s *store) holders(c dllite.Concept) []string {
+	if !c.Exists {
+		return s.byLabel[c.Name]
+	}
+	r := c.Role()
+	seen := map[string]bool{}
+	var out []string
+	for _, e := range s.byRole[r.Name] {
+		ind := e.from
+		if r.Inv {
+			ind = e.to
+		}
+		if !seen[ind] {
+			seen[ind] = true
+			out = append(out, ind)
+		}
+	}
+	return out
 }
 
 // holdsExists reports whether individual x already has an R-witness.
@@ -150,43 +183,24 @@ func Materialize(t *dllite.TBox, a *dllite.ABox, maxDepth int, lim Limits) (*gra
 		// Concept/role hierarchy rules (I1–I3, I8, I9): iterate inclusions
 		// against the current facts.
 		for _, ci := range t.CIs {
-			switch {
-			case !ci.Sub.Exists && !ci.Sup.Exists: // I1
-				for ind, ls := range s.labels {
-					if ls[ci.Sub.Name] && s.addLabel(ind, ci.Sup.Name) {
-						changed = true
-					}
-				}
-			case ci.Sub.Exists && !ci.Sup.Exists: // I8/I9
-				r := ci.Sub.Role()
-				for e := range s.edgeSeen {
-					if e.role != r.Name {
-						continue
-					}
-					ind := e.from
-					if r.Inv {
-						ind = e.to
-					}
-					if s.addLabel(ind, ci.Sup.Name) {
-						changed = true
-					}
+			if ci.Sup.Exists {
+				continue
+			}
+			for _, ind := range s.holders(ci.Sub) {
+				if s.addLabel(ind, ci.Sup.Name) {
+					changed = true
 				}
 			}
 		}
 		for _, ri := range t.RIs {
-			var adds []edgeFact
-			for e := range s.edgeSeen {
-				if e.role != ri.Sub.Name {
-					continue
+			// Ranging over the list as it stood: edges this inclusion
+			// adds to the same role wait for the next round.
+			for _, e := range s.byRole[ri.Sub.Name] {
+				from, to := e.from, e.to
+				if ri.Sub.Inv {
+					from, to = to, from
 				}
-				if !ri.Sub.Inv {
-					adds = append(adds, edgeFact{ri.Sup.Name, e.from, e.to})
-				} else {
-					adds = append(adds, edgeFact{ri.Sup.Name, e.to, e.from})
-				}
-			}
-			for _, e := range adds {
-				if s.addEdge(e.role, e.from, e.to) {
+				if s.addEdge(ri.Sup.Name, from, to) {
 					changed = true
 				}
 			}
@@ -199,31 +213,7 @@ func Materialize(t *dllite.TBox, a *dllite.ABox, maxDepth int, lim Limits) (*gra
 				continue
 			}
 			sup := ci.Sup.Role()
-			var holders []string
-			if !ci.Sub.Exists { // A ⊑ ∃R
-				for ind, ls := range s.labels {
-					if ls[ci.Sub.Name] {
-						holders = append(holders, ind)
-					}
-				}
-			} else { // ∃R' ⊑ ∃R
-				r := ci.Sub.Role()
-				seen := map[string]bool{}
-				for e := range s.edgeSeen {
-					if e.role != r.Name {
-						continue
-					}
-					ind := e.from
-					if r.Inv {
-						ind = e.to
-					}
-					if !seen[ind] {
-						seen[ind] = true
-						holders = append(holders, ind)
-					}
-				}
-			}
-			for _, x := range holders {
+			for _, x := range s.holders(ci.Sub) {
 				if s.holdsExists(x, sup) {
 					continue
 				}
@@ -255,8 +245,8 @@ func Materialize(t *dllite.TBox, a *dllite.ABox, maxDepth int, lim Limits) (*gra
 	st.Nulls = s.nullCount
 
 	b := graph.NewBuilder(nil)
-	for ind, ls := range s.labels {
-		for l := range ls {
+	for l, inds := range s.byLabel {
+		for _, ind := range inds {
 			b.AddLabel(ind, l)
 		}
 	}

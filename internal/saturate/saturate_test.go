@@ -3,6 +3,7 @@ package saturate
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"ogpa/internal/cq"
 	"ogpa/internal/daf"
 	"ogpa/internal/dllite"
+	"ogpa/internal/graph"
 	"ogpa/internal/perfectref"
 )
 
@@ -227,4 +229,51 @@ func randomKB(rng *rand.Rand) (*dllite.TBox, *dllite.ABox, *cq.Query) {
 	}
 	q := cq.MustParse("q(x) :- " + strings.Join(atoms, ", "))
 	return tb, abox, q
+}
+
+// facts renders every label and edge of g by name, sorted.
+func facts(g *graph.Graph) []string {
+	var out []string
+	for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+		for _, l := range g.Labels(v) {
+			out = append(out, fmt.Sprintf("%s(%s)", g.Symbols.Name(l), g.Name(v)))
+		}
+		for _, h := range g.Out(v) {
+			out = append(out, fmt.Sprintf("%s(%s, %s)", g.Symbols.Name(h.Label), g.Name(v), g.Name(h.To)))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestMaterializeDeterministic: the chase names its nulls in an order
+// fixed by its input, so two runs over the same TBox and ABox derive the
+// same facts under the same names.
+func TestMaterializeDeterministic(t *testing.T) {
+	abox := &dllite.ABox{}
+	for i := 0; i < 40; i++ {
+		abox.AddConcept([]string{"Student", "PhD"}[i%2], fmt.Sprint("s", i))
+		if i%3 == 0 {
+			abox.AddRole("takesCourse", fmt.Sprint("s", i), fmt.Sprint("c", i))
+		}
+	}
+	want := func() []string {
+		g, _, err := Materialize(exampleTBox(t), abox, 2, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return facts(g)
+	}
+	first := want()
+	for run := 1; run < 4; run++ {
+		got := want()
+		for i := range min(len(got), len(first)) {
+			if got[i] != first[i] {
+				t.Fatalf("run %d derived %s where run 0 derived %s", run, got[i], first[i])
+			}
+		}
+		if len(got) != len(first) {
+			t.Fatalf("run %d derived %d facts, run 0 %d", run, len(got), len(first))
+		}
+	}
 }

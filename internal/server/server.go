@@ -383,16 +383,22 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 
 	mutate := func(w http.ResponseWriter, r *http.Request, del bool) {
 		start := time.Now()
+		body := http.MaxBytesReader(w, r.Body, maxMutationBytes)
 		var n int
 		var err error
 		if del {
-			n, err = kb.DeleteTriples(r.Body)
+			n, err = kb.DeleteTriples(body)
 		} else {
-			n, err = kb.InsertTriples(r.Body)
+			n, err = kb.InsertTriples(body)
 		}
 		if err != nil {
 			m.recordError()
-			writeError(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxMutationBytes)
+			}
+			writeError(w, code, err)
 			return
 		}
 		m.recordMutation(del)
@@ -511,6 +517,12 @@ func liveOnly(kb *ogpa.KB, m *metrics, h http.HandlerFunc) http.HandlerFunc {
 
 // maxBodyBytes bounds a JSON request body; a larger one gets 413.
 const maxBodyBytes = 1 << 20
+
+// maxMutationBytes bounds a POST /insert or /delete N-Triples body; a
+// larger one gets 413 and commits nothing, as a batch parses whole
+// before it commits. It is below rdf.ParseTriples' 16 MiB line limit, so
+// the cap, not the line limit, is what any body over it runs into.
+const maxMutationBytes = 8 << 20
 
 // request is a JSON request body that names a query.
 type request interface{ query() string }

@@ -196,15 +196,29 @@ func TestStatsAndConsistency(t *testing.T) {
 }
 
 // TestOversizedBody: a JSON body over maxBodyBytes gets 413 on /query and
-// POST /subscribe, /stats counts each as an error, and the next /query
-// is served.
+// POST /subscribe, an N-Triples body over maxMutationBytes gets 413 on
+// /insert and /delete and leaves the epoch as it was, /stats counts each
+// as an error, and the next /query is served.
 func TestOversizedBody(t *testing.T) {
-	_, h := subKB(t, Config{})
+	kb, h := subKB(t, Config{})
+	epoch := kb.Epoch()
 	big := `{"query":"` + strings.Repeat("x", 2<<20) + `"}`
-	for _, path := range []string{"/query", "/subscribe"} {
-		if rec := do(t, h, "POST", path, big); rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s with a 2 MiB body: status %d: %.200s", path, rec.Code, rec.Body)
+	// A triple the batch would commit, then comment lines past the cap;
+	// and one line past the cap.
+	bigTriples := "<carl> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <Student> .\n" +
+		strings.Repeat("#"+strings.Repeat("x", 1023)+"\n", maxMutationBytes>>10)
+	bigLine := "#" + strings.Repeat("x", maxMutationBytes)
+	bodies := []struct{ path, body string }{
+		{"/query", big}, {"/subscribe", big},
+		{"/insert", bigTriples}, {"/delete", bigTriples}, {"/insert", bigLine},
+	}
+	for _, c := range bodies {
+		if rec := do(t, h, "POST", c.path, c.body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d MiB body: status %d: %.200s", c.path, len(c.body)>>20, rec.Code, rec.Body)
 		}
+	}
+	if got := kb.Epoch(); got != epoch {
+		t.Fatalf("epoch %d after oversized mutations, want %d", got, epoch)
 	}
 	if rec := do(t, h, "POST", "/query", `{"query":"q(x) :- Student(x)"}`); rec.Code != http.StatusOK {
 		t.Fatalf("/query after an oversized body: status %d: %s", rec.Code, rec.Body)
@@ -213,8 +227,8 @@ func TestOversizedBody(t *testing.T) {
 	if err := json.Unmarshal(do(t, h, "GET", "/stats", "").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Errors != 2 {
-		t.Fatalf("/stats errors = %d, want 2", st.Errors)
+	if st.Errors != uint64(len(bodies)) {
+		t.Fatalf("/stats errors = %d, want %d", st.Errors, len(bodies))
 	}
 }
 
