@@ -451,6 +451,20 @@ func (s *Store) Checkpoint() (uint64, error) {
 	if s.wal == nil {
 		return 0, errors.New("delta: store is not durable (no WAL configured)")
 	}
+	return s.save(s.snapPath, true)
+}
+
+// SaveTo folds the current state and writes it as a snapshot at the
+// current epoch to an arbitrary path, leaving the WAL and the recovery
+// chain untouched (an export, not a checkpoint). Works on non-durable
+// stores too. Returns the epoch the snapshot captures.
+func (s *Store) SaveTo(path string) (uint64, error) { return s.save(path, false) }
+
+// save folds the current state into a canonical base and writes it to
+// path as a snapshot at the current epoch. A checkpoint first refuses a
+// store that lost durability, and after the write truncates the WAL and
+// rebases the store on the saved base. Returns the saved epoch.
+func (s *Store) save(path string, checkpoint bool) (uint64, error) {
 	// Bulk fold outside the lock so writers aren't blocked for the O(|G|)
 	// part; only the residual ops that landed meanwhile fold under the
 	// gate.
@@ -461,7 +475,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 	if s.gate.closed {
 		return 0, ErrClosed
 	}
-	if s.gate.walErr != nil {
+	if checkpoint && s.gate.walErr != nil {
 		return 0, fmt.Errorf("delta: store lost durability: %w", s.gate.walErr)
 	}
 	cur := s.cur.Load()
@@ -472,8 +486,11 @@ func (s *Store) Checkpoint() (uint64, error) {
 	// No writer can intern while we hold the gate, and readers
 	// materializing older epochs only re-intern names this state already
 	// interned — so the symbol table is stable under SaveSnapshot.
-	if err := snap.SaveSnapshot(s.snapPath, base, cur.epoch); err != nil {
+	if err := snap.SaveSnapshot(path, base, cur.epoch); err != nil {
 		return 0, err // WAL untouched: recovery still replays everything
+	}
+	if !checkpoint {
+		return cur.epoch, nil
 	}
 	if err := s.wal.Reset(); err != nil {
 		// The snapshot is already live; stale records below its epoch are
@@ -485,28 +502,6 @@ func (s *Store) Checkpoint() (uint64, error) {
 	s.compactions.Add(1)
 	s.lastCheckpoint.Store(cur.epoch)
 	s.checkpointErr.Store(nil)
-	return cur.epoch, nil
-}
-
-// SaveTo folds the current state and writes it as a snapshot at the
-// current epoch to an arbitrary path, leaving the WAL and the recovery
-// chain untouched (an export, not a checkpoint). Works on non-durable
-// stores too. Returns the epoch the snapshot captures.
-func (s *Store) SaveTo(path string) (uint64, error) {
-	s.Compact()
-	s.gate.mu.Lock()
-	defer s.gate.mu.Unlock()
-	if s.gate.closed {
-		return 0, ErrClosed
-	}
-	cur := s.cur.Load()
-	base := cur.base
-	if len(cur.ops) > 0 {
-		base = cur.graphNow().Compacted()
-	}
-	if err := snap.SaveSnapshot(path, base, cur.epoch); err != nil {
-		return 0, err
-	}
 	return cur.epoch, nil
 }
 

@@ -268,7 +268,7 @@ func TestCheckpointFoldsAndTruncates(t *testing.T) {
 	if s.LastCheckpointEpoch() != wantEpoch {
 		t.Fatalf("LastCheckpointEpoch = %d, want %d", s.LastCheckpointEpoch(), wantEpoch)
 	}
-	if ep, err := snap.SnapshotEpoch(filepath.Join(dir, "base.snap")); err != nil || ep != wantEpoch {
+	if _, ep, err := snap.LoadSnapshot(filepath.Join(dir, "base.snap")); err != nil || ep != wantEpoch {
 		t.Fatalf("on-disk snapshot epoch = %d, %v; want %d", ep, err, wantEpoch)
 	}
 	// Mutations after the checkpoint land in the (now empty) WAL.

@@ -21,8 +21,6 @@ type Builder struct {
 	out    [][]Half
 	in     [][]Half
 	attrs  [][]Attr
-
-	numEdges int
 }
 
 // NewBuilder returns an empty Builder using the given symbol table
@@ -80,7 +78,6 @@ func (b *Builder) AddEdge(from, label, to string) {
 func (b *Builder) AddEdgeID(from VID, l symbols.ID, to VID) {
 	b.out[from] = append(b.out[from], Half{Label: l, To: to})
 	b.in[to] = append(b.in[to], Half{Label: l, To: from})
-	b.numEdges++
 }
 
 // SetAttr sets attribute name=value on the named vertex.
@@ -89,84 +86,40 @@ func (b *Builder) SetAttr(vertex, name string, value Value) {
 	b.attrs[v] = append(b.attrs[v], Attr{Name: b.symbols.Intern(name), Value: value})
 }
 
-// Freeze sorts and deduplicates all adjacency and builds the indexes.
+// Freeze sorts and deduplicates every row, then builds the indexes.
 // The Builder must not be used after Freeze.
 func (b *Builder) Freeze() *Graph {
+	for v := range b.names {
+		slices.Sort(b.labels[v])
+		b.labels[v] = slices.Compact(b.labels[v])
+		slices.SortFunc(b.out[v], cmpHalf)
+		b.out[v] = slices.Compact(b.out[v])
+		slices.SortFunc(b.in[v], cmpHalf)
+		b.in[v] = slices.Compact(b.in[v])
+		if as := b.attrs[v]; len(as) > 1 {
+			// Last write wins for duplicate attribute names: the sort is
+			// stable, so a name's writes stay in order and the last is kept.
+			slices.SortStableFunc(as, func(a, b Attr) int { return cmp.Compare(a.Name, b.Name) })
+			w := 0
+			for i := range as {
+				if i+1 < len(as) && as[i+1].Name == as[i].Name {
+					continue
+				}
+				as[w] = as[i]
+				w++
+			}
+			b.attrs[v] = as[:w]
+		}
+	}
 	g := &Graph{
-		Symbols:  b.symbols,
-		names:    b.names,
-		byName:   b.byName,
-		labels:   b.labels,
-		out:      b.out,
-		in:       b.in,
-		attrs:    b.attrs,
-		byLabel:  make(map[symbols.ID][]VID),
-		edgeFreq: make(map[symbols.ID]int),
+		Symbols: b.symbols,
+		names:   b.names,
+		byName:  b.byName,
+		labels:  b.labels,
+		out:     b.out,
+		in:      b.in,
+		attrs:   b.attrs,
 	}
-
-	dedupHalves := func(hs []Half) []Half {
-		if len(hs) == 0 {
-			return hs
-		}
-		slices.SortFunc(hs, cmpHalf)
-		w := 1
-		for i := 1; i < len(hs); i++ {
-			if hs[i] != hs[w-1] {
-				hs[w] = hs[i]
-				w++
-			}
-		}
-		return hs[:w]
-	}
-
-	edges := 0
-	for v := range g.out {
-		g.out[v] = dedupHalves(g.out[v])
-		g.in[v] = dedupHalves(g.in[v])
-		edges += len(g.out[v])
-	}
-	g.numEdges = edges
-	for v := range g.out {
-		for _, h := range g.out[v] {
-			g.edgeFreq[h.Label]++
-		}
-	}
-
-	for v, ls := range g.labels {
-		if len(ls) == 0 {
-			continue
-		}
-		slices.Sort(ls)
-		w := 1
-		for i := 1; i < len(ls); i++ {
-			if ls[i] != ls[w-1] {
-				ls[w] = ls[i]
-				w++
-			}
-		}
-		g.labels[v] = ls[:w]
-		for _, l := range g.labels[v] {
-			g.byLabel[l] = append(g.byLabel[l], VID(v))
-		}
-	}
-
-	for v, as := range g.attrs {
-		if len(as) == 0 {
-			continue
-		}
-		// Last write wins for duplicate attribute names: the sort is
-		// stable, so a name's writes stay in order and the last is kept.
-		slices.SortStableFunc(as, func(a, b Attr) int { return cmp.Compare(a.Name, b.Name) })
-		w := 0
-		for i := 0; i < len(as); i++ {
-			if i+1 < len(as) && as[i+1].Name == as[i].Name {
-				continue
-			}
-			as[w] = as[i]
-			w++
-		}
-		g.attrs[v] = as[:w]
-	}
-
+	g.index(0, 0)
 	return g
 }

@@ -138,6 +138,31 @@ type Graph struct {
 	edgeFreq map[symbols.ID]int // edges per label
 }
 
+// index builds g's derived indexes from its canonical rows: byName
+// (unless g already has it), byLabel, edgeFreq and numEdges. labels and
+// edgeLabels size the two label maps (0 when unknown). Builder.Freeze,
+// Compacted and FromArrays each finish their graph here.
+func (g *Graph) index(labels, edgeLabels int) {
+	if g.byName == nil {
+		g.byName = make(map[symbols.ID]VID, len(g.names))
+		for v, id := range g.names {
+			g.byName[id] = VID(v)
+		}
+	}
+	g.byLabel = make(map[symbols.ID][]VID, labels)
+	g.edgeFreq = make(map[symbols.ID]int, edgeLabels)
+	g.numEdges = 0
+	for v := range g.names {
+		for _, l := range g.labels[v] {
+			g.byLabel[l] = append(g.byLabel[l], VID(v))
+		}
+		for _, h := range g.out[v] {
+			g.edgeFreq[h.Label]++
+		}
+		g.numEdges += len(g.out[v])
+	}
+}
+
 // NumVertices reports |V|.
 func (g *Graph) NumVertices() int { return len(g.names) }
 

@@ -308,62 +308,33 @@ func (g *Graph) vertexBySym(id symbols.ID) (VID, bool) {
 func (g *Graph) Compacted() *Graph {
 	n := len(g.names)
 	ng := &Graph{
-		Symbols:  g.Symbols,
-		names:    append([]symbols.ID(nil), g.names...),
-		byName:   make(map[symbols.ID]VID, n),
-		labels:   make([][]symbols.ID, n),
-		out:      make([][]Half, n),
-		in:       make([][]Half, n),
-		attrs:    make([][]Attr, n),
-		byLabel:  make(map[symbols.ID][]VID, len(g.byLabel)),
-		edgeFreq: make(map[symbols.ID]int, len(g.edgeFreq)),
-		numEdges: g.numEdges,
+		Symbols: g.Symbols,
+		names:   append([]symbols.ID(nil), g.names...),
+		labels:  flat(g.labels, n),
+		out:     flat(g.out, n),
+		in:      flat(g.in, n),
+		attrs:   flat(g.attrs, n),
 	}
-	for v, id := range ng.names {
-		ng.byName[id] = VID(v)
-	}
-
-	var totLabels, totOut, totIn, totAttrs int
-	for v := 0; v < n; v++ {
-		totLabels += len(g.labels[v])
-		totOut += len(g.out[v])
-		totIn += len(g.in[v])
-		totAttrs += len(g.Attributes(VID(v)))
-	}
-	labelArena := make([]symbols.ID, 0, totLabels)
-	outArena := make([]Half, 0, totOut)
-	inArena := make([]Half, 0, totIn)
-	attrArena := make([]Attr, 0, totAttrs)
-	for v := 0; v < n; v++ {
-		if ls := g.labels[v]; len(ls) > 0 {
-			start := len(labelArena)
-			labelArena = append(labelArena, ls...)
-			ng.labels[v] = labelArena[start:len(labelArena):len(labelArena)]
-		}
-		if hs := g.out[v]; len(hs) > 0 {
-			start := len(outArena)
-			outArena = append(outArena, hs...)
-			ng.out[v] = outArena[start:len(outArena):len(outArena)]
-		}
-		if hs := g.in[v]; len(hs) > 0 {
-			start := len(inArena)
-			inArena = append(inArena, hs...)
-			ng.in[v] = inArena[start:len(inArena):len(inArena)]
-		}
-		if as := g.Attributes(VID(v)); len(as) > 0 {
-			start := len(attrArena)
-			attrArena = append(attrArena, as...)
-			ng.attrs[v] = attrArena[start:len(attrArena):len(attrArena)]
-		}
-	}
-
-	for v := 0; v < n; v++ {
-		for _, l := range ng.labels[v] {
-			ng.byLabel[l] = append(ng.byLabel[l], VID(v))
-		}
-		for _, h := range ng.out[v] {
-			ng.edgeFreq[h.Label]++
-		}
-	}
+	ng.index(len(g.byLabel), len(g.edgeFreq))
 	return ng
+}
+
+// flat copies rows into one arena, n rows long (rows may be shorter: a
+// derived graph's attrs can end early), each nonempty row a full slice of
+// the arena.
+func flat[T any](rows [][]T, n int) [][]T {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	arena := make([]T, 0, total)
+	out := make([][]T, n)
+	for v, r := range rows {
+		if len(r) > 0 {
+			start := len(arena)
+			arena = append(arena, r...)
+			out[v] = arena[start:len(arena):len(arena)]
+		}
+	}
+	return out
 }

@@ -40,7 +40,8 @@ func (g *Graph) Arrays() Arrays {
 // the symbol table they reference. The arrays must already be canonical —
 // labels and adjacency sorted and deduplicated, attrs sorted by name —
 // which holds for anything produced by Arrays() on a frozen graph; the
-// derived indexes (byName, byLabel, edgeFreq) are rebuilt here.
+// derived indexes (byName, byLabel, edgeFreq) are rebuilt once the arrays
+// pass every check.
 // Basic shape violations (length mismatches, out-of-range IDs or VIDs)
 // return an error so a corrupted snapshot fails loudly instead of
 // producing a graph that panics mid-query.
@@ -57,29 +58,15 @@ func FromArrays(tbl *symbols.Table, a Arrays) (*Graph, error) {
 		}
 		return nil
 	}
-	g := &Graph{
-		Symbols:  tbl,
-		names:    a.Names,
-		byName:   make(map[symbols.ID]VID, n),
-		labels:   a.Labels,
-		out:      a.Out,
-		in:       a.In,
-		attrs:    a.Attrs,
-		byLabel:  make(map[symbols.ID][]VID),
-		edgeFreq: make(map[symbols.ID]int),
-		numEdges: a.NumEdges,
-	}
 	edges := 0
 	for v := 0; v < n; v++ {
 		if err := checkID(a.Names[v], "vertex name"); err != nil {
 			return nil, err
 		}
-		g.byName[a.Names[v]] = VID(v)
 		for _, l := range a.Labels[v] {
 			if err := checkID(l, "label"); err != nil {
 				return nil, err
 			}
-			g.byLabel[l] = append(g.byLabel[l], VID(v))
 		}
 		for _, h := range a.Out[v] {
 			if err := checkID(h.Label, "edge label"); err != nil {
@@ -88,9 +75,8 @@ func FromArrays(tbl *symbols.Table, a Arrays) (*Graph, error) {
 			if int(h.To) >= n {
 				return nil, fmt.Errorf("graph: snapshot edge target %d out of range (|V|=%d)", h.To, n)
 			}
-			g.edgeFreq[h.Label]++
-			edges++
 		}
+		edges += len(a.Out[v])
 		for _, h := range a.In[v] {
 			if err := checkID(h.Label, "edge label"); err != nil {
 				return nil, err
@@ -108,5 +94,14 @@ func FromArrays(tbl *symbols.Table, a Arrays) (*Graph, error) {
 	if edges != a.NumEdges {
 		return nil, fmt.Errorf("graph: snapshot edge count %d disagrees with adjacency (%d out-halves)", a.NumEdges, edges)
 	}
+	g := &Graph{
+		Symbols: tbl,
+		names:   a.Names,
+		labels:  a.Labels,
+		out:     a.Out,
+		in:      a.In,
+		attrs:   a.Attrs,
+	}
+	g.index(0, 0)
 	return g, nil
 }

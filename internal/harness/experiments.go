@@ -211,8 +211,7 @@ func (s *Suite) Sensitivity(d *gen.Dataset) *Table {
 	recs := make([]rec, 0, len(qs))
 	for _, q := range qs {
 		r := s.Runner.Answer(MethodOMatch, q, d)
-		rw := s.Runner.RewriteOnly(MethodOMatch, q, d)
-		recs = append(recs, rec{eval: r.EvalTime, answers: r.Answers, conds: rw.RewriteSize})
+		recs = append(recs, rec{eval: r.EvalTime, answers: r.Answers, conds: r.RewriteSize})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].eval < recs[j].eval })
 	t := &Table{

@@ -91,52 +91,106 @@ func NewRunner() *Runner {
 // workload in the harness (|Q| ≤ 16).
 const satDepth = 17
 
-// RewriteOnly measures just the rewriting stage of a method.
-func (r *Runner) RewriteOnly(m Method, q *cq.Query, d *gen.Dataset) Result {
+// evaluator answers a method's rewriting over g within deadline and
+// returns the number of answers.
+type evaluator func(g *graph.Graph, deadline time.Time) (int, error)
+
+// rewriting runs m's rewriting stage on q once. It returns the Result
+// with the rewriting's time and size, Unsolved when the rewriting failed,
+// and otherwise the evaluator of that rewriting.
+func (r *Runner) rewriting(m Method, q *cq.Query, d *gen.Dataset) (Result, evaluator) {
 	res := Result{Method: m}
-	start := time.Now()
+	evalOpts := func(deadline time.Time) daf.Options {
+		return daf.Options{Limits: daf.Limits{MaxResults: r.MaxResults, Deadline: deadline}}
+	}
+	if m == MethodSaturate {
+		// No rewriting stage (like PAGOdA in the paper).
+		return res, func(_ *graph.Graph, deadline time.Time) (int, error) {
+			e := r.materialize(d)
+			if e.err != nil {
+				return 0, e.err
+			}
+			ans, _, err := daf.EvalCQ(q, e.g, evalOpts(deadline))
+			if err != nil {
+				return 0, err
+			}
+			return saturate.FilterNulls(ans, e.g).Len(), nil
+		}
+	}
 	lim := perfectref.Limits{MaxQueries: r.MaxUCQ, Timeout: r.RewriteTimeout}
+	var (
+		size func() int
+		eval evaluator
+		err  error
+	)
+	start := time.Now()
 	switch m {
 	case MethodOMatch, MethodOMatchBFS:
-		out, err := rewrite.Generate(q, d.TBox)
-		res.RewriteTime = time.Since(start)
-		if err != nil {
-			res.Unsolved = true
-			return res
+		var out *rewrite.Result
+		out, err = rewrite.Generate(q, d.TBox)
+		if err == nil {
+			order := match.OrderAdaptive
+			if m == MethodOMatchBFS {
+				order = match.OrderStaticBFS
+			}
+			size = out.CondCount
+			eval = func(g *graph.Graph, deadline time.Time) (int, error) {
+				ans, _, err := match.Match(out.Pattern, g, match.Options{
+					Order:  order,
+					Limits: match.Limits{MaxResults: r.MaxResults, Deadline: deadline},
+				})
+				if err != nil {
+					return 0, err
+				}
+				return ans.Len(), nil
+			}
 		}
-		res.RewriteSize = out.CondCount()
-	case MethodPerfectRef:
-		u, err := perfectref.Rewrite(q, d.TBox, lim)
-		res.RewriteTime = time.Since(start)
-		if err != nil {
-			res.Unsolved = true
-			res.RewriteTime = r.RewriteTimeout
-			return res
+	case MethodPerfectRef, MethodPerfectRefOpt:
+		rw := perfectref.Rewrite
+		if m == MethodPerfectRefOpt {
+			rw = perfectref.RewriteOptimized
 		}
-		res.RewriteSize = u.Size()
-	case MethodPerfectRefOpt:
-		u, err := perfectref.RewriteOptimized(q, d.TBox, lim)
-		res.RewriteTime = time.Since(start)
-		if err != nil {
-			res.Unsolved = true
-			res.RewriteTime = r.RewriteTimeout
-			return res
+		var u *perfectref.UCQ
+		u, err = rw(q, d.TBox, lim)
+		if err == nil {
+			size = u.Size
+			eval = func(g *graph.Graph, deadline time.Time) (int, error) {
+				ans, _, err := daf.EvalUCQ(u.Queries, g, evalOpts(deadline))
+				if err != nil {
+					return 0, err
+				}
+				return ans.Len(), nil
+			}
 		}
-		res.RewriteSize = u.Size()
 	case MethodDatalog:
-		prog, err := datalog.Rewrite(q, d.TBox, lim)
-		res.RewriteTime = time.Since(start)
-		if err != nil {
-			res.Unsolved = true
-			res.RewriteTime = r.RewriteTimeout
-			return res
+		var prog *datalog.Program
+		prog, err = datalog.Rewrite(q, d.TBox, lim)
+		if err == nil {
+			size = prog.Size
+			eval = func(_ *graph.Graph, deadline time.Time) (int, error) {
+				// Rewriting systems materialize their IDB per query run.
+				ans, err := datalog.Answer(prog, datalog.LoadABox(d.ABox), datalog.Limits{Deadline: deadline})
+				return len(ans), err
+			}
 		}
-		res.RewriteSize = prog.Size()
-	case MethodSaturate:
-		// No rewriting stage (like PAGOdA in the paper).
 	default:
 		panic(fmt.Sprintf("harness: unknown method %q", m))
 	}
+	res.RewriteTime = time.Since(start)
+	if err != nil {
+		res.Unsolved = true
+		if m != MethodOMatch && m != MethodOMatchBFS {
+			res.RewriteTime = r.RewriteTimeout
+		}
+		return res, nil
+	}
+	res.RewriteSize = size()
+	return res, eval
+}
+
+// RewriteOnly measures just the rewriting stage of a method.
+func (r *Runner) RewriteOnly(m Method, q *cq.Query, d *gen.Dataset) Result {
+	res, _ := r.rewriting(m, q, d)
 	return res
 }
 
@@ -154,87 +208,23 @@ func (r *Runner) materialize(d *gen.Dataset) *satEntry {
 	return e
 }
 
-// Answer runs the full pipeline of a method on one query.
+// Answer runs the full pipeline of a method on one query: the rewriting
+// once, then its evaluation.
 func (r *Runner) Answer(m Method, q *cq.Query, d *gen.Dataset) Result {
-	res := r.RewriteOnly(m, q, d)
+	res, eval := r.rewriting(m, q, d)
 	if res.Unsolved {
 		res.EvalTime = r.EvalTimeout
 		return res
 	}
 	g := d.Graph()
-	deadline := time.Now().Add(r.EvalTimeout)
-	evalOpts := daf.Options{Limits: daf.Limits{MaxResults: r.MaxResults, Deadline: deadline}}
 	start := time.Now()
-
-	switch m {
-	case MethodOMatch, MethodOMatchBFS:
-		out, err := rewrite.Generate(q, d.TBox)
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		order := match.OrderAdaptive
-		if m == MethodOMatchBFS {
-			order = match.OrderStaticBFS
-		}
-		ans, _, err := match.Match(out.Pattern, g, match.Options{
-			Order:  order,
-			Limits: match.Limits{MaxResults: r.MaxResults, Deadline: deadline},
-		})
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		res.Answers = ans.Len()
-	case MethodPerfectRef, MethodPerfectRefOpt:
-		lim := perfectref.Limits{MaxQueries: r.MaxUCQ, Timeout: r.RewriteTimeout}
-		var u *perfectref.UCQ
-		var err error
-		if m == MethodPerfectRef {
-			u, err = perfectref.Rewrite(q, d.TBox, lim)
-		} else {
-			u, err = perfectref.RewriteOptimized(q, d.TBox, lim)
-		}
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		ans, _, err := daf.EvalUCQ(u.Queries, g, evalOpts)
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		res.Answers = ans.Len()
-	case MethodDatalog:
-		prog, err := datalog.Rewrite(q, d.TBox, perfectref.Limits{MaxQueries: r.MaxUCQ, Timeout: r.RewriteTimeout})
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		// Rewriting systems materialize their IDB per query run.
-		db := datalog.LoadABox(d.ABox)
-		ans, err := datalog.Answer(prog, db, datalog.Limits{Deadline: deadline})
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		res.Answers = len(ans)
-	case MethodSaturate:
-		e := r.materialize(d)
-		if e.err != nil {
-			res.Unsolved = true
-			break
-		}
-		ans, _, err := daf.EvalCQ(q, e.g, evalOpts)
-		if err != nil {
-			res.Unsolved = true
-			break
-		}
-		res.Answers = saturate.FilterNulls(ans, e.g).Len()
-	}
+	n, err := eval(g, start.Add(r.EvalTimeout))
 	res.EvalTime = time.Since(start)
-	if res.Unsolved {
+	if err != nil {
+		res.Unsolved = true
 		res.EvalTime = r.EvalTimeout
+	} else {
+		res.Answers = n
 	}
 	return res
 }

@@ -94,9 +94,9 @@ func SaveSnapshot(path string, g *graph.Graph, epoch uint64) error {
 	sections := []section{
 		{secSymbols, encodeStrings(g.Symbols.Strings())},
 		{secNames, encodeIDs(a.Names)},
-		{secLabels, encodeIDRows(a.Labels)},
-		{secOut, encodeHalfRows(a.Out)},
-		{secIn, encodeHalfRows(a.In)},
+		{secLabels, encodeRows(a.Labels, 4, 0, putID)},
+		{secOut, encodeRows(a.Out, 8, 0, putHalf)},
+		{secIn, encodeRows(a.In, 8, 0, putHalf)},
 		{secAttrs, encodeAttrRows(a.Attrs)},
 	}
 
@@ -270,13 +270,13 @@ func LoadSnapshot(path string) (*graph.Graph, uint64, error) {
 	if a.Names, err = decodeIDs(payload[secNames]); err != nil {
 		return nil, 0, err
 	}
-	if a.Labels, err = decodeIDRows(payload[secLabels]); err != nil {
+	if a.Labels, err = decodeRows(payload[secLabels], "labels", 4, nil, getID); err != nil {
 		return nil, 0, err
 	}
-	if a.Out, err = decodeHalfRows(payload[secOut]); err != nil {
+	if a.Out, err = decodeRows(payload[secOut], "adjacency", 8, nil, getHalf); err != nil {
 		return nil, 0, err
 	}
-	if a.In, err = decodeHalfRows(payload[secIn]); err != nil {
+	if a.In, err = decodeRows(payload[secIn], "adjacency", 8, nil, getHalf); err != nil {
 		return nil, 0, err
 	}
 	if a.Attrs, err = decodeAttrRows(payload[secAttrs]); err != nil {
@@ -287,28 +287,6 @@ func LoadSnapshot(path string) (*graph.Graph, uint64, error) {
 		return nil, 0, fmt.Errorf("snap: %w", err)
 	}
 	return g, epoch, nil
-}
-
-// SnapshotEpoch reads only the header of a snapshot file and returns its
-// epoch. Startup uses it to sanity-check a data directory without paying
-// a full load.
-func SnapshotEpoch(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	header := make([]byte, headerSize)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		return 0, fmt.Errorf("snap: read snapshot header: %w", err)
-	}
-	if string(header[:8]) != snapMagic {
-		return 0, fmt.Errorf("snap: bad magic %q (not a snapshot file?)", header[:8])
-	}
-	if got := le.Uint32(header[headerSize-4:]); got != crc32.Checksum(header[:headerSize-4], castagnoli) {
-		return 0, fmt.Errorf("snap: snapshot header checksum mismatch")
-	}
-	return le.Uint64(header[16:]), nil
 }
 
 func pageAlign(off uint64) uint64 {
@@ -365,10 +343,7 @@ func decodeStrings(data []byte) ([]string, error) {
 	}
 	blob := string(rest) // one allocation for every interned string
 	out := make([]string, count)
-	for i := 0; i < count; i++ {
-		if offsets[i] > offsets[i+1] {
-			return nil, fmt.Errorf("snap: symbols section offsets not monotonic")
-		}
+	for i := range out {
 		out[i] = blob[offsets[i]:offsets[i+1]]
 	}
 	return out, nil
@@ -398,14 +373,15 @@ func decodeIDs(data []byte) ([]symbols.ID, error) {
 	return out, nil
 }
 
-// encodeIDRows lays out a [][]ID as CSR: row count, cumulative element
-// offsets, flat element data.
-func encodeIDRows(rows [][]symbols.ID) []byte {
+// encodeRows lays out rows as CSR: the row count, count+1 cumulative
+// element offsets, then every element as put appends it, size bytes
+// each. extra is room to reserve past the elements.
+func encodeRows[T any](rows [][]T, size, extra int, put func([]byte, T) []byte) []byte {
 	total := 0
 	for _, r := range rows {
 		total += len(r)
 	}
-	buf := make([]byte, 0, 4+4*(len(rows)+1)+4*total)
+	buf := make([]byte, 0, 4+4*(len(rows)+1)+size*total+extra)
 	buf = le.AppendUint32(buf, uint32(len(rows)))
 	off := uint32(0)
 	buf = le.AppendUint32(buf, off)
@@ -414,196 +390,134 @@ func encodeIDRows(rows [][]symbols.ID) []byte {
 		buf = le.AppendUint32(buf, off)
 	}
 	for _, r := range rows {
-		for _, id := range r {
-			buf = le.AppendUint32(buf, uint32(id))
+		for _, x := range r {
+			buf = put(buf, x)
 		}
 	}
 	return buf
 }
 
-func decodeIDRows(data []byte) ([][]symbols.ID, error) {
-	count, offsets, rest, err := decodeOffsets(data, "labels")
+// decodeRows reads a section encodeRows wrote back into rows that are
+// full slices of one arena. get decodes one size-byte element; tail, when
+// set, first reads the bytes after the elements.
+func decodeRows[T any](data []byte, what string, size uint64, tail func([]byte) error, get func([]byte) (T, error)) ([][]T, error) {
+	count, offsets, rest, err := decodeOffsets(data, what)
 	if err != nil {
 		return nil, err
 	}
-	totalElems := uint64(offsets[count])
-	if uint64(len(rest)) < 4*totalElems {
-		return nil, fmt.Errorf("snap: labels section data truncated")
+	total := uint64(offsets[count])
+	if uint64(len(rest)) < size*total {
+		return nil, fmt.Errorf("snap: %s section data truncated", what)
 	}
-	arena := make([]symbols.ID, totalElems)
-	for i := range arena {
-		arena[i] = symbols.ID(le.Uint32(rest[4*i:]))
-	}
-	out := make([][]symbols.ID, count)
-	for i := 0; i < count; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("snap: labels section offsets not monotonic")
+	if tail != nil {
+		if err := tail(rest[size*total:]); err != nil {
+			return nil, err
 		}
-		if lo < hi {
+	}
+	arena := make([]T, total)
+	for i := range arena {
+		if arena[i], err = get(rest[size*uint64(i):]); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]T, count)
+	for i := range out {
+		if lo, hi := offsets[i], offsets[i+1]; lo < hi {
 			out[i] = arena[lo:hi:hi]
 		}
 	}
 	return out, nil
 }
 
-// encodeHalfRows lays out a [][]Half as CSR with 8-byte (label, to)
-// elements.
-func encodeHalfRows(rows [][]graph.Half) []byte {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	buf := make([]byte, 0, 4+4*(len(rows)+1)+8*total)
-	buf = le.AppendUint32(buf, uint32(len(rows)))
-	off := uint32(0)
-	buf = le.AppendUint32(buf, off)
-	for _, r := range rows {
-		off += uint32(len(r))
-		buf = le.AppendUint32(buf, off)
-	}
-	for _, r := range rows {
-		for _, h := range r {
-			buf = le.AppendUint32(buf, uint32(h.Label))
-			buf = le.AppendUint32(buf, uint32(h.To))
-		}
-	}
-	return buf
+func putID(buf []byte, id symbols.ID) []byte { return le.AppendUint32(buf, uint32(id)) }
+
+func getID(rec []byte) (symbols.ID, error) { return symbols.ID(le.Uint32(rec)), nil }
+
+// putHalf writes an 8-byte (label, to) element.
+func putHalf(buf []byte, h graph.Half) []byte {
+	return le.AppendUint32(le.AppendUint32(buf, uint32(h.Label)), uint32(h.To))
 }
 
-func decodeHalfRows(data []byte) ([][]graph.Half, error) {
-	count, offsets, rest, err := decodeOffsets(data, "adjacency")
-	if err != nil {
-		return nil, err
-	}
-	totalElems := uint64(offsets[count])
-	if uint64(len(rest)) < 8*totalElems {
-		return nil, fmt.Errorf("snap: adjacency section data truncated")
-	}
-	arena := make([]graph.Half, totalElems)
-	for i := range arena {
-		arena[i] = graph.Half{
-			Label: symbols.ID(le.Uint32(rest[8*i:])),
-			To:    graph.VID(le.Uint32(rest[8*i+4:])),
-		}
-	}
-	out := make([][]graph.Half, count)
-	for i := 0; i < count; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("snap: adjacency section offsets not monotonic")
-		}
-		if lo < hi {
-			out[i] = arena[lo:hi:hi]
-		}
-	}
-	return out, nil
+func getHalf(rec []byte) (graph.Half, error) {
+	return graph.Half{Label: symbols.ID(le.Uint32(rec)), To: graph.VID(le.Uint32(rec[4:]))}, nil
 }
 
-// Attribute records are fixed 24-byte entries over a shared string blob:
-// name u32, kind u8, 3 pad, value bits u64 (int64 or float64), string
-// offset u32 into the blob, string length u32.
+// Attribute records are fixed 24-byte entries over a shared string blob
+// that follows them (length u32, then the bytes): name u32, kind u8,
+// 3 pad, value bits u64 (int64 or float64), string offset u32 into the
+// blob, string length u32.
 const attrRecSize = 24
 
 func encodeAttrRows(rows [][]graph.Attr) []byte {
-	total, blobLen := 0, 0
+	blobLen := 0
 	for _, r := range rows {
-		total += len(r)
 		for _, a := range r {
 			if a.Value.Kind == graph.KindString {
 				blobLen += len(a.Value.Str)
 			}
 		}
 	}
-	buf := make([]byte, 0, 4+4*(len(rows)+1)+attrRecSize*total+4+blobLen)
-	buf = le.AppendUint32(buf, uint32(len(rows)))
-	off := uint32(0)
-	buf = le.AppendUint32(buf, off)
-	for _, r := range rows {
-		off += uint32(len(r))
-		buf = le.AppendUint32(buf, off)
-	}
-	var blob []byte
-	for _, r := range rows {
-		for _, a := range r {
-			buf = le.AppendUint32(buf, uint32(a.Name))
-			buf = append(buf, byte(a.Value.Kind), 0, 0, 0)
-			var bits uint64
-			var strOff, strLen uint32
-			switch a.Value.Kind {
-			case graph.KindInt:
-				bits = uint64(a.Value.Int)
-			case graph.KindFloat:
-				bits = math.Float64bits(a.Value.Num)
-			case graph.KindString:
-				strOff = uint32(len(blob))
-				strLen = uint32(len(a.Value.Str))
-				blob = append(blob, a.Value.Str...)
-			}
-			buf = le.AppendUint64(buf, bits)
-			buf = le.AppendUint32(buf, strOff)
-			buf = le.AppendUint32(buf, strLen)
+	blob := make([]byte, 0, blobLen)
+	buf := encodeRows(rows, attrRecSize, 4+blobLen, func(buf []byte, a graph.Attr) []byte {
+		buf = le.AppendUint32(buf, uint32(a.Name))
+		buf = append(buf, byte(a.Value.Kind), 0, 0, 0)
+		var bits uint64
+		var strOff, strLen uint32
+		switch a.Value.Kind {
+		case graph.KindInt:
+			bits = uint64(a.Value.Int)
+		case graph.KindFloat:
+			bits = math.Float64bits(a.Value.Num)
+		case graph.KindString:
+			strOff = uint32(len(blob))
+			strLen = uint32(len(a.Value.Str))
+			blob = append(blob, a.Value.Str...)
 		}
-	}
+		buf = le.AppendUint64(buf, bits)
+		buf = le.AppendUint32(buf, strOff)
+		return le.AppendUint32(buf, strLen)
+	})
 	buf = le.AppendUint32(buf, uint32(len(blob)))
-	buf = append(buf, blob...)
-	return buf
+	return append(buf, blob...)
 }
 
 func decodeAttrRows(data []byte) ([][]graph.Attr, error) {
-	count, offsets, rest, err := decodeOffsets(data, "attrs")
-	if err != nil {
-		return nil, err
+	var blob string // one allocation for every attribute string
+	readBlob := func(rest []byte) error {
+		if len(rest) < 4 {
+			return fmt.Errorf("snap: attrs section data truncated")
+		}
+		n := uint64(le.Uint32(rest))
+		if uint64(len(rest))-4 < n {
+			return fmt.Errorf("snap: attrs section blob truncated")
+		}
+		blob = string(rest[4 : 4+n])
+		return nil
 	}
-	totalElems := uint64(offsets[count])
-	recBytes := attrRecSize * totalElems
-	if uint64(len(rest)) < recBytes+4 {
-		return nil, fmt.Errorf("snap: attrs section data truncated")
-	}
-	blobLen := uint64(le.Uint32(rest[recBytes:]))
-	blobStart := recBytes + 4
-	if uint64(len(rest)) < blobStart+blobLen {
-		return nil, fmt.Errorf("snap: attrs section blob truncated")
-	}
-	blob := string(rest[blobStart : blobStart+blobLen])
-	arena := make([]graph.Attr, totalElems)
-	for i := range arena {
-		rec := rest[attrRecSize*uint64(i):]
+	return decodeRows(data, "attrs", attrRecSize, readBlob, func(rec []byte) (graph.Attr, error) {
 		a := graph.Attr{Name: symbols.ID(le.Uint32(rec))}
-		kind := graph.ValueKind(rec[4])
 		bits := le.Uint64(rec[8:])
-		strOff := uint64(le.Uint32(rec[16:]))
-		strLen := uint64(le.Uint32(rec[20:]))
-		switch kind {
+		switch kind := graph.ValueKind(rec[4]); kind {
 		case graph.KindInt:
 			a.Value = graph.Int(int64(bits))
 		case graph.KindFloat:
 			a.Value = graph.Float(math.Float64frombits(bits))
 		case graph.KindString:
+			strOff, strLen := uint64(le.Uint32(rec[16:])), uint64(le.Uint32(rec[20:]))
 			if strOff > uint64(len(blob)) || strLen > uint64(len(blob))-strOff {
-				return nil, fmt.Errorf("snap: attrs section string out of range")
+				return a, fmt.Errorf("snap: attrs section string out of range")
 			}
 			a.Value = graph.String(blob[strOff : strOff+strLen])
 		default:
-			return nil, fmt.Errorf("snap: attrs section has unknown value kind %d", kind)
+			return a, fmt.Errorf("snap: attrs section has unknown value kind %d", kind)
 		}
-		arena[i] = a
-	}
-	out := make([][]graph.Attr, count)
-	for i := 0; i < count; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("snap: attrs section offsets not monotonic")
-		}
-		if lo < hi {
-			out[i] = arena[lo:hi:hi]
-		}
-	}
-	return out, nil
+		return a, nil
+	})
 }
 
 // decodeOffsets parses the common (count, offsets[count+1]) prefix of a
-// section and returns the remaining data area.
+// section, checks that the offsets never decrease, and returns the
+// remaining data area.
 func decodeOffsets(data []byte, what string) (int, []uint32, []byte, error) {
 	if len(data) < 4 {
 		return 0, nil, nil, fmt.Errorf("snap: %s section truncated", what)
@@ -616,6 +530,9 @@ func decodeOffsets(data []byte, what string) (int, []uint32, []byte, error) {
 	offsets := make([]uint32, count+1)
 	for i := range offsets {
 		offsets[i] = le.Uint32(data[4+4*i:])
+		if i > 0 && offsets[i] < offsets[i-1] {
+			return 0, nil, nil, fmt.Errorf("snap: %s section offsets not monotonic", what)
+		}
 	}
 	return count, offsets, data[need:], nil
 }
