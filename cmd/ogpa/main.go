@@ -28,7 +28,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "matcher worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		statsOnly    = flag.Bool("stats", false, "print KB statistics and exit")
 		isSPARQL     = flag.Bool("sparql", false, "the query argument is a SPARQL SELECT query")
-		minimize     = flag.Bool("minimize", false, "minimize the query (compute its core) before rewriting")
 		consistency  = flag.Bool("check-consistency", false, "check the KB against DisjointWith axioms and exit")
 		matchStats   = flag.Bool("match-stats", false, "print matcher work counters to stderr (GenOGP+OMatch and UCQ baselines; datalog/saturate have no counters)")
 		insertPath   = flag.String("insert", "", "N-Triples file applied as ABox insertions before answering")
@@ -121,16 +120,6 @@ func main() {
 		fail(fmt.Errorf("expected exactly one query argument, got %d", flag.NArg()))
 	}
 	query := flag.Arg(0)
-	if *minimize && !*isSPARQL {
-		min, err := ogpa.MinimizeQuery(query)
-		if err != nil {
-			fail(err)
-		}
-		if min != query {
-			fmt.Fprintf(os.Stderr, "minimized to: %s\n", min)
-		}
-		query = min
-	}
 
 	if *explain {
 		if err := printExplain(os.Stdout, kb, query, *isSPARQL); err != nil {

@@ -38,11 +38,13 @@ func main() {
 	}
 	fmt.Println("knowledge base:", kb.Stats())
 
-	// The paper's Example 3 query: students with an advisor (who advises
-	// two more people) and a course.
+	// The paper's Example 3 query: students with an advisor and a course.
+	// Its advisorOf star is redundant (y2 and y3 may be x), so the KB
+	// answers the query's core, q(x) :- advisorOf(y1, x), takesCourse(x, z).
 	query := `q(x) :- advisorOf(y1, x), advisorOf(y1, y2), advisorOf(y1, y3), takesCourse(x, z)`
 
-	// Step 1 — GenOGP: one polynomial-size OGP replaces the whole UCQ.
+	// Step 1 — GenOGP: one polynomial-size OGP of the core replaces the
+	// whole UCQ.
 	rw, err := kb.Rewrite(query)
 	if err != nil {
 		log.Fatal(err)

@@ -654,3 +654,59 @@ func TestSubscribeBudget(t *testing.T) {
 		t.Fatalf("stats after the new text = %+v, want 1 chain and 1 subscription", st)
 	}
 }
+
+// TestSubscribeSharesChainPerCore: a standing query is answered through
+// its core, and the hub keys chains by the core, so two texts with one
+// core share one chain and one budget slot. Each subscription still
+// reports the text it was given and receives the same deltas.
+func TestSubscribeSharesChainPerCore(t *testing.T) {
+	kb := enableLive(t, exampleKB(t))
+	defer kb.Close()
+	texts := []string{
+		"q(x) :- takesCourse(x, y)",
+		"q(x) :- takesCourse(x, z), takesCourse(x, y)", // z folds onto y
+	}
+	var subs []*Subscription
+	for _, text := range texts {
+		s, err := kb.Subscribe(text, SubscribeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if s.Query() != text {
+			t.Fatalf("Query() = %q, want the text sent, %q", s.Query(), text)
+		}
+		subs = append(subs, s)
+	}
+	if st := kb.IncrementalStats(); st.Chains != 1 || st.Subscriptions != 2 {
+		t.Fatalf("stats = %+v, want 1 chain and 2 subscriptions", st)
+	}
+	next := func(step string) []AnswerDelta {
+		t.Helper()
+		var ds []AnswerDelta
+		for i, s := range subs {
+			d, err := s.Next(doneCtx())
+			if err != nil {
+				t.Fatalf("%s: subscription %d: %v", step, i, err)
+			}
+			ds = append(ds, d)
+		}
+		if fmt.Sprint(ds[0]) != fmt.Sprint(ds[1]) {
+			t.Fatalf("%s: deltas differ: %+v and %+v", step, ds[0], ds[1])
+		}
+		return ds
+	}
+	if d := next("initial")[0]; len(d.Added) != 2 || len(d.Removed) != 0 {
+		t.Fatalf("initial delta = %+v, want Ann and Bob added", d)
+	}
+	if _, err := kb.InsertTriples(strings.NewReader("Cy takesCourse DB102 .")); err != nil {
+		t.Fatal(err)
+	}
+	if d := next("after a commit")[0]; fmt.Sprint(d.Added) != "[[Cy]]" || len(d.Removed) != 0 || d.Epoch != kb.Epoch() {
+		t.Fatalf("delta after a commit = %+v, want Cy added at epoch %d", d, kb.Epoch())
+	}
+	subs[0].Close()
+	if st := kb.IncrementalStats(); st.Chains != 1 || st.Subscriptions != 1 {
+		t.Fatalf("stats after one close = %+v, want the shared chain kept for the other text", st)
+	}
+}

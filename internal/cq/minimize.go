@@ -3,20 +3,33 @@ package cq
 // Minimization computes the core of a conjunctive query: the smallest
 // subquery equivalent to it. The paper's Remark (Section IV-B) reduces
 // minimal-OGP generation to CQ minimization to show NP-hardness; this file
-// provides the classic folding algorithm so callers can minimize queries
-// before rewriting (a smaller query yields a smaller OGP and a cheaper
-// match). Exponential in the worst case — like the problem itself — but
-// the backtracking is over existential variables only and is fast for the
-// query sizes of the paper's workloads (≤ 16 atoms).
+// provides the classic folding algorithm, and the facade answers every
+// query through its core (a smaller query yields a smaller OGP and a
+// cheaper match). Exponential in the worst case — like the problem
+// itself — so the search is bounded by minimizeSteps; it extends from the
+// head along the query's edges and is fast for the query sizes of the
+// paper's workloads (≤ 16 atoms).
+
+import "math"
+
+// minimizeSteps bounds the candidate atoms one Minimize call tries across
+// its homomorphism searches. Every query text the facade answers is
+// minimized, and a hostile text must not pin a core: a 15-atom directed
+// cycle with its atoms listed out of order took 46 s when the search
+// placed atoms in text order. Past the bound, Minimize returns the query
+// folded so far, which is equivalent to q, only perhaps not minimal.
+const minimizeSteps = 1 << 18
 
 // Minimize returns the core of q: an equivalent query with a minimal set
 // of atoms. The head is preserved; only existential variables can be
-// folded onto other variables.
+// folded onto other variables. A query whose search outgrows
+// minimizeSteps comes back folded as far as the bound allowed.
 func (q *Query) Minimize() *Query {
 	cur := q.Clone()
 	dedupAtomsInPlace(cur)
+	steps := minimizeSteps
 	for {
-		next, changed := foldOnce(cur)
+		next, changed := foldOnce(cur, &steps)
 		if !changed {
 			return cur
 		}
@@ -28,9 +41,12 @@ func (q *Query) Minimize() *Query {
 // head and avoids at least one atom; applying it yields a strictly smaller
 // equivalent query. The substitution is applied in a single step (not
 // chained): the found map is a homomorphism, not necessarily idempotent.
-func foldOnce(q *Query) (*Query, bool) {
+func foldOnce(q *Query, steps *int) (*Query, bool) {
+	order := searchOrder(q)
+	rest := make([]Atom, 0, len(q.Atoms))
 	for drop := range q.Atoms {
-		sigma := foldAvoiding(q, drop)
+		rest = append(append(rest[:0], q.Atoms[:drop]...), q.Atoms[drop+1:]...)
+		sigma := homomorphism(q, order, rest, steps)
 		if sigma == nil {
 			continue
 		}
@@ -57,21 +73,17 @@ func foldOnce(q *Query) (*Query, bool) {
 	return q, false
 }
 
-// foldAvoiding searches for a homomorphism from q into q \ {atom drop}
-// fixing distinguished variables. The returned map sends each variable to
-// its image.
-func foldAvoiding(q *Query, drop int) map[string]string {
-	var targets []Atom
-	for i, a := range q.Atoms {
-		if i != drop {
-			targets = append(targets, a)
-		}
-	}
+// homomorphism searches for a map from q's variables into the variables of
+// atoms that fixes q's distinguished variables and sends every atom of q
+// onto one of atoms, backtracking over q's atoms in order (searchOrder's).
+// Each candidate atom tried costs one of *steps; once they run out the
+// search fails. It returns the map, or nil when there is none or the
+// steps ran out.
+func homomorphism(q *Query, order []int, atoms []Atom, steps *int) map[string]string {
 	sigma := map[string]string{}
 	for _, h := range q.Head {
 		sigma[h] = h
 	}
-	var match func(i int) bool
 	bind := func(x, y string) (ok, added bool) {
 		if img, has := sigma[x]; has {
 			return img == y, false
@@ -79,36 +91,32 @@ func foldAvoiding(q *Query, drop int) map[string]string {
 		sigma[x] = y
 		return true, true
 	}
+	var match func(i int) bool
 	match = func(i int) bool {
-		if i == len(q.Atoms) {
+		if i == len(order) {
 			return true
 		}
-		ga := q.Atoms[i]
-		for _, gb := range targets {
-			if ga.Pred != gb.Pred || ga.IsRole != gb.IsRole {
+		a := q.Atoms[order[i]]
+		for _, b := range atoms {
+			if a.Pred != b.Pred || a.IsRole != b.IsRole {
 				continue
 			}
-			pairs := [][2]string{{ga.X, gb.X}}
-			if ga.IsRole {
-				pairs = append(pairs, [2]string{ga.Y, gb.Y})
+			if *steps--; *steps < 0 {
+				return false
 			}
-			var added []string
-			ok := true
-			for _, p := range pairs {
-				okp, addedp := bind(p[0], p[1])
-				if addedp {
-					added = append(added, p[0])
-				}
-				if !okp {
-					ok = false
-					break
-				}
+			ok, addedX := bind(a.X, b.X)
+			addedY := false
+			if ok && a.IsRole {
+				ok, addedY = bind(a.Y, b.Y)
 			}
 			if ok && match(i+1) {
 				return true
 			}
-			for _, x := range added {
-				delete(sigma, x)
+			if addedX {
+				delete(sigma, a.X)
+			}
+			if addedY {
+				delete(sigma, a.Y)
 			}
 		}
 		return false
@@ -117,6 +125,48 @@ func foldAvoiding(q *Query, drop int) map[string]string {
 		return sigma
 	}
 	return nil
+}
+
+// searchOrder lists the indexes of q's atoms in the order homomorphism
+// places them: next, the atom whose variables are all bound (by the head
+// or by atoms placed before it), else one with some bound, else any, ties
+// going to the earlier atom. The search so grows from the head along the
+// query's edges, where a bound variable leaves few candidates, instead of
+// guessing images for atoms that share no variable yet.
+func searchOrder(q *Query) []int {
+	bound := make(map[string]bool, len(q.Head)+len(q.Atoms))
+	for _, h := range q.Head {
+		bound[h] = true
+	}
+	placed := make([]bool, len(q.Atoms))
+	order := make([]int, 0, len(q.Atoms))
+	for range q.Atoms {
+		best, bestScore := -1, -1
+		for i, a := range q.Atoms {
+			if placed[i] {
+				continue
+			}
+			nb, vs := 0, a.Vars()
+			for _, v := range vs {
+				if bound[v] {
+					nb++
+				}
+			}
+			score := min(nb, 1)
+			if nb == len(vs) {
+				score = 2
+			}
+			if score > bestScore {
+				best, bestScore = i, score
+			}
+		}
+		placed[best] = true
+		order = append(order, best)
+		for _, v := range q.Atoms[best].Vars() {
+			bound[v] = true
+		}
+	}
+	return order
 }
 
 func dedupAtomsInPlace(q *Query) {
@@ -157,55 +207,6 @@ func (q *Query) ContainedIn(p *Query) bool {
 		}
 	}
 	pr.Head = append([]string(nil), q.Head...)
-	sigma := foldAvoidingInto(pr, q)
-	return sigma != nil
-}
-
-// foldAvoidingInto finds a homomorphism from a into b fixing a's
-// distinguished variables (which must be variables of b).
-func foldAvoidingInto(a, b *Query) map[string]string {
-	sigma := map[string]string{}
-	for _, h := range a.Head {
-		sigma[h] = h
-	}
-	var match func(i int) bool
-	match = func(i int) bool {
-		if i == len(a.Atoms) {
-			return true
-		}
-		ga := a.Atoms[i]
-		for _, gb := range b.Atoms {
-			if ga.Pred != gb.Pred || ga.IsRole != gb.IsRole {
-				continue
-			}
-			pairs := [][2]string{{ga.X, gb.X}}
-			if ga.IsRole {
-				pairs = append(pairs, [2]string{ga.Y, gb.Y})
-			}
-			var added []string
-			ok := true
-			for _, p := range pairs {
-				if img, has := sigma[p[0]]; has {
-					if img != p[1] {
-						ok = false
-						break
-					}
-					continue
-				}
-				sigma[p[0]] = p[1]
-				added = append(added, p[0])
-			}
-			if ok && match(i+1) {
-				return true
-			}
-			for _, x := range added {
-				delete(sigma, x)
-			}
-		}
-		return false
-	}
-	if match(0) {
-		return sigma
-	}
-	return nil
+	unbounded := math.MaxInt
+	return homomorphism(pr, searchOrder(pr), q.Atoms, &unbounded) != nil
 }

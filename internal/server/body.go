@@ -54,10 +54,6 @@ func appendQueryTail(dst []byte, r *QueryResponse) []byte {
 	dst = appendFloat(dst, r.TookMs)
 	dst = append(dst, `,"method":`...)
 	dst = appendString(dst, r.Method)
-	if r.Rewrote != "" {
-		dst = append(dst, `,"rewrote":`...)
-		dst = appendString(dst, r.Rewrote)
-	}
 	if r.Truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}

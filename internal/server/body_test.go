@@ -45,7 +45,7 @@ var escapeCases = []string{
 func TestQueryWriterMatchesEncoder(t *testing.T) {
 	var cases []QueryResponse
 	for _, s := range escapeCases {
-		cases = append(cases, QueryResponse{Vars: []string{s}, Rows: [][]string{{s}, {"x"}}, Count: 2, Method: s, Rewrote: s})
+		cases = append(cases, QueryResponse{Vars: []string{s}, Rows: [][]string{{s}, {"x"}}, Count: 2, Method: s})
 	}
 	for _, took := range []float64{0, 0.001, 1.5, 123.456, 1e-7, 1.5e-7, 1e-6, 1e20, 1e21, 3.2e22, 1e-10} {
 		cases = append(cases, QueryResponse{Vars: []string{"x"}, Rows: [][]string{{"a"}}, Count: 1, TookMs: took, Method: "m"})
@@ -54,7 +54,7 @@ func TestQueryWriterMatchesEncoder(t *testing.T) {
 		QueryResponse{Method: "nil vars, zero rows", Rows: [][]string{}},
 		QueryResponse{Vars: []string{}, Rows: [][]string{}, Method: "empty vars"},
 		QueryResponse{Vars: []string{"x", "y"}, Rows: [][]string{{"a", "b"}, {"c", "⊥"}}, Count: 2, Method: "genogp+omatch", Truncated: true},
-		QueryResponse{Vars: []string{"x"}, Rows: [][]string{{}, nil, {"a"}}, Count: 3, Method: "empty and nil rows", Rewrote: "q(x) :- A(x)"},
+		QueryResponse{Vars: []string{"x"}, Rows: [][]string{{}, nil, {"a"}}, Count: 3, Method: "empty and nil rows"},
 	)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -112,8 +112,8 @@ PhD SubClassOf Student
 // TestQueryBodyEveryPipeline: through the handler, every pipeline's
 // /query body is the bytes encoding/json writes for the same answer built
 // by the facade — byte for byte, with the measured tookMs — on names
-// that need escaping or hold bytes at or below ',', truncated and
-// minimized. Untruncated, every request kind returns the same rows, byte
+// that need escaping or hold bytes at or below ',', whole and
+// truncated. Untruncated, every request kind returns the same rows, byte
 // for byte.
 func TestQueryBodyEveryPipeline(t *testing.T) {
 	kb := exoticKB(t)
@@ -131,12 +131,12 @@ func TestQueryBodyEveryPipeline(t *testing.T) {
 					continue // which rows a truncated chase keeps follows its map order
 				}
 				// One worker: which rows a truncated parallel run keeps varies.
-				req := QueryRequest{Query: query, Baseline: baseline, MaxResults: maxResults, Minimize: maxResults > 0, Workers: 1}
+				req := QueryRequest{Query: query, Baseline: baseline, MaxResults: maxResults, Workers: 1}
 				method := "genogp+omatch"
 				switch baseline {
 				case "":
 				case "sparql":
-					req.Baseline, req.SPARQL, req.Minimize, method = "", true, false, "genogp+omatch (sparql)"
+					req.Baseline, req.SPARQL, method = "", true, "genogp+omatch (sparql)"
 					req.Query = sparqlOf(query)
 				default:
 					method = baseline
@@ -150,16 +150,7 @@ func TestQueryBodyEveryPipeline(t *testing.T) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 					t.Fatal(err)
 				}
-				text, rewrote := req.Query, ""
-				if req.Minimize {
-					min, err := ogpa.MinimizeQuery(text)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if min != text {
-						text, rewrote = min, min
-					}
-				}
+				text := req.Query
 				opt := ogpa.Options{MaxResults: maxResults, Workers: 1}
 				var ans *ogpa.Answers
 				var err error
@@ -176,7 +167,7 @@ func TestQueryBodyEveryPipeline(t *testing.T) {
 				}
 				want := encoded(t, QueryResponse{
 					Vars: ans.Vars, Rows: ans.Rows, Count: ans.Len(), TookMs: got.TookMs,
-					Method: method, Rewrote: rewrote, Truncated: maxResults > 0 && ans.Len() >= maxResults,
+					Method: method, Truncated: maxResults > 0 && ans.Len() >= maxResults,
 				})
 				if !bytes.Equal(rec.Body.Bytes(), want) {
 					t.Fatalf("%s: body differs from encoding/json of the facade's answer:\ngot  %s\nwant %s", body, rec.Body, want)

@@ -40,14 +40,16 @@ import (
 	"ogpa"
 )
 
-// QueryRequest is the body of POST /query and POST /rewrite.
+// QueryRequest is the body of POST /query and POST /rewrite. Every
+// pipeline answers the query's core, so there is no field to switch
+// minimization: a body with any field not listed here, such as a
+// "minimize" from older clients, is refused with 400.
 type QueryRequest struct {
 	Query      string `json:"query"`
 	SPARQL     bool   `json:"sparql,omitempty"`
 	Baseline   string `json:"baseline,omitempty"`
 	MaxResults int    `json:"maxResults,omitempty"`
 	TimeoutMs  int    `json:"timeoutMs,omitempty"`
-	Minimize   bool   `json:"minimize,omitempty"`
 	// Workers requests a matcher worker-pool size for this query
 	// (0 = server default). The server clamps it to its per-query cap.
 	Workers int `json:"workers,omitempty"`
@@ -55,12 +57,11 @@ type QueryRequest struct {
 
 // QueryResponse is the body of a successful POST /query.
 type QueryResponse struct {
-	Vars    []string   `json:"vars"`
-	Rows    [][]string `json:"rows"`
-	Count   int        `json:"count"`
-	TookMs  float64    `json:"tookMs"`
-	Method  string     `json:"method"`
-	Rewrote string     `json:"rewrote,omitempty"` // set when Minimize changed the query
+	Vars   []string   `json:"vars"`
+	Rows   [][]string `json:"rows"`
+	Count  int        `json:"count"`
+	TookMs float64    `json:"tookMs"`
+	Method string     `json:"method"`
 	// Truncated reports that enumeration stopped early — at MaxResults,
 	// at the timeout, or because the client disconnected (the request
 	// context is wired into the matcher). The rows returned are still
@@ -76,10 +77,13 @@ type MutationResponse struct {
 	TookMs      float64 `json:"tookMs"`
 }
 
-// RewriteResponse is the body of a successful POST /rewrite.
+// RewriteResponse is the body of a successful POST /rewrite. Every query
+// path answers the query's core, so Core is the CQ that GenOGP rewrote
+// into Pattern: the text without the atoms an endomorphism folds away.
 type RewriteResponse struct {
 	CondCount int    `json:"condCount"`
 	Pattern   string `json:"pattern"`
+	Core      string `json:"core"`
 }
 
 // ConsistencyResponse is the body of GET /consistency.
@@ -309,20 +313,6 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			Context: r.Context(),
 		}
 		method := "genogp+omatch"
-		query := req.Query
-		rewrote := ""
-		if req.Minimize && !req.SPARQL {
-			min, err := ogpa.MinimizeQuery(query)
-			if err != nil {
-				m.recordError()
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if min != query {
-				rewrote = min
-				query = min
-			}
-		}
 		start := time.Now()
 		var pq *ogpa.PreparedQuery
 		var ans *ogpa.Answers // the answer of a baseline without a prepared form
@@ -330,21 +320,21 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 		switch {
 		case req.SPARQL:
 			method = "genogp+omatch (sparql)"
-			pq, err = plan("sparql", query, opt)
+			pq, err = plan("sparql", req.Query, opt)
 		case req.Baseline != "":
 			method = req.Baseline
 			switch b := ogpa.Baseline(req.Baseline); b {
 			case ogpa.BaselineUCQ, ogpa.BaselineUCQOpt:
 				// UCQ baselines have a Prepared form (PerfectRef + per-
 				// disjunct engine plans), so their plans are cached too.
-				pq, err = plan("ucq:"+req.Baseline, query, opt)
+				pq, err = plan("ucq:"+req.Baseline, req.Query, opt)
 			default:
 				// Datalog/saturation (and unknown baselines, which error
 				// inside) have no prepared form and bypass the cache.
-				ans, err = kb.AnswerBaseline(b, query, opt)
+				ans, err = kb.AnswerBaseline(b, req.Query, opt)
 			}
 		default:
-			pq, err = plan("cq", query, opt)
+			pq, err = plan("cq", req.Query, opt)
 		}
 		if err != nil {
 			m.recordError()
@@ -355,7 +345,7 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 		// plans render their rows straight from the packed answer tuples.
 		buf := getBody()
 		defer putBody(buf)
-		resp := QueryResponse{Method: method, Rewrote: rewrote}
+		resp := QueryResponse{Method: method}
 		if pq != nil {
 			*buf = appendQueryHead(*buf, pq.Vars())
 			var st ogpa.MatchStats
@@ -449,7 +439,7 @@ func HandlerWithConfig(kb *ogpa.KB, cfg Config) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, RewriteResponse{CondCount: rw.CondCount(), Pattern: rw.Explain()})
+		writeJSON(w, RewriteResponse{CondCount: rw.CondCount(), Pattern: rw.Explain(), Core: rw.Query.String()})
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {

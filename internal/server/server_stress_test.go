@@ -28,7 +28,7 @@ func TestConcurrentRequests(t *testing.T) {
 		{"POST", "/query", `{"query":"q(x) :- Student(x)","baseline":"datalog"}`, http.StatusOK},
 		{"POST", "/query", `{"query":"q(x) :- Student(x)","baseline":"saturate"}`, http.StatusOK},
 		{"POST", "/query", `{"query":"q(x) :- Student(x)","baseline":"perfectref+daf"}`, http.StatusOK},
-		{"POST", "/query", `{"query":"q(x) :- takesCourse(x, y), takesCourse(x, z)","minimize":true}`, http.StatusOK},
+		{"POST", "/query", `{"query":"q(x) :- takesCourse(x, y), takesCourse(x, z)"}`, http.StatusOK},
 		// Unknown labels must resolve through Lookup misses, never Intern.
 		{"POST", "/query", `{"query":"q(x) :- NoSuchClass(x)"}`, http.StatusOK},
 		{"POST", "/rewrite", `{"query":"q(x) :- takesCourse(x, y)"}`, http.StatusOK},

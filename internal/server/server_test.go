@@ -111,17 +111,38 @@ func TestQueryTruncatedEveryMethod(t *testing.T) {
 	}
 }
 
-func TestQueryMinimize(t *testing.T) {
+// TestRewriteReportsCore: every query path answers the query's core, and
+// /rewrite reports the core it rewrote: a padded text's core keeps one
+// takesCourse, and the padded text and the core's own text rewrite to
+// one pattern. No request field switches minimization, so a body that
+// still sends "minimize" is refused like any unknown field.
+func TestRewriteReportsCore(t *testing.T) {
 	h := Handler(testKB(t))
-	rec := do(t, h, "POST", "/query",
-		`{"query":"q(x) :- takesCourse(x, y), takesCourse(x, z)","minimize":true}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	rewrite := func(query string) RewriteResponse {
+		t.Helper()
+		body, _ := json.Marshal(QueryRequest{Query: query})
+		rec := do(t, h, "POST", "/rewrite", string(body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		var resp RewriteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	var resp QueryResponse
-	_ = json.Unmarshal(rec.Body.Bytes(), &resp)
-	if resp.Rewrote == "" || strings.Count(resp.Rewrote, "takesCourse") != 1 {
-		t.Fatalf("resp = %+v", resp)
+	padded := rewrite("q(x) :- takesCourse(x, y), takesCourse(x, z)")
+	if strings.Count(padded.Core, "takesCourse") != 1 || !strings.HasPrefix(padded.Core, "q(x) :- ") {
+		t.Fatalf("padded rewrite = %+v", padded)
+	}
+	if core := rewrite(padded.Core); core.Core != padded.Core || core.Pattern != padded.Pattern || core.CondCount != padded.CondCount {
+		t.Fatalf("the core's own text rewrites to %+v, the padded text to %+v", core, padded)
+	}
+	for _, path := range []string{"/query", "/rewrite"} {
+		rec := do(t, h, "POST", path, `{"query":"q(x) :- takesCourse(x, y), takesCourse(x, z)","minimize":true}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "minimize") {
+			t.Fatalf("%s with \"minimize\": status %d: %s", path, rec.Code, rec.Body)
+		}
 	}
 }
 

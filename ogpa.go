@@ -327,7 +327,9 @@ type Answers struct {
 // Len reports the number of answers.
 func (a *Answers) Len() int { return len(a.Rows) }
 
-// Rewriting is the result of GenOGP on one query.
+// Rewriting is the result of GenOGP on one query. Query is the core of
+// the query text (cq.Minimize): the CQ GenOGP rewrote, with the text's
+// head in its column order.
 type Rewriting struct {
 	Query   *cq.Query
 	Pattern *core.Pattern
@@ -355,14 +357,27 @@ func (kb *KB) RewriteSPARQL(src string) (*Rewriting, error) {
 	return kb.rewriteKind("sparql", src)
 }
 
-// rewriteKind parses query as kind says ("sparql", else the CQ syntax)
-// and runs GenOGP on it: the head of every primary-pipeline request.
-func (kb *KB) rewriteKind(kind, query string) (*Rewriting, error) {
+// parseCore parses query as kind says ("sparql", else the CQ syntax) and
+// returns its core: the one parse step of every query path, so each
+// rewriter (GenOGP, PerfectRef, datalog, the chase) gets the query
+// without the atoms an endomorphism folds away. The head and its column
+// order are the text's.
+func parseCore(kind, query string) (*cq.Query, error) {
 	parse := cq.Parse
 	if kind == "sparql" {
 		parse = sparql.Parse
 	}
 	q, err := parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return q.Minimize(), nil
+}
+
+// rewriteKind runs GenOGP on the core of query, parsed as kind says: the
+// head of every primary-pipeline request.
+func (kb *KB) rewriteKind(kind, query string) (*Rewriting, error) {
+	q, err := parseCore(kind, query)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +433,8 @@ func fromMatchStats(st match.Stats) MatchStats {
 	}
 }
 
-// PreparedQuery is a query compiled down to a reusable matching plan.
+// PreparedQuery is a query compiled down to a reusable matching plan of
+// the query's core (cq.Minimize), answering in the text's head order.
 // For the primary pipeline, GenOGP has run and the OGP's candidate
 // space, CS adjacency and condition BDD are built; for the UCQ
 // baselines (PrepareBaseline), PerfectRef has run and every disjunct is
@@ -478,7 +494,7 @@ func (kb *KB) prepareKind(kind, query string, rewriteTimeout time.Duration) (*Pr
 		}
 		return &PreparedQuery{kb: kb, q: rw.Query, g: v.g, rw: rw, pl: pl}, nil
 	}
-	q, err := cq.Parse(query)
+	q, err := parseCore(kind, query)
 	if err != nil {
 		return nil, err
 	}
@@ -596,7 +612,7 @@ func (kb *KB) AnswerBaseline(b Baseline, query string, opt Options) (*Answers, e
 		}
 		return pq.Answer(opt)
 	}
-	q, err := cq.Parse(query)
+	q, err := parseCore("cq", query)
 	if err != nil {
 		return nil, err
 	}
@@ -663,16 +679,6 @@ func (kb *KB) CheckConsistency() ([]string, error) {
 		out[i] = v.String()
 	}
 	return out, nil
-}
-
-// MinimizeQuery returns the core of a conjunctive query (smallest
-// equivalent subquery); minimizing before Rewrite yields smaller OGPs.
-func MinimizeQuery(query string) (string, error) {
-	q, err := cq.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	return q.Minimize().String(), nil
 }
 
 // datalogRows takes a datalog answer, whose tuples are fresh and come

@@ -51,15 +51,26 @@ Course(Ann)
 	}
 }
 
-func TestMinimizeQuery(t *testing.T) {
-	min, err := MinimizeQuery(`q(x) :- advisorOf(y1, x), advisorOf(y1, y2), advisorOf(y1, y3), takesCourse(x, z)`)
+// TestRewriteAnswersCore: Rewrite compiles the query's core, with the
+// text's head: the advisorOf star of the paper's Example 3 folds to one
+// edge, and the text and its core compile to one OGP.
+func TestRewriteAnswersCore(t *testing.T) {
+	kb := exampleKB(t)
+	rw, err := kb.Rewrite(`q(x) :- advisorOf(y1, x), advisorOf(y1, y2), advisorOf(y1, y3), takesCourse(x, z)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(min, "advisorOf") != 1 {
-		t.Fatalf("minimized = %s", min)
+	if core := rw.Query.String(); strings.Count(core, "advisorOf") != 1 || !strings.HasPrefix(core, "q(x) :- ") {
+		t.Fatalf("core = %s", core)
 	}
-	if _, err := MinimizeQuery("bad"); err == nil {
+	again, err := kb.Rewrite(rw.Query.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Explain() != rw.Explain() {
+		t.Fatalf("the core's own text compiles to\n%s\nnot\n%s", again.Explain(), rw.Explain())
+	}
+	if _, err := kb.Rewrite("bad"); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }

@@ -51,6 +51,7 @@ type SubscribeOptions struct {
 type Subscription struct {
 	id      uint64
 	query   string
+	core    string // the text of query's core: its chain's key in the hub
 	vars    []string
 	hub     *subHub
 	chain   *inc.DatalogChain
@@ -143,7 +144,7 @@ func (s *Subscription) answer() ([][]string, uint64, error) {
 }
 
 // Close unsubscribes; Next then reports ErrSubscriptionClosed. The last
-// subscription on a query text takes its chain off the maintained
+// subscription on a query core takes its chain off the maintained
 // fixpoint. Idempotent.
 func (s *Subscription) Close() {
 	s.markClosed() // first, so no Next reads the chain once it is retired
@@ -181,16 +182,16 @@ func diffRows(old, cur [][]string) AnswerDelta {
 }
 
 // maxIncChains bounds the standing-query work one KB carries: each live
-// query text adds its answer rules to the one maintained fixpoint,
+// query core adds its answer rules to the one maintained fixpoint,
 // maintained on every commit, and to each rebuild of the union. Past
-// the cap Subscribe refuses a new text until a live one's last
+// the cap Subscribe refuses a new core until a live one's last
 // subscription closes, so an adversarial subscriber cannot grow memory
 // or per-commit work without bound.
 const maxIncChains = 64
 
 // subHub owns a KB's standing queries: an inc.Manager on the delta
 // store's one watcher, keeping one datalog fixpoint maintained for every
-// standing query; the live query texts, each with its chain (the
+// standing query; the live query cores, each with its chain (the
 // query's answer predicate in that fixpoint); and the subscriptions.
 // The first Subscribe of a live KB starts the manager; every commit
 // advances it and wakes the subscriptions, which read their answers in
@@ -198,13 +199,14 @@ const maxIncChains = 64
 // one fails closed; siblings keep streaming). It is its own struct so
 // KB itself holds no mutex.
 //
-// Chains are keyed by query text alone, NOT by epoch: the maintained
-// fixpoint deliberately spans epochs (advancing it IS the maintenance),
-// and every answer returns the epoch it is exact for.
+// Chains are keyed by the core's text alone (cq.Query.String), so two
+// query texts with one core share a chain, and NOT by epoch: the
+// maintained fixpoint deliberately spans epochs (advancing it IS the
+// maintenance), and every answer returns the epoch it is exact for.
 type subHub struct {
 	mu       sync.Mutex
-	mgr      *inc.Manager // nil until the first Subscribe
-	texts    map[string]*standing
+	mgr      *inc.Manager             // nil until the first Subscribe
+	cores    map[string]*standing     // by the core's text
 	subs     map[uint64]*Subscription // live subscriptions
 	closed   bool                     // the KB closed
 	nextID   uint64
@@ -212,7 +214,7 @@ type subHub struct {
 	evalErrs uint64 // standing-query evaluation failures
 }
 
-// standing is one live query text: its chain and the number of live
+// standing is one live query core: its chain and the number of live
 // subscriptions that read it.
 type standing struct {
 	chain *inc.DatalogChain
@@ -248,7 +250,7 @@ func (h *subHub) delivered() {
 }
 
 // remove unregisters s, booking an evaluation failure if it failed.
-// When s was the last live subscription on its query text, the text's
+// When s was the last live subscription on its query core, the core's
 // chain is retired and its budget slot freed.
 func (h *subHub) remove(s *Subscription, failed bool) {
 	h.mu.Lock()
@@ -260,9 +262,9 @@ func (h *subHub) remove(s *Subscription, failed bool) {
 		return
 	}
 	delete(h.subs, s.id)
-	t := h.texts[s.query]
+	t := h.cores[s.core]
 	if t.subs--; t.subs == 0 {
-		delete(h.texts, s.query)
+		delete(h.cores, s.core)
 		t.chain.Retire()
 	}
 }
@@ -278,12 +280,12 @@ func (h *subHub) close() {
 	}
 }
 
-// add registers a subscription to query, whose rewriting is prog: it
-// starts the manager on the KB's first Subscribe, charges the budget
-// for a new query text and registers its program on the maintained
-// fixpoint. All of it runs under h.mu, so concurrent Subscribes start
-// one manager and cannot overrun maxIncChains.
-func (h *subHub) add(store *delta.Store, query string, head []string, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
+// add registers a subscription to query, whose core is q and whose
+// rewriting is prog: it starts the manager on the KB's first Subscribe,
+// charges the budget for a new core and registers its program on the
+// maintained fixpoint. All of it runs under h.mu, so concurrent
+// Subscribes start one manager and cannot overrun maxIncChains.
+func (h *subHub) add(store *delta.Store, query string, q *cq.Query, prog *datalog.Program, opt SubscribeOptions) (*Subscription, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -291,27 +293,29 @@ func (h *subHub) add(store *delta.Store, query string, head []string, prog *data
 	}
 	if h.mgr == nil {
 		h.mgr = inc.NewManager(store, rdf.LocalName)
-		h.texts = map[string]*standing{}
+		h.cores = map[string]*standing{}
 		h.subs = map[uint64]*Subscription{}
 	}
-	t := h.texts[query]
+	core := q.String()
+	t := h.cores[core]
 	if t == nil {
-		if len(h.texts) >= maxIncChains {
-			return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d live query texts)", maxIncChains)
+		if len(h.cores) >= maxIncChains {
+			return nil, fmt.Errorf("ogpa: standing-query budget exhausted (%d live query cores)", maxIncChains)
 		}
 		c, err := h.mgr.RegisterDatalog(prog, datalog.Limits{})
 		if err != nil {
 			return nil, err
 		}
 		t = &standing{chain: c}
-		h.texts[query] = t
+		h.cores[core] = t
 	}
 	t.subs++
 	h.nextID++
 	s := &Subscription{
 		id:      h.nextID,
 		query:   query,
-		vars:    append([]string(nil), head...),
+		core:    core,
+		vars:    append([]string(nil), q.Head...),
 		hub:     h,
 		chain:   t.chain,
 		maxRows: opt.MaxRows,
@@ -321,20 +325,20 @@ func (h *subHub) add(store *delta.Store, query string, head []string, prog *data
 	return s, nil
 }
 
-// Subscribe registers a standing query on a live KB. It reads its
-// answers from the KB's one maintained datalog fixpoint, which holds
-// every live standing query text's rules and answers; subscriptions to
-// the same text share its chain. The first Subscribe starts that
-// maintenance; each live query text holds one of maxIncChains slots
-// until its last subscription closes. Subscribe reads the answers once
-// and fails past opt.MaxRows. The first Next delivers the full answer
+// Subscribe registers a standing query on a live KB. The query is
+// answered through its core (cq.Minimize), read from the KB's one
+// maintained datalog fixpoint, which holds every live core's rules and
+// answers; subscriptions whose texts have one core share its chain. The
+// first Subscribe starts that maintenance; each live core holds one of
+// maxIncChains slots until its last subscription closes. Subscribe
+// reads the answers once and fails past opt.MaxRows. The first Next delivers the full answer
 // set as Added rows at the epoch it reads; every subsequent delta is
 // the exact change since the previous delivery.
 func (kb *KB) Subscribe(query string, opt SubscribeOptions) (*Subscription, error) {
 	if kb.store == nil {
 		return nil, fmt.Errorf("ogpa: subscriptions need live data (call EnableLiveData first)")
 	}
-	q, err := cq.Parse(query)
+	q, err := parseCore("cq", query)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +346,7 @@ func (kb *KB) Subscribe(query string, opt SubscribeOptions) (*Subscription, erro
 	if err != nil {
 		return nil, err
 	}
-	s, err := kb.inc.add(kb.store, query, q.Head, prog, opt)
+	s, err := kb.inc.add(kb.store, query, q, prog, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +374,7 @@ type IncrementalStats struct {
 	Batches       uint64 `json:"batches"`       // committed batches applied
 	Triples       uint64 `json:"triples"`       // triples translated into facts
 	Attributes    uint64 `json:"attributes"`    // literal-object triples skipped
-	Chains        int    `json:"chains"`        // live query texts on the maintained fixpoint
+	Chains        int    `json:"chains"`        // live query cores on the maintained fixpoint
 	Rebuilds      uint64 `json:"rebuilds"`      // fixpoint rebuilds after an apply error
 	Subscriptions int    `json:"subscriptions"` // live standing queries
 	Deltas        uint64 `json:"deltas"`        // answer deltas delivered by Next
